@@ -15,7 +15,7 @@ import numpy as np
 
 from .abelian import DualChar
 from .cyclotomic import Cyclo, phi
-from .dixon import lift_table, verify_orthogonality
+from .dixon import VerificationError, lift_table, verify_orthogonality
 from .groups import MatrixGroup, ReductionHom, make_group
 
 
@@ -122,12 +122,16 @@ class CharacterTable:
         return len(self.chars)
 
     def verify(self):
-        """Exact orthogonality and degree identities; raises on failure."""
+        """Exact orthogonality and degree identities; raises
+        VerificationError on failure."""
         verify_orthogonality(self.coeffs, self.conjugacy, self.group.order)
-        assert int((self.degrees.astype(object) ** 2).sum()) == self.group.order
-        assert len(self.chars) == self.conjugacy.n_classes
+        if int((self.degrees.astype(object) ** 2).sum()) != self.group.order:
+            raise VerificationError("sum of squared degrees is not |G|")
+        if len(self.chars) != self.conjugacy.n_classes:
+            raise VerificationError("number of irreducibles is not the class number")
         for d in self.degrees:
-            assert self.group.order % int(d) == 0, "degree does not divide |G|"
+            if self.group.order % int(d):
+                raise VerificationError("degree does not divide |G|")
 
     def find(self, f: ClassFunction) -> int | None:
         """Index of an irreducible equal to f, or None."""
@@ -236,6 +240,52 @@ def adjunction_check(chi: ClassFunction, psi: ClassFunction, hom: ReductionHom) 
     lhs = inner_product(inflate(chi, hom), psi)
     rhs = inner_product(chi, kernel_average(psi, hom))
     return lhs == rhs
+
+
+def adjunction_defect(hom: ReductionHom) -> np.ndarray:
+    """The integer matrix D = A S - S' C whose vanishing is the adjunction
+    <Infl chi, psi>_G = <chi, Avg_N psi>_{G'} for all class functions.
+
+    Rows index the classes of G' = hom.target, columns those of G =
+    hom.source, N = hom.kernel_codes, and
+      A[j, b] = 1 iff the reduction of rep_b lies in class j of G',
+      C[j, b] = #{n in N : y_j n in class b of G}, y_j a preimage of rep_j,
+      S, S' = diag of the class sizes of G and G'.
+
+    Proof.  Summing over classes,
+      <Infl chi, psi>_G = (1/|G|) sum_b |C_b| chi(pi(rep_b)) conj psi_b
+                        = (1/|G|) chi^T A S conj(psi),
+      <chi, Avg_N psi>_{G'} = (1/|G'|) sum_j |C'_j| chi_j
+                                * conj((1/|N|) sum_b C[j, b] psi_b)
+                        = (1/|G|) chi^T S' C conj(psi),
+    using |G| = |G'| |N| and that C is an integer matrix.  So the difference
+    of the two sides is (1/|G|) chi^T D conj(psi), bilinear in (chi,
+    conj psi): it vanishes for all class functions iff D = 0, and, the
+    irreducibles of each level being a basis of its class functions, iff it
+    vanishes for all pairs of irreducibles.
+
+    Each entry of A S and of S' C lies in [0, |G|] (|C'_j| C[j, b] <=
+    |C'_j| |N| = |G|), and |G| <= GROUP_BOUND for every enumerated group
+    (|G| <= TABLE_BOUND wherever tables exist), so int64 is exact.
+    """
+    src, tgt = hom.source, hom.target
+    src_cd, tgt_cd = src.conjugacy(), tgt.conjugacy()
+    ns, nt = src_cd.n_classes, tgt_cd.n_classes
+    N = hom.kernel_codes
+    img_class = tgt_cd.class_of[hom.code_map[src_cd.reps]]
+    AS = np.zeros((nt, ns), dtype=np.int64)
+    AS[img_class, np.arange(ns)] = src_cd.sizes
+    # one preimage y_j of each target representative, and its coset y_j N
+    pos = np.array(
+        [np.flatnonzero(hom.image_of == rep)[0] for rep in tgt_cd.reps], dtype=np.int64
+    )
+    Y = src.codes[pos]
+    cosets = src.space.mul(np.repeat(Y, len(N)), np.tile(N, nt))
+    rows = np.repeat(np.arange(nt), len(N))
+    C = np.bincount(
+        rows * ns + src_cd.class_of[cosets], minlength=nt * ns
+    ).reshape(nt, ns)
+    return AS - tgt_cd.sizes.astype(np.int64)[:, None] * C
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import sys
 
 from .cache import cached_character_table
 from .predictor import predict_gl2, predict_sl2
+from .rings import is_prime
 from .torus import classify_all, make_torus
 from .verifier import run_case, run_suite
 from .weyl import sweep_classical_signs
@@ -148,10 +149,24 @@ def cmd_dump_table(args) -> int:
     return 0
 
 
+def prime_int(text: str) -> int:
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not >= 1")
+    return n
+
+
 def _add_case_args(sp, need_flavor=True, required=True):
-    sp.add_argument("--p", type=int, required=required)
-    sp.add_argument("--k", type=int, default=1 if not required else None, required=required)
-    sp.add_argument("--r", type=int, required=required)
+    sp.add_argument("--p", type=prime_int, required=required)
+    sp.add_argument("--k", type=positive_int, required=required)
+    sp.add_argument("--r", type=positive_int, required=required)
     if need_flavor:
         sp.add_argument("--flavor", choices=["gl", "sl"], required=required)
     sp.add_argument("--mode", choices=["mixed", "equal"], required=required)
@@ -161,7 +176,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="dl2")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify-torus", help="classify all torus characters")
+    sp = classify = sub.add_parser("classify-torus", help="classify all torus characters")
     _add_case_args(sp, need_flavor=False)
     sp.add_argument("--psi-scale", type=int, default=1)
     sp.add_argument("--out")
@@ -173,11 +188,7 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_predict)
 
     sp = sub.add_parser("verify", help="run verification checks")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--flavor", choices=["gl", "sl"])
-    sp.add_argument("--mode", choices=["mixed", "equal"])
+    _add_case_args(sp, required=False)
     sp.add_argument("--manifest")
     sp.add_argument("--report")
     sp.add_argument("--cache-dir")
@@ -198,6 +209,11 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_dump_table)
 
     args = ap.parse_args(argv)
+    if args.command == "classify-torus":
+        # psi_scale is the code of an element of F_q, and must be a unit
+        q = args.p**args.k
+        if not 1 <= args.psi_scale < q:
+            classify.error(f"--psi-scale must be a nonzero element code of F_{q}, in 1..{q - 1}")
     return args.fn(args)
 
 

@@ -44,6 +44,15 @@ class ModulusSearchError(RuntimeError):
     pass
 
 
+class VerificationError(AssertionError):
+    """A table identity failed to verify.
+
+    Raised explicitly, so that `python -O` cannot strip the check; it
+    derives from AssertionError so that callers which caught the former
+    `assert` statements keep working.
+    """
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -89,6 +98,11 @@ def class_matrix(group: MatrixGroup, cd: ConjugacyData, i: int) -> np.ndarray:
 
 def _split_blocks(blocks, M, l):
     """Refine invariant blocks (row-basis matrices in RREF) under M."""
+    # B @ M.T sums n = B.shape[1] products of residues below l, and R @ B
+    # sums d <= n of them; both stay exact in int64 when n * (l-1)^2 < 2^63.
+    n = M.shape[0]
+    if n * (l - 1) ** 2 >= 2**63:
+        raise OverflowError(f"int64 overflow risk: {n} * ({l} - 1)^2 >= 2^63")
     out = []
     for B, piv in blocks:
         d = B.shape[0]
@@ -204,7 +218,8 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
     w = cd.sizes.astype(np.int64)
     invp = cd.inverse_class
     maxc = int(np.abs(coeffs).max())
-    assert ncl * int(w.max()) * maxc * maxc < 2**62, "int64 overflow risk"
+    if ncl * int(w.max()) * maxc * maxc >= 2**62:
+        raise VerificationError("int64 overflow risk")
 
     conj_coeffs = coeffs[:, invp, :]
     # first (row) orthogonality
@@ -241,6 +256,8 @@ def _check_reduced(U, target, cd):
         for j in range(d):
             if row[j]:
                 acc[j] = acc[j] + int(row[j]) * Us
-    assert (acc[0] == target).all(), "orthogonality failed (constant term)"
+    if not (acc[0] == target).all():
+        raise VerificationError("orthogonality failed (constant term)")
     for j in range(1, d):
-        assert not acc[j].any(), "orthogonality failed (irrational part)"
+        if acc[j].any():
+            raise VerificationError("orthogonality failed (irrational part)")

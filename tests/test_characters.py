@@ -1,10 +1,18 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dl2
 from dl2.abelian import FiniteAbelianGroup
 from dl2.characters import (
+    CharacterTable,
+    VerificationError,
     adjunction_check,
+    adjunction_defect,
     character_table,
     induce,
     inflate,
@@ -17,6 +25,7 @@ from dl2.characters import (
     trivial_character,
 )
 from dl2.cyclotomic import Cyclo
+from dl2.dixon import _split_blocks
 from dl2.groups import make_group
 
 
@@ -155,6 +164,61 @@ def test_adjunction():
                 psi = psi + scaled if c > 0 else psi - scaled
         for chi in tab1.chars:
             assert adjunction_check(chi, psi, h)
+
+
+@pytest.mark.parametrize("flavor", ["gl", "sl"])
+@pytest.mark.parametrize("p,k,r", [(2, 1, 2), (3, 1, 2), (2, 1, 3)])
+def test_adjunction_defect_matches_pairwise_check(p, k, r, flavor):
+    for mode in ("mixed", "equal"):
+        G = make_group(p, k, r, mode, flavor)
+        high = character_table(G)
+        for r2 in range(1, r):
+            hom = G.reduction(r2)
+            low = character_table(hom.target)
+            D = adjunction_defect(hom)
+            assert D.shape == (len(low), len(high))
+            assert not D.any()
+            for chi in low.chars:
+                for psi in high.chars:
+                    assert adjunction_check(chi, psi, hom)
+
+
+def test_verify_rejects_corrupted_table_under_python_O():
+    code = (
+        "from dl2.characters import VerificationError, character_table\n"
+        "from dl2.groups import make_group\n"
+        "print(__debug__)\n"
+        "tab = character_table(make_group(3, 1, 1, 'mixed', 'gl'))\n"
+        "tab.verify()\n"
+        "tab.coeffs[2, 1, 0] += 1\n"
+        "try:\n"
+        "    tab.verify()\n"
+        "except VerificationError:\n"
+        "    print('rejected')\n"
+    )
+    env = {"PYTHONPATH": str(Path(dl2.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert out.stdout.split() == ["False", "rejected"]
+
+
+def test_verify_rejects_wrong_degrees():
+    G = make_group(2, 1, 1, "equal", "gl")
+    tab = character_table(G)
+    degs = tab.degrees.copy()
+    degs[-1] += 1
+    with pytest.raises(VerificationError, match="degrees"):
+        CharacterTable(G, parts=(tab.coeffs, tab.exponent, degs)).verify()
+
+
+def test_split_blocks_guards_int64_overflow():
+    l = 2**31 - 1  # prime; 3 * (l - 1)^2 >= 2^63
+    eye = np.eye(3, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _split_blocks([(eye, [0, 1, 2])], eye, l)
+    assert len(_split_blocks([(eye, [0, 1, 2])], eye, 541)) == 1
 
 
 def test_tensor_linear_permutes_table():

@@ -3,11 +3,12 @@ import json
 import pytest
 
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
-from dl2.characters import character_table
+from dl2.characters import adjunction_check, character_table
 from dl2.cli import main
 from dl2.groups import make_group
 from dl2.verifier import (
     CaseData,
+    check_inflation_adjunction,
     check_classical_sweep,
     check_mode_independence,
     run_case,
@@ -54,6 +55,26 @@ def test_r1_case_degenerates_cleanly():
     assert adj.verdict == "inapplicable"  # no lower level to compare against
     stab = [c for c in rep.checks if c.check_id == "stability"][0]
     assert stab.verdict == "pass"  # reduces to the classical table facts
+
+
+def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
+    # SL2(Z/4) mixed, with one kernel element swapped for a non-kernel one:
+    # the pairwise inner products stop being rational, and the check must
+    # still return a verdict naming the first failing pair.
+    G = make_group(2, 1, 2, "mixed", "sl")
+    hom = G.reduction(1)
+    assert G.codes[2] not in hom.kernel_codes
+    hom.kernel_codes = hom.kernel_codes.copy()
+    hom.kernel_codes[0] = G.codes[2]
+    low, high = character_table(hom.target), character_table(G)
+    assert adjunction_check(low.chars[0], high.chars[0], hom)
+    with pytest.raises(ValueError, match="not rational"):
+        adjunction_check(low.chars[0], high.chars[1], hom)
+
+    monkeypatch.setattr(type(G), "reduction", lambda self, r2: hom)
+    c = check_inflation_adjunction(CaseData(2, 1, 2, "mixed", "sl"))
+    assert c.verdict == "fail"
+    assert c.computed == {"failed_pair": [0, 1]}
 
 
 def test_mode_independence():
@@ -129,6 +150,32 @@ def test_cli_verify_manifest(tmp_path):
     assert main(["verify", "--manifest", str(mf), "--report", str(rep)]) == 0
     d = json.loads(rep.read_text())
     assert len(d["cases"]) == 2 and d["all_pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-torus", "--p", "4", "--k", "1", "--r", "1", "--mode", "mixed"],
+    ["classify-torus", "--p", "3", "--k", "0", "--r", "1", "--mode", "mixed"],
+    ["classify-torus", "--p", "3", "--k", "1", "--r", "2", "--mode", "mixed",
+     "--psi-scale", "0"],
+    ["classify-torus", "--p", "3", "--k", "1", "--r", "2", "--mode", "mixed",
+     "--psi-scale", "3"],
+    ["predict", "--p", "2", "--k", "1", "--r", "0", "--flavor", "gl", "--mode", "equal"],
+    ["verify", "--p", "1", "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal"],
+    ["dump-table", "--p", "2", "--k", "1", "--r", "-1", "--flavor", "gl", "--mode", "equal"],
+])
+def test_cli_rejects_bad_input(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_cli_accepts_extension_psi_scale(tmp_path):
+    # code p is xbar, a unit of F_{p^2}
+    out = tmp_path / "thetas.jsonl"
+    assert main(["classify-torus", "--p", "2", "--k", "2", "--r", "2",
+                 "--mode", "mixed", "--psi-scale", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 240  # q^2 (q^2 - 1)
 
 
 def test_cli_sweep(tmp_path):
