@@ -1,7 +1,8 @@
-"""Portable on-disk caches for enumerated groups and character tables.
+"""Portable on-disk cache for character tables.
 
 Files are keyed by (p, k, r, mode, flavor) and carry a format-version
-field; anything that fails validation is recomputed.  The cache directory
+field; anything that fails validation is recomputed.  Each cached table's
+group is also written out (`save_group`), but nothing reads that file.  The cache directory
 comes from an explicit argument or the DL2_CACHE_DIR environment variable;
 with neither set, everything stays in process memory only.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .characters import CharacterTable, character_table
-from .groups import ConjugacyData, MatrixGroup, make_group
+from .groups import MatrixGroup, make_group
 
 GROUP_FORMAT = "dl2-group/1"
 TABLE_FORMAT = "dl2-table/1"
@@ -66,58 +67,6 @@ def save_group(group: MatrixGroup, cache_dir: Path):
         sizes=cd.sizes,
     )
     return path
-
-
-def load_group(p, k, r, mode, flavor, cache_dir: Path) -> MatrixGroup | None:
-    path = group_cache_path(cache_dir, p, k, r, mode, flavor)
-    if not path.exists():
-        return None
-    try:
-        data = np.load(path)
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != GROUP_FORMAT:
-            return None
-        group = make_group(p, k, r, mode, flavor)
-        if meta["order"] != group.order or not (data["codes"] == group.codes).all():
-            return None
-        if group._conj is None:
-            group._conj = _conjugacy_from_cache(
-                group, data["reps"], data["sizes"], data["class_of_codes"]
-            )
-        return group
-    except Exception:
-        return None
-
-
-def _conjugacy_from_cache(group, reps, sizes, class_of_codes) -> ConjugacyData:
-    cd = ConjugacyData.__new__(ConjugacyData)
-    sp = group.space
-    cd.reps = reps.astype(np.int64)
-    cd.sizes = sizes.astype(np.int64)
-    cd.n_classes = len(reps)
-    class_of = np.full(sp.N, -1, dtype=np.int32)
-    class_of[group.codes] = class_of_codes
-    cd.class_of = class_of
-    assert int(cd.sizes.sum()) == group.order
-    order = np.argsort(class_of_codes, kind="stable")
-    sorted_codes = group.codes[order]
-    bounds = np.concatenate([[0], np.cumsum(cd.sizes)])
-    cd.class_lists = [
-        np.sort(sorted_codes[bounds[i] : bounds[i + 1]]) for i in range(cd.n_classes)
-    ]
-    cd.centralizer_orders = group.order // cd.sizes
-    cd.inverse_class = class_of[sp.inv(cd.reps)].astype(np.int64)
-    cd._group = group
-    cd.rep_orders = np.array(
-        [group.element_order(int(c)) for c in cd.reps], dtype=np.int64
-    )
-    e = 1
-    from math import gcd
-
-    for o in cd.rep_orders:
-        e = e // gcd(e, int(o)) * int(o)
-    cd.exponent = e
-    return cd
 
 
 def save_table(table: CharacterTable, cache_dir: Path):

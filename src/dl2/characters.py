@@ -9,14 +9,14 @@ objects convenient for the verification layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .abelian import DualChar
-from .cyclotomic import Cyclo, phi
+from .cyclotomic import Cyclo
 from .dixon import VerificationError, lift_table, verify_orthogonality
-from .groups import MatrixGroup, ReductionHom, make_group
+from .groups import MatrixGroup, ReductionHom
 
 
 class ClassFunction:
@@ -57,10 +57,6 @@ class ClassFunction:
 
     def conj(self):
         return ClassFunction(self.group, [v.conj() for v in self.values])
-
-    def value_at_code(self, code: int) -> Cyclo:
-        cd = self.group.conjugacy()
-        return self.values[int(cd.class_of[code])]
 
     def __eq__(self, other):
         return (
@@ -180,18 +176,15 @@ class CharacterTable:
         }
 
 
-_TABLE_CACHE: dict = {}
 TABLE_BOUND = 50_000
 
 
-def character_table(group: MatrixGroup, bound: int = TABLE_BOUND) -> CharacterTable:
+@cache
+def character_table(group: MatrixGroup) -> CharacterTable:
     """Table of a group, cached per group object; enforces the size bound."""
-    key = id(group)
-    if key not in _TABLE_CACHE:
-        if group.order > bound:
-            raise ValueError(f"|G| = {group.order} exceeds table bound {bound}")
-        _TABLE_CACHE[key] = CharacterTable(group)
-    return _TABLE_CACHE[key]
+    if group.order > TABLE_BOUND:
+        raise ValueError(f"|G| = {group.order} exceeds table bound {TABLE_BOUND}")
+    return CharacterTable(group)
 
 
 # ---------------------------------------------------------------------------

@@ -73,29 +73,40 @@ def cmd_predict(args) -> int:
     return 0
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parse_manifest(path) -> list[tuple]:
+    """Cases (p, k, r, flavor, mode), one `p= k= r= flavor= mode=` line
+    each, checked by the rules of the single-case options; a bad line raises
+    ValueError naming the file and line."""
+    # each `key=value` token is read as the option `--key=value`
+    case_args = _RaisingParser(prog="manifest", add_help=False, allow_abbrev=False)
+    _add_case_args(case_args)
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip().lower()
             if not line:
                 continue
-            kv = dict(tok.split("=", 1) for tok in line.split())
-            out.append(
-                (
-                    int(kv["p"]),
-                    int(kv["k"]),
-                    int(kv["r"]),
-                    kv["flavor"].lower(),
-                    kv["mode"].lower(),
-                )
-            )
+            try:
+                a = case_args.parse_args(["--" + tok for tok in line.split()])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            out.append((a.p, a.k, a.r, a.flavor, a.mode))
     return out
 
 
 def cmd_verify(args) -> int:
     if args.manifest:
-        result = run_suite(_parse_manifest(args.manifest), cache_dir=args.cache_dir)
+        try:
+            manifest = _parse_manifest(args.manifest)
+        except (OSError, ValueError) as exc:
+            print(f"dl2: {exc}", file=sys.stderr)
+            return 2
+        result = run_suite(manifest, cache_dir=args.cache_dir)
     else:
         required = [args.p, args.k, args.r, args.flavor, args.mode]
         if any(v is None for v in required):

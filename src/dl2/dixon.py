@@ -33,9 +33,11 @@ from .modlinalg import (
     poly_lcm,
     poly_roots,
     primitive_root,
+    require_int64_exact,
     rref,
     sqrt_mod,
 )
+from .rings import is_prime
 
 MODULUS_SEARCH_BOUND = 30_000_000
 
@@ -53,17 +55,6 @@ class VerificationError(AssertionError):
     """
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime l = 1 (mod exponent) with l > 2*sqrt(order)."""
     import math
@@ -78,7 +69,7 @@ def dixon_prime(order: int, exponent: int) -> int:
                 f"no prime = 1 mod {exponent} above 2*sqrt({order}) "
                 f"found below {MODULUS_SEARCH_BOUND}"
             )
-        if l >= lo and l > exponent and _is_prime(l):
+        if l >= lo and l > exponent and is_prime(l):
             return l
         m += 1
 
@@ -100,9 +91,7 @@ def _split_blocks(blocks, M, l):
     """Refine invariant blocks (row-basis matrices in RREF) under M."""
     # B @ M.T sums n = B.shape[1] products of residues below l, and R @ B
     # sums d <= n of them; both stay exact in int64 when n * (l-1)^2 < 2^63.
-    n = M.shape[0]
-    if n * (l - 1) ** 2 >= 2**63:
-        raise OverflowError(f"int64 overflow risk: {n} * ({l} - 1)^2 >= 2^63")
+    require_int64_exact(M.shape[0], l)
     out = []
     for B, piv in blocks:
         d = B.shape[0]

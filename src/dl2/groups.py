@@ -393,19 +393,3 @@ def sl_embedding(gl: MatrixGroup) -> np.ndarray:
     pos = gl.pos_of[sl.codes]
     assert (pos >= 0).all()
     return pos
-
-
-def enumerate_group(ring: RingSpec, flavor: str, bound: int = GROUP_BOUND) -> MatrixGroup:
-    return MatrixGroup(ring, flavor, bound=bound)
-
-
-def conjugacy_classes(group: MatrixGroup) -> ConjugacyData:
-    return group.conjugacy()
-
-
-def reduction_hom(group: MatrixGroup, r2: int) -> ReductionHom:
-    return group.reduction(r2)
-
-
-def borel_subgroup(group: MatrixGroup) -> np.ndarray:
-    return group.borel_codes()

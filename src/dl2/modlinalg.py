@@ -1,12 +1,21 @@
 """Dense linear algebra and polynomial utilities modulo a prime.
 
-numpy int64 throughout; callers pick primes small enough that n * l^2
-stays well inside int64.
+numpy int64 throughout; the matrix products check with `require_int64_exact`
+that the prime is small enough for them to be exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .abelian import factorise
+
+
+def require_int64_exact(n: int, l: int):
+    """Raise OverflowError unless a sum of n products of residues in [0, l)
+    stays exact in int64, i.e. unless n * (l - 1)^2 < 2^63."""
+    if n * (l - 1) ** 2 >= 2**63:
+        raise OverflowError(f"int64 overflow risk: {n} * ({l} - 1)^2 >= 2^63")
 
 
 def inv_mod(a: int, l: int) -> int:
@@ -131,7 +140,10 @@ def poly_roots(p, l: int) -> list[int]:
 
 
 def poly_apply_matvec(p, M: np.ndarray, v: np.ndarray, l: int) -> np.ndarray:
-    """p(M) v via Horner, deg(p) matrix-vector products."""
+    """p(M) v via Horner, deg(p) matrix-vector products; M, v and the
+    coefficients of p are residues in [0, l)."""
+    # each step sums the n products of M @ acc and one more, c * v
+    require_int64_exact(M.shape[1] + 1, l)
     acc = np.zeros_like(v)
     for c in reversed(p):
         acc = ((M @ acc) + c * v) % l
@@ -139,8 +151,10 @@ def poly_apply_matvec(p, M: np.ndarray, v: np.ndarray, l: int) -> np.ndarray:
 
 
 def krylov_relation(M: np.ndarray, v: np.ndarray, l: int) -> list[int]:
-    """Monic minimal relation of the Krylov sequence v, Mv, M^2 v, ..."""
+    """Monic minimal relation of the Krylov sequence v, Mv, M^2 v, ...;
+    M is a matrix of residues in [0, l)."""
     n = len(v)
+    require_int64_exact(n, l)
     K = [v % l]
     R = (v % l).reshape(1, -1).copy()
     # normalise first row
@@ -197,18 +211,8 @@ def sqrt_mod(a: int, l: int) -> int:
 
 def primitive_root(l: int) -> int:
     """Least primitive root modulo prime l."""
-    fac = []
-    n = l - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
-    for g in range(2, l):
+    fac = factorise(l - 1)
+    for g in range(1, l):
         if all(pow(g, (l - 1) // f, l) != 1 for f in fac):
             return g
     raise RuntimeError("no primitive root found")

@@ -448,10 +448,6 @@ class RingElem:
         return f"RingElem({self.coeffs})"
 
 
-def invert(a: RingElem) -> RingElem:
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # unramified quadratic extension O'_r = O_r[y]/(y^2 + B y + C)
 
@@ -687,56 +683,3 @@ class ExtElem:
 
     def __repr__(self):
         return f"ExtElem({self.coeffs})"
-
-
-def frobenius(x: ExtElem) -> ExtElem:
-    return x.frobenius()
-
-
-def norm(x: ExtElem) -> RingElem:
-    return x.norm()
-
-
-def trace_ext(x: ExtElem) -> RingElem:
-    return x.trace()
-
-
-# ---------------------------------------------------------------------------
-# residue quadratic extension F_{q^2} (pair codes), shared with the torus work
-
-
-class ResidueQuadratic:
-    """F_{q^2} = F_q[ybar]/(ybar^2 + B ybar + C), pair codes a0 + q*a1."""
-
-    def __init__(self, ext: ExtSpec):
-        F = ext.base.field
-        self.F = F
-        self.q = F.q
-        self.B = ext.B_res
-        self.C = ext.C_res
-
-    def mul(self, x, y):
-        q = self.q
-        A, M, N = self.F.add, self.F.mul, self.F.neg
-        a1, b1 = x % q, x // q
-        a2, b2 = y % q, y // q
-        bb = M[b1, b2]
-        a = A[M[a1, a2], N[M[bb, self.C]]]
-        b = A[A[M[a1, b2], M[b1, a2]], N[M[bb, self.B]]]
-        return a + b * q
-
-    def frob(self, x):
-        q = self.q
-        A, M, N = self.F.add, self.F.mul, self.F.neg
-        a, b = x % q, x // q
-        return A[a, N[M[b, self.B]]] + N[b] * q
-
-    def trace_to_fq(self, x):
-        q = self.q
-        A, M, N = self.F.add, self.F.mul, self.F.neg
-        a, b = x % q, x // q
-        return A[A[a, a], N[M[b, self.B]]]
-
-    def is_scalar(self, x) -> bool:
-        """Whether x lies in the scalar subfield F_q."""
-        return int(x) // self.q == 0

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .abelian import DualChar, FiniteAbelianGroup
-from .rings import ExtSpec, ResidueQuadratic, RingSpec, make_ext, make_ring
+from .rings import RingSpec, make_ext, make_ring
 
 
 class CoxeterTorus:
@@ -47,7 +47,8 @@ class CoxeterTorus:
         self.order = len(self.codes)
         assert self.order == ring.q ** (2 * (ring.r - 1)) * (ring.q**2 - 1)
         self.group = FiniteAbelianGroup(self.codes, ext.mul, ext.one)
-        self.rq = ResidueQuadratic(ext)
+        # F_{q^2} in pair codes a0 + q a1: the extension of the level-1 ring
+        self.rq = make_ext(make_ring(ring.p, ring.k, 1, ring.mode))
         # unit group of the base ring and its dual (the twisting characters)
         self.base_units = FiniteAbelianGroup(
             ring.units(), lambda a, b: ring.mul[a, b], ring.one
@@ -133,7 +134,7 @@ class CoxeterTorus:
         for tau in range(q2):
             row = []
             for x in range(q2):
-                c = rq.trace_to_fq(rq.mul(x, tau))
+                c = rq.trace(rq.mul(x, tau))
                 c = F.mul[c, psi_scale]
                 row.append(int(F.trace_to_fp[c]))
             pats[tuple(row)] = tau
@@ -158,7 +159,11 @@ class CoxeterTorus:
     def is_regular(self, theta: DualChar, psi_scale: int = 1) -> bool:
         if self.r < 2:
             return False
-        return not self.rq.is_scalar(self.tau_of(theta, psi_scale))
+        return not self.is_scalar(self.tau_of(theta, psi_scale))
+
+    def is_scalar(self, tau) -> bool:
+        """Whether a pair code of F_{q^2} lies in the scalar subfield F_q."""
+        return int(tau) < self.q
 
     # -- levels -----------------------------------------------------------------
 
@@ -223,10 +228,6 @@ def make_torus(p: int, k: int, r: int, mode: str) -> CoxeterTorus:
     return CoxeterTorus(make_ring(p, k, r, mode))
 
 
-def build_torus(ring: RingSpec) -> CoxeterTorus:
-    return make_torus(ring.p, ring.k, ring.r, ring.mode)
-
-
 # ---------------------------------------------------------------------------
 # classification records
 
@@ -287,7 +288,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
         for i in range(n_t):
             tau = pats[tuple(int(v) for v in Vtop[i])]
             taus[i] = tau
-            regular[i] = not torus.rq.is_scalar(tau)
+            regular[i] = not torus.is_scalar(tau)
 
     # -- twisted levels ---------------------------------------------------------
     pulls = [torus.norm_pullback(al) for al in U.dual()]
@@ -393,22 +394,6 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
     return out
 
 
-def classify(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 1) -> TorusCharClass:
-    """Single-theta classification (convenience; batch path is classify_all)."""
-    all_tc = _classified(torus, psi_scale)
-    return all_tc[theta.a]
-
-
-_CLASSIFY_CACHE: dict = {}
-
-
-def _classified(torus: CoxeterTorus, psi_scale: int = 1) -> dict:
-    key = (id(torus), psi_scale)
-    if key not in _CLASSIFY_CACHE:
-        _CLASSIFY_CACHE[key] = {tc.theta.a: tc for tc in classify_all(torus, psi_scale)}
-    return _CLASSIFY_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # the two independent conductor computations
 
@@ -431,7 +416,7 @@ def conductor_by_peeling(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 
         if rho == 1:
             return 1
         tau = cur_torus.tau_of(cur, psi_scale)
-        if not cur_torus.rq.is_scalar(tau):
+        if not cur_torus.is_scalar(tau):
             return rho
         s = int(tau) % cur_torus.q  # tau = diag(s, s)
         alpha2 = _extend_kernel_character(cur_torus, s, psi_scale)
@@ -467,33 +452,3 @@ def _extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> Dua
         if ok:
             return alpha
     raise AssertionError("no extension found; the unit group is abelian")
-
-
-def torus_dual(torus: CoxeterTorus) -> list[DualChar]:
-    return torus.dual()
-
-
-def tau_of(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 1) -> int:
-    return torus.tau_of(theta, psi_scale)
-
-
-def conductor(torus: CoxeterTorus, theta: DualChar):
-    """(r0, theta0, alpha) from the cached classification."""
-    tc = classify(torus, theta)
-    return tc.r0, tc.theta0, tc.alpha
-
-
-def general_position(torus: CoxeterTorus, theta0: DualChar) -> bool:
-    return torus.char_sigma(theta0) != theta0
-
-
-def weyl_stabilizer(torus: CoxeterTorus, theta: DualChar) -> int:
-    return torus.weyl_stabilizer(theta)
-
-
-def restrict_to_sl(torus: CoxeterTorus, theta: DualChar):
-    """(restriction values on the norm-one torus, order-2 flag, flip-stable
-    flag) straight from the classification record."""
-    tc = classify(torus, theta)
-    vals = tuple(theta.root_exp(int(c)) for c in torus.norm_one)
-    return vals, tc.sl_quadratic, tc.sl_sigma_fixed

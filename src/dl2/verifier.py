@@ -4,13 +4,14 @@ attached to Coxeter-torus characters is confronted with exact computed data.
 
 A case is (p, k, r, mode, flavor).  Each check produces a record with a
 stable schema (check_id, paper_clause, computed, predicted, verdict,
-runtime_s); verdicts are "pass", "fail", or "inapplicable" (size bounds
-exceeded, never silently skipped).  Reports are deterministic up to the
-runtime fields.
+runtime_s); verdicts are "pass", "fail", "inapplicable" (size bounds
+exceeded, never silently skipped), or "error" (the check raised).  Reports
+are deterministic up to the runtime fields.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cache import cached_character_table
 from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py traces it here
     CharacterTable,
     VerificationError,
@@ -31,7 +33,7 @@ from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py 
     TABLE_BOUND,
 )
 from .cyclotomic import Cyclo
-from .groups import GROUP_BOUND, GroupTooLargeError, gl2_order, make_group, sl2_order
+from .groups import GROUP_BOUND, gl2_order, make_group, sl2_order
 from .predictor import (
     CLAUSE_SL_EVEN,
     CLAUSE_SL_ODD,
@@ -68,7 +70,7 @@ class Check:
     paper_clause: str
     computed: object
     predicted: object
-    verdict: str  # pass / fail / inapplicable
+    verdict: str  # pass / fail / inapplicable / error
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -88,11 +90,12 @@ class VerificationReport:
     checks: list = field(default_factory=list)
 
     def add(self, check: Check):
-        assert check.check_id not in {c.check_id for c in self.checks}
+        if check.check_id in {c.check_id for c in self.checks}:
+            raise ValueError(f"duplicate check id {check.check_id!r}")
         self.checks.append(check)
 
     def all_pass(self) -> bool:
-        return all(c.verdict != "fail" for c in self.checks)
+        return all(c.verdict not in ("fail", "error") for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -105,10 +108,42 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+def check(check_id: str, clause: str, inapplicable=None):
+    """Decorator turning a check body into a timed `Check`.
+
+    The body returns (computed, predicted, ok), or (computed, predicted, ok,
+    cited) when its verdict cites a paper clause other than `clause`; ok is
+    a bool, or a verdict string.  When `inapplicable(cd)` holds (a size
+    bound is exceeded) the body is not run and the verdict is
+    "inapplicable".  An exception raised by the body becomes an "error"
+    verdict, so that one crashing check does not abort the others.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                if inapplicable is not None and inapplicable(args[0]):
+                    computed, predicted, ok, *cited = None, None, "inapplicable"
+                else:
+                    computed, predicted, ok, *cited = body(*args, **kwargs)
+                verdict = ok if isinstance(ok, str) else "pass" if ok else "fail"
+            except Exception as exc:
+                computed, predicted, cited = {"error": f"{type(exc).__name__}: {exc}"}, None, ()
+                verdict = "error"
+            return Check(
+                check_id,
+                cited[0] if cited else clause,
+                computed,
+                predicted,
+                verdict,
+                time.perf_counter() - t0,
+            )
+
+        return run
+
+    return decorate
 
 
 def _json_safe(v):
@@ -122,13 +157,12 @@ def _json_safe(v):
 
 
 class CaseData:
-    """Lazy bundle of everything one case needs, computed at most once."""
+    """Everything one case needs, each part computed at most once."""
 
     def __init__(self, p, k, r, mode, flavor, cache_dir=None):
         self.p, self.k, self.r, self.mode, self.flavor = p, k, r, mode, flavor
         self.q = p**k
         self.cache_dir = cache_dir
-        self._tables: dict[int, CharacterTable] = {}
 
     def key(self) -> dict:
         return {
@@ -139,24 +173,23 @@ class CaseData:
             "flavor": self.flavor,
         }
 
-    def group(self, r=None):
-        return make_group(self.p, self.k, r or self.r, self.mode, self.flavor)
+    @functools.cached_property
+    def group(self):
+        return make_group(self.p, self.k, self.r, self.mode, self.flavor)
 
-    def table(self, r=None) -> CharacterTable:
-        r = r or self.r
-        if r not in self._tables:
-            from .cache import cached_character_table
+    @functools.cached_property
+    def table(self) -> CharacterTable:
+        return cached_character_table(
+            self.p, self.k, self.r, self.mode, self.flavor, self.cache_dir
+        )
 
-            self._tables[r] = cached_character_table(
-                self.p, self.k, r, self.mode, self.flavor, self.cache_dir
-            )
-        return self._tables[r]
-
+    @functools.cached_property
     def torus(self):
         return make_torus(self.p, self.k, self.r, self.mode)
 
+    @functools.cached_property
     def classification(self):
-        return classify_all(self.torus())
+        return classify_all(self.torus)
 
     def predict(self, tc) -> Prediction:
         if self.flavor == "gl":
@@ -170,236 +203,182 @@ class CaseData:
         return gl2_order(self.q, self.r) if self.flavor == "gl" else sl2_order(self.q, self.r)
 
 
+def _no_table(cd: CaseData) -> bool:
+    return cd.group_order_formula() > TABLE_BOUND
+
+
+def _too_many_thetas(cd: CaseData) -> bool:
+    return cd.torus_size() > CLASSIFY_BOUND
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def check_group_order(cd: CaseData) -> Check:
-    def run():
-        if cd.group_order_formula() > GROUP_BOUND:
-            return Check(
-                "group-order",
-                "group order closed formula",
-                None,
-                cd.group_order_formula(),
-                "inapplicable",
-            )
-        g = cd.group()
-        ok = g.order == cd.group_order_formula()
-        okgen = g.generated_closure() == g.order
-        return Check(
-            "group-order",
-            "group order closed formula; generation by elementaries and units",
-            {"order": g.order, "generated": okgen},
-            {"order": cd.group_order_formula(), "generated": True},
-            "pass" if ok and okgen else "fail",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+@check("group-order", "group order closed formula")
+def check_group_order(cd: CaseData):
+    if cd.group_order_formula() > GROUP_BOUND:
+        return None, cd.group_order_formula(), "inapplicable"
+    g = cd.group
+    ok = g.order == cd.group_order_formula()
+    okgen = g.generated_closure() == g.order
+    return (
+        {"order": g.order, "generated": okgen},
+        {"order": cd.group_order_formula(), "generated": True},
+        ok and okgen,
+        "group order closed formula; generation by elementaries and units",
+    )
 
 
-def check_table_validity(cd: CaseData) -> Check:
-    def run():
-        if cd.group_order_formula() > TABLE_BOUND:
-            return Check(
-                "table-validity",
-                "orthogonality and degree identities of the character table",
-                None,
-                None,
-                "inapplicable",
-            )
-        tab = cd.table()
-        try:
-            tab.verify()
-            verdict = "pass"
-        except VerificationError:
-            verdict = "fail"
-        return Check(
-            "table-validity",
-            "orthogonality and degree identities of the character table",
-            {
-                "n_irreducibles": len(tab),
-                "n_classes": tab.conjugacy.n_classes,
-                "sum_degree_squares": int((tab.degrees.astype(object) ** 2).sum()),
-            },
-            {
-                "n_irreducibles": tab.conjugacy.n_classes,
-                "n_classes": tab.conjugacy.n_classes,
-                "sum_degree_squares": cd.group().order,
-            },
-            verdict,
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+@check(
+    "table-validity",
+    "orthogonality and degree identities of the character table",
+    _no_table,
+)
+def check_table_validity(cd: CaseData):
+    tab = cd.table
+    try:
+        tab.verify()
+        ok = True
+    except VerificationError:
+        ok = False
+    return (
+        {
+            "n_irreducibles": len(tab),
+            "n_classes": tab.conjugacy.n_classes,
+            "sum_degree_squares": int((tab.degrees.astype(object) ** 2).sum()),
+        },
+        {
+            "n_irreducibles": tab.conjugacy.n_classes,
+            "n_classes": tab.conjugacy.n_classes,
+            "sum_degree_squares": cd.group.order,
+        },
+        ok,
+    )
 
 
-def check_stability(cd: CaseData) -> Check:
+@check("stability", "stability of the unipotent virtual character", _no_table)
+def check_stability(cd: CaseData):
     """The virtual character 1 - St inflated from level 1 must have norm 2,
     matching the twisted Weyl fixed-point count, with both constituents
     irreducible of degrees 1 and q in the level-r table."""
-
-    def run():
-        if cd.group_order_formula() > TABLE_BOUND:
-            return Check("stability", "stability of the unipotent virtual character", None, None, "inapplicable")
-        g = cd.group()
-        hom = g.reduction(1)
-        g1 = hom.target
-        st1 = steinberg(g1)
-        v = inflate(trivial_character(g1), hom) - inflate(st1, hom)
-        ip = inner_product(v, v)
-        w = coxeter_element(2)
-        weyl_count = len(twisted_fixed_subgroup(RootSystemData(2), w))
-        tab = cd.table()
-        i_triv = tab.find(inflate(trivial_character(g1), hom))
-        i_st = tab.find(inflate(st1, hom))
-        degs = sorted(
-            int(tab.degrees[i]) for i in (i_triv, i_st) if i is not None
-        )
-        computed = {
-            "inner_product": _json_safe(ip),
-            "constituent_degrees": degs,
-            "weyl_fixed_count": weyl_count,
-        }
-        predicted = {
-            "inner_product": 2,
-            "constituent_degrees": [1, cd.q],
-            "weyl_fixed_count": 2,
-        }
-        ok = ip == 2 and degs == [1, cd.q] and weyl_count == 2
-        return Check(
-            "stability",
-            "inflated level-one unipotent character equals the level-r one",
-            computed,
-            predicted,
-            "pass" if ok else "fail",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+    hom = cd.group.reduction(1)
+    g1 = hom.target
+    st1 = steinberg(g1)
+    v = inflate(trivial_character(g1), hom) - inflate(st1, hom)
+    ip = inner_product(v, v)
+    w = coxeter_element(2)
+    weyl_count = len(twisted_fixed_subgroup(RootSystemData(2), w))
+    tab = cd.table
+    i_triv = tab.find(inflate(trivial_character(g1), hom))
+    i_st = tab.find(inflate(st1, hom))
+    degs = sorted(
+        int(tab.degrees[i]) for i in (i_triv, i_st) if i is not None
+    )
+    computed = {
+        "inner_product": _json_safe(ip),
+        "constituent_degrees": degs,
+        "weyl_fixed_count": weyl_count,
+    }
+    predicted = {
+        "inner_product": 2,
+        "constituent_degrees": [1, cd.q],
+        "weyl_fixed_count": 2,
+    }
+    ok = ip == 2 and degs == [1, cd.q] and weyl_count == 2
+    return (
+        computed,
+        predicted,
+        ok,
+        "inflated level-one unipotent character equals the level-r one",
+    )
 
 
-def check_classification_coherence(cd: CaseData) -> Check:
+def _coherence_out_of_bounds(cd: CaseData) -> bool:
+    n_twists = cd.q ** (cd.r - 1) * (cd.q - 1)  # |Irr(O_r^x)|
+    return _too_many_thetas(cd) or cd.torus_size() * n_twists > BRUTE_FORCE_BOUND
+
+
+@check(
+    "classification-coherence",
+    "conductor by twist minimum vs scalar peeling",
+    _coherence_out_of_bounds,
+)
+def check_classification_coherence(cd: CaseData):
     """Brute-force conductor equals iterative peeling for every theta, and
     either r0 = 1 or theta0 is regular at level r0."""
-
-    def run():
-        n_twists = cd.q ** (cd.r - 1) * (cd.q - 1)  # |Irr(O_r^x)|
-        if (
-            cd.torus_size() > CLASSIFY_BOUND
-            or cd.torus_size() * n_twists > BRUTE_FORCE_BOUND
-        ):
-            return Check(
-                "classification-coherence",
-                "conductor by twist minimum vs scalar peeling",
-                None, None, "inapplicable",
+    torus = cd.torus
+    tcs = cd.classification
+    n_checked = 0
+    for tc in tcs:
+        bf = conductor_brute_force(torus, tc.theta)
+        expected = torus.r if tc.is_regular else tc.r0
+        if bf != expected:
+            return {"theta": list(tc.theta.a), "brute_force": bf}, {"r0": expected}, False
+        if torus.r >= 2:
+            pe = conductor_by_peeling(torus, tc.theta)
+            if pe != expected:
+                return {"theta": list(tc.theta.a), "peeling": pe}, {"r0": expected}, False
+        if tc.r0 > 1 and not torus.level_torus(tc.r0).is_regular(tc.theta0):
+            return (
+                {"theta": list(tc.theta.a), "r0": tc.r0},
+                {"theta0_regular": True},
+                False,
+                "conductor descent lands on a regular character",
             )
-        torus = cd.torus()
-        tcs = cd.classification()
-        n_checked = 0
-        for tc in tcs:
-            bf = conductor_brute_force(torus, tc.theta)
-            expected = torus.r if tc.is_regular else tc.r0
-            if bf != expected:
-                return Check(
-                    "classification-coherence",
-                    "conductor by twist minimum vs scalar peeling",
-                    {"theta": list(tc.theta.a), "brute_force": bf},
-                    {"r0": expected},
-                    "fail",
-                )
-            if torus.r >= 2:
-                pe = conductor_by_peeling(torus, tc.theta)
-                if pe != expected:
-                    return Check(
-                        "classification-coherence",
-                        "conductor by twist minimum vs scalar peeling",
-                        {"theta": list(tc.theta.a), "peeling": pe},
-                        {"r0": expected},
-                        "fail",
-                    )
-            if tc.r0 > 1 and not torus.level_torus(tc.r0).is_regular(tc.theta0):
-                return Check(
-                    "classification-coherence",
-                    "conductor descent lands on a regular character",
-                    {"theta": list(tc.theta.a), "r0": tc.r0},
-                    {"theta0_regular": True},
-                    "fail",
-                )
-            n_checked += 1
-        return Check(
-            "classification-coherence",
-            "conductor by twist minimum vs scalar peeling; descent regularity",
-            {"n_theta": n_checked},
-            {"n_theta": len(tcs)},
-            "pass",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+        n_checked += 1
+    return (
+        {"n_theta": n_checked},
+        {"n_theta": len(tcs)},
+        True,
+        "conductor by twist minimum vs scalar peeling; descent regularity",
+    )
 
 
-def check_dimension_law(cd: CaseData) -> Check:
+@check(
+    "dimension-law",
+    "total dimensions lie in the geometric progression set",
+    _too_many_thetas,
+)
+def check_dimension_law(cd: CaseData):
     """Every predicted total dimension lies in the geometric dimension set
     and the closed sign formula reproduces the case sign."""
-
-    def run():
-        if cd.torus_size() > CLASSIFY_BOUND:
-            return Check(
-                "dimension-law",
-                "total dimensions lie in the geometric progression set",
-                None, None, "inapplicable",
+    tcs = cd.classification
+    dset = dimension_set(cd.q, cd.r)
+    seen = set()
+    for tc in tcs:
+        pred = cd.predict(tc)
+        if pred.total_dim not in dset:
+            return (
+                {"theta": list(tc.theta.a), "dim": pred.total_dim},
+                {"allowed": sorted(dset)},
+                False,
             )
-        tcs = cd.classification()
-        dset = dimension_set(cd.q, cd.r)
-        seen = set()
-        for tc in tcs:
-            pred = cd.predict(tc)
-            if pred.total_dim not in dset:
-                return Check(
-                    "dimension-law",
-                    "total dimensions lie in the geometric progression set",
+        if abs(pred.total_dim) >= cd.q - 1:
+            if sign_from_dim(pred.total_dim, cd.q) != pred.sign:
+                return (
                     {"theta": list(tc.theta.a), "dim": pred.total_dim},
-                    {"allowed": sorted(dset)},
-                    "fail",
+                    {"sign": pred.sign},
+                    False,
+                    "sign from dimension matches the case-derived sign",
                 )
-            if abs(pred.total_dim) >= cd.q - 1:
-                if sign_from_dim(pred.total_dim, cd.q) != pred.sign:
-                    return Check(
-                        "dimension-law",
-                        "sign from dimension matches the case-derived sign",
-                        {"theta": list(tc.theta.a), "dim": pred.total_dim},
-                        {"sign": pred.sign},
-                        "fail",
-                    )
-            seen.add(pred.total_dim)
-        return Check(
-            "dimension-law",
-            "dimension set and closed sign formula over all theta",
-            {"dims_hit": sorted(seen), "n_theta": len(tcs)},
-            {"dims_allowed": sorted(dset)},
-            "pass" if seen == dset else "fail",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+        seen.add(pred.total_dim)
+    return (
+        {"dims_hit": sorted(seen), "n_theta": len(tcs)},
+        {"dims_allowed": sorted(dset)},
+        seen == dset,
+        "dimension set and closed sign formula over all theta",
+    )
 
 
 def _sl_restriction_classes(cd: CaseData):
     """Group classifications by the restriction to the norm-one torus, up to
     the Frobenius flip; predictions within a class must agree."""
-    torus = cd.torus()
-    tcs = cd.classification()
+    torus = cd.torus
     n1 = [int(c) for c in torus.norm_one]
     n1s = [int(torus.sigma(c)) for c in n1]
     groups: dict[tuple, list] = {}
-    for tc in tcs:
+    for tc in cd.classification:
         vals = tuple(tc.theta.root_exp(c) for c in n1)
         flip = tuple(tc.theta.root_exp(c) for c in n1s)
         key = min(vals, flip)
@@ -407,147 +386,118 @@ def _sl_restriction_classes(cd: CaseData):
     return groups
 
 
-def check_degree_census(cd: CaseData) -> Check:
+@check("degree-census", "degree census against predictions", _no_table)
+def check_degree_census(cd: CaseData):
     """The table must contain at least as many irreducibles of each degree
     as the predicted constituents of pairwise-orthogonal virtual characters
     require."""
-
-    def run():
-        if cd.group_order_formula() > TABLE_BOUND:
-            return Check("degree-census", "degree census against predictions", None, None, "inapplicable")
-        tab = cd.table()
-        required: dict[int, int] = {}
-        if cd.flavor == "gl":
-            seen_orbits = set()
-            for tc in cd.classification():
-                key = min(tc.theta.a, cd.torus().char_sigma(tc.theta).a)
-                if key in seen_orbits:
-                    continue
-                seen_orbits.add(key)
-                pred = cd.predict(tc)
-                for d in pred.constituent_degrees():
-                    required[d] = required.get(d, 0) + 1
-            n_units = len(seen_orbits)
-        else:
-            groups = _sl_restriction_classes(cd)
-            for key, members in groups.items():
-                preds = [cd.predict(tc) for tc in members]
-                sigs = {(p.total_dim, p.constituents) for p in preds}
-                assert len(sigs) == 1, "restriction class with mixed predictions"
-                for d in preds[0].constituent_degrees():
-                    required[d] = required.get(d, 0) + 1
-            n_units = len(groups)
-        margins = {}
-        ok = True
-        for d, need in sorted(required.items()):
-            have = tab.degree_count(d)
-            margins[str(d)] = {"required": need, "available": have}
-            if have < need:
-                ok = False
-        basis = (
-            "paper-guaranteed"
-            if (cd.q >= 7 or cd.flavor == "gl")
-            else "empirically-observed"
-        )
-        return Check(
-            "degree-census",
-            f"orthogonality-forced degree multiplicities ({basis})",
-            {"margins": margins, "n_orthogonal_units": n_units},
-            {"all_margins_nonnegative": True},
-            "pass" if ok else "fail",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+    tab = cd.table
+    required: dict[int, int] = {}
+    if cd.flavor == "gl":
+        seen_orbits = set()
+        for tc in cd.classification:
+            key = min(tc.theta.a, cd.torus.char_sigma(tc.theta).a)
+            if key in seen_orbits:
+                continue
+            seen_orbits.add(key)
+            pred = cd.predict(tc)
+            for d in pred.constituent_degrees():
+                required[d] = required.get(d, 0) + 1
+        n_units = len(seen_orbits)
+    else:
+        groups = _sl_restriction_classes(cd)
+        for key, members in groups.items():
+            preds = [cd.predict(tc) for tc in members]
+            sigs = {(p.total_dim, p.constituents) for p in preds}
+            if len(sigs) != 1:
+                raise ValueError("restriction class with mixed predictions")
+            for d in preds[0].constituent_degrees():
+                required[d] = required.get(d, 0) + 1
+        n_units = len(groups)
+    margins = {}
+    ok = True
+    for d, need in sorted(required.items()):
+        have = tab.degree_count(d)
+        margins[str(d)] = {"required": need, "available": have}
+        if have < need:
+            ok = False
+    basis = (
+        "paper-guaranteed"
+        if (cd.q >= 7 or cd.flavor == "gl")
+        else "empirically-observed"
+    )
+    return (
+        {"margins": margins, "n_orthogonal_units": n_units},
+        {"all_margins_nonnegative": True},
+        ok,
+        f"orthogonality-forced degree multiplicities ({basis})",
+    )
 
 
-def check_sl_exceptions(cd: CaseData) -> Check:
+@check(
+    "sl-exceptions",
+    "parity-dependent splitting of restrictions",
+    lambda cd: cd.flavor != "sl" or _no_table(cd),
+)
+def check_sl_exceptions(cd: CaseData):
     """Split restrictions must be visible in the SL table: two halves per
     flip-stable (even q) or order-two (odd q) restriction class."""
-
-    def run():
-        if cd.flavor != "sl":
-            return Check("sl-exceptions", "parity-dependent splitting of restrictions", None, None, "inapplicable")
-        if cd.group_order_formula() > TABLE_BOUND:
-            return Check("sl-exceptions", "parity-dependent splitting of restrictions", None, None, "inapplicable")
-        tab = cd.table()
-        groups = _sl_restriction_classes(cd)
-        split_clause = CLAUSE_SL_ODD if cd.q % 2 else CLAUSE_SL_EVEN
-        n_split = 0
-        half_dim = None
-        for members in groups.values():
-            pred = cd.predict(members[0])
-            if pred.clause == split_clause:
-                n_split += 1
-                (d, m, _c) = pred.constituents[0]
-                assert m == 2
-                half_dim = d
-        if n_split == 0:
-            return Check(
-                "sl-exceptions",
-                "parity-dependent splitting of restrictions",
-                {"n_split_classes": 0},
-                {"n_split_classes": 0},
-                "pass",
-            )
-        have = tab.degree_count(half_dim)
-        if half_dim == 1:
-            have -= 1  # the trivial character never appears in a split
-        need = 2 * n_split
-        return Check(
-            "sl-exceptions",
-            "parity-dependent splitting of restrictions",
-            {"n_split_classes": n_split, "half_dim": half_dim, "available": have},
-            {"required": need},
-            "pass" if have >= need else "fail",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+    tab = cd.table
+    groups = _sl_restriction_classes(cd)
+    split_clause = CLAUSE_SL_ODD if cd.q % 2 else CLAUSE_SL_EVEN
+    n_split = 0
+    half_dim = None
+    for members in groups.values():
+        pred = cd.predict(members[0])
+        if pred.clause == split_clause:
+            n_split += 1
+            (d, m, _c) = pred.constituents[0]
+            if m != 2:
+                raise ValueError(f"split restriction of multiplicity {m}, expected 2")
+            half_dim = d
+    if n_split == 0:
+        return {"n_split_classes": 0}, {"n_split_classes": 0}, True
+    have = tab.degree_count(half_dim)
+    if half_dim == 1:
+        have -= 1  # the trivial character never appears in a split
+    need = 2 * n_split
+    return (
+        {"n_split_classes": n_split, "half_dim": half_dim, "available": have},
+        {"required": need},
+        have >= need,
+    )
 
 
-def check_sign_formula(cd: CaseData) -> Check:
+@check(
+    "sign-formula",
+    "rank-and-dimension sign formula vs case-derived signs",
+    _too_many_thetas,
+)
+def check_sign_formula(cd: CaseData):
     """The rank/dimension sign formula must reproduce the predicted sign for
     every theta; non-integer exponents are findings, not skips."""
-
-    def run():
-        if cd.torus_size() > CLASSIFY_BOUND:
-            return Check(
-                "sign-formula",
-                "rank-and-dimension sign formula vs case-derived signs",
-                None, None, "inapplicable",
-            )
-        w = coxeter_element(2)
-        rk_T, rk_G = fq_ranks(cd.flavor, 2, w)
-        npos = RootSystemData(2).num_positive_roots
-        inapplicable = []
-        mismatches = []
-        tcs = cd.classification()
-        for tc in tcs:
-            pred = cd.predict(tc)
-            s = conjecture_sign(rk_T, rk_G, cd.q, cd.p, pred.total_dim, npos)
-            if s is None:
-                inapplicable.append(list(tc.theta.a))
-            elif s != pred.sign:
-                mismatches.append(list(tc.theta.a))
-        ok = not inapplicable and not mismatches
-        return Check(
-            "sign-formula",
-            "rank-and-dimension sign formula vs case-derived signs",
-            {
-                "n_theta": len(tcs),
-                "mismatches": mismatches[:5],
-                "non_integer_exponents": inapplicable[:5],
-            },
-            {"mismatches": [], "non_integer_exponents": []},
-            "pass" if ok else "fail",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+    w = coxeter_element(2)
+    rk_T, rk_G = fq_ranks(cd.flavor, 2, w)
+    npos = RootSystemData(2).num_positive_roots
+    inapplicable = []
+    mismatches = []
+    tcs = cd.classification
+    for tc in tcs:
+        pred = cd.predict(tc)
+        s = conjecture_sign(rk_T, rk_G, cd.q, cd.p, pred.total_dim, npos)
+        if s is None:
+            inapplicable.append(list(tc.theta.a))
+        elif s != pred.sign:
+            mismatches.append(list(tc.theta.a))
+    return (
+        {
+            "n_theta": len(tcs),
+            "mismatches": mismatches[:5],
+            "non_integer_exponents": inapplicable[:5],
+        },
+        {"mismatches": [], "non_integer_exponents": []},
+        not inapplicable and not mismatches,
+    )
 
 
 def _first_failed_pair(D: np.ndarray, low: CharacterTable, high: CharacterTable):
@@ -567,39 +517,23 @@ def _first_failed_pair(D: np.ndarray, low: CharacterTable, high: CharacterTable)
     return None
 
 
-def check_inflation_adjunction(cd: CaseData, r2: int = 1) -> Check:
+@check(
+    "inflation-adjunction",
+    "inflation vs invariants adjunction",
+    lambda cd: cd.r < 2 or _no_table(cd),
+)
+def check_inflation_adjunction(cd: CaseData, r2: int = 1):
     """Exhaustive adjunction identity between inflation and kernel
     averaging, over all pairs of irreducibles at the two levels: it holds
     for every pair iff the integer matrix `adjunction_defect` vanishes."""
-
-    def run():
-        if cd.r < 2 or cd.group_order_formula() > TABLE_BOUND:
-            return Check("inflation-adjunction", "inflation vs invariants adjunction", None, None, "inapplicable")
-        g = cd.group()
-        hom = g.reduction(r2)
-        low = character_table(hom.target)
-        high = cd.table()
-        n_pairs = len(low.chars) * len(high.chars)
-        D = adjunction_defect(hom)
-        if D.any():
-            return Check(
-                "inflation-adjunction",
-                "inflation vs invariants adjunction",
-                {"failed_pair": _first_failed_pair(D, low, high)},
-                {"all_pairs_equal": True},
-                "fail",
-            )
-        return Check(
-            "inflation-adjunction",
-            "inflation vs invariants adjunction",
-            {"n_pairs": n_pairs},
-            {"n_pairs": n_pairs},
-            "pass",
-        )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+    hom = cd.group.reduction(r2)
+    low = character_table(hom.target)
+    high = cd.table
+    n_pairs = len(low.chars) * len(high.chars)
+    D = adjunction_defect(hom)
+    if D.any():
+        return {"failed_pair": _first_failed_pair(D, low, high)}, {"all_pairs_equal": True}, False
+    return {"n_pairs": n_pairs}, {"n_pairs": n_pairs}, True
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +565,8 @@ DEFAULT_MANIFEST = [
 ]
 
 
-def check_mode_independence(p, k, r, flavor) -> Check:
+@check("mode-independence", "dimensions and signs agree across ring modes")
+def check_mode_independence(p, k, r, flavor):
     """Dimension and sign data must agree across the two ring modes.
 
     The finer decomposition flags genuinely depend on the ring when p = 2
@@ -640,54 +575,35 @@ def check_mode_independence(p, k, r, flavor) -> Check:
     different degree statistics, and each mode's own table confirms its own
     splittings.  Those statistics are therefore reported as data, not
     compared."""
-
-    def run():
-        stats = {}
-        split_counts = {}
-        for mode in ("mixed", "equal"):
-            cd = CaseData(p, k, r, mode, flavor)
-            tcs = cd.classification()
-            preds = sorted(
-                (tc.is_regular, tc.r0, tc.stab_size, tc.general_position,
-                 cd.predict(tc).total_dim, cd.predict(tc).sign)
-                for tc in tcs
-            )
-            stats[mode] = preds
-            split_counts[mode] = sum(
-                1 for tc in tcs if len(cd.predict(tc).constituent_degrees()) > 1
-            )
-        ok = stats["mixed"] == stats["equal"]
-        return Check(
-            "mode-independence",
-            "dimensions and signs agree across ring modes",
-            {
-                "n_records": len(stats["mixed"]),
-                "split_records_per_mode": split_counts,
-            },
-            {"identical_dimension_sign_data": True},
-            "pass" if ok else "fail",
+    stats = {}
+    split_counts = {}
+    for mode in ("mixed", "equal"):
+        cd = CaseData(p, k, r, mode, flavor)
+        tcs = cd.classification
+        preds = sorted(
+            (tc.is_regular, tc.r0, tc.stab_size, tc.general_position,
+             cd.predict(tc).total_dim, cd.predict(tc).sign)
+            for tc in tcs
         )
-
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
-
-
-def check_classical_sweep(n_max=5, qs=(2, 3, 4, 5, 7, 8, 9)) -> Check:
-    def run():
-        cases = sweep_classical_signs(n_max, list(qs))
-        bad = [c.to_dict() for c in cases if c.sign != c.classical_sign or c.sign is None]
-        return Check(
-            "classical-sweep",
-            "level-one sign formula across type A torus classes",
-            {"n_cases": len(cases), "failures": bad[:5]},
-            {"failures": []},
-            "pass" if not bad else "fail",
+        stats[mode] = preds
+        split_counts[mode] = sum(
+            1 for tc in tcs if len(cd.predict(tc).constituent_degrees()) > 1
         )
+    return (
+        {
+            "n_records": len(stats["mixed"]),
+            "split_records_per_mode": split_counts,
+        },
+        {"identical_dimension_sign_data": True},
+        stats["mixed"] == stats["equal"],
+    )
 
-    out, dt = _timed(run)
-    out.runtime_s = dt
-    return out
+
+@check("classical-sweep", "level-one sign formula across type A torus classes")
+def check_classical_sweep(n_max=5, qs=(2, 3, 4, 5, 7, 8, 9)):
+    cases = sweep_classical_signs(n_max, list(qs))
+    bad = [c.to_dict() for c in cases if c.sign != c.classical_sign or c.sign is None]
+    return {"n_cases": len(cases), "failures": bad[:5]}, {"failures": []}, not bad
 
 
 def run_suite(manifest=None, cache_dir=None) -> dict:
@@ -707,7 +623,7 @@ def run_suite(manifest=None, cache_dir=None) -> dict:
         c.check_id = f"mode-independence-{p}-{k}-{r}-{flavor}"
         suite_checks.append(c)
     all_pass = all(r.all_pass() for r in reports) and all(
-        c.verdict != "fail" for c in suite_checks
+        c.verdict not in ("fail", "error") for c in suite_checks
     )
     return {
         "all_pass": all_pass,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .abelian import factorise
+
 
 @dataclass(frozen=True)
 class RootSystemData:
@@ -213,13 +215,6 @@ class SweepCase:
         }
 
 
-def _prime_of(q: int) -> int:
-    d = 2
-    while q % d:
-        d += 1
-    return d
-
-
 def sweep_classical_signs(n_max: int, qs, flavors=("gl", "sl")) -> list[SweepCase]:
     """Level-one sweep over type A torus classes: the formula sign must be
     (-1)^(rk_G - rk_T) in every case, with no inapplicable exponents."""
@@ -229,7 +224,7 @@ def sweep_classical_signs(n_max: int, qs, flavors=("gl", "sl")) -> list[SweepCas
         for lam in partitions(n):
             w = perm_with_cycle_type(lam)
             for q in qs:
-                p = _prime_of(q)
+                p = min(factorise(q))
                 for flavor in flavors:
                     dim = classical_r1_dim(flavor, n, w, q)
                     rk_T, rk_G = fq_ranks(flavor, n, w)

@@ -5,7 +5,7 @@ import pytest
 
 from dl2.groups import (
     GroupTooLargeError,
-    enumerate_group,
+    MatrixGroup,
     gl2_order,
     make_group,
     sl2_order,
@@ -39,7 +39,7 @@ def test_known_small_orders():
 
 def test_size_bound():
     with pytest.raises(GroupTooLargeError):
-        enumerate_group(make_ring(7, 1, 2, "mixed"), "gl", bound=500_000)
+        MatrixGroup(make_ring(7, 1, 2, "mixed"), "gl", bound=500_000)
 
 
 def test_conjugacy_class_counts():

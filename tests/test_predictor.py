@@ -14,7 +14,7 @@ from dl2.predictor import (
     sign_from_dim,
     stability_consistency,
 )
-from dl2.torus import classify, classify_all, make_torus
+from dl2.torus import classify_all, make_torus
 
 
 def test_clause_selection_and_dims():
@@ -124,11 +124,12 @@ def test_prediction_invariance_under_flip_and_twist():
 def test_stability_consistency_across_levels():
     """Predictions of inflated characters match the lower-level predictions."""
     t3 = make_torus(2, 1, 3, "mixed")
+    tcs3 = {tc.theta.a: tc for tc in classify_all(t3)}
     for r2 in (1, 2):
         t_low = t3.level_torus(r2)
         for tc_low in classify_all(t_low):
             lifted = t3.inflate_from(tc_low.theta, r2)
-            tc_high = classify(t3, lifted)
+            tc_high = tcs3[lifted.a]
             pred_high = predict_gl2(tc_high, 2, 3)
             pred_low = predict_gl2(tc_low, 2, r2)
             assert stability_consistency(tc_high, pred_high, pred_low)
@@ -136,8 +137,9 @@ def test_stability_consistency_across_levels():
 
 def test_sigma1_twist_identifies_norm_pullbacks():
     t = make_torus(3, 1, 2, "mixed")
+    tcs = {tc.theta.a: tc for tc in classify_all(t)}
     for alpha in t.base_units.dual():
-        tc = classify(t, t.norm_pullback(alpha))
+        tc = tcs[t.norm_pullback(alpha).a]
         pred = predict_gl2(tc, 3, 2)
         assert pred.clause == CLAUSE_SPLIT
         assert pred.sigma1_twist == alpha

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dl2.rings import ResidueQuadratic, make_ext, make_ring
+from dl2.rings import make_ext, make_ring
 
 CASES = [
     (2, 1, 1, "equal"),
@@ -123,8 +123,8 @@ def test_frobenius_properties():
             x, y = rng.randrange(X.size), rng.randrange(X.size)
             assert X.frobenius(X.mul(x, y)) == X.mul(fr[x], fr[y])
             assert X.frobenius(X.add(x, y)) == X.add(fr[x], fr[y])
-        # congruent to the q-power map modulo pi
-        rq = ResidueQuadratic(X)
+        # congruent to the q-power map modulo pi; F_{q^2} is the level-1 extension
+        rq = make_ext(make_ring(p, k, 1, mode))
 
         def rq_pow(v, n):
             out, cur = 1, int(v)
@@ -137,6 +137,31 @@ def test_frobenius_properties():
 
         for x in codes[:: max(1, X.size // 60)]:
             assert X.residue_pair(X.frobenius(x)) == rq_pow(X.residue_pair(x), R.q)
+
+
+@pytest.mark.parametrize("mode", ["mixed", "equal"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_level_one_extension_is_residue_quadratic(p, k, r, mode):
+    """In its own codes, the extension of the level-1 ring is F_{q^2} =
+    F_q[y]/(y^2 + B y + C) in pair codes a0 + q a1, for the quadratic that
+    the level-r extension reduces to."""
+    X = make_ext(make_ring(p, k, r, mode))
+    X1 = make_ext(make_ring(p, k, 1, mode))
+    F = X.base.field
+    q, B, C = F.q, X.B_res, X.C_res
+    A, M, N = F.add, F.mul, F.neg
+    x = np.arange(q * q)[:, None]
+    y = np.arange(q * q)[None, :]
+    a1, b1, a2, b2 = x % q, x // q, y % q, y // q
+    bb = M[b1, b2]
+    # (a1 + b1 y)(a2 + b2 y) with y^2 = -B y - C
+    prod = A[M[a1, a2], N[M[bb, C]]] + q * A[A[M[a1, b2], M[b1, a2]], N[M[bb, B]]]
+    assert (X1.mul(x, y) == prod).all()
+    a, b = a1[:, 0], b1[:, 0]
+    # y -> -B - y, and the trace x + sigma(x)
+    assert (X1.frobenius(x[:, 0]) == A[a, N[M[b, B]]] + q * N[b]).all()
+    assert (X1.trace(x[:, 0]) == A[A[a, a], N[M[b, B]]]).all()
 
 
 def test_frobenius_unique_nontrivial_automorphism():

@@ -6,17 +6,10 @@ import pytest
 
 from dl2.groups import make_group
 from dl2.torus import (
-    classify,
     classify_all,
-    conductor,
     conductor_brute_force,
     conductor_by_peeling,
-    general_position,
     make_torus,
-    restrict_to_sl,
-    tau_of,
-    torus_dual,
-    weyl_stabilizer,
 )
 
 
@@ -59,7 +52,7 @@ def test_flip_is_conjugation_in_gl2():
 
 def test_dual_enumeration():
     t = make_torus(3, 1, 2, "equal")
-    chars = torus_dual(t)
+    chars = t.dual()
     assert len(chars) == t.order
     assert any(th.is_trivial() for th in chars)
     codes = [int(c) for c in t.codes]
@@ -72,16 +65,16 @@ def test_dual_enumeration():
 
 def test_tau():
     t = make_torus(3, 1, 2, "mixed")
-    chars = torus_dual(t)
+    chars = t.dual()
     triv = [th for th in chars if th.is_trivial()][0]
-    assert tau_of(t, triv) == 0
-    cnt = Counter(tau_of(t, th) for th in chars)
+    assert t.tau_of(triv) == 0
+    cnt = Counter(t.tau_of(th) for th in chars)
     assert len(cnt) == 9 and all(v == 8 for v in cnt.values())  # onto, fibers |T|/q^2
     # equivariance: tau(theta o sigma) = sigma(tau(theta))
     for th in chars:
-        assert tau_of(t, t.char_sigma(th)) == t.rq.frob(tau_of(t, th))
+        assert t.tau_of(t.char_sigma(th)) == t.rq.frobenius(t.tau_of(th))
     with pytest.raises(ValueError):
-        tau_of(make_torus(3, 1, 1, "mixed"), triv)
+        make_torus(3, 1, 1, "mixed").tau_of(triv)
 
 
 def test_tau_psi_independence():
@@ -103,24 +96,23 @@ def test_regular_counts_and_stabilizers():
         assert tc.stab_size == 1  # regular characters are never flip-stable
     triv = [tc for tc in tcs if tc.theta.is_trivial()][0]
     assert triv.stab_size == 2
-    assert weyl_stabilizer(t, triv.theta) == 2
+    assert t.weyl_stabilizer(triv.theta) == 2
 
 
 def test_conductor_conventions():
     t = make_torus(3, 1, 2, "mixed")
-    chars = torus_dual(t)
-    triv = [th for th in chars if th.is_trivial()][0]
-    r0, th0, al = conductor(t, triv)
-    assert r0 == 1 and th0.is_trivial() and al.is_trivial()
+    tcs = {tc.theta.a: tc for tc in classify_all(t)}
+    triv = [th for th in t.dual() if th.is_trivial()][0]
+    tc = tcs[triv.a]
+    assert tc.r0 == 1 and tc.theta0.is_trivial() and tc.alpha.is_trivial()
     # theta = alpha o norm: the canonical twist is exactly the inverse
     for alpha in t.base_units.dual():
         if alpha.is_trivial():
             continue
-        th = t.norm_pullback(alpha)
-        r0, th0, al = conductor(t, th)
-        assert r0 == 1
-        assert th0.is_trivial()
-        assert al == alpha.inverse()
+        tc = tcs[t.norm_pullback(alpha).a]
+        assert tc.r0 == 1
+        assert tc.theta0.is_trivial()
+        assert tc.alpha == alpha.inverse()
 
 
 def test_conductor_agreement_and_descent_regularity():
@@ -150,11 +142,12 @@ def test_inflation_levels():
     """A regular level-r' character inflated to level r has conductor r'."""
     t3 = make_torus(2, 1, 3, "mixed")
     t2 = t3.level_torus(2)
+    tcs3 = {tc.theta.a: tc for tc in classify_all(t3)}
     for tc in classify_all(t2):
         if not tc.is_regular:
             continue
         lifted = t3.inflate_from(tc.theta, 2)
-        lifted_tc = classify(t3, lifted)
+        lifted_tc = tcs3[lifted.a]
         assert not lifted_tc.is_regular
         assert lifted_tc.r0 == 2
         # level is preserved by inflation
@@ -163,8 +156,8 @@ def test_inflation_levels():
 
 def test_general_position_examples():
     t1 = make_torus(3, 1, 1, "mixed")
-    for th in torus_dual(t1):
-        gp = general_position(t1, th)
+    for th in t1.dual():
+        gp = t1.char_sigma(th) != th
         # order q+1 characters with theta != theta^q are in general position
         if th.order() == 4 and t1.char_sigma(th) != th:
             assert gp
@@ -176,8 +169,8 @@ def test_sl_restriction_data():
     # norm-one subgroup of F_9 has order 4 with exactly one order-2 character
     t = make_torus(3, 1, 1, "mixed")
     assert len(t.norm_one) == 4
-    quad = [th for th in torus_dual(t)
-            if restrict_to_sl(t, th)[1]]
+    tcs = classify_all(t)
+    quad = [tc for tc in tcs if tc.sl_quadratic]
     # 2 characters of T restrict to the order-2 character (fibers of size 8/4)
     assert len(quad) == 2
     # q = 2, r = 2: regular characters with flip-stable restriction exist
@@ -185,9 +178,9 @@ def test_sl_restriction_data():
     flagged = [tc for tc in classify_all(t22) if tc.is_regular and tc.sl_sigma_fixed]
     assert len(flagged) > 0
     # trivial character restricts trivially
-    triv = [th for th in torus_dual(t) if th.is_trivial()][0]
-    vals, is_quad, _ = restrict_to_sl(t, triv)
-    assert all(v == 0 for v in vals) and not is_quad
+    triv = [tc for tc in tcs if tc.theta.is_trivial()][0]
+    vals = [triv.theta.root_exp(int(c)) for c in t.norm_one]
+    assert all(v == 0 for v in vals) and not triv.sl_quadratic
 
 
 def test_odd_q_no_flip_stable_restriction_off_level_one():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dl2.verifier
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
 from dl2.characters import adjunction_check, character_table
 from dl2.cli import main
@@ -77,6 +78,23 @@ def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     assert c.computed == {"failed_pair": [0, 1]}
 
 
+def test_crashing_check_is_recorded_as_error(monkeypatch, tmp_path):
+    def broken(group):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(dl2.verifier, "steinberg", broken)
+    rep = run_case(2, 1, 2, "gl", "mixed")
+    assert len(rep.checks) == 9
+    errors = [c for c in rep.checks if c.verdict == "error"]
+    assert [c.check_id for c in errors] == ["stability"]
+    assert errors[0].computed == {"error": "ValueError: boom"}
+    assert all(c.verdict in ("pass", "inapplicable") for c in rep.checks if c not in errors)
+    assert not rep.all_pass()
+    report = tmp_path / "report.json"
+    assert main(["verify", "--p", "2", "--k", "1", "--r", "2", "--flavor", "gl",
+                 "--mode", "mixed", "--report", str(report)]) == 1
+
+
 def test_mode_independence():
     c = check_mode_independence(3, 1, 2, "gl")
     assert c.verdict == "pass"
@@ -150,6 +168,20 @@ def test_cli_verify_manifest(tmp_path):
     assert main(["verify", "--manifest", str(mf), "--report", str(rep)]) == 0
     d = json.loads(rep.read_text())
     assert len(d["cases"]) == 2 and d["all_pass"]
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("p=2 k=1 r=1 flavor=gl", "required: --mode"),
+    ("p=4 k=1 r=1 flavor=gl mode=mixed", "4 is not a prime"),
+    ("p=2 k=1 r=1 flavor=xx mode=mixed", "invalid choice: 'xx'"),
+])
+def test_cli_rejects_bad_manifest_line(tmp_path, capsys, line, reason):
+    mf = tmp_path / "suite.txt"
+    mf.write_text(f"# one good case, then a bad one\np=2 k=1 r=1 flavor=gl mode=equal\n{line}\n")
+    assert main(["verify", "--manifest", str(mf)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"dl2: {mf}:3: ") and reason in err[0]
 
 
 @pytest.mark.parametrize("argv", [
