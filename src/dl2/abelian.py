@@ -155,9 +155,6 @@ class FiniteAbelianGroup:
     def pow(self, x: int, n: int) -> int:
         return self._carrier.pow(int(x), n)
 
-    def inv(self, x: int) -> int:
-        return self.pow(x, self.order - 1)
-
     def element_order(self, x: int) -> int:
         n = self.exponent
         for p, a in factorise(self.exponent).items():

@@ -9,7 +9,7 @@ objects convenient for the verification layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class ClassFunction:
         return ClassFunction(
             self.group, [a * b for a, b in zip(self.values, other.values)]
         )
-
-    def conj(self):
-        return ClassFunction(self.group, [v.conj() for v in self.values])
 
     def __eq__(self, other):
         return (
@@ -104,18 +101,23 @@ class CharacterTable:
         )
         self.coeffs = coeffs[order]
         self.degrees = degs[order]
-        self.chars = [
+
+    @cached_property
+    def chars(self) -> list[ClassFunction]:
+        """The irreducibles as class functions, built from `coeffs` on first use."""
+        return [
             ClassFunction(
-                group,
-                [Cyclo(e, self.coeffs[t, k].tolist()) for k in range(cd.n_classes)],
-                irreducible=True,
+                self.group, [Cyclo(self.exponent, c) for c in row.tolist()], irreducible=True
             )
-            for t in range(len(degs))
+            for row in self.coeffs
         ]
-        self._index = {ch.values: i for i, ch in enumerate(self.chars)}
+
+    @cached_property
+    def _index(self) -> dict:
+        return {ch.values: i for i, ch in enumerate(self.chars)}
 
     def __len__(self):
-        return len(self.chars)
+        return len(self.degrees)
 
     def verify(self):
         """Exact orthogonality and degree identities; raises
@@ -123,7 +125,7 @@ class CharacterTable:
         verify_orthogonality(self.coeffs, self.conjugacy, self.group.order)
         if int((self.degrees.astype(object) ** 2).sum()) != self.group.order:
             raise VerificationError("sum of squared degrees is not |G|")
-        if len(self.chars) != self.conjugacy.n_classes:
+        if len(self.degrees) != self.conjugacy.n_classes:
             raise VerificationError("number of irreducibles is not the class number")
         for d in self.degrees:
             if self.group.order % int(d):
@@ -135,15 +137,6 @@ class CharacterTable:
 
     def degree_count(self, d: int) -> int:
         return int((self.degrees == d).sum())
-
-    def decompose(self, f: ClassFunction) -> list[tuple[int, Fraction]]:
-        """Multiplicities <f, chi_i> for every irreducible, nonzero only."""
-        out = []
-        for i, ch in enumerate(self.chars):
-            m = inner_product(f, ch)
-            if m != 0:
-                out.append((i, m))
-        return out
 
     # -- dumps (stable, exact) ---------------------------------------------
 
@@ -312,20 +305,6 @@ def restrict(chi: ClassFunction, sub_codes: np.ndarray) -> dict:
     """Restriction to a subgroup as a value dict code -> Cyclo."""
     cd = chi.group.conjugacy()
     return {int(c): chi.values[int(cd.class_of[c])] for c in sub_codes}
-
-
-def restrict_to_group(chi: ClassFunction, sub: MatrixGroup, positions: np.ndarray) -> ClassFunction:
-    """Restriction along an embedding of enumerated groups; positions maps
-    sub's element index to the big group's element index."""
-    big_cd = chi.group.conjugacy()
-    sub_cd = sub.conjugacy()
-    vals = []
-    big_codes = chi.group.codes
-    for k in range(sub_cd.n_classes):
-        sub_pos = int(sub.pos_of[int(sub_cd.reps[k])])
-        big_code = int(big_codes[int(positions[sub_pos])])
-        vals.append(chi.values[int(big_cd.class_of[big_code])])
-    return ClassFunction(sub, vals)
 
 
 def trivial_character(group: MatrixGroup) -> ClassFunction:

@@ -6,6 +6,9 @@ remainder modulo the e-th cyclotomic polynomial: a coefficient tuple
 Python ints or Fractions, so equality is structural and no floating point
 enters anywhere.  Values of different orders are combined by promoting both
 to the lcm order.
+
+Matrices over Z[zeta_e] are integer coefficient tensors (rows, columns,
+phi(e)); `matmul` is their one product, with its int64 bound checked.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 
 def _poly_divmod_int(num: list, den: list):
@@ -51,42 +56,58 @@ def phi(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(e: int) -> tuple:
-    """x^s mod Phi_e for s = 0 .. 2*phi(e) - 2, as coefficient tuples."""
+def zeta_powers(e: int) -> np.ndarray:
+    """Read-only int64 array of shape (e, phi(e)) whose row j holds the
+    canonical coefficients of zeta_e^j, i.e. of x^j mod Phi_e."""
     f = cyclotomic_poly(e)
-    d = phi(e)
-    out = []
-    cur = [1] + [0] * (d - 1)
-    for s in range(2 * d - 1):
-        out.append(tuple(cur))
-        # multiply by x, reduce
-        cur = [0] + cur
-        lead = cur[d] if len(cur) > d else 0
-        cur = cur[:d] + [0] * (d - len(cur[:d]))
-        if lead:
-            cur = [a - lead * b for a, b in zip(cur, f[:d])]
-    return tuple(out)
+    rows = [[1] + [0] * (phi(e) - 1)]
+    for _ in range(e - 1):
+        # x * row, with x^phi(e) = -(f_0 + ... + f_{phi(e)-1} x^(phi(e)-1))
+        lead = rows[-1][-1]
+        rows.append([a - lead * b for a, b in zip([0] + rows[-1][:-1], f)])
+    out = np.array(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
 def zeta_power_coeffs(e: int, j: int) -> tuple:
-    """Canonical coefficients of zeta_e^j."""
-    j %= e
-    d = phi(e)
-    if j < d:
-        c = [0] * d
-        c[j] = 1
-        return tuple(c)
-    f = cyclotomic_poly(e)
-    cur = [0] * j + [1]
-    while len(cur) > d:
-        lead = cur.pop()
-        if lead:
-            off = len(cur) - d
-            for i in range(d):
-                cur[off + i] -= lead * f[i]
-    cur += [0] * (d - len(cur))
-    return tuple(cur)
+    """Canonical coefficients of zeta_e^j, as Python ints."""
+    return tuple(int(c) for c in zeta_powers(e)[j % e])
+
+
+def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
+    """The matrix product over Z[zeta_e] of integer coefficient tensors.
+
+    X has shape (n, m, d) and Y shape (m, p, d), d = phi(e): entry [i, j]
+    stands for sum_a X[i, j, a] zeta_e^a.  Returns the (n, p, d) int64
+    tensor of canonical coefficients of the product.  It is computed as
+    sum_s U_s zeta_e^s with U_s = sum_{a+b=s} X_a Y_b for s < 2d - 1
+    (X_a = X[:, :, a]), replacing zeta_e^s by row s mod e of `zeta_powers`.
+
+    int64 bound.  Let x = max|X|, y = max|Y| and z = max|zeta_powers(e)|.
+    An entry of X_a Y_b sums m products of size at most x y, and U_s sums at
+    most d such matrices, so |U_s| <= d m x y.  An output coefficient sums
+    the 2d - 1 terms z_s U_s with |z_s| <= z, so it and every partial sum
+    on the way are at most (2d - 1) z d m x y in absolute value.  The
+    product is computed only when that bound is below 2^63, and raises
+    OverflowError otherwise.
+    """
+    n, m, d = X.shape
+    Z = zeta_powers(e)
+    x, y = (int(np.abs(A).max(initial=0)) for A in (X, Y))
+    bound = (2 * d - 1) * int(np.abs(Z).max()) * d * m * x * y
+    if bound >= 2**63:
+        raise OverflowError(f"int64 overflow risk: Z[zeta_{e}] product bound {bound} >= 2^63")
+    Xs = np.ascontiguousarray(np.moveaxis(X, 2, 0))
+    Ys = np.ascontiguousarray(np.moveaxis(Y, 2, 0))
+    out = np.zeros((d, n, Y.shape[1]), dtype=np.int64)
+    for s in range(2 * d - 1):
+        U = sum(Xs[a] @ Ys[s - a] for a in range(max(0, s - d + 1), min(d, s + 1)))
+        row = Z[s % e]
+        for j in np.flatnonzero(row):
+            out[j] += row[j] * U
+    return np.moveaxis(out, 0, 2)
 
 
 def _norm_coeff(c):
@@ -124,26 +145,26 @@ class Cyclo:
 
     @staticmethod
     def root_of_unity(e: int, j: int) -> "Cyclo":
-        if e == 1:
-            return Cyclo(1, [1])
         return Cyclo(e, zeta_power_coeffs(e, j))
 
     # -- representation changes -------------------------------------------------
+
+    def _substitute(self, E: int, m: int) -> "Cyclo":
+        """The image in Q(zeta_E) under zeta_e^i -> zeta_E^(i m)."""
+        out = [0] * phi(E)
+        for i, ci in enumerate(self.c):
+            if ci:
+                for j, zj in enumerate(zeta_power_coeffs(E, i * m)):
+                    if zj:
+                        out[j] += ci * zj
+        return Cyclo(E, out)
 
     def promote(self, E: int) -> "Cyclo":
         """Rewrite in Q(zeta_E); requires e | E."""
         if E == self.e:
             return self
         assert E % self.e == 0
-        step = E // self.e
-        out = [Fraction(0)] * phi(E)
-        for i, ci in enumerate(self.c):
-            if ci:
-                zc = zeta_power_coeffs(E, i * step)
-                for j, zj in enumerate(zc):
-                    if zj:
-                        out[j] += ci * zj
-        return Cyclo(E, out)
+        return self._substitute(E, E // self.e)
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo"):
@@ -180,11 +201,10 @@ class Cyclo:
                 for j, bj in enumerate(b.c):
                     if bj:
                         conv[i + j] += ai * bj
-        red = _power_reductions(a.e)
         out = [0] * d
         for s, cs in enumerate(conv):
             if cs:
-                rs = red[s]
+                rs = zeta_power_coeffs(a.e, s)
                 for j in range(d):
                     if rs[j]:
                         out[j] += cs * rs[j]
@@ -197,28 +217,12 @@ class Cyclo:
 
     def conj(self) -> "Cyclo":
         """Complex conjugation zeta -> zeta^-1."""
-        d = phi(self.e)
-        out = [Fraction(0)] * d
-        for i, ci in enumerate(self.c):
-            if ci:
-                zc = zeta_power_coeffs(self.e, (-i) % self.e)
-                for j, zj in enumerate(zc):
-                    if zj:
-                        out[j] += ci * zj
-        return Cyclo(self.e, out)
+        return self._substitute(self.e, -1)
 
     def galois_power(self, m: int) -> "Cyclo":
         """The Galois substitution zeta -> zeta^m; requires gcd(m, e) = 1."""
         assert gcd(m, self.e) == 1, "substitution exponent must be coprime to e"
-        d = phi(self.e)
-        out = [Fraction(0)] * d
-        for i, ci in enumerate(self.c):
-            if ci:
-                zc = zeta_power_coeffs(self.e, (i * m) % self.e)
-                for j, zj in enumerate(zc):
-                    if zj:
-                        out[j] += ci * zj
-        return Cyclo(self.e, out)
+        return self._substitute(self.e, m)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -232,9 +236,6 @@ class Cyclo:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return Fraction(self.c[0]) if self.c else Fraction(0)
-
-    def is_integer(self) -> bool:
-        return self.is_rational() and Fraction(self.c[0]).denominator == 1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -252,9 +253,6 @@ class Cyclo:
         if self.is_rational():
             return hash(Fraction(self.c[0] if self.c else 0))
         return hash("cyclo-irrational")
-
-    def sort_key(self):
-        return tuple(Fraction(x) for x in self.c)
 
     def __repr__(self):
         if self.is_rational():

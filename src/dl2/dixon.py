@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import phi, zeta_power_coeffs
+from .cyclotomic import matmul, phi, zeta_powers
 from .groups import ConjugacyData, MatrixGroup
 from .modlinalg import (
     inv_mod,
@@ -176,6 +176,8 @@ def lift_table(group: MatrixGroup):
     n = cd.n_classes
     e = cd.exponent
     pm = cd.power_map()
+    # each entry of W @ Zmat sums e products of residues below l
+    require_int64_exact(e, l)
 
     # inverse Fourier transform over each cyclic power orbit
     a_idx, i_idx = np.meshgrid(np.arange(e), np.arange(e), indexing="ij")
@@ -183,70 +185,37 @@ def lift_table(group: MatrixGroup):
     Zmat = zpow[((-a_idx * i_idx) % e)] % l  # Zmat[a, i] = z^(-a i)
     e_inv = inv_mod(e, l)
 
-    W = Xl[:, pm.reshape(-1)].reshape(n, n, e)
-    mult = np.empty((n, n, e), dtype=np.int64)
-    for t in range(n):
-        mult[t] = W[t].reshape(n, e) @ Zmat % l * e_inv % l
+    W = Xl[:, pm.reshape(-1)].reshape(n * n, e)
+    mult = (W @ Zmat % l * e_inv % l).reshape(n, n, e)
     # multiplicities are genuine eigenvalue counts: they must sum to degrees
     sums = mult.sum(axis=2)
     assert (sums == degrees[:, None]).all(), "lift produced non-multiplicities"
 
-    red = np.array([zeta_power_coeffs(e, j) for j in range(e)], dtype=np.int64)
-    coeffs = (mult.reshape(-1, e) @ red).reshape(n, n, phi(e))
+    coeffs = (mult.reshape(-1, e) @ zeta_powers(e)).reshape(n, n, phi(e))
     return coeffs, e, degrees, cd
 
 
 def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
     """Exact first and second orthogonality over Z[zeta_e].
 
-    Products are expanded in the power basis, summed with integer matrix
-    multiplications, then reduced once by the cyclotomic relations; the
-    result must match |G| * I resp. diag(centralizer orders) on the nose.
+    Both relations are `cyclotomic.matmul` products, read against chi(g^-1)
+    = conj chi(g): sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) must be |G| [i = j],
+    and sum_t chi_t(g_k) chi_t(g_l^-1) the centralizer order [k = l], on the
+    nose: coefficient 0 equal and every other coefficient zero.  A table
+    whose products would overflow int64 is not verified.
     """
-    n, ncl, d = coeffs.shape
+    n = coeffs.shape[0]
+    inv = coeffs[:, cd.inverse_class, :]
     w = cd.sizes.astype(np.int64)
-    invp = cd.inverse_class
-    maxc = int(np.abs(coeffs).max())
-    if ncl * int(w.max()) * maxc * maxc >= 2**62:
-        raise VerificationError("int64 overflow risk")
-
-    conj_coeffs = coeffs[:, invp, :]
-    # first (row) orthogonality
-    U = [
-        sum(
-            coeffs[:, :, a] @ (conj_coeffs[:, :, s - a] * w[None, :]).T
-            for a in range(max(0, s - d + 1), min(d, s + 1))
-        )
-        for s in range(2 * d - 1)
-    ]
-    _check_reduced(U, order * np.eye(n, dtype=np.int64), cd)
-    # second (column) orthogonality
-    V = [
-        sum(
-            coeffs[:, :, a].T @ conj_coeffs[:, :, s - a]
-            for a in range(max(0, s - d + 1), min(d, s + 1))
-        )
-        for s in range(2 * d - 1)
-    ]
-    _check_reduced(V, np.diag(cd.centralizer_orders.astype(np.int64)), cd)
-
-
-def _check_reduced(U, target, cd):
-    """Reduce sum_s U_s x^s mod Phi_e; must equal target at x^0 and vanish
-    at every higher basis power."""
-    from .cyclotomic import _power_reductions
-
-    d = (len(U) + 1) // 2
-    e = cd.exponent
-    table = _power_reductions(e)
-    acc = [np.zeros_like(U[0]) for _ in range(d)]
-    for s, Us in enumerate(U):
-        row = table[s]
-        for j in range(d):
-            if row[j]:
-                acc[j] = acc[j] + int(row[j]) * Us
-    if not (acc[0] == target).all():
-        raise VerificationError("orthogonality failed (constant term)")
-    for j in range(1, d):
-        if acc[j].any():
+    for X, Y, target in (
+        (coeffs * w[None, :, None], inv.transpose(1, 0, 2), order * np.eye(n, dtype=np.int64)),
+        (coeffs.transpose(1, 0, 2), inv, np.diag(cd.centralizer_orders.astype(np.int64))),
+    ):
+        try:
+            P = matmul(X, Y, cd.exponent)
+        except OverflowError as exc:
+            raise VerificationError(str(exc)) from exc
+        if not (P[:, :, 0] == target).all():
+            raise VerificationError("orthogonality failed (constant term)")
+        if P[:, :, 1:].any():
             raise VerificationError("orthogonality failed (irrational part)")

@@ -296,9 +296,6 @@ class MatrixGroup:
         out = np.array(out, dtype=np.int64)
         return out[self.pos_of[out] >= 0]
 
-    def det_codes(self) -> np.ndarray:
-        return self.space.det[self.codes]
-
     def borel_codes(self) -> np.ndarray:
         """Upper-triangular elements of the group (c = 0)."""
         return self.codes[self.space.C[self.codes] == 0]
@@ -308,9 +305,6 @@ class MatrixGroup:
 
     def elem(self, code: int) -> "MatrixElem":
         return MatrixElem(self, int(code))
-
-    def matrix_from_entries(self, a, b, c, d) -> int:
-        return int(self.space.enc(a, b, c, d))
 
     def __repr__(self):
         return f"MatrixGroup({self.flavor.upper()}2, {self.ring!r}, order={self.order})"

@@ -383,15 +383,6 @@ class RingSpec:
     def elem(self, code: int) -> "RingElem":
         return RingElem(self, int(code) % self.size)
 
-    def from_int(self, n: int) -> "RingElem":
-        """The image of the rational integer n."""
-        c = self.zero
-        step = self.one
-        n_mod = n % (self.p ** self.r if self.mode == "mixed" else self.p)
-        for _ in range(n_mod):
-            c = int(self.add[c, step])
-        return RingElem(self, c)
-
     def __repr__(self):
         base = f"GR({self.p}^{self.r},{self.k})" if self.mode == "mixed" else f"F{self.q}[t]/t^{self.r}"
         return f"RingSpec({base})"

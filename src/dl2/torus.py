@@ -62,6 +62,8 @@ class CoxeterTorus:
         # norm-one subgroup (the SL2 torus)
         self.norm_one = self.codes[ext.norm(self.codes) == ring.one]
         self._pullbacks: dict = {}
+        self._patterns: dict = {}
+        self._preimages: dict = {}
 
     # -- embedding into GL2 ----------------------------------------------------
 
@@ -124,9 +126,10 @@ class CoxeterTorus:
         )
         return xs, elts
 
-    @lru_cache(maxsize=8)
     def _pairing_patterns(self, psi_scale: int):
         """For each candidate tau, the tuple of psi(Tr(x tau)) exponents."""
+        if psi_scale in self._patterns:
+            return self._patterns[psi_scale]
         F = self.ring.field
         rq = self.rq
         q2 = self.q**2
@@ -139,6 +142,7 @@ class CoxeterTorus:
                 row.append(int(F.trace_to_fp[c]))
             pats[tuple(row)] = tau
         assert len(pats) == q2, "trace pairing degenerate"
+        self._patterns[psi_scale] = pats
         return pats
 
     def tau_of(self, theta: DualChar, psi_scale: int = 1) -> int:
@@ -177,15 +181,15 @@ class CoxeterTorus:
 
     # -- descent ---------------------------------------------------------------
 
-    @lru_cache(maxsize=8)
     def level_torus(self, r2: int) -> "CoxeterTorus":
         if r2 == self.r:
             return self
         return make_torus(self.ring.p, self.ring.k, r2, self.ring.mode)
 
-    @lru_cache(maxsize=8)
     def _descent_preimages(self, r2: int):
         """For the level-r2 torus basis, one preimage code per generator."""
+        if r2 in self._preimages:
+            return self._preimages[r2]
         t0 = self.level_torus(r2)
         _, m = self.ext.reduction(r2)
         images = m[self.codes]
@@ -193,6 +197,7 @@ class CoxeterTorus:
         for g, _n in t0.group.basis:
             pos = int(np.nonzero(images == g)[0][0])
             out.append(int(self.codes[pos]))
+        self._preimages[r2] = out
         return out
 
     def descend(self, eta: DualChar, r2: int) -> DualChar:
@@ -249,9 +254,6 @@ class TorusCharClass:
     stab_size: int             # 1 or 2
     sl_sigma_fixed: bool       # restriction to norm-one units flip-stable
     sl_quadratic: bool         # odd q, r0 = 1: restriction of theta0 has order 2
-
-    def sigma_orbit_size(self) -> int:
-        return 2 if self.stab_size == 1 else 1
 
 
 def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass]:

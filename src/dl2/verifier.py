@@ -12,7 +12,6 @@ are deterministic up to the runtime fields.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py 
     trivial_character,
     TABLE_BOUND,
 )
-from .cyclotomic import Cyclo
+from .cyclotomic import matmul, zeta_powers
 from .groups import GROUP_BOUND, gl2_order, make_group, sl2_order
 from .predictor import (
     CLAUSE_SL_EVEN,
@@ -103,9 +102,6 @@ class VerificationReport:
             "all_pass": self.all_pass(),
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def check(check_id: str, clause: str, inapplicable=None):
@@ -503,18 +499,14 @@ def check_sign_formula(cd: CaseData):
 def _first_failed_pair(D: np.ndarray, low: CharacterTable, high: CharacterTable):
     """The first (i, j) in row-major order with chi_i^T D conj(psi_j) != 0,
     or None when D annihilates every pair of the two tables."""
-    zero = Cyclo.zero(1)
-    cols = np.flatnonzero(D.any(axis=0))
-    for i, chi in enumerate(low.chars):
-        # w = chi^T D on the columns where D is nonzero
-        w = {
-            b: sum((chi.values[a].scale(int(D[a, b])) for a in np.flatnonzero(D[:, b])), zero)
-            for b in cols
-        }
-        for j, psi in enumerate(high.chars):
-            if not sum((w[b] * psi.values[b].conj() for b in cols), zero).is_zero():
-                return [i, j]
-    return None
+    # the exponent of the quotient divides the group's: zeta_low^a = zeta^(a step)
+    e = high.exponent
+    step = e // low.exponent
+    chi = low.coeffs @ zeta_powers(e)[step * np.arange(low.coeffs.shape[2])]
+    W = np.einsum("iak,ab->ibk", chi, D)
+    psi_bar = high.coeffs[:, high.conjugacy.inverse_class, :].transpose(1, 0, 2)
+    failed = np.argwhere(matmul(W, psi_bar, e).any(axis=2))
+    return [int(v) for v in failed[0]] if len(failed) else None
 
 
 @check(
@@ -529,7 +521,7 @@ def check_inflation_adjunction(cd: CaseData, r2: int = 1):
     hom = cd.group.reduction(r2)
     low = character_table(hom.target)
     high = cd.table
-    n_pairs = len(low.chars) * len(high.chars)
+    n_pairs = len(low) * len(high)
     D = adjunction_defect(hom)
     if D.any():
         return {"failed_pair": _first_failed_pair(D, low, high)}, {"all_pairs_equal": True}, False
@@ -543,7 +535,10 @@ def check_inflation_adjunction(cd: CaseData, r2: int = 1):
 def run_case(
     p: int, k: int, r: int, flavor: str, mode: str, cache_dir=None
 ) -> VerificationReport:
-    cd = CaseData(p, k, r, mode, flavor, cache_dir=cache_dir)
+    return _run_checks(CaseData(p, k, r, mode, flavor, cache_dir=cache_dir))
+
+
+def _run_checks(cd: CaseData) -> VerificationReport:
     rep = VerificationReport(case=cd.key())
     rep.add(check_group_order(cd))
     rep.add(check_table_validity(cd))
@@ -566,8 +561,9 @@ DEFAULT_MANIFEST = [
 
 
 @check("mode-independence", "dimensions and signs agree across ring modes")
-def check_mode_independence(p, k, r, flavor):
-    """Dimension and sign data must agree across the two ring modes.
+def check_mode_independence(mixed: CaseData, equal: CaseData):
+    """Dimension and sign data must agree between the cases of one
+    (p, k, r, flavor) in the two ring modes.
 
     The finer decomposition flags genuinely depend on the ring when p = 2
     and r >= 3: the norm-one tori of the two modes are non-isomorphic
@@ -577,8 +573,7 @@ def check_mode_independence(p, k, r, flavor):
     compared."""
     stats = {}
     split_counts = {}
-    for mode in ("mixed", "equal"):
-        cd = CaseData(p, k, r, mode, flavor)
+    for mode, cd in (("mixed", mixed), ("equal", equal)):
         tcs = cd.classification
         preds = sorted(
             (tc.is_regular, tc.r0, tc.stab_size, tc.general_position,
@@ -607,21 +602,31 @@ def check_classical_sweep(n_max=5, qs=(2, 3, 4, 5, 7, 8, 9)):
 
 
 def run_suite(manifest=None, cache_dir=None) -> dict:
-    """Run every case plus the suite-level checks; returns a JSON-ready dict."""
+    """Run every case plus the suite-level checks; returns a JSON-ready dict.
+
+    Mode independence compares the suite's own cases of each (p, k, r,
+    flavor) in the two modes, building only a mode the manifest lacks; a
+    case is held only until its partner has run."""
     manifest = manifest if manifest is not None else DEFAULT_MANIFEST
-    reports = []
+    modes: dict[tuple, set] = {}
     for (p, k, r, flavor, mode) in manifest:
-        reports.append(run_case(p, k, r, flavor, mode, cache_dir=cache_dir))
-    suite_checks = [check_classical_sweep()]
-    seen = set()
-    for (p, k, r, flavor, _mode) in manifest:
+        modes.setdefault((p, k, r, flavor), set()).add(mode)
+    reports, pending, independence = [], {}, {}
+    for (p, k, r, flavor, mode) in manifest:
+        cd = CaseData(p, k, r, mode, flavor, cache_dir=cache_dir)
+        reports.append(_run_checks(cd))
         key = (p, k, r, flavor)
-        if key in seen:
+        if key in independence:
             continue
-        seen.add(key)
-        c = check_mode_independence(p, k, r, flavor)
-        c.check_id = f"mode-independence-{p}-{k}-{r}-{flavor}"
-        suite_checks.append(c)
+        pair = pending.setdefault(
+            key, {m: CaseData(p, k, r, m, flavor) for m in ("mixed", "equal") if m not in modes[key]}
+        )
+        pair.setdefault(mode, cd)
+        if "mixed" in pair and "equal" in pair:
+            del pending[key]
+            c = independence[key] = check_mode_independence(pair["mixed"], pair["equal"])
+            c.check_id = f"mode-independence-{p}-{k}-{r}-{flavor}"
+    suite_checks = [check_classical_sweep()] + [independence[key] for key in modes]
     all_pass = all(r.all_pass() for r in reports) and all(
         c.verdict not in ("fail", "error") for c in suite_checks
     )

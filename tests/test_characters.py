@@ -25,6 +25,7 @@ from dl2.characters import (
     trivial_character,
 )
 from dl2.cyclotomic import Cyclo
+from dl2 import dixon
 from dl2.dixon import _split_blocks
 from dl2.groups import make_group
 
@@ -219,6 +220,23 @@ def test_split_blocks_guards_int64_overflow():
     with pytest.raises(OverflowError):
         _split_blocks([(eye, [0, 1, 2])], eye, l)
     assert len(_split_blocks([(eye, [0, 1, 2])], eye, 541)) == 1
+
+
+def test_lift_table_guards_int64_overflow(monkeypatch):
+    G = make_group(2, 1, 1, "equal", "gl")
+    Xl, degrees, _l, z, cd = dixon.character_table_mod_l(G)
+    l = 2**31 - 1  # prime; e * (l - 1)^2 >= 2^63 for the exponent e = 6
+    monkeypatch.setattr(dixon, "character_table_mod_l", lambda group: (Xl, degrees, l, z, cd))
+    with pytest.raises(OverflowError):
+        dixon.lift_table(G)
+
+
+def test_verify_rejects_table_beyond_int64_bound():
+    tab = character_table(make_group(2, 1, 1, "equal", "gl"))
+    coeffs = tab.coeffs.copy()
+    coeffs[0, 0, 0] = 2**40
+    with pytest.raises(VerificationError, match="overflow"):
+        CharacterTable(tab.group, parts=(coeffs, tab.exponent, tab.degrees)).verify()
 
 
 def test_tensor_linear_permutes_table():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from dl2.cyclotomic import Cyclo, cyclotomic_poly, phi
+from dl2.cyclotomic import Cyclo, cyclotomic_poly, matmul, phi, zeta_powers
 
 
 def test_cyclotomic_polynomials():
@@ -68,3 +70,44 @@ def test_promote_and_scale():
     y = x.promote(12)
     assert y.e == 12 and y == x
     assert x.scale(Fraction(1, 3)) * 3 == x
+
+
+def test_zeta_powers_rows():
+    for e in (1, 2, 12, 60, 105):
+        Z = zeta_powers(e)
+        assert Z.shape == (e, phi(e)) and Z.dtype == np.int64
+        # row j evaluated at exp(2 pi i / e) is exp(2 pi i j / e)
+        z = np.exp(2j * np.pi * np.arange(phi(e)) / e)
+        assert np.allclose(Z @ z, np.exp(2j * np.pi * np.arange(e) / e))
+    assert int(np.abs(zeta_powers(105)).max()) == 2
+
+
+@st.composite
+def _product_case(draw):
+    e = draw(st.sampled_from([1, 2, 3, 4, 12, 24, 60, 105]))
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    coeff = st.integers(-3, 3)
+    X = np.array(draw(st.lists(coeff, min_size=n * m * phi(e), max_size=n * m * phi(e))))
+    Y = np.array(draw(st.lists(coeff, min_size=m * p * phi(e), max_size=m * p * phi(e))))
+    return e, X.reshape(n, m, phi(e)), Y.reshape(m, p, phi(e))
+
+
+@given(_product_case())
+def test_matmul_matches_cyclo_loop(case):
+    e, X, Y = case
+    P = matmul(X, Y, e)
+    assert P.shape == (X.shape[0], Y.shape[1], phi(e))
+    for i in range(X.shape[0]):
+        for j in range(Y.shape[1]):
+            acc = Cyclo.zero(e)
+            for a in range(X.shape[1]):
+                acc = acc + Cyclo(e, X[i, a].tolist()) * Cyclo(e, Y[a, j].tolist())
+            assert P[i, j].tolist() == list(acc.c)
+
+
+def test_matmul_guards_int64_overflow():
+    # e = 4: d = 2, max|zeta_powers| = 1, so the bound is 3 * 2 * m * x * y
+    X = np.full((1, 1, 2), 2**29, dtype=np.int64)
+    assert matmul(X, X, 4).tolist() == [[[0, 2**59]]]  # (1 + i)^2 = 2i
+    with pytest.raises(OverflowError):
+        matmul(X, np.full((1, 1, 2), 2**33, dtype=np.int64), 4)

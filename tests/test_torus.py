@@ -197,3 +197,21 @@ def test_norm_one_subgroup_size():
         t = make_torus(p, k, r, mode)
         q = t.q
         assert len(t.norm_one) == q ** (r - 1) * (q + 1)
+
+
+def test_pairing_patterns_memoised_per_torus():
+    """Each torus keeps its own pairing patterns: a second pass over twelve
+    tori, more than an 8-entry cache shared by all tori holds, computes none."""
+    tori = [
+        make_torus(p, k, r, mode)
+        for (p, k, r) in [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 3)]
+        for mode in ("mixed", "equal")
+    ]
+    first = []
+    for t in tori:
+        classify_all(t)
+        first.append(dict(t._patterns))
+    for t, patterns in zip(tori, first):
+        classify_all(t)
+        assert patterns and t._patterns.keys() == patterns.keys()
+        assert all(t._patterns[s] is patterns[s] for s in patterns)

@@ -5,8 +5,10 @@ import pytest
 import dl2.verifier
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
 from dl2.characters import adjunction_check, character_table
+from dl2.cyclotomic import Cyclo
 from dl2.cli import main
 from dl2.groups import make_group
+from dl2.torus import classify_all
 from dl2.verifier import (
     CaseData,
     check_inflation_adjunction,
@@ -96,10 +98,11 @@ def test_crashing_check_is_recorded_as_error(monkeypatch, tmp_path):
 
 
 def test_mode_independence():
-    c = check_mode_independence(3, 1, 2, "gl")
-    assert c.verdict == "pass"
-    c = check_mode_independence(2, 1, 3, "sl")
-    assert c.verdict == "pass"
+    for (p, k, r, flavor) in [(3, 1, 2, "gl"), (2, 1, 3, "sl")]:
+        c = check_mode_independence(
+            CaseData(p, k, r, "mixed", flavor), CaseData(p, k, r, "equal", flavor)
+        )
+        assert c.verdict == "pass"
 
 
 def test_classical_sweep_check():
@@ -117,6 +120,26 @@ def test_run_suite_subset():
     assert any(
         c["check_id"].startswith("mode-independence") for c in out["suite_checks"]
     )
+
+
+def test_run_suite_classifies_each_case_once(monkeypatch):
+    """Mode independence reuses the suite's cases and builds only a mode
+    that the manifest lacks."""
+    calls = []
+
+    def counting(torus):
+        calls.append((torus.q, torus.r, torus.ring.mode))
+        return classify_all(torus)
+
+    monkeypatch.setattr(dl2.verifier, "classify_all", counting)
+    manifest = [(2, 1, 2, "gl", "mixed"), (2, 1, 2, "sl", "equal"), (2, 1, 2, "gl", "equal")]
+    out = run_suite(manifest)
+    assert out["all_pass"]
+    assert [c["check_id"] for c in out["suite_checks"]] == [
+        "classical-sweep", "mode-independence-2-1-2-gl", "mode-independence-2-1-2-sl",
+    ]
+    # three cases, plus the mixed mode of the SL case
+    assert sorted(calls) == [(2, 2, "equal")] * 2 + [(2, 2, "mixed")] * 2
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -248,6 +271,25 @@ def test_cached_character_table(tmp_path):
     assert (tmp_path / "group-p3k1r1-mixed-sl.npz").exists()
     t2 = cached_character_table(3, 1, 1, "mixed", "sl", cache_dir=str(tmp_path))
     assert (t1.coeffs == t2.coeffs).all()
+
+
+def test_table_paths_build_no_cyclo(tmp_path, monkeypatch):
+    """Caching, reloading, verifying and dumping a table use its coefficient
+    tensor alone; its class functions are built only on first use."""
+
+    def no_cyclo(self, e, coeffs):
+        raise AssertionError("Cyclo built")
+
+    monkeypatch.setattr(Cyclo, "__init__", no_cyclo)
+    built = cached_character_table(2, 1, 2, "equal", "sl", cache_dir=str(tmp_path))
+    loaded = load_table(2, 1, 2, "equal", "sl", tmp_path)
+    for tab in (built, loaded):
+        tab.verify()
+        assert len(tab) == tab.conjugacy.n_classes
+        assert tab.to_json_dict() == built.to_json_dict()
+        assert tab.degree_count(1) >= 1  # the trivial character
+    with pytest.raises(AssertionError, match="Cyclo built"):
+        loaded.chars
 
 
 def test_cache_rejects_bad_format(tmp_path):
