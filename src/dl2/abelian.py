@@ -1,8 +1,10 @@
 """Structure and duals of finite abelian groups given by explicit codes.
 
 A group is handed over as an array of integer element codes together with a
-multiplication ``mul(x, y)`` on codes.  We compute a basis of cyclic factors
-(primary decomposition, one recursion per Sylow subgroup), discrete
+multiplication ``mul(x, y)`` that acts elementwise on int64 code arrays of
+one shape (numpy broadcasting, so a single code is a 0-d array).  We compute
+a basis of cyclic factors (primary decomposition: each Sylow component is
+one array power of all codes, then one recursion per component), discrete
 logarithms of every element with respect to that basis, and from there the
 full character group with exact root-of-unity values.
 
@@ -17,6 +19,11 @@ from math import gcd
 from typing import Callable
 
 import numpy as np
+
+
+class InvariantError(AssertionError):
+    """A structural invariant failed; raised explicitly, so `python -O`
+    keeps it.  An `AssertionError`, so existing handlers still catch it."""
 
 
 def factorise(n: int) -> dict[int, int]:
@@ -64,7 +71,8 @@ class _Carrier:
         while cur != self.identity:
             cur = self.pow(cur, p)
             o *= p
-            assert o <= self.order
+            if o > self.order:
+                raise InvariantError(f"{x} has no {p}-power order")
         return o
 
     def p_group_basis(self, p: int) -> list[tuple[int, int]]:
@@ -98,7 +106,8 @@ class _Carrier:
         for y, m in q.p_group_basis(p):
             # lift y to exact order m: y^m = best^s forces m | s by maximality
             s = cyc[self.pow(y, m)]
-            assert s % m == 0, "maximal-order invariant violated"
+            if s % m:
+                raise InvariantError("maximal-order invariant violated")
             adj = self.pow(best, (-(s // m)) % best_ord)
             out.append((self.mul(y, adj), m))
         return out
@@ -107,10 +116,13 @@ class _Carrier:
 class FiniteAbelianGroup:
     """Finite abelian group on integer codes with basis and discrete logs.
 
+    `mul(x, y)` must multiply elementwise on int64 code arrays of one shape.
+
     basis    : list of (generator code, order), orders prime powers
     orders   : the basis orders
     exponent : lcm of the orders
-    dlog     : dict code -> exponent tuple w.r.t. the basis
+    exps     : int64 array, row i the exponents of codes[i] w.r.t. the basis
+    dlog     : dict code -> exponent tuple w.r.t. the basis (the rows of exps)
     """
 
     def __init__(self, codes, mul: Callable, identity: int):
@@ -118,42 +130,45 @@ class FiniteAbelianGroup:
         self._mul = mul
         self.identity = int(identity)
         self.order = len(self.codes)
-        carrier = _Carrier(
-            [int(c) for c in self.codes], lambda a, b: int(mul(a, b)), self.identity
-        )
-        self._carrier = carrier
+        scalar_mul = lambda a, b: int(mul(np.int64(a), np.int64(b)))
         basis: list[tuple[int, int]] = []
         for p in sorted(factorise(self.order)):
             m_prime = self.order
             while m_prime % p == 0:
                 m_prime //= p
-            comp = sorted({carrier.pow(int(c), m_prime) for c in self.codes})
-            sub = _Carrier(comp, carrier.mul, self.identity)
-            basis.extend(sub.p_group_basis(p))
+            comp = np.unique(self.pow(self.codes, m_prime)).tolist()
+            basis.extend(_Carrier(comp, scalar_mul, self.identity).p_group_basis(p))
         self.basis = basis
         self.orders = tuple(n for _, n in basis)
         self.exponent = 1
         for n in self.orders:
             self.exponent = lcm(self.exponent, n)
-        # enumerate all basis products -> exponent tuples
-        acc: dict[int, tuple] = {self.identity: tuple()}
+        # all basis products, one array multiplication per generator power
+        acc = np.array([self.identity], dtype=np.int64)
+        exps = np.zeros((1, 0), dtype=np.int64)
         for g, n in basis:
-            nxt: dict[int, tuple] = {}
-            for code, expo in acc.items():
-                cur = code
-                for j in range(n):
-                    nxt[cur] = expo + (j,)
-                    if j < n - 1:
-                        cur = int(mul(cur, g))
-            acc = nxt
-        assert len(acc) == self.order, "basis does not span the group"
-        self.dlog = acc
+            layers = [acc]
+            for _ in range(n - 1):
+                layers.append(mul(layers[-1], np.full_like(acc, g)))
+            exps = np.hstack([np.tile(exps, (n, 1)), np.repeat(np.arange(n), len(acc))[:, None]])
+            acc = np.concatenate(layers)
+        order = np.argsort(acc, kind="stable")
+        if len(acc) != self.order or (acc[order] != self.codes).any():
+            raise InvariantError("basis does not span the group")
+        self.exps = exps[order]
+        self.dlog = dict(zip(self.codes.tolist(), map(tuple, self.exps.tolist())))
 
-    def mul(self, x: int, y: int) -> int:
-        return int(self._mul(x, y))
-
-    def pow(self, x: int, n: int) -> int:
-        return self._carrier.pow(int(x), n)
+    def pow(self, x, n: int):
+        """x ** n elementwise on an int64 code array (or one code)."""
+        x = np.asarray(x, dtype=np.int64)
+        out, n = np.full_like(x, self.identity), n % self.order
+        while n:
+            if n & 1:
+                out = self._mul(out, x)
+            n >>= 1
+            if n:
+                x = self._mul(x, x)
+        return out
 
     def element_order(self, x: int) -> int:
         n = self.exponent
@@ -176,7 +191,8 @@ class FiniteAbelianGroup:
         a = []
         for (g, n), re in zip(self.basis, root_exps):
             re %= L
-            assert (re * n) % L == 0, "value is not an n-th root of unity"
+            if (re * n) % L:
+                raise InvariantError("value is not an n-th root of unity")
             a.append((re * n // L) % n)
         return DualChar(self, tuple(a))
 
@@ -207,9 +223,6 @@ class DualChar:
             s += ai * xi * (L // ni)
         return s % L
 
-    def is_trivial_on(self, xs) -> bool:
-        return all(self.root_exp(int(x)) == 0 for x in xs)
-
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.a)
 
@@ -220,7 +233,8 @@ class DualChar:
         return o
 
     def __mul__(self, other: "DualChar") -> "DualChar":
-        assert self.group is other.group
+        if self.group is not other.group:
+            raise InvariantError("characters of different groups")
         a = tuple((x + y) % n for x, y, n in zip(self.a, other.a, self.group.orders))
         return DualChar(self.group, a)
 

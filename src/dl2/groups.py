@@ -256,23 +256,23 @@ class MatrixGroup:
         return gens
 
     def generated_closure(self) -> int:
-        """Size of the subgroup generated by generators() (orbit closure)."""
+        """Size of the subgroup generated by generators() (orbit closure).
+
+        Each breadth-first round marks its new elements in a bitmap over the
+        code space, so an element reached twice in one round counts once."""
         sp = self.space
-        gens = np.unique(np.asarray(self.generators(), dtype=np.int64))
+        gens = np.asarray(self.generators(), dtype=np.int64)
         seen = np.zeros(sp.N, dtype=bool)
         seen[sp.identity] = True
         frontier = np.array([sp.identity], dtype=np.int64)
-        count = 1
         while len(frontier):
-            nxt = []
+            fresh = np.zeros(sp.N, dtype=bool)
             for g in gens:
-                nxt.append(sp.mul(frontier, np.int64(g)))
-            cand = np.unique(np.concatenate(nxt))
-            fresh = cand[~seen[cand]]
-            seen[fresh] = True
-            count += len(fresh)
-            frontier = fresh
-        return count
+                y = sp.mul(frontier, g)
+                fresh[y[~seen[y]]] = True
+            seen |= fresh
+            frontier = np.flatnonzero(fresh)
+        return int(seen.sum())
 
     def conjugacy(self) -> ConjugacyData:
         if self._conj is None:

@@ -608,12 +608,12 @@ class ExtSpec:
         return self.base.div_pi_top(a) + self.q * self.base.div_pi_top(b)
 
     def mul_pi_top_lift(self, pair):
-        """pi^(r-1) * lift(pair) for an F_{q^2} pair code."""
+        """pi^(r-1) * lift(pair) for F_{q^2} pair codes (scalar or array)."""
         top = self.base.pi_pows[self.base.r - 1]
         x = self.lift_residue_pair(pair)
         S = self.base.size
         M = self.base.mul
-        return int(M[x % S, top]) + int(M[x // S, top]) * S
+        return M[x % S, top] + M[x // S, top] * S
 
     def elem(self, code: int) -> "ExtElem":
         return ExtElem(self, int(code))

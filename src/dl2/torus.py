@@ -25,12 +25,12 @@ exhaustively.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .abelian import DualChar, FiniteAbelianGroup
+from .abelian import DualChar, FiniteAbelianGroup, InvariantError
 from .rings import RingSpec, make_ext, make_ring
 
 
@@ -45,7 +45,8 @@ class CoxeterTorus:
         ext = self.ext
         self.codes = ext.units()
         self.order = len(self.codes)
-        assert self.order == ring.q ** (2 * (ring.r - 1)) * (ring.q**2 - 1)
+        if self.order != torus_order(ring.q, ring.r):
+            raise InvariantError(f"{self.order} units, not |T| = {torus_order(ring.q, ring.r)}")
         self.group = FiniteAbelianGroup(self.codes, ext.mul, ext.one)
         # F_{q^2} in pair codes a0 + q a1: the extension of the level-1 ring
         self.rq = make_ext(make_ring(ring.p, ring.k, 1, ring.mode))
@@ -64,6 +65,9 @@ class CoxeterTorus:
         self._pullbacks: dict = {}
         self._patterns: dict = {}
         self._preimages: dict = {}
+        self._kernel_values: dict = {}
+        self._extensions: dict = {}
+        self._top = None
 
     # -- embedding into GL2 ----------------------------------------------------
 
@@ -104,7 +108,8 @@ class CoxeterTorus:
         exps = []
         for g, _n in self.group.basis:
             e = alpha.root_exp(int(self.ext.norm(g)))
-            assert (e * L) % LU == 0
+            if (e * L) % LU:
+                raise InvariantError("norm pullback value outside mu_L")
             exps.append(e * L // LU)
         out = self.group.char_from_values_on_basis(exps, L)
         self._pullbacks[alpha.a] = out
@@ -113,52 +118,67 @@ class CoxeterTorus:
     def weyl_stabilizer(self, theta: DualChar) -> int:
         return 2 if self.char_sigma(theta) == theta else 1
 
+    def value_rows(self, codes) -> np.ndarray:
+        """Rows w(x), one per torus code x, with theta(x) = zeta_L^(a . w(x))
+        for every theta = DualChar(a), L the group exponent."""
+        T = self.group
+        codes = np.asarray(codes, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(T.codes, codes), T.order - 1)
+        if (T.codes[pos] != codes).any():
+            raise ValueError("value_rows: a code is not a torus element")
+        return T.exps[pos] * (T.exponent // np.array(T.orders, dtype=np.int64)) % T.exponent
+
+    def kernel_values(self, r2: int):
+        """(W, V): the value rows of the generators of K_{r2}, and V[j] the
+        values on them of the norm pullback of base_units.dual()[j]."""
+        if r2 not in self._kernel_values:
+            W = self.value_rows([g for g, _ in self.kernels[r2].basis])
+            P = np.array([self.norm_pullback(al).a for al in self.base_units.dual()])
+            self._kernel_values[r2] = W, P @ W.T % self.group.exponent
+        return self._kernel_values[r2]
+
     # -- the additive-character pairing on the top congruence layer -------------
 
     def top_layer_elements(self):
         """(pair codes x, ext codes of 1 + pi^(r-1) lift(x)) over F_{q^2}."""
-        ext = self.ext
-        q2 = self.q**2
-        xs = np.arange(q2, dtype=np.int64)
-        elts = np.array(
-            [ext.add(ext.one, ext.mul_pi_top_lift(int(x))) for x in xs],
-            dtype=np.int64,
-        )
-        return xs, elts
+        if self._top is None:
+            xs = np.arange(self.q**2, dtype=np.int64)
+            self._top = xs, self.ext.add(self.ext.one, self.ext.mul_pi_top_lift(xs))
+        return self._top
+
+    @functools.cached_property
+    def _top_rows(self) -> np.ndarray:
+        return self.value_rows(self.top_layer_elements()[1])
 
     def _pairing_patterns(self, psi_scale: int):
-        """For each candidate tau, the tuple of psi(Tr(x tau)) exponents."""
+        """For each candidate tau, the psi(Tr(x tau)) exponents over all x
+        (as int64 row bytes)."""
         if psi_scale in self._patterns:
             return self._patterns[psi_scale]
-        F = self.ring.field
-        rq = self.rq
-        q2 = self.q**2
-        pats = {}
-        for tau in range(q2):
-            row = []
-            for x in range(q2):
-                c = rq.trace(rq.mul(x, tau))
-                c = F.mul[c, psi_scale]
-                row.append(int(F.trace_to_fp[c]))
-            pats[tuple(row)] = tau
-        assert len(pats) == q2, "trace pairing degenerate"
+        F, rq = self.ring.field, self.rq
+        xs = np.arange(self.q**2, dtype=np.int64)
+        rows = F.trace_to_fp[F.mul[rq.trace(rq.mul(xs[:, None], xs[None, :])), psi_scale]]
+        pats = {rows[:, tau].tobytes(): tau for tau in range(len(xs))}
+        if len(pats) != len(xs):
+            raise InvariantError("trace pairing degenerate")
         self._patterns[psi_scale] = pats
         return pats
+
+    def taus(self, A: np.ndarray, psi_scale: int = 1) -> list[int]:
+        """tau_of for each row of A, the exponent tuples of some thetas."""
+        p, L = self.ring.p, self.group.exponent
+        V = A @ self._top_rows.T % L
+        if (V * p % L).any():
+            raise InvariantError("top-layer values are not p-th roots")
+        pats = self._pairing_patterns(psi_scale)
+        return [pats[row.tobytes()] for row in np.ascontiguousarray(V * p // L)]
 
     def tau_of(self, theta: DualChar, psi_scale: int = 1) -> int:
         """The unique tau in F_{q^2} (pair code) with
         theta(1 + pi^(r-1) x) = psi(Tr_{F_{q^2}/F_q}(x tau)) for all x."""
         if self.r < 2:
             raise ValueError("tau is defined for levels r >= 2 only")
-        p = self.ring.p
-        L = self.group.exponent
-        xs, elts = self.top_layer_elements()
-        row = []
-        for el in elts:
-            j = theta.root_exp(int(el))
-            assert (j * p) % L == 0, "top-layer value is not a p-th root"
-            row.append((j * p // L) % p)
-        return self._pairing_patterns(psi_scale)[tuple(row)]
+        return self.taus(np.array([theta.a]), psi_scale)[0]
 
     def is_regular(self, theta: DualChar, psi_scale: int = 1) -> bool:
         if self.r < 2:
@@ -174,10 +194,9 @@ class CoxeterTorus:
     def char_level(self, eta: DualChar) -> int:
         """Least r' in [1, r] with eta trivial on the kernel K_{r'}."""
         for r2 in range(1, self.r + 1):
-            gens = [g for g, _ in self.kernels[r2].basis]
-            if eta.is_trivial_on(gens):
+            if not (self.kernel_values(r2)[0] @ eta.a % self.group.exponent).any():
                 return r2
-        raise AssertionError("character not trivial on the trivial kernel")
+        raise InvariantError("character not trivial on the trivial kernel")
 
     # -- descent ---------------------------------------------------------------
 
@@ -207,7 +226,8 @@ class CoxeterTorus:
         exps = []
         for pre in self._descent_preimages(r2):
             e = eta.root_exp(pre)
-            assert (e * L0) % L == 0
+            if (e * L0) % L:
+                raise InvariantError("eta is not trivial on the descent kernel")
             exps.append(e * L0 // L)
         return t0.group.char_from_values_on_basis(exps, L0)
 
@@ -219,7 +239,8 @@ class CoxeterTorus:
         exps = []
         for g, _n in self.group.basis:
             e = theta0.root_exp(int(m[g]))
-            assert (e * L) % L0 == 0
+            if (e * L) % L0:
+                raise InvariantError("inflated value outside mu_L")
             exps.append(e * L // L0)
         return self.group.char_from_values_on_basis(exps, L)
 
@@ -228,7 +249,7 @@ def torus_order(q: int, r: int) -> int:
     return q ** (2 * (r - 1)) * (q * q - 1)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def make_torus(p: int, k: int, r: int, mode: str) -> CoxeterTorus:
     return CoxeterTorus(make_ring(p, k, r, mode))
 
@@ -261,77 +282,41 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
     T = torus.group
     U = torus.base_units
     L = T.exponent
-    m = max(1, len(T.orders))
     thetas = torus.dual()
     n_t = len(thetas)
-    A = np.array([list(th.a) + [0] * (m - len(th.a)) for th in thetas], dtype=np.int64)
-    scale = np.array([L // n for n in T.orders], dtype=np.int64) if T.orders else np.zeros(m, dtype=np.int64)
-
-    def wvec(codes):
-        """Rows w(x) with theta-value exponent = A . w(x) mod L."""
-        W = np.zeros((len(codes), m), dtype=np.int64)
-        for i, c in enumerate(codes):
-            t = T.dlog[int(c)]
-            for j, v in enumerate(t):
-                W[i, j] = v * scale[j] % L
-        return W
+    A = np.array([th.a for th in thetas], dtype=np.int64)
 
     # -- tau and regularity (r >= 2) ------------------------------------------
-    taus = [None] * n_t
-    regular = np.zeros(n_t, dtype=bool)
-    if torus.r >= 2:
-        p = torus.ring.p
-        xs, elts = torus.top_layer_elements()
-        Wtop = wvec(elts)
-        Vtop = A @ Wtop.T % L
-        assert ((Vtop * p) % L == 0).all(), "top layer values must be p-th roots"
-        Vtop = Vtop * p // L % p
-        pats = torus._pairing_patterns(psi_scale)
-        for i in range(n_t):
-            tau = pats[tuple(int(v) for v in Vtop[i])]
-            taus[i] = tau
-            regular[i] = not torus.is_scalar(tau)
+    taus = torus.taus(A, psi_scale) if torus.r >= 2 else [None] * n_t
+    regular = [tau is not None and not torus.is_scalar(tau) for tau in taus]
 
     # -- twisted levels ---------------------------------------------------------
     pulls = [torus.norm_pullback(al) for al in U.dual()]
-    P = np.array([list(pl.a) + [0] * (m - len(pl.a)) for pl in pulls], dtype=np.int64)
-    kernel_w = {
-        r2: wvec([g for g, _ in torus.kernels[r2].basis])
-        for r2 in range(1, torus.r + 1)
-    }
-    # C[r2] rows: value exponents of each character on kernel generators
+    # values of each theta, and lookup of the twists cancelling them, on the
+    # generators of each kernel
     levels_theta = {}
     alpha_lookup = {}
     for r2 in range(1, torus.r + 1):
-        W = kernel_w[r2]
-        if W.shape[0] == 0:  # trivial kernel
-            Ct = np.zeros((n_t, 1), dtype=np.int64)
-            Ca = np.zeros((len(pulls), 1), dtype=np.int64)
-        else:
-            Ct = A @ W.T % L
-            Ca = P @ W.T % L
-        levels_theta[r2] = Ct
-        want = (-Ca) % L
+        W, Ca = torus.kernel_values(r2)
+        levels_theta[r2] = A @ W.T % L
         d: dict[bytes, list[int]] = {}
-        for j in range(len(pulls)):
-            d.setdefault(want[j].tobytes(), []).append(j)
+        for j, row in enumerate((-Ca) % L):
+            d.setdefault(row.tobytes(), []).append(j)
         alpha_lookup[r2] = d
 
     alphas = U.dual()
     out = []
-    sigma_basis = torus.sigma_images_of_basis()
 
     # sigma action, batch: exponent tuples of theta o sigma
-    Wsig = wvec([int(c) for c in sigma_basis])
-    Esig = A @ Wsig.T % L
-    orders_arr = np.array(T.orders, dtype=np.int64) if T.orders else np.ones(1, dtype=np.int64)
-    assert ((Esig * orders_arr[None, :]) % L == 0).all()
-    Asig = Esig * orders_arr[None, :] // L % orders_arr[None, :]
-    stab2 = (Asig == A).all(axis=1)
+    Esig = A @ torus.value_rows(torus.sigma_images_of_basis()).T % L
+    orders_arr = np.array(T.orders, dtype=np.int64)
+    if (Esig * orders_arr % L).any():
+        raise InvariantError("theta o sigma is not a character")
+    stab2 = (Esig * orders_arr // L % orders_arr == A).all(axis=1)
 
     # norm-one flip stability, batch
     n1 = torus.norm_one
-    Wn1 = (wvec([int(torus.sigma(c)) for c in n1]) - wvec([int(c) for c in n1])) % L
+    Wn1 = (torus.value_rows(torus.sigma(n1)) - torus.value_rows(n1)) % L
     sl_fixed = ((A @ Wn1.T % L) == 0).all(axis=1)
 
     for i, th in enumerate(thetas):
@@ -339,11 +324,11 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
             r0 = torus.r
             n_min = 1
             theta0 = th
-            alpha = U.trivial_char() if U.orders else DualChar(U, tuple())
+            alpha = U.trivial_char()
         else:
             r0 = None
             for r2 in range(1, torus.r + 1):
-                hits = alpha_lookup[r2].get((levels_theta[r2][i] % L).tobytes())
+                hits = alpha_lookup[r2].get(levels_theta[r2][i].tobytes())
                 if hits:
                     r0 = r2
                     n_min = len(hits)
@@ -358,7 +343,8 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
                             best = (key, t0, alphas[j])
                     theta0, alpha = best[1], best[2]
                     break
-            assert r0 is not None
+            if r0 is None:
+                raise InvariantError("no level makes a twist of theta trivial")
 
         # general position of theta0 at its level
         t0_torus = torus.level_torus(r0)
@@ -373,8 +359,8 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
             nontrivial = any(e % L1 for e in exps)
             order_div_2 = all((2 * e) % L1 == 0 for e in exps)
             sl_quadratic = nontrivial and order_div_2
-            if sl_quadratic:
-                assert gp, "order-2 restriction forces general position"
+            if sl_quadratic and not gp:
+                raise InvariantError("order-2 restriction forces general position")
 
         out.append(
             TorusCharClass(
@@ -382,7 +368,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
                 level=torus.r,
                 q=torus.q,
                 tau=taus[i],
-                is_regular=bool(regular[i]),
+                is_regular=regular[i],
                 r0=r0,
                 theta0=theta0,
                 alpha=alpha,
@@ -401,12 +387,14 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
 
 
 def conductor_brute_force(torus: CoxeterTorus, theta: DualChar) -> int:
-    """min over alpha in Irr(O_r^x) of the level of theta * alpha(norm(-))."""
-    best = torus.r
-    for alpha in torus.base_units.dual():
-        lv = torus.char_level(theta * torus.norm_pullback(alpha))
-        best = min(best, lv)
-    return best
+    """min over alpha in Irr(O_r^x) of the level of theta * alpha(norm(-)):
+    the least r2 at which some twist is trivial on the generators of K_{r2}."""
+    L = torus.group.exponent
+    for r2 in range(1, torus.r + 1):
+        W, V = torus.kernel_values(r2)
+        if ((W @ theta.a + V) % L == 0).all(axis=1).any():
+            return r2
+    raise InvariantError("no twist is trivial on the trivial kernel")
 
 
 def conductor_by_peeling(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 1) -> int:
@@ -423,14 +411,18 @@ def conductor_by_peeling(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 
         s = int(tau) % cur_torus.q  # tau = diag(s, s)
         alpha2 = _extend_kernel_character(cur_torus, s, psi_scale)
         eta = cur * cur_torus.norm_pullback(alpha2.inverse())
-        assert cur_torus.char_level(eta) <= rho - 1
+        if cur_torus.char_level(eta) > rho - 1:
+            raise InvariantError("peeling did not lower the level")
         cur = cur_torus.descend(eta, rho - 1)
         cur_torus = cur_torus.level_torus(rho - 1)
 
 
 def _extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> DualChar:
     """Some character of O_r^x restricting on the last ring kernel to
-    u -> psi(s * (u - 1)/pi^(r-1)); existence by abelianness."""
+    u -> psi(s * (u - 1)/pi^(r-1)); existence by abelianness.  Memoised
+    per (s, psi_scale) on the torus."""
+    if (s, psi_scale) in torus._extensions:
+        return torus._extensions[s, psi_scale]
     R = torus.ring
     F = R.field
     U = torus.base_units
@@ -452,5 +444,6 @@ def _extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> Dua
                 ok = False
                 break
         if ok:
+            torus._extensions[s, psi_scale] = alpha
             return alpha
-    raise AssertionError("no extension found; the unit group is abelian")
+    raise InvariantError("no extension found; the unit group is abelian")

@@ -560,7 +560,11 @@ DEFAULT_MANIFEST = [
 ]
 
 
-@check("mode-independence", "dimensions and signs agree across ring modes")
+@check(
+    "mode-independence",
+    "dimensions and signs agree across ring modes",
+    _too_many_thetas,  # both cases share (p, k, r), so the first one decides
+)
 def check_mode_independence(mixed: CaseData, equal: CaseData):
     """Dimension and sign data must agree between the cases of one
     (p, k, r, flavor) in the two ring modes.
@@ -575,15 +579,12 @@ def check_mode_independence(mixed: CaseData, equal: CaseData):
     split_counts = {}
     for mode, cd in (("mixed", mixed), ("equal", equal)):
         tcs = cd.classification
-        preds = sorted(
-            (tc.is_regular, tc.r0, tc.stab_size, tc.general_position,
-             cd.predict(tc).total_dim, cd.predict(tc).sign)
-            for tc in tcs
+        preds = [cd.predict(tc) for tc in tcs]
+        stats[mode] = sorted(
+            (tc.is_regular, tc.r0, tc.stab_size, tc.general_position, pr.total_dim, pr.sign)
+            for tc, pr in zip(tcs, preds)
         )
-        stats[mode] = preds
-        split_counts[mode] = sum(
-            1 for tc in tcs if len(cd.predict(tc).constituent_degrees()) > 1
-        )
+        split_counts[mode] = sum(1 for pr in preds if len(pr.constituent_degrees()) > 1)
     return (
         {
             "n_records": len(stats["mixed"]),

@@ -102,8 +102,7 @@ def test_frobenius_reciprocity_exhaustive():
     G = make_group(2, 1, 1, "equal", "gl")
     tab = character_table(G)
     B = G.borel_codes()
-    AB = FiniteAbelianGroup(B, lambda a, b: G.space.mul_scalar(int(a), int(b)),
-                            G.space.identity)
+    AB = FiniteAbelianGroup(B, G.space.mul, G.space.identity)
     for phi_ab in AB.dual():
         L = AB.exponent
         vals = {int(c): Cyclo.root_of_unity(L, phi_ab.root_exp(int(c))) for c in B}

@@ -83,6 +83,20 @@ def test_generators_generate():
         assert G.generated_closure() == G.order
 
 
+@pytest.mark.parametrize(
+    "p,k,r,mode", [(2, 1, 3, "mixed"), (3, 1, 2, "equal"), (2, 2, 2, "equal"), (5, 1, 2, "mixed")]
+)
+def test_generated_closure_counts_proper_subgroup(p, k, r, mode, monkeypatch):
+    """The upper elementary generators alone generate the unipotent radical
+    {[[1, b], [0, 1]]} = (O_r, +) of order q^r; with two or more of them
+    one breadth-first round reaches an element twice."""
+    G = make_group(p, k, r, mode, "gl")
+    sp = G.space
+    upper = [g for g in G.generators() if sp.C[g] == 0 and sp.B[g] != 0]
+    monkeypatch.setattr(G, "generators", lambda: upper)
+    assert G.generated_closure() == (p**k) ** r
+
+
 def test_reduction_homs():
     h = make_group(2, 1, 2, "mixed", "gl").reduction(1)
     assert len(h.kernel_codes) == 16

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dl2.groups import make_group
 from dl2.torus import (
@@ -215,3 +216,55 @@ def test_pairing_patterns_memoised_per_torus():
         classify_all(t)
         assert patterns and t._patterns.keys() == patterns.keys()
         assert all(t._patterns[s] is patterns[s] for s in patterns)
+
+
+def _literal_level(t, eta):
+    """Least r2 with eta trivial on every element of K_{r2}."""
+    return min(
+        r2 for r2 in range(1, t.r + 1)
+        if all(eta.root_exp(x) == 0 for x in t.kernels[r2].codes.tolist())
+    )
+
+
+def _literal_tau(t, theta, psi_scale):
+    """The tau with theta(1 + pi^(r-1) x) = psi(Tr(x tau)) for all x, one
+    element and one candidate at a time."""
+    ext, rq, F = t.ext, t.rq, t.ring.field
+    p, L, q2 = t.ring.p, t.group.exponent, t.q**2
+    row = []
+    for x in range(q2):
+        j = theta.root_exp(int(ext.add(ext.one, ext.mul_pi_top_lift(x))))
+        assert j * p % L == 0
+        row.append(j * p // L)
+    return [
+        tau for tau in range(q2)
+        if row == [int(F.trace_to_fp[F.mul[rq.trace(rq.mul(x, tau)), psi_scale]]) for x in range(q2)]
+    ]
+
+
+@given(
+    st.sampled_from([(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)]),
+    st.sampled_from(["mixed", "equal"]),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+    st.integers(min_value=1),
+)
+def test_fast_paths_match_literal_definitions(pkr, mode, picks, psi_pick):
+    """conductor_brute_force is the least level of a twist theta * alpha o N,
+    and tau_of is the tau of the defining pairing identity."""
+    t = make_torus(*pkr, mode)
+    thetas = t.dual()
+    pulls = [t.norm_pullback(al) for al in t.base_units.dual()]
+    psi_scale = 1 + psi_pick % (t.q - 1)
+    for i in picks:
+        theta = thetas[i % len(thetas)]
+        assert conductor_brute_force(t, theta) == min(_literal_level(t, theta * pl) for pl in pulls)
+        assert t.char_level(theta) == _literal_level(t, theta)
+        if t.r >= 2:
+            assert [t.tau_of(theta, psi_scale)] == _literal_tau(t, theta, psi_scale)
+
+
+def test_top_layer_memoised_per_torus():
+    t = make_torus(3, 1, 2, "equal")
+    assert t.top_layer_elements() is t.top_layer_elements()
+    xs, elts = t.top_layer_elements()
+    assert elts.tolist() == [int(t.ext.add(t.ext.one, t.ext.mul_pi_top_lift(x))) for x in xs.tolist()]

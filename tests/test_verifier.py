@@ -105,6 +105,24 @@ def test_mode_independence():
         assert c.verdict == "pass"
 
 
+def test_mode_independence_respects_size_bound(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dl2.verifier, "classify_all", lambda t: calls.append(t) or classify_all(t))
+    monkeypatch.setattr(dl2.verifier, "CLASSIFY_BOUND", 71)  # |T| = 72 for (3, 1, 2)
+    c = check_mode_independence(CaseData(3, 1, 2, "mixed", "gl"), CaseData(3, 1, 2, "equal", "gl"))
+    assert (c.verdict, c.computed, c.predicted) == ("inapplicable", None, None)
+    assert calls == []
+
+
+def test_mode_independence_predicts_once_per_theta(monkeypatch):
+    calls = []
+    predict = dl2.verifier.predict_gl2
+    monkeypatch.setattr(dl2.verifier, "predict_gl2", lambda *a: calls.append(a) or predict(*a))
+    c = check_mode_independence(CaseData(3, 1, 2, "mixed", "gl"), CaseData(3, 1, 2, "equal", "gl"))
+    assert c.verdict == "pass" and c.computed["n_records"] == 72
+    assert len(calls) == 2 * 72
+
+
 def test_classical_sweep_check():
     c = check_classical_sweep(n_max=4, qs=(2, 3, 5))
     assert c.verdict == "pass"
