@@ -1,10 +1,11 @@
 """Exact verification of dimension and sign laws for the virtual characters
 of GL2 and SL2 over truncated discrete valuation rings.
 
-The package enumerates the groups, computes their character tables in exact
-cyclotomic arithmetic, classifies the characters of the nonsplit maximal
-torus, and checks every predicted dimension, sign, decomposition, and
-stability statement against the computed tables.
+The package enumerates the groups, computes their character tables exactly,
+as integer coefficient arrays over Z[zeta_e] in the power basis, classifies
+the characters of the nonsplit maximal torus, and checks every predicted
+dimension, sign, decomposition, and stability statement against the
+computed tables.
 """
 
 from .rings import RingSpec, RingElem, ExtSpec, ExtElem, make_ring, make_ext

@@ -1,86 +1,97 @@
 """Class functions, character tables, and the induction/inflation calculus.
 
-Values are exact cyclotomics (`Cyclo`); inner products are exact rationals.
-The heavy lifting (table computation, orthogonality) lives in `dixon` and
-works on integer coefficient tensors; this module wraps the results in
-objects convenient for the verification layer.
+A class function is an int64 array of canonical Z[zeta_e] coefficients, one
+row per conjugacy class (see `cyclotomic`); inner products are exact
+rationals.  The heavy lifting (table computation, orthogonality) lives in
+`dixon`; this module wraps its coefficient tensor in objects convenient for
+the verification layer, and every operation on class functions is an index
+operation, an integer matrix product or an exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 
 import numpy as np
 
 from .abelian import DualChar
-from .cyclotomic import Cyclo
+from .cyclotomic import matmul, phi, substitute
 from .dixon import VerificationError, lift_table, verify_orthogonality
 from .groups import MatrixGroup, ReductionHom
 
 
+def _promote(X: np.ndarray, e: int, E: int) -> np.ndarray:
+    """Coefficient rows over Z[zeta_e] rewritten over Z[zeta_E], e | E."""
+    return X if E == e else substitute(X, e, E, E // e)
+
+
 class ClassFunction:
-    """A class function on an enumerated group, one Cyclo per class."""
+    """A class function on an enumerated group: `coeffs[k]` holds the
+    canonical Z[zeta_e] coefficients of its value on class k."""
 
-    __slots__ = ("group", "values", "irreducible")
+    __slots__ = ("group", "e", "coeffs")
 
-    def __init__(self, group: MatrixGroup, values, irreducible: bool = False):
+    def __init__(self, group: MatrixGroup, e: int, coeffs):
         self.group = group
-        self.values = tuple(values)
-        self.irreducible = irreducible
-        assert len(self.values) == group.conjugacy().n_classes
+        self.e = e
+        self.coeffs = np.asarray(coeffs, dtype=np.int64)
+        if self.coeffs.shape != (group.conjugacy().n_classes, phi(e)):
+            raise ValueError(f"class function coefficients of shape {self.coeffs.shape}")
 
-    def degree(self):
-        return self.values[0]
+    def _common(self, other: "ClassFunction"):
+        """The lcm of both exponents, and both coefficient arrays promoted to it."""
+        if self.group is not other.group:
+            raise ValueError("class functions on different groups")
+        E = lcm(self.e, other.e)
+        return E, _promote(self.coeffs, self.e, E), _promote(other.coeffs, other.e, E)
+
+    def degree(self) -> int:
+        if self.coeffs[0, 1:].any():
+            raise ValueError("value at the identity is not rational")
+        return int(self.coeffs[0, 0])
 
     def __add__(self, other):
-        assert self.group is other.group
-        return ClassFunction(
-            self.group, [a + b for a, b in zip(self.values, other.values)]
-        )
+        E, a, b = self._common(other)
+        return ClassFunction(self.group, E, a + b)
 
     def __sub__(self, other):
-        assert self.group is other.group
-        return ClassFunction(
-            self.group, [a - b for a, b in zip(self.values, other.values)]
-        )
+        return self + -other
 
     def __neg__(self):
-        return ClassFunction(self.group, [-a for a in self.values])
-
-    def __mul__(self, other):
-        """Pointwise product (tensor product of characters)."""
-        assert self.group is other.group
-        return ClassFunction(
-            self.group, [a * b for a, b in zip(self.values, other.values)]
-        )
+        return ClassFunction(self.group, self.e, -self.coeffs)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunction)
-            and self.group is other.group
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.values))
+        # canonical coefficients: equal values have equal rows over a common exponent
+        same = isinstance(other, ClassFunction) and self.group is other.group
+        return same and not (self - other).coeffs.any()
 
     def __repr__(self):
-        return f"ClassFunction(deg={self.degree()}, irr={self.irreducible})"
+        return f"ClassFunction(deg={format_value(self.coeffs[0], self.e)}, e={self.e})"
+
+
+def format_value(row, e: int) -> str:
+    """A Z[zeta_e] coefficient row as text: the integer itself when rational,
+    else the nonzero terms "c", "z{e}^i" and "c*z{e}^i" joined by " + "."""
+    row = [int(c) for c in row]
+    if not any(row[1:]):
+        return str(row[0])
+    terms = [str(c) if i == 0 else f"z{e}^{i}" if c == 1 else f"{c}*z{e}^{i}"
+             for i, c in enumerate(row) if c]
+    return " + ".join(terms)
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """<f, g> = (1/|G|) sum over G of f * conj(g), exact."""
-    if f.group is not g.group:
-        raise ValueError("inner product requires class functions on one group")
-    cd = f.group.conjugacy()
-    acc = Cyclo.zero(1)
-    for k in range(cd.n_classes):
-        term = f.values[k] * g.values[k].conj()
-        acc = acc + term.scale(int(cd.sizes[k]))
-    if not acc.is_rational():
+    """<f, g> = (1/|G|) sum_k |C_k| f(g_k) conj g(g_k), exact: one
+    `cyclotomic.matmul` of the values times the class sizes against the
+    conjugate values, which must be rational."""
+    E, a, b = f._common(g)
+    sizes = f.group.conjugacy().sizes.astype(np.int64)
+    P = matmul((a * sizes[:, None])[None], substitute(b, E, E, -1)[:, None], E)[0, 0]
+    if P[1:].any():
         raise ValueError("inner product is not rational")
-    return acc.rational_value() / f.group.order
+    return Fraction(int(P[0]), f.group.order)
 
 
 class CharacterTable:
@@ -104,17 +115,8 @@ class CharacterTable:
 
     @cached_property
     def chars(self) -> list[ClassFunction]:
-        """The irreducibles as class functions, built from `coeffs` on first use."""
-        return [
-            ClassFunction(
-                self.group, [Cyclo(self.exponent, c) for c in row.tolist()], irreducible=True
-            )
-            for row in self.coeffs
-        ]
-
-    @cached_property
-    def _index(self) -> dict:
-        return {ch.values: i for i, ch in enumerate(self.chars)}
+        """The irreducibles as class functions over the table's coefficients."""
+        return [ClassFunction(self.group, self.exponent, row) for row in self.coeffs]
 
     def __len__(self):
         return len(self.degrees)
@@ -133,7 +135,10 @@ class CharacterTable:
 
     def find(self, f: ClassFunction) -> int | None:
         """Index of an irreducible equal to f, or None."""
-        return self._index.get(tuple(f.values))
+        E = lcm(f.e, self.exponent)
+        rows = _promote(self.coeffs, self.exponent, E)
+        hits = np.flatnonzero((rows == _promote(f.coeffs, f.e, E)).all(axis=(1, 2)))
+        return int(hits[0]) if len(hits) else None
 
     def degree_count(self, d: int) -> int:
         return int((self.degrees == d).sum())
@@ -143,10 +148,9 @@ class CharacterTable:
     def to_tsv(self) -> str:
         cd = self.conjugacy
         lines = ["\t".join(["rep_index", "class_size"] + [f"chi{i}" for i in range(len(self))])]
-        for k in range(cd.n_classes):
-            rep_index = int(self.group.pos_of[int(cd.reps[k])])
-            row = [str(rep_index), str(int(cd.sizes[k]))]
-            row += [repr(ch.values[k]) for ch in self.chars]
+        reps = self.group.pos_of[cd.reps]
+        for rep, size, values in zip(reps, cd.sizes, self.coeffs.swapaxes(0, 1)):
+            row = [str(rep), str(size)] + [format_value(v, self.exponent) for v in values]
             lines.append("\t".join(row))
         return "\n".join(lines) + "\n"
 
@@ -160,11 +164,8 @@ class CharacterTable:
             "class_reps": [int(c) for c in cd.reps],
             "class_sizes": [int(s) for s in cd.sizes],
             "characters": [
-                {
-                    "degree": int(self.degrees[i]),
-                    "values": [list(map(int, self.coeffs[i, k])) for k in range(cd.n_classes)],
-                }
-                for i in range(len(self))
+                {"degree": int(d), "values": values.tolist()}
+                for d, values in zip(self.degrees, self.coeffs)
             ],
         }
 
@@ -186,39 +187,47 @@ def character_table(group: MatrixGroup) -> CharacterTable:
 
 def inflate(chi: ClassFunction, hom: ReductionHom) -> ClassFunction:
     """Pull back a class function on G_{r'} to G_r along the reduction."""
-    assert chi.group is hom.target
-    src_cd = hom.source.conjugacy()
-    tgt_cd = hom.target.conjugacy()
-    vals = []
-    for k in range(src_cd.n_classes):
-        img = hom(int(src_cd.reps[k]))
-        vals.append(chi.values[int(tgt_cd.class_of[img])])
-    return ClassFunction(hom.source, vals, irreducible=chi.irreducible)
+    if chi.group is not hom.target:
+        raise ValueError("inflate: chi does not live on the reduction's target")
+    img_class = hom.target.conjugacy().class_of[hom.code_map[hom.source.conjugacy().reps]]
+    return ClassFunction(hom.source, chi.e, chi.coeffs[img_class])
+
+
+def _exact_quotient(num: np.ndarray, den: int, what: str) -> np.ndarray:
+    """num / den, exact.  The power basis is an integral basis of Z[zeta_e],
+    so values of virtual characters have integer coefficients; a quotient
+    that is not exact comes from other input and raises ValueError."""
+    if (num % den).any():
+        raise ValueError(f"{what} is not integral over Z[zeta_e]")
+    return num // den
+
+
+def _coset_counts(hom: ReductionHom) -> np.ndarray:
+    """The coset-count matrix C of `adjunction_defect`; each row sums to |N|."""
+    src_cd, tgt_cd = hom.source.conjugacy(), hom.target.conjugacy()
+    ns, nt = src_cd.n_classes, tgt_cd.n_classes
+    N = hom.kernel_codes
+    Y = hom.source.codes[[np.flatnonzero(hom.image_of == rep)[0] for rep in tgt_cd.reps]]
+    cosets = hom.source.space.mul(np.repeat(Y, len(N)), np.tile(N, nt))
+    rows = np.repeat(np.arange(nt), len(N))
+    return np.bincount(rows * ns + src_cd.class_of[cosets], minlength=nt * ns).reshape(nt, ns)
 
 
 def kernel_average(psi: ClassFunction, hom: ReductionHom) -> ClassFunction:
     """The class function on G_{r'} obtained by averaging psi over kernel
-    cosets: psi^N(ybar) = (1/|N|) sum over n in N of psi(y n)."""
-    assert psi.group is hom.source
-    src = hom.source
-    src_cd = src.conjugacy()
-    tgt_cd = hom.target.conjugacy()
-    N = hom.kernel_codes
-    sp = src.space
-    vals = []
-    for k in range(tgt_cd.n_classes):
-        tgt_rep = int(tgt_cd.reps[k])
-        # some preimage of the representative
-        pos = int(np.nonzero(hom.image_of == tgt_rep)[0][0])
-        y = int(src.codes[pos])
-        coset = sp.mul(np.int64(y), N)
-        classes = src_cd.class_of[coset]
-        acc = Cyclo.zero(1)
-        counts = np.bincount(classes, minlength=src_cd.n_classes)
-        for cidx in np.nonzero(counts)[0]:
-            acc = acc + psi.values[int(cidx)].scale(int(counts[cidx]))
-        vals.append(acc.scale(Fraction(1, len(N))))
-    return ClassFunction(hom.target, vals)
+    cosets: psi^N(ybar) = (1/|N|) sum over n in N of psi(y n), that is
+    (1/|N|) C psi for the coset-count matrix C of `_coset_counts`.
+
+    A row of C is nonnegative and sums to |N|, so an entry of C psi is at
+    most |N| max|psi| in absolute value; it is computed only below 2^63."""
+    if psi.group is not hom.source:
+        raise ValueError("kernel_average: psi does not live on the reduction's source")
+    n = len(hom.kernel_codes)
+    bound = n * int(np.abs(psi.coeffs).max(initial=0))
+    if bound >= 2**63:
+        raise OverflowError(f"int64 overflow risk: kernel average bound {bound} >= 2^63")
+    sums = _coset_counts(hom) @ psi.coeffs
+    return ClassFunction(hom.target, psi.e, _exact_quotient(sums, n, "kernel average"))
 
 
 def adjunction_check(chi: ClassFunction, psi: ClassFunction, hom: ReductionHom) -> bool:
@@ -254,23 +263,12 @@ def adjunction_defect(hom: ReductionHom) -> np.ndarray:
     |C'_j| |N| = |G|), and |G| <= GROUP_BOUND for every enumerated group
     (|G| <= TABLE_BOUND wherever tables exist), so int64 is exact.
     """
-    src, tgt = hom.source, hom.target
-    src_cd, tgt_cd = src.conjugacy(), tgt.conjugacy()
+    src_cd, tgt_cd = hom.source.conjugacy(), hom.target.conjugacy()
     ns, nt = src_cd.n_classes, tgt_cd.n_classes
-    N = hom.kernel_codes
     img_class = tgt_cd.class_of[hom.code_map[src_cd.reps]]
     AS = np.zeros((nt, ns), dtype=np.int64)
     AS[img_class, np.arange(ns)] = src_cd.sizes
-    # one preimage y_j of each target representative, and its coset y_j N
-    pos = np.array(
-        [np.flatnonzero(hom.image_of == rep)[0] for rep in tgt_cd.reps], dtype=np.int64
-    )
-    Y = src.codes[pos]
-    cosets = src.space.mul(np.repeat(Y, len(N)), np.tile(N, nt))
-    rows = np.repeat(np.arange(nt), len(N))
-    C = np.bincount(
-        rows * ns + src_cd.class_of[cosets], minlength=nt * ns
-    ).reshape(nt, ns)
+    C = _coset_counts(hom)
     return AS - tgt_cd.sizes.astype(np.int64)[:, None] * C
 
 
@@ -278,38 +276,36 @@ def adjunction_defect(hom: ReductionHom) -> np.ndarray:
 # induction and restriction
 
 
-def induce(group: MatrixGroup, sub_codes: np.ndarray, sub_values: dict) -> ClassFunction:
-    """Induced class function from a subgroup given by element codes and a
-    value dict code -> Cyclo.  Standard formula summed over the big group."""
-    sp = group.space
+def induce(group: MatrixGroup, sub_codes: np.ndarray, sub_values, e: int) -> ClassFunction:
+    """The class function induced from a subgroup H, given by its element
+    codes and an (|H|, phi(e)) coefficient array aligned with them:
+    Ind f(g_k) = |C_G(g_k)| / |H| * sum over h in H and in class k of f(h).
+
+    Exactness.  The class sums are added in int64 (np.add.at), each at most
+    |H| x in absolute value for x = max|f|, and then multiplied by a
+    centralizer order at most |G|; both steps run only when |G| |H| x is
+    below 2^63.  The division by |H| must be exact (`_exact_quotient`)."""
     cd = group.conjugacy()
-    in_sub = np.zeros(sp.N, dtype=bool)
-    in_sub[sub_codes] = True
-    all_codes = group.codes
-    all_inv = sp.inv(all_codes)
-    vals = []
-    for k in range(cd.n_classes):
-        z = np.int64(cd.reps[k])
-        conjs = sp.mul(sp.mul(all_inv, z), all_codes)
-        hits = conjs[in_sub[conjs]]
-        acc = Cyclo.zero(1)
-        if len(hits):
-            uniq, cnt = np.unique(hits, return_counts=True)
-            for u, c in zip(uniq, cnt):
-                acc = acc + sub_values[int(u)].scale(int(c))
-        vals.append(acc.scale(Fraction(1, len(sub_codes))))
-    return ClassFunction(group, vals)
+    sub_values = np.asarray(sub_values, dtype=np.int64)
+    if sub_values.shape != (len(sub_codes), phi(e)):
+        raise ValueError(f"induce: values of shape {sub_values.shape} for |H| = {len(sub_codes)}")
+    bound = group.order * len(sub_codes) * int(np.abs(sub_values).max(initial=0))
+    if bound >= 2**63:
+        raise OverflowError(f"int64 overflow risk: induction bound {bound} >= 2^63")
+    sums = np.zeros((cd.n_classes, phi(e)), dtype=np.int64)
+    np.add.at(sums, cd.class_of[sub_codes], sub_values)
+    num = cd.centralizer_orders.astype(np.int64)[:, None] * sums
+    return ClassFunction(group, e, _exact_quotient(num, len(sub_codes), "Ind f"))
 
 
-def restrict(chi: ClassFunction, sub_codes: np.ndarray) -> dict:
-    """Restriction to a subgroup as a value dict code -> Cyclo."""
-    cd = chi.group.conjugacy()
-    return {int(c): chi.values[int(cd.class_of[c])] for c in sub_codes}
+def restrict(chi: ClassFunction, sub_codes: np.ndarray) -> np.ndarray:
+    """Restriction to a subgroup: the coefficient rows of chi at the given
+    element codes, in their order."""
+    return chi.coeffs[chi.group.conjugacy().class_of[sub_codes]]
 
 
 def trivial_character(group: MatrixGroup) -> ClassFunction:
-    one = Cyclo.from_rational(1)
-    return ClassFunction(group, [one] * group.conjugacy().n_classes, irreducible=True)
+    return ClassFunction(group, 1, np.ones((group.conjugacy().n_classes, 1), dtype=np.int64))
 
 
 def steinberg(group: MatrixGroup) -> ClassFunction:
@@ -317,29 +313,25 @@ def steinberg(group: MatrixGroup) -> ClassFunction:
     if group.ring.r != 1:
         raise ValueError("the Steinberg construction here requires level 1")
     B = group.borel_codes()
-    one = Cyclo.from_rational(1)
-    ind = induce(group, B, {int(c): one for c in B})
-    st = ind - trivial_character(group)
+    st = induce(group, B, np.ones((len(B), 1), dtype=np.int64), 1) - trivial_character(group)
     ip = inner_product(st, st)
     if ip != 1:
         raise ArithmeticError(f"Steinberg candidate has norm {ip}, expected 1")
-    st.irreducible = True
-    assert st.degree() == group.ring.q
+    if st.degree() != group.ring.q:
+        raise ArithmeticError(f"Steinberg candidate has degree {st.degree()}, expected q")
     return st
+
+
+def tensor_linear(chi: ClassFunction, alpha: DualChar) -> ClassFunction:
+    """chi tensored with alpha(det(-)): each value times the root of unity
+    alpha(det g_k) = zeta_L^a_k, over the common exponent E = lcm(e, L)."""
+    L = alpha.group.exponent
+    E = lcm(chi.e, L)
+    dets = chi.group.space.det[chi.group.conjugacy().reps]
+    shift = np.array([alpha.root_exp(int(d)) for d in dets], dtype=np.int64) * (E // L)
+    return ClassFunction(chi.group, E, substitute(chi.coeffs, chi.e, E, E // chi.e, shift))
 
 
 def linear_character_from_det(group: MatrixGroup, alpha: DualChar) -> ClassFunction:
     """The one-dimensional character g -> alpha(det g)."""
-    cd = group.conjugacy()
-    dets = group.space.det[cd.reps]
-    L = alpha.group.exponent
-    vals = [Cyclo.root_of_unity(L, alpha.root_exp(int(d))) for d in dets]
-    return ClassFunction(group, vals, irreducible=True)
-
-
-def tensor_linear(chi: ClassFunction, alpha: DualChar) -> ClassFunction:
-    """chi tensored with alpha(det(-)); preserves degree and irreducibility."""
-    lin = linear_character_from_det(chi.group, alpha)
-    out = chi * lin
-    out.irreducible = chi.irreducible
-    return out
+    return tensor_linear(trivial_character(group), alpha)

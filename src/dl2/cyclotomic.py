@@ -1,19 +1,19 @@
-"""Exact arithmetic in cyclotomic integers (and their rational spans).
+"""Exact arithmetic in the cyclotomic integers Z[zeta_e].
 
-A value is stored against a fixed root-of-unity order e as the canonical
-remainder modulo the e-th cyclotomic polynomial: a coefficient tuple
-(c_0, ..., c_{phi(e)-1}) meaning sum(c_i * zeta_e^i).  Coefficients are
-Python ints or Fractions, so equality is structural and no floating point
-enters anywhere.  Values of different orders are combined by promoting both
-to the lcm order.
+An element is stored against a fixed root-of-unity order e as the canonical
+remainder modulo the e-th cyclotomic polynomial: an integer coefficient row
+(c_0, ..., c_{phi(e)-1}) meaning sum(c_i * zeta_e^i).  The power basis is an
+integral basis of Z[zeta_e], so equality is equality of rows and no floating
+point or fraction enters anywhere.
 
-Matrices over Z[zeta_e] are integer coefficient tensors (rows, columns,
-phi(e)); `matmul` is their one product, with its int64 bound checked.
+Arrays of elements are int64 tensors whose last axis holds the phi(e)
+coefficients.  `matmul` is their one product and `substitute` their one
+change of root (promotion to a multiple order, conjugation, Galois action,
+multiplication by a root of unity); both check their int64 bound.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -45,7 +45,8 @@ def cyclotomic_poly(e: int) -> tuple:
     for d in range(1, e):
         if e % d == 0:
             q, r = _poly_divmod_int(num, list(cyclotomic_poly(d)))
-            assert not any(r), "cyclotomic division must be exact"
+            if any(r):
+                raise ArithmeticError(f"Phi_{d} does not divide x^{e} - 1 exactly")
             num = q
     return tuple(num)
 
@@ -68,12 +69,6 @@ def zeta_powers(e: int) -> np.ndarray:
     out = np.array(rows, dtype=np.int64)
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=None)
-def zeta_power_coeffs(e: int, j: int) -> tuple:
-    """Canonical coefficients of zeta_e^j, as Python ints."""
-    return tuple(int(c) for c in zeta_powers(e)[j % e])
 
 
 def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
@@ -110,161 +105,26 @@ def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     return np.moveaxis(out, 0, 2)
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def substitute(X: np.ndarray, e: int, E: int, m: int, shift=0) -> np.ndarray:
+    """Coefficient rows over Z[zeta_e] under zeta_e^i -> zeta_E^(i m + shift):
+    the ring map zeta_e -> zeta_E^m, then multiplication by zeta_E^shift.
 
+    X has shape (..., phi(e)); `shift`, an int or an int array broadcasting
+    against X.shape[:-1], gives one root of unity per row.  zeta_E^m must be
+    a primitive e-th root (gcd(m, E) = E/e): m = E/e promotes to Z[zeta_E],
+    and with E = e, m = -1 conjugates and a unit m is a Galois substitution.
 
-class Cyclo:
-    """An element of Q(zeta_e) in the canonical power basis mod Phi_e."""
-
-    __slots__ = ("e", "c")
-
-    def __init__(self, e: int, coeffs):
-        self.e = e
-        d = phi(e)
-        c = list(coeffs)
-        c += [0] * (d - len(c))
-        assert len(c) == d
-        self.c = tuple(_norm_coeff(x) for x in c[:d])
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def zero(e: int = 1) -> "Cyclo":
-        return Cyclo(e, [0] * phi(e))
-
-    @staticmethod
-    def from_rational(v, e: int = 1) -> "Cyclo":
-        d = phi(e)
-        c = [0] * d
-        if d:
-            c[0] = v
-        return Cyclo(e, c)
-
-    @staticmethod
-    def root_of_unity(e: int, j: int) -> "Cyclo":
-        return Cyclo(e, zeta_power_coeffs(e, j))
-
-    # -- representation changes -------------------------------------------------
-
-    def _substitute(self, E: int, m: int) -> "Cyclo":
-        """The image in Q(zeta_E) under zeta_e^i -> zeta_E^(i m)."""
-        out = [0] * phi(E)
-        for i, ci in enumerate(self.c):
-            if ci:
-                for j, zj in enumerate(zeta_power_coeffs(E, i * m)):
-                    if zj:
-                        out[j] += ci * zj
-        return Cyclo(E, out)
-
-    def promote(self, E: int) -> "Cyclo":
-        """Rewrite in Q(zeta_E); requires e | E."""
-        if E == self.e:
-            return self
-        assert E % self.e == 0
-        return self._substitute(E, E // self.e)
-
-    @staticmethod
-    def _common(a: "Cyclo", b: "Cyclo"):
-        if a.e == b.e:
-            return a, b
-        E = a.e // gcd(a.e, b.e) * b.e
-        return a.promote(E), b.promote(E)
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Cyclo):
-            other = Cyclo.from_rational(other, 1)
-        a, b = Cyclo._common(self, other)
-        return Cyclo(a.e, [x + y for x, y in zip(a.c, b.c)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Cyclo):
-            other = Cyclo.from_rational(other, 1)
-        a, b = Cyclo._common(self, other)
-        return Cyclo(a.e, [x - y for x, y in zip(a.c, b.c)])
-
-    def __neg__(self):
-        return Cyclo(self.e, [-x for x in self.c])
-
-    def __mul__(self, other):
-        if not isinstance(other, Cyclo):
-            return Cyclo(self.e, [x * other for x in self.c])
-        a, b = Cyclo._common(self, other)
-        d = phi(a.e)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a.c):
-            if ai:
-                for j, bj in enumerate(b.c):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [0] * d
-        for s, cs in enumerate(conv):
-            if cs:
-                rs = zeta_power_coeffs(a.e, s)
-                for j in range(d):
-                    if rs[j]:
-                        out[j] += cs * rs[j]
-        return Cyclo(a.e, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, v) -> "Cyclo":
-        return Cyclo(self.e, [x * v for x in self.c])
-
-    def conj(self) -> "Cyclo":
-        """Complex conjugation zeta -> zeta^-1."""
-        return self._substitute(self.e, -1)
-
-    def galois_power(self, m: int) -> "Cyclo":
-        """The Galois substitution zeta -> zeta^m; requires gcd(m, e) = 1."""
-        assert gcd(m, self.e) == 1, "substitution exponent must be coprime to e"
-        return self._substitute(self.e, m)
-
-    # -- predicates ----------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
-
-    def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.c[0]) if self.c else Fraction(0)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and Fraction(self.c[0] if self.c else 0) == other
-        if not isinstance(other, Cyclo):
-            return NotImplemented
-        a, b = Cyclo._common(self, other)
-        return a.c == b.c
-
-    def __hash__(self):
-        # The same value can be written against different exponents, so the
-        # hash may only depend on the value itself.  Rational values hash by
-        # value; hashing all irrational values alike is valid (equality does
-        # the real work) and they are rare as dict keys.
-        if self.is_rational():
-            return hash(Fraction(self.c[0] if self.c else 0))
-        return hash("cyclo-irrational")
-
-    def __repr__(self):
-        if self.is_rational():
-            return str(self.c[0] if self.c else 0)
-        terms = []
-        for i, ci in enumerate(self.c):
-            if ci == 0:
-                continue
-            if i == 0:
-                terms.append(str(ci))
-            elif ci == 1:
-                terms.append(f"z{self.e}^{i}")
-            else:
-                terms.append(f"{ci}*z{self.e}^{i}")
-        return " + ".join(terms) if terms else "0"
+    int64 bound.  An output coefficient sums phi(e) products of an entry of X
+    and one of `zeta_powers(E)`, so it and its partial sums are at most
+    phi(e) x z for x = max|X|, z = max|zeta_powers(E)|; OverflowError is
+    raised when that bound reaches 2^63.
+    """
+    if E % e or gcd(m, E) != E // e:
+        raise ValueError(f"zeta_{E}^{m} is not a primitive {e}-th root of unity")
+    X = np.asarray(X, dtype=np.int64)
+    Z = zeta_powers(E)
+    bound = phi(e) * int(np.abs(X).max(initial=0)) * int(np.abs(Z).max())
+    if bound >= 2**63:
+        raise OverflowError(f"int64 overflow risk: substitution bound {bound} >= 2^63")
+    S = Z[(np.arange(phi(e)) * m + np.asarray(shift)[..., None]) % E]
+    return (X[..., None, :] @ S)[..., 0, :]

@@ -31,7 +31,7 @@ from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py 
     trivial_character,
     TABLE_BOUND,
 )
-from .cyclotomic import matmul, zeta_powers
+from .cyclotomic import matmul, substitute
 from .groups import GROUP_BOUND, gl2_order, make_group, sl2_order
 from .predictor import (
     CLAUSE_SL_EVEN,
@@ -159,6 +159,7 @@ class CaseData:
         self.p, self.k, self.r, self.mode, self.flavor = p, k, r, mode, flavor
         self.q = p**k
         self.cache_dir = cache_dir
+        self._predictions = {}  # theta.a -> Prediction
 
     def key(self) -> dict:
         return {
@@ -188,9 +189,11 @@ class CaseData:
         return classify_all(self.torus)
 
     def predict(self, tc) -> Prediction:
-        if self.flavor == "gl":
-            return predict_gl2(tc, self.q, self.r)
-        return predict_sl2(tc, self.q, self.r)
+        """The prediction for tc, computed once per theta of the case."""
+        if tc.theta.a not in self._predictions:
+            predict = predict_gl2 if self.flavor == "gl" else predict_sl2
+            self._predictions[tc.theta.a] = predict(tc, self.q, self.r)
+        return self._predictions[tc.theta.a]
 
     def torus_size(self) -> int:
         return torus_order(self.q, self.r)
@@ -259,18 +262,12 @@ def check_stability(cd: CaseData):
     matching the twisted Weyl fixed-point count, with both constituents
     irreducible of degrees 1 and q in the level-r table."""
     hom = cd.group.reduction(1)
-    g1 = hom.target
-    st1 = steinberg(g1)
-    v = inflate(trivial_character(g1), hom) - inflate(st1, hom)
-    ip = inner_product(v, v)
+    triv, st = (inflate(f(hom.target), hom) for f in (trivial_character, steinberg))
+    ip = inner_product(triv - st, triv - st)
     w = coxeter_element(2)
     weyl_count = len(twisted_fixed_subgroup(RootSystemData(2), w))
     tab = cd.table
-    i_triv = tab.find(inflate(trivial_character(g1), hom))
-    i_st = tab.find(inflate(st1, hom))
-    degs = sorted(
-        int(tab.degrees[i]) for i in (i_triv, i_st) if i is not None
-    )
+    degs = sorted(int(tab.degrees[i]) for i in (tab.find(triv), tab.find(st)) if i is not None)
     computed = {
         "inner_product": _json_safe(ip),
         "constituent_degrees": degs,
@@ -499,10 +496,9 @@ def check_sign_formula(cd: CaseData):
 def _first_failed_pair(D: np.ndarray, low: CharacterTable, high: CharacterTable):
     """The first (i, j) in row-major order with chi_i^T D conj(psi_j) != 0,
     or None when D annihilates every pair of the two tables."""
-    # the exponent of the quotient divides the group's: zeta_low^a = zeta^(a step)
+    # the exponent of the quotient divides the group's, so its values promote
     e = high.exponent
-    step = e // low.exponent
-    chi = low.coeffs @ zeta_powers(e)[step * np.arange(low.coeffs.shape[2])]
+    chi = substitute(low.coeffs, low.exponent, e, e // low.exponent)
     W = np.einsum("iak,ab->ibk", chi, D)
     psi_bar = high.coeffs[:, high.conjugacy.inverse_class, :].transpose(1, 0, 2)
     failed = np.argwhere(matmul(W, psi_bar, e).any(axis=2))

@@ -1,6 +1,9 @@
+import ast
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import dl2
 from dl2.abelian import FiniteAbelianGroup
 from dl2.characters import (
     CharacterTable,
+    ClassFunction,
     VerificationError,
     adjunction_check,
     adjunction_defect,
@@ -24,7 +28,7 @@ from dl2.characters import (
     tensor_linear,
     trivial_character,
 )
-from dl2.cyclotomic import Cyclo
+from dl2.cyclotomic import matmul, substitute, zeta_powers
 from dl2 import dixon
 from dl2.dixon import _split_blocks
 from dl2.groups import make_group
@@ -93,8 +97,7 @@ def test_one_minus_steinberg_norm_two():
 def test_induction_from_borel():
     G = make_group(3, 1, 1, "mixed", "gl")
     B = G.borel_codes()
-    one = Cyclo.from_rational(1)
-    ind = induce(G, B, {int(c): one for c in B})
+    ind = induce(G, B, np.ones((len(B), 1), dtype=np.int64), 1)
     assert ind.degree() == 4  # q + 1
 
 
@@ -105,14 +108,88 @@ def test_frobenius_reciprocity_exhaustive():
     AB = FiniteAbelianGroup(B, G.space.mul, G.space.identity)
     for phi_ab in AB.dual():
         L = AB.exponent
-        vals = {int(c): Cyclo.root_of_unity(L, phi_ab.root_exp(int(c))) for c in B}
-        ind = induce(G, B, vals)
+        vals = zeta_powers(L)[[phi_ab.root_exp(int(c)) for c in B]]
+        ind = induce(G, B, vals, L)
         for chi in tab.chars:
-            res = restrict(chi, B)
-            acc = Cyclo.zero(1)
-            for c in B:
-                acc = acc + vals[int(c)] * res[int(c)].conj()
-            assert inner_product(ind, chi) == acc.rational_value() / len(B)
+            E = lcm(L, chi.e)
+            res = substitute(restrict(chi, B), chi.e, E, E // chi.e)
+            f = substitute(vals, L, E, E // L)
+            acc = matmul(f[None], substitute(res, E, E, -1)[:, None], E)[0, 0]
+            assert not acc[1:].any()
+            assert inner_product(ind, chi) == Fraction(int(acc[0]), len(B))
+
+
+def _linear_characters_of_borel(G):
+    """B, the positions of its codes, and every linear character of B as
+    (L, exponent array aligned with B): the characters of B/[B, B], counted
+    against [B, B] found by closing the commutators of B under products."""
+    sp = G.space
+    B = G.borel_codes()
+    x, y = np.repeat(B, len(B)), np.tile(B, len(B))
+    comm = set(sp.mul(sp.mul(sp.inv(x), sp.inv(y)), sp.mul(x, y)).tolist())
+    while True:
+        c = np.array(sorted(comm), dtype=np.int64)
+        closed = comm | set(sp.mul(np.repeat(c, len(c)), np.tile(c, len(c))).tolist())
+        if closed == comm:
+            break
+        comm = closed
+    in_comm = np.isin(B, c)
+    chars = []
+    if G.ring.q == 2:  # B has order 2 and is abelian
+        AB = FiniteAbelianGroup(B, sp.mul, sp.identity)
+        chars = [(AB.exponent, np.array([t.root_exp(int(b)) for b in B])) for t in AB.dual()]
+    else:  # B/[B, B] is the diagonal torus: t = alpha(a) beta(d)
+        R = G.ring
+        U = FiniteAbelianGroup(R.units(), lambda a, b: R.mul[a, b], R.one)
+        a, _b, _c, d = sp.dec(B)
+        betas = U.dual() if G.flavor == "gl" else [U.trivial_char()]
+        for alpha in U.dual():
+            for beta in betas:
+                exps = [alpha.root_exp(int(u)) + beta.root_exp(int(v)) for u, v in zip(a, d)]
+                chars.append((U.exponent, np.array(exps)))
+    assert len(chars) == len(B) // len(c)
+    pos = np.full(sp.N, -1, dtype=np.int64)
+    pos[B] = np.arange(len(B))
+    for L, exps in chars:
+        # a homomorphism, trivial on [B, B]
+        assert ((exps[pos[x]] + exps[pos[y]] - exps[pos[sp.mul(x, y)]]) % L == 0).all()
+        assert (exps[in_comm] % L == 0).all()
+    assert len({tuple(zeta_powers(L)[exps % L].ravel()) for L, exps in chars}) == len(chars)
+    return B, pos, chars
+
+
+@pytest.mark.parametrize("p,flavor", [(2, "gl"), (3, "gl"), (5, "sl")])
+def test_induce_matches_sum_over_group(p, flavor):
+    """Ind f(g) = (1/|H|) sum over x in G of f(x^-1 g x), f extended by 0,
+    summed over coefficient rows with additions only."""
+    G = make_group(p, 1, 1, "mixed", flavor)
+    sp, cd = G.space, G.conjugacy()
+    B, pos, chars = _linear_characters_of_borel(G)
+    inv = sp.inv(G.codes)
+    for L, exps in chars:
+        vals = zeta_powers(L)[exps % L]
+        ind = induce(G, B, vals, L)
+        assert ind.e == L
+        for k, g in enumerate(cd.reps):
+            conjs = sp.mul(sp.mul(inv, np.int64(g)), G.codes)
+            hits = pos[conjs][pos[conjs] >= 0]
+            acc = vals[hits].sum(axis=0) if len(hits) else np.zeros(vals.shape[1], dtype=np.int64)
+            assert (len(B) * ind.coeffs[k] == acc).all()
+
+
+def test_induce_and_kernel_average_reject_non_integral_values():
+    G = make_group(3, 1, 1, "mixed", "gl")
+    B = G.borel_codes()
+    unipotent = np.zeros((len(B), 1), dtype=np.int64)
+    unipotent[np.flatnonzero(B != G.space.identity)[0]] = 1
+    with pytest.raises(ValueError, match="not integral"):
+        induce(G, B, unipotent, 1)  # delta at one element: not a class function of B
+    H = make_group(2, 1, 2, "mixed", "gl")
+    h = H.reduction(1)
+    delta = np.zeros((H.conjugacy().n_classes, 1), dtype=np.int64)
+    delta[0] = 1  # the identity class: its average over the kernel is 1/|N|
+    with pytest.raises(ValueError, match="not integral"):
+        kernel_average(ClassFunction(H, 1, delta), h)
 
 
 def test_inflation():
@@ -277,3 +354,53 @@ def test_table_dumps():
     d = tab.to_json_dict()
     assert d["format"] == "dl2-table/1"
     assert len(d["characters"]) == 3
+
+
+@pytest.mark.parametrize("p,r,flavor", [(3, 1, "gl"), (5, 1, "sl"), (2, 2, "gl")])
+def test_table_tsv_matches_golden_dump(p, r, flavor):
+    """The TSV dump, irrational values included, is byte for byte the
+    recorded one."""
+    golden = Path(__file__).parent / "data" / f"table-p{p}k1r{r}-mixed-{flavor}.tsv"
+    tab = character_table(make_group(p, 1, r, "mixed", flavor))
+    assert tab.to_tsv() == golden.read_text()
+
+
+def test_class_function_checks_survive_python_O():
+    code = (
+        "import numpy as np\n"
+        "from dl2.characters import ClassFunction, inflate, trivial_character\n"
+        "from dl2.groups import make_group\n"
+        "print(__debug__)\n"
+        "G = make_group(2, 1, 3, 'mixed', 'gl')\n"
+        "chi = trivial_character(G.reduction(2).target)\n"
+        "for attempt in (lambda: inflate(chi, G.reduction(1)),\n"
+        "                lambda: ClassFunction(G, 1, np.ones((1, 1))),\n"
+        "                lambda: trivial_character(G) + chi):\n"
+        "    try:\n"
+        "        attempt()\n"
+        "    except ValueError:\n"
+        "        print('rejected')\n"
+    )
+    env = {"PYTHONPATH": str(Path(dl2.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert out.stdout.split() == ["False"] + ["rejected"] * 3
+
+
+# Modules whose `assert`s are not yet explicit raises; every other module
+# must not gain one, since `python -O` strips them.
+ASSERTS_NOT_YET_CONVERTED = {"dixon", "groups", "modlinalg", "predictor", "rings", "weyl"}
+
+
+def test_no_assert_outside_unconverted_modules():
+    src = Path(dl2.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.stem not in ASSERTS_NOT_YET_CONVERTED
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,10 +1,10 @@
-from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dl2.cyclotomic import Cyclo, cyclotomic_poly, matmul, phi, zeta_powers
+from dl2.cyclotomic import _poly_divmod_int, cyclotomic_poly, matmul, phi, substitute, zeta_powers
 
 
 def test_cyclotomic_polynomials():
@@ -18,58 +18,76 @@ def test_cyclotomic_polynomials():
     assert phi(72) == 24
 
 
+def _mul(a, b, e):
+    """The product of two Z[zeta_e] coefficient rows."""
+    return matmul(np.array(a)[None, None], np.array(b)[None, None], e)[0, 0]
+
+
+def _root(e, j):
+    return zeta_powers(e)[j % e]
+
+
+def _rational(v, e):
+    return [v] + [0] * (phi(e) - 1)
+
+
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 8, 12, 60, 72])
 def test_root_of_unity_identities(e):
-    z = Cyclo.root_of_unity(e, 1)
-    acc = Cyclo.from_rational(1, e)
+    z = _root(e, 1)
+    acc = np.array(_rational(1, e))
     for _ in range(e):
-        acc = acc * z
-    assert acc == 1
-    s = Cyclo.zero(e)
+        acc = _mul(acc, z, e)
+    assert acc.tolist() == _rational(1, e)
+    assert not zeta_powers(e).sum(axis=0).any()  # the e-th roots of unity sum to 0
+    m = next(m for m in range(2, e + 2) if math.gcd(m, e) == 1)
+    Z = zeta_powers(e)
     for j in range(e):
-        s = s + Cyclo.root_of_unity(e, j)
-    assert s.is_zero()
-    m = next(m for m in range(2, e + 2) if __import__("math").gcd(m, e) == 1)
-    for j in range(e):
-        zj = Cyclo.root_of_unity(e, j)
-        assert zj.conj() == Cyclo.root_of_unity(e, (e - j) % e)
-        assert zj * zj.conj() == 1
-        assert zj.galois_power(m) == Cyclo.root_of_unity(e, (m * j) % e)
+        zj = Z[j]
+        assert substitute(zj, e, e, -1).tolist() == _root(e, -j).tolist()
+        assert _mul(zj, substitute(zj, e, e, -1), e).tolist() == _rational(1, e)
+        assert substitute(zj, e, e, m).tolist() == _root(e, m * j).tolist()
+        assert substitute(zj, e, e, 1, shift=j).tolist() == _root(e, 2 * j).tolist()
+    assert (substitute(Z, e, e, -1) == Z[(-np.arange(e)) % e]).all()
 
 
 def test_cross_exponent_equality():
-    assert Cyclo.root_of_unity(6, 2) == Cyclo.root_of_unity(3, 1)
-    assert Cyclo.root_of_unity(4, 2) == Cyclo.from_rational(-1)
-    assert Cyclo.root_of_unity(2, 1) == -1
-    a = Cyclo.root_of_unity(12, 4) + Cyclo.root_of_unity(3, 2)
-    assert a.is_rational() and a.rational_value() == -1  # z3 + z3^2 = -1
+    assert substitute(_root(3, 1), 3, 6, 2).tolist() == _root(6, 2).tolist()
+    assert _root(4, 2).tolist() == _rational(-1, 4)
+    assert _root(2, 1).tolist() == [-1]
+    # z3 + z3^2 = -1, computed in Z[zeta_12]
+    a = _root(12, 4) + substitute(_root(3, 2), 3, 12, 4)
+    assert a.tolist() == _rational(-1, 12)
+    with pytest.raises(ValueError, match="primitive"):
+        substitute(_root(3, 1), 3, 12, 2)  # zeta_12^2 has order 6, not 3
 
 
-def test_rational_arithmetic():
-    half = Cyclo.from_rational(Fraction(1, 2), 12)
-    assert half + half == 1
-    assert (half * 4).rational_value() == 2
-    v = Cyclo.root_of_unity(5, 1) * Cyclo.root_of_unity(5, 4)
-    assert v == 1
+def test_products_of_roots():
+    assert _mul(_root(5, 1), _root(5, 4), 5).tolist() == _rational(1, 5)
+    assert _mul(_root(12, 5), _root(12, 9), 12).tolist() == _root(12, 2).tolist()
 
 
 def test_norm_of_one_plus_root():
-    a = Cyclo.from_rational(1, 5) + Cyclo.root_of_unity(5, 1)
-    n = a * a.conj()
-    expected = (
-        Cyclo.from_rational(2, 5)
-        + Cyclo.root_of_unity(5, 1)
-        + Cyclo.root_of_unity(5, 4)
-    )
-    assert n == expected
-    assert not n.is_rational()
+    a = np.array(_rational(1, 5)) + _root(5, 1)
+    n = _mul(a, substitute(a, 5, 5, -1), 5)
+    expected = np.array(_rational(2, 5)) + _root(5, 1) + _root(5, 4)
+    assert n.tolist() == expected.tolist()
+    assert n[1:].any()  # not rational
 
 
 def test_promote_and_scale():
-    x = Cyclo.root_of_unity(3, 1)
-    y = x.promote(12)
-    assert y.e == 12 and y == x
-    assert x.scale(Fraction(1, 3)) * 3 == x
+    x = _root(3, 1)
+    y = substitute(x, 3, 12, 4)
+    assert y.tolist() == _root(12, 4).tolist()
+    # promotion is a ring map: it commutes with products and integer scaling
+    assert substitute(_mul(x, x, 3), 3, 12, 4).tolist() == _mul(y, y, 12).tolist()
+    assert substitute(3 * x, 3, 12, 4).tolist() == (3 * y).tolist()
+
+
+def test_substitute_guards_int64_overflow():
+    # e = 4: phi(4) = 2, max|zeta_powers(4)| = 1, so the bound is 2 x
+    assert substitute(np.array([2**61, 0]), 4, 4, -1).tolist() == [2**61, 0]
+    with pytest.raises(OverflowError):
+        substitute(np.array([2**62, 0]), 4, 4, -1)
 
 
 def test_zeta_powers_rows():
@@ -92,6 +110,17 @@ def _product_case(draw):
     return e, X.reshape(n, m, phi(e)), Y.reshape(m, p, phi(e))
 
 
+def _poly_product_reference(x, y, e):
+    """The product of two coefficient rows as Python-int polynomials,
+    reduced modulo Phi_e by long division."""
+    conv = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += int(a) * int(b)
+    _, rem = _poly_divmod_int(conv, list(cyclotomic_poly(e)))
+    return rem + [0] * (phi(e) - len(rem))
+
+
 @given(_product_case())
 def test_matmul_matches_cyclo_loop(case):
     e, X, Y = case
@@ -99,10 +128,11 @@ def test_matmul_matches_cyclo_loop(case):
     assert P.shape == (X.shape[0], Y.shape[1], phi(e))
     for i in range(X.shape[0]):
         for j in range(Y.shape[1]):
-            acc = Cyclo.zero(e)
+            acc = [0] * phi(e)
             for a in range(X.shape[1]):
-                acc = acc + Cyclo(e, X[i, a].tolist()) * Cyclo(e, Y[a, j].tolist())
-            assert P[i, j].tolist() == list(acc.c)
+                term = _poly_product_reference(X[i, a], Y[a, j], e)
+                acc = [s + t for s, t in zip(acc, term)]
+            assert P[i, j].tolist() == acc
 
 
 def test_matmul_guards_int64_overflow():

@@ -4,8 +4,7 @@ import pytest
 
 import dl2.verifier
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
-from dl2.characters import adjunction_check, character_table
-from dl2.cyclotomic import Cyclo
+from dl2.characters import ClassFunction, adjunction_check, character_table
 from dl2.cli import main
 from dl2.groups import make_group
 from dl2.torus import classify_all
@@ -62,8 +61,8 @@ def test_r1_case_degenerates_cleanly():
 
 def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     # SL2(Z/4) mixed, with one kernel element swapped for a non-kernel one:
-    # the pairwise inner products stop being rational, and the check must
-    # still return a verdict naming the first failing pair.
+    # averaging over the broken kernel stops being integral, and the check
+    # must still return a verdict naming the first failing pair.
     G = make_group(2, 1, 2, "mixed", "sl")
     hom = G.reduction(1)
     assert G.codes[2] not in hom.kernel_codes
@@ -71,7 +70,7 @@ def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     hom.kernel_codes[0] = G.codes[2]
     low, high = character_table(hom.target), character_table(G)
     assert adjunction_check(low.chars[0], high.chars[0], hom)
-    with pytest.raises(ValueError, match="not rational"):
+    with pytest.raises(ValueError, match="not integral"):
         adjunction_check(low.chars[0], high.chars[1], hom)
 
     monkeypatch.setattr(type(G), "reduction", lambda self, r2: hom)
@@ -121,6 +120,21 @@ def test_mode_independence_predicts_once_per_theta(monkeypatch):
     c = check_mode_independence(CaseData(3, 1, 2, "mixed", "gl"), CaseData(3, 1, 2, "equal", "gl"))
     assert c.verdict == "pass" and c.computed["n_records"] == 72
     assert len(calls) == 2 * 72
+
+
+def test_run_suite_predicts_once_per_theta(monkeypatch):
+    """Dimension-law, degree-census, sign-formula and mode-independence share
+    one prediction per theta and case."""
+    calls = []
+    predict = dl2.verifier.predict_gl2
+    monkeypatch.setattr(dl2.verifier, "predict_gl2", lambda *a: calls.append(a) or predict(*a))
+    out = run_suite([(3, 1, 2, "gl", "mixed"), (3, 1, 2, "gl", "equal")])
+    assert out["all_pass"]
+    assert len(calls) == 2 * 72  # |T| = q^2 (q^2 - 1) thetas in each mode
+    per_torus = {}
+    for tc, _q, _r in calls:
+        per_torus.setdefault(id(tc.theta.group), set()).add(tc.theta.a)
+    assert sorted(len(thetas) for thetas in per_torus.values()) == [72, 72]
 
 
 def test_classical_sweep_check():
@@ -280,7 +294,9 @@ def test_table_cache_roundtrip(tmp_path):
     assert loaded is not None
     assert (loaded.coeffs == tab.coeffs).all()
     assert loaded.exponent == tab.exponent
-    assert [c.values for c in loaded.chars] == [c.values for c in tab.chars]
+    assert all(
+        a.e == b.e and (a.coeffs == b.coeffs).all() for a, b in zip(loaded.chars, tab.chars, strict=True)
+    )
 
 
 def test_cached_character_table(tmp_path):
@@ -291,22 +307,23 @@ def test_cached_character_table(tmp_path):
     assert (t1.coeffs == t2.coeffs).all()
 
 
-def test_table_paths_build_no_cyclo(tmp_path, monkeypatch):
+def test_table_paths_build_no_class_functions(tmp_path, monkeypatch):
     """Caching, reloading, verifying and dumping a table use its coefficient
     tensor alone; its class functions are built only on first use."""
 
-    def no_cyclo(self, e, coeffs):
-        raise AssertionError("Cyclo built")
+    def no_class_function(self, group, e, coeffs):
+        raise AssertionError("ClassFunction built")
 
-    monkeypatch.setattr(Cyclo, "__init__", no_cyclo)
+    monkeypatch.setattr(ClassFunction, "__init__", no_class_function)
     built = cached_character_table(2, 1, 2, "equal", "sl", cache_dir=str(tmp_path))
     loaded = load_table(2, 1, 2, "equal", "sl", tmp_path)
     for tab in (built, loaded):
         tab.verify()
         assert len(tab) == tab.conjugacy.n_classes
         assert tab.to_json_dict() == built.to_json_dict()
+        assert tab.to_tsv() == built.to_tsv()
         assert tab.degree_count(1) >= 1  # the trivial character
-    with pytest.raises(AssertionError, match="Cyclo built"):
+    with pytest.raises(AssertionError, match="ClassFunction built"):
         loaded.chars
 
 
