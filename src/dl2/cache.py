@@ -1,10 +1,12 @@
 """Portable on-disk cache for character tables.
 
 Files are keyed by (p, k, r, mode, flavor) and carry a format-version
-field; anything that fails validation is recomputed.  Each cached table's
-group is also written out (`save_group`), but nothing reads that file.  The cache directory
-comes from an explicit argument or the DL2_CACHE_DIR environment variable;
-with neither set, everything stays in process memory only.
+field; a table is returned only after `CharacterTable.verify()` accepts it,
+and anything that fails to read or to verify is recomputed and overwritten.
+Each cached table's group is also written out (`save_group`), but nothing
+reads that file.  The cache directory comes from an explicit argument or
+the DL2_CACHE_DIR environment variable; with neither set, everything stays
+in process memory only.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .characters import CharacterTable, character_table
+from .characters import CharacterTable, VerificationError, character_table
 from .groups import MatrixGroup, make_group
 
 GROUP_FORMAT = "dl2-group/1"
@@ -86,11 +89,13 @@ def save_table(table: CharacterTable, cache_dir: Path):
     }
     path = table_cache_path(cache_dir, R.p, R.k, R.r, R.mode, g.flavor)
     with gzip.open(path, "wt") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # one write: json.dump makes ~10^5 small ones
     return path
 
 
 def load_table(p, k, r, mode, flavor, cache_dir: Path) -> CharacterTable | None:
+    """The cached table, verified, or None when the file is missing, cannot
+    be read, or holds a table that fails verification."""
     path = table_cache_path(cache_dir, p, k, r, mode, flavor)
     if not path.exists():
         return None
@@ -105,9 +110,13 @@ def load_table(p, k, r, mode, flavor, cache_dir: Path) -> CharacterTable | None:
             return None
         coeffs = np.array(payload["coeffs"], dtype=np.int64)
         degrees = np.array(payload["degrees"], dtype=np.int64)
-        return CharacterTable(group, parts=(coeffs, payload["exponent"], degrees))
-    except Exception:
+        table = CharacterTable(group, parts=(coeffs, payload["exponent"], degrees))
+        del payload, coeffs  # free the parsed lists before verify() allocates
+        table.verify()
+    # EOFError and zlib.error: what a truncated or damaged gzip stream raises
+    except (VerificationError, OSError, EOFError, zlib.error, ValueError, KeyError, json.JSONDecodeError):
         return None
+    return table
 
 
 def cached_character_table(p, k, r, mode, flavor, cache_dir=None) -> CharacterTable:

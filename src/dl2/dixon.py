@@ -13,10 +13,13 @@ Stages:
      by square roots mod l;
   4. lifting to exact root-of-unity multiplicities with the inverse Fourier
      sum over power maps, then canonical reduction into Z[zeta_e];
-  5. exact integer verification of both orthogonality relations.
+  5. verification of both orthogonality relations over Z[zeta_e], exact via
+     split primes and CRT (`cyclotomic.matmul`).
 
-No floating point and no tolerance anywhere; every verification is an
-integer identity.
+No tolerance anywhere; every verification is an integer identity.  The
+products mod l are float64 BLAS products of residues (`modlinalg.matmul_mod`
+and `exact_matmul`), each guarded so that every partial sum is an integer
+below 2^53.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ import numpy as np
 from .cyclotomic import matmul, phi, zeta_powers
 from .groups import ConjugacyData, MatrixGroup
 from .modlinalg import (
+    exact_matmul,
     inv_mod,
     krylov_relation,
+    matmul_mod,
     nullspace,
     poly_apply_matvec,
     poly_lcm,
     poly_roots,
     primitive_root,
-    require_int64_exact,
     rref,
     sqrt_mod,
 )
@@ -75,32 +79,31 @@ def dixon_prime(order: int, exponent: int) -> int:
 
 
 def class_matrix(group: MatrixGroup, cd: ConjugacyData, i: int) -> np.ndarray:
-    """M_i over the integers; column k counts x in C_i with x^-1 z_k in C_j."""
+    """M_i over the integers; column k counts x in C_i with x^-1 z_k in C_j.
+
+    One product over all (x^-1, z_k) pairs, as an (n, |C_i|) array whose row
+    k holds the x^-1 z_k, and one count of (class, column) pairs."""
     sp = group.space
     n = cd.n_classes
-    X = cd.class_lists[i]
-    Xinv = sp.inv(X)
-    M = np.zeros((n, n), dtype=np.int64)
-    for k in range(n):
-        y = sp.mul(Xinv, np.int64(cd.reps[k]))
-        M[:, k] = np.bincount(cd.class_of[y], minlength=n)
-    return M
+    Xinv = sp.inv(cd.class_lists[i])
+    y = sp.mul(Xinv[None, :], cd.reps[:, None])
+    idx = cd.class_of[y] * n + np.arange(n)[:, None]
+    return np.bincount(idx.ravel(), minlength=n * n).reshape(n, n)
 
 
 def _split_blocks(blocks, M, l):
     """Refine invariant blocks (row-basis matrices in RREF) under M."""
-    # B @ M.T sums n = B.shape[1] products of residues below l, and R @ B
-    # sums d <= n of them; both stay exact in int64 when n * (l-1)^2 < 2^63.
-    require_int64_exact(M.shape[0], l)
+    Mt = M.T.astype(np.float64)  # converted once, not once per block
     out = []
     for B, piv in blocks:
         d = B.shape[0]
         if d == 1:
             out.append((B, piv))
             continue
-        Y = (B @ M.T) % l
+        Y = matmul_mod(B, Mt, l).astype(np.int64)
         R = Y[:, piv]
-        assert ((R @ B) % l == Y).all(), "block not invariant"
+        if not (matmul_mod(R, B, l) == Y).all():
+            raise VerificationError("block not invariant")
         op = R.T % l
         # minimal polynomial of op, extending start vectors if deficient
         mp = [1]
@@ -120,10 +123,10 @@ def _split_blocks(blocks, M, l):
             ]
             if sum(s.shape[0] for s in spaces) == d:
                 break
-        assert sum(s.shape[0] for s in spaces) == d, "operator not split"
+        if sum(s.shape[0] for s in spaces) != d:
+            raise VerificationError("operator not split")
         for N in spaces:
-            nb = (N @ B) % l
-            nb, npiv = rref(nb, l)
+            nb, npiv = rref(matmul_mod(N, B, l), l)
             out.append((nb, npiv))
     return out
 
@@ -144,10 +147,12 @@ def character_table_mod_l(group: MatrixGroup):
             break
         M = class_matrix(group, cd, i) % l
         blocks = _split_blocks(blocks, M, l)
-    assert all(B.shape[0] == 1 for B, _ in blocks), "table did not split"
+    if not all(B.shape[0] == 1 for B, _ in blocks):
+        raise VerificationError("table did not split")
 
     V = np.vstack([B for B, _ in blocks]) % l
-    assert (V[:, 0] != 0).all()
+    if not (V[:, 0] != 0).all():
+        raise VerificationError("eigenvector vanishes at the identity class")
     V = (V * np.array([[inv_mod(int(v), l)] for v in V[:, 0]])) % l
 
     csz_inv = np.array([inv_mod(int(s), l) for s in cd.sizes], dtype=np.int64)
@@ -161,9 +166,8 @@ def character_table_mod_l(group: MatrixGroup):
         d = min(d, l - d)
         degrees[t] = d
         Xl[t] = V[t] * d % l * csz_inv % l
-    assert int((degrees.astype(object) ** 2).sum()) == group.order, (
-        "degree recovery failed"
-    )
+    if int((degrees.astype(object) ** 2).sum()) != group.order:
+        raise VerificationError("degree recovery failed")
     return Xl, degrees, l, z, cd
 
 
@@ -176,22 +180,25 @@ def lift_table(group: MatrixGroup):
     n = cd.n_classes
     e = cd.exponent
     pm = cd.power_map()
-    # each entry of W @ Zmat sums e products of residues below l
-    require_int64_exact(e, l)
 
     # inverse Fourier transform over each cyclic power orbit
     a_idx, i_idx = np.meshgrid(np.arange(e), np.arange(e), indexing="ij")
     zpow = np.array([pow(z, a, l) for a in range(e)], dtype=np.int64)
-    Zmat = zpow[((-a_idx * i_idx) % e)] % l  # Zmat[a, i] = z^(-a i)
-    e_inv = inv_mod(e, l)
+    Zmat = zpow[((-a_idx * i_idx) % e)] * inv_mod(e, l) % l  # Zmat[a, i] = z^(-a i) / e
 
-    W = Xl[:, pm.reshape(-1)].reshape(n * n, e)
-    mult = (W @ Zmat % l * e_inv % l).reshape(n, n, e)
+    # W @ Zmat, W[t k, i] = chi_t(z_k^i), sums e products of residues: exact
+    # when e (l - 1)^2 < 2^53.  The multiplicities stay float64 integers.
+    W = Xl.astype(np.float64)[:, pm.reshape(-1)].reshape(n * n, e)
+    mult = matmul_mod(W, Zmat, l)
+    del W
     # multiplicities are genuine eigenvalue counts: they must sum to degrees
-    sums = mult.sum(axis=2)
-    assert (sums == degrees[:, None]).all(), "lift produced non-multiplicities"
+    if not (mult.reshape(n, n, e).sum(axis=2) == degrees[:, None]).all():
+        raise VerificationError("lift produced non-multiplicities")
 
-    coeffs = (mult.reshape(-1, e) @ zeta_powers(e)).reshape(n, n, phi(e))
+    # nonnegative multiplicities summing to a degree are at most max(degrees)
+    Z = zeta_powers(e)
+    coeffs = exact_matmul(mult, Z, int(degrees.max()), int(np.abs(Z).max()))
+    coeffs = coeffs.astype(np.int64).reshape(n, n, phi(e))
     return coeffs, e, degrees, cd
 
 

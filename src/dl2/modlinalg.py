@@ -1,7 +1,10 @@
 """Dense linear algebra and polynomial utilities modulo a prime.
 
-numpy int64 throughout; the matrix products check with `require_int64_exact`
-that the prime is small enough for them to be exact.
+Residues are numpy int64, or float64 holding integers.  Matrix products go
+through `exact_matmul`, one float64 BLAS product whose exactness it checks,
+and `matmul_mod`, the same product on residues reduced mod l; the int64
+Krylov and Horner steps check with `require_int64_exact` that the prime is
+small enough for them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,34 @@ def require_int64_exact(n: int, l: int):
     stays exact in int64, i.e. unless n * (l - 1)^2 < 2^63."""
     if n * (l - 1) ** 2 >= 2**63:
         raise OverflowError(f"int64 overflow risk: {n} * ({l} - 1)^2 >= 2^63")
+
+
+def exact_matmul(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The integer product A @ B, as one float64 BLAS product, for integer
+    arrays (int64, or float64 holding integers) with |A| <= a and |B| <= b
+    entrywise; returns float64 holding the exact integers.
+
+    Exactness.  Every partial sum of an output entry, in whatever order and
+    blocking BLAS adds (fused multiply-adds included), sums some of the
+    inner = A.shape[-1] products, so it is an integer of absolute value at
+    most inner * a * b.  Below 2^53 every such integer is a float64, so no
+    step rounds; OverflowError is raised when the bound reaches 2^53.
+    """
+    bound = A.shape[-1] * a * b
+    if bound >= 2**53:
+        raise OverflowError(f"float64 exactness: product bound {bound} >= 2^53")
+    return A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
+
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, l: int) -> np.ndarray:
+    """A @ B mod l for arrays of residues in [0, l), in their common dtype
+    (int64 for int64 residues); exact by `exact_matmul` when A.shape[-1] *
+    (l - 1)^2 < 2^53, OverflowError otherwise."""
+    P = exact_matmul(A, B, l - 1, l - 1)
+    # the remainder is taken in int64, several times faster than float64's,
+    # and written back into P when the result is float64
+    Q = P.astype(np.int64)
+    return np.remainder(Q, l, out=P if np.result_type(A, B) == np.float64 else Q)
 
 
 def inv_mod(a: int, l: int) -> int:
@@ -121,7 +152,8 @@ def poly_gcd(a, b, l):
 def poly_lcm(a, b, l):
     g = poly_gcd(a, b, l)
     q, r = poly_divmod(poly_mul(a, b, l), g, l)
-    assert r == [0]
+    if r != [0]:
+        raise ArithmeticError("gcd does not divide the product")
     c = inv_mod(q[-1], l)
     return [(x * c) % l for x in q]
 
@@ -178,7 +210,8 @@ def krylov_relation(M: np.ndarray, v: np.ndarray, l: int) -> list[int]:
         K.append(w)
         R = np.vstack([R, red])
         piv.append(pc)
-        assert len(K) <= n + 1
+        if len(K) > n + 1:
+            raise ArithmeticError("Krylov sequence longer than the dimension")
 
 
 def sqrt_mod(a: int, l: int) -> int:

@@ -290,6 +290,28 @@ def test_verify_rejects_wrong_degrees():
         CharacterTable(G, parts=(tab.coeffs, tab.exponent, degs)).verify()
 
 
+def _class_matrix_by_columns(group, cd, i):
+    """The reference: one product and one count per column k."""
+    sp = group.space
+    n = cd.n_classes
+    Xinv = sp.inv(cd.class_lists[i])
+    M = np.zeros((n, n), dtype=np.int64)
+    for k in range(n):
+        y = sp.mul(Xinv, np.int64(cd.reps[k]))
+        M[:, k] = np.bincount(cd.class_of[y], minlength=n)
+    return M
+
+
+@pytest.mark.parametrize("p, k, r, flavor", [(3, 1, 2, "gl"), (2, 1, 3, "gl"), (2, 1, 2, "sl")])
+def test_class_matrix_matches_column_loop(p, k, r, flavor):
+    G = make_group(p, k, r, "mixed", flavor)
+    cd = G.conjugacy()
+    for i in range(cd.n_classes):
+        M = dixon.class_matrix(G, cd, i)
+        assert M.dtype == np.int64
+        assert (M == _class_matrix_by_columns(G, cd, i)).all()
+
+
 def test_split_blocks_guards_int64_overflow():
     l = 2**31 - 1  # prime; 3 * (l - 1)^2 >= 2^63
     eye = np.eye(3, dtype=np.int64)
@@ -391,7 +413,7 @@ def test_class_function_checks_survive_python_O():
 
 # Modules whose `assert`s are not yet explicit raises; every other module
 # must not gain one, since `python -O` strips them.
-ASSERTS_NOT_YET_CONVERTED = {"dixon", "groups", "modlinalg", "predictor", "rings", "weyl"}
+ASSERTS_NOT_YET_CONVERTED = {"groups", "predictor", "rings", "weyl"}
 
 
 def test_no_assert_outside_unconverted_modules():

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dl2.cyclotomic import _poly_divmod_int, cyclotomic_poly, matmul, phi, substitute, zeta_powers
+from dl2.cyclotomic import (
+    _poly_divmod_int,
+    cyclotomic_poly,
+    matmul,
+    phi,
+    split_primes,
+    substitute,
+    zeta_powers,
+)
+from dl2.rings import is_prime
 
 
 def test_cyclotomic_polynomials():
@@ -100,11 +109,20 @@ def test_zeta_powers_rows():
     assert int(np.abs(zeta_powers(105)).max()) == 2
 
 
+PRODUCT_EXPONENTS = [1, 2, 3, 4, 12, 24, 60, 105, 1176]
+
+
+def _product_bound(e, X, Y):
+    """The coefficient bound (2d - 1) z d m x y that `matmul` guards."""
+    d, m = phi(e), X.shape[1]
+    x, y = (int(np.abs(A).max(initial=0)) for A in (X, Y))
+    return (2 * d - 1) * int(np.abs(zeta_powers(e)).max()) * d * m * x * y
+
+
 @st.composite
-def _product_case(draw):
-    e = draw(st.sampled_from([1, 2, 3, 4, 12, 24, 60, 105]))
+def _product_case(draw, coeff=st.integers(-3, 3)):
+    e = draw(st.sampled_from(PRODUCT_EXPONENTS))
     n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
-    coeff = st.integers(-3, 3)
     X = np.array(draw(st.lists(coeff, min_size=n * m * phi(e), max_size=n * m * phi(e))))
     Y = np.array(draw(st.lists(coeff, min_size=m * p * phi(e), max_size=m * p * phi(e))))
     return e, X.reshape(n, m, phi(e)), Y.reshape(m, p, phi(e))
@@ -121,9 +139,7 @@ def _poly_product_reference(x, y, e):
     return rem + [0] * (phi(e) - len(rem))
 
 
-@given(_product_case())
-def test_matmul_matches_cyclo_loop(case):
-    e, X, Y = case
+def _check_product(e, X, Y):
     P = matmul(X, Y, e)
     assert P.shape == (X.shape[0], Y.shape[1], phi(e))
     for i in range(X.shape[0]):
@@ -133,6 +149,49 @@ def test_matmul_matches_cyclo_loop(case):
                 term = _poly_product_reference(X[i, a], Y[a, j], e)
                 acc = [s + t for s, t in zip(acc, term)]
             assert P[i, j].tolist() == acc
+
+
+@given(_product_case())
+def test_matmul_matches_cyclo_loop(case):
+    _check_product(*case)
+
+
+@given(_product_case(coeff=st.integers(-(2**20), 2**20)))
+def test_matmul_matches_cyclo_loop_multi_prime(case):
+    """Coefficients up to 2^20 need two primes at e = 1 and three at large e,
+    so every Garner digit carries weight."""
+    e, X, Y = case
+    bound = _product_bound(e, X, Y)
+    if bound >= 2**63:
+        with pytest.raises(OverflowError):
+            matmul(X, Y, e)
+    else:
+        _check_product(e, X, Y)
+
+
+@pytest.mark.parametrize("e", PRODUCT_EXPONENTS)
+@pytest.mark.parametrize("m", [1, 3, 78, 1000])
+@pytest.mark.parametrize("x", [1, 2**20, 2**29])
+def test_split_primes_cover_the_bound(e, m, x):
+    X = np.full((1, m, phi(e)), x, dtype=np.int64)
+    bound = _product_bound(e, X, X)
+    if bound >= 2**63:
+        return
+    inner = max(m, phi(e))
+    primes = split_primes(e, inner, bound)
+    for l in primes:
+        assert is_prime(l) and (l - 1) % e == 0
+        assert inner * (l - 1) ** 2 < 2**53
+    assert math.prod(primes) > 2 * bound
+    assert len(primes) == 1 or math.prod(primes[:-1]) <= 2 * bound
+    assert list(primes) == sorted(primes, reverse=True)
+
+
+def test_split_primes_take_the_largest():
+    # e = 1, one term: the largest primes l with (l - 1)^2 < 2^53, i.e. l <= 94906266
+    assert split_primes(1, 1, 1) == (94906249,)
+    assert split_primes(1, 1, 2**60)[:2] == (94906249, 94906247)
+    assert [l for l in range(94906249, 94906267) if is_prime(l)] == [94906249]
 
 
 def test_matmul_guards_int64_overflow():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dl2.modlinalg import krylov_relation, poly_apply_matvec, primitive_root
+from dl2.modlinalg import exact_matmul, krylov_relation, matmul_mod, poly_apply_matvec, primitive_root
 from dl2.rings import is_prime
 
 
@@ -26,3 +26,18 @@ def test_kernels_guard_int64_overflow():
         krylov_relation(np.eye(3, dtype=np.int64), np.ones(3, dtype=np.int64), l)
     small = np.full((2, 2), 540, dtype=np.int64)  # -1 mod 541
     assert poly_apply_matvec([0, 1], small, small[0], 541).tolist() == [2, 2]
+
+
+def test_float64_products_guard_2_to_53():
+    # 3^32 < 2^53 < 3^34: the one-term product 3^16 * 3^16 is exact in
+    # float64, while 3^17 * 3^17 is not even representable
+    a = np.array([[3**16]], dtype=np.int64)
+    assert exact_matmul(a, a, 3**16, 3**16).tolist() == [[3**32]]
+    assert exact_matmul(-a, a, 3**16, 3**16).tolist() == [[-(3**32)]]
+    with pytest.raises(OverflowError):
+        exact_matmul(3 * a, 3 * a, 3**17, 3**17)
+    l = 54_794_197  # prime, with 3 (l - 1)^2 >= 2^53 > 2 (l - 1)^2
+    A = np.full((2, 2), l - 1, dtype=np.int64)
+    assert matmul_mod(A, A, l).tolist() == [[2, 2], [2, 2]]
+    with pytest.raises(OverflowError):
+        matmul_mod(np.full((1, 3), 1, dtype=np.int64), np.ones((3, 1), dtype=np.int64), l)

@@ -336,6 +336,26 @@ def test_cache_rejects_bad_format(tmp_path):
     assert load_table(2, 1, 1, "equal", "gl", tmp_path) is None
 
 
+def test_cache_rejects_corrupted_table_and_recomputes(tmp_path):
+    import gzip
+
+    tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
+    path = save_table(tab, tmp_path)
+    with gzip.open(path, "rt") as fh:
+        payload = json.load(fh)
+    payload["coeffs"][3][2][0] += 1
+    with gzip.open(path, "wt") as fh:
+        json.dump(payload, fh)
+    assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is None
+    rep = run_case(2, 1, 2, "gl", "mixed", cache_dir=str(tmp_path))
+    verdicts = {c.check_id: c.verdict for c in rep.checks}
+    assert verdicts["table-validity"] == "pass" and verdicts["stability"] == "pass"
+    # the recomputed table overwrote the corrupted file
+    assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is not None
+    path.write_bytes(path.read_bytes()[:-20])  # a truncated gzip stream
+    assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is None
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("DL2_CACHE_DIR", str(tmp_path / "cachedir"))
     d = resolve_cache_dir(None)
