@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .characters import CharacterTable, VerificationError, character_table
+from .cyclotomic import phi
 from .groups import MatrixGroup, make_group
 
 GROUP_FORMAT = "dl2-group/1"
@@ -95,26 +96,31 @@ def save_table(table: CharacterTable, cache_dir: Path):
 
 def load_table(p, k, r, mode, flavor, cache_dir: Path) -> CharacterTable | None:
     """The cached table, verified, or None when the file is missing, cannot
-    be read, or holds a table that fails verification."""
+    be read, is not a table of this group's classes, exponent and shape, or
+    holds a table that fails verification."""
     path = table_cache_path(cache_dir, p, k, r, mode, flavor)
     if not path.exists():
         return None
     try:
         with gzip.open(path, "rt") as fh:
             payload = json.load(fh)
-        if payload.get("format") != TABLE_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != TABLE_FORMAT:
             return None
         group = make_group(p, k, r, mode, flavor)
         cd = group.conjugacy()
-        if payload["class_reps"] != [int(c) for c in cd.reps]:
+        n, e = cd.n_classes, cd.exponent
+        if payload["class_reps"] != [int(c) for c in cd.reps] or payload["exponent"] != e:
             return None
         coeffs = np.array(payload["coeffs"], dtype=np.int64)
         degrees = np.array(payload["degrees"], dtype=np.int64)
-        table = CharacterTable(group, parts=(coeffs, payload["exponent"], degrees))
+        if coeffs.shape != (n, n, phi(e)) or degrees.shape != (n,):
+            return None
+        table = CharacterTable(group, parts=(coeffs, e, degrees))
         del payload, coeffs  # free the parsed lists before verify() allocates
         table.verify()
-    # EOFError and zlib.error: what a truncated or damaged gzip stream raises
-    except (VerificationError, OSError, EOFError, zlib.error, ValueError, KeyError, json.JSONDecodeError):
+    # EOFError and zlib.error: what a truncated or damaged gzip stream raises;
+    # TypeError: a null or an object where numpy needs an integer
+    except (VerificationError, OSError, EOFError, zlib.error, ValueError, TypeError, KeyError, json.JSONDecodeError):
         return None
     return table
 

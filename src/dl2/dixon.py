@@ -1,16 +1,18 @@
 """Exact irreducible character tables via class-sum eigenvector splitting.
 
 The classical modular method: work modulo a prime l with l = 1 (mod e),
-e the group exponent, and l > 2*sqrt(|G|), so that F_l contains the needed
-roots of unity and integer character data is determined by its residue.
+e the group exponent, and l > 2*isqrt(|G|), so that F_l contains the needed
+roots of unity and integer character data is determined by its residue
+(see `dixon_prime`).
 
 Stages:
   1. class matrices M_i with (M_i)[j, k] = #{x in C_i : x^-1 z_k in C_j},
      built lazily, cheapest classes first (cost |C_i| per column);
-  2. common eigenvector splitting of the commuting family {M_i} over F_l,
-     blocks refined via Krylov minimal polynomials and nullspaces;
-  3. normalisation of eigenvectors to central characters, degree recovery
-     by square roots mod l;
+  2. common eigenvector splitting of the commuting family {M_i} over F_l:
+     on each block, the eigenvalues are the roots of Krylov relations, then
+     one nullspace per eigenvalue gives its eigenspace;
+  3. normalisation of eigenvectors to central characters, then degrees by
+     search: the one d <= isqrt(|G|) whose square has the right residue;
   4. lifting to exact root-of-unity multiplicities with the inverse Fourier
      sum over power maps, then canonical reduction into Z[zeta_e];
   5. verification of both orthogonality relations over Z[zeta_e], exact via
@@ -24,6 +26,8 @@ below 2^53.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cyclotomic import matmul, phi, zeta_powers
@@ -34,12 +38,8 @@ from .modlinalg import (
     krylov_relation,
     matmul_mod,
     nullspace,
-    poly_apply_matvec,
-    poly_lcm,
     poly_roots,
     primitive_root,
-    rref,
-    sqrt_mod,
 )
 from .rings import is_prime
 
@@ -60,9 +60,16 @@ class VerificationError(AssertionError):
 
 
 def dixon_prime(order: int, exponent: int) -> int:
-    """Smallest prime l = 1 (mod exponent) with l > 2*sqrt(order)."""
-    import math
+    """Smallest prime l = 1 (mod exponent) with l > 2*isqrt(order).
 
+    This is enough, though l may lie below 2*sqrt(order) (SL2(Z/4), of
+    order 48, gets l = 13 < 2*sqrt(48)).  Every degree d and every
+    eigenvalue multiplicity the lift reads back is an integer in
+    [0, isqrt(order)], since d^2 <= order: such an integer is its own
+    least residue, and two degrees d1 != d2 in [1, isqrt(order)] have
+    0 < |d1 - d2| < d1 + d2 < l, so d1^2 and d2^2 differ mod l and the
+    degree search finds one root.
+    """
     lo = int(2 * math.isqrt(order)) + 1
     # l = 1 + m*exponent
     m = max(1, (lo - 1) // exponent)
@@ -92,42 +99,38 @@ def class_matrix(group: MatrixGroup, cd: ConjugacyData, i: int) -> np.ndarray:
 
 
 def _split_blocks(blocks, M, l):
-    """Refine invariant blocks (row-basis matrices in RREF) under M."""
+    """Refine invariant blocks under M.
+
+    A block is (B, cols), a row basis B with B[:, cols] the identity, so the
+    operator on it is read off at cols.  Its eigenvalues are the roots of
+    the Krylov relations of the unit vectors e_0, e_1, ..., taken until
+    their eigenspaces fill the block; each eigenspace (N, free) becomes the
+    block (N B, [cols[f] for f in free]), the identity at its columns again.
+    """
     Mt = M.T.astype(np.float64)  # converted once, not once per block
     out = []
-    for B, piv in blocks:
+    for B, cols in blocks:
         d = B.shape[0]
         if d == 1:
-            out.append((B, piv))
+            out.append((B, cols))
             continue
         Y = matmul_mod(B, Mt, l).astype(np.int64)
-        R = Y[:, piv]
+        R = Y[:, cols]
         if not (matmul_mod(R, B, l) == Y).all():
             raise VerificationError("block not invariant")
-        op = R.T % l
-        # minimal polynomial of op, extending start vectors if deficient
-        mp = [1]
-        lams: list[int] = []
-        spaces = []
+        op = R.T
+        eye = np.eye(d, dtype=np.int64)
+        spaces = {}
         for start in range(d):
-            v = np.zeros(d, dtype=np.int64)
-            v[start] = 1
-            if mp != [1] and not poly_apply_matvec(mp, op, v, l).any():
-                continue
-            rel = krylov_relation(op, v, l)
-            mp = poly_lcm(mp, rel, l)
-            lams = poly_roots(mp, l)
-            spaces = [
-                nullspace((op - lam * np.eye(d, dtype=np.int64)) % l, l)
-                for lam in lams
-            ]
-            if sum(s.shape[0] for s in spaces) == d:
+            for lam in poly_roots(krylov_relation(op, eye[start], l), l):
+                if lam not in spaces:
+                    spaces[lam] = nullspace((op - lam * eye) % l, l)
+            if sum(len(free) for _, free in spaces.values()) == d:
                 break
-        if sum(s.shape[0] for s in spaces) != d:
+        else:
             raise VerificationError("operator not split")
-        for N in spaces:
-            nb, npiv = rref(matmul_mod(N, B, l), l)
-            out.append((nb, npiv))
+        for N, free in spaces.values():
+            out.append((matmul_mod(N, B, l), [cols[f] for f in free]))
     return out
 
 
@@ -139,8 +142,7 @@ def character_table_mod_l(group: MatrixGroup):
     l = dixon_prime(group.order, e)
     z = pow(primitive_root(l), (l - 1) // e, l)
 
-    eye = np.eye(n, dtype=np.int64)
-    blocks = [(eye.copy(), list(range(n)))]
+    blocks = [(np.eye(n, dtype=np.int64), list(range(n)))]
     order_of_use = sorted(range(1, n), key=lambda i: (int(cd.sizes[i]), i))
     for i in order_of_use:
         if all(B.shape[0] == 1 for B, _ in blocks):
@@ -155,19 +157,18 @@ def character_table_mod_l(group: MatrixGroup):
         raise VerificationError("eigenvector vanishes at the identity class")
     V = (V * np.array([[inv_mod(int(v), l)] for v in V[:, 0]])) % l
 
+    # sum_k V[t, k] V[t, k^-1] / |C_k| = |G| / d_t^2 (mod l)
     csz_inv = np.array([inv_mod(int(s), l) for s in cd.sizes], dtype=np.int64)
-    inv_perm = cd.inverse_class
-    degrees = np.zeros(n, dtype=np.int64)
-    Xl = np.zeros((n, n), dtype=np.int64)
-    for t in range(n):
-        s = int((V[t] * V[t][inv_perm] % l * csz_inv % l).sum() % l)
-        d2 = (group.order % l) * inv_mod(s, l) % l
-        d = sqrt_mod(d2, l)
-        d = min(d, l - d)
-        degrees[t] = d
-        Xl[t] = V[t] * d % l * csz_inv % l
+    s = (V * V[:, cd.inverse_class] % l * csz_inv % l).sum(axis=1) % l
+    d2 = np.array([group.order * inv_mod(int(x), l) % l for x in s], dtype=np.int64)
+    ds = np.arange(1, math.isqrt(group.order) + 1, dtype=np.int64)
+    hit = (ds * ds % l)[None, :] == d2[:, None]
+    if not hit.any(axis=1).all():
+        raise VerificationError("degree recovery failed")
+    degrees = ds[hit.argmax(axis=1)]
     if int((degrees.astype(object) ** 2).sum()) != group.order:
         raise VerificationError("degree recovery failed")
+    Xl = V * degrees[:, None] % l * csz_inv % l
     return Xl, degrees, l, z, cd
 
 

@@ -17,11 +17,11 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup
+from .abelian import FiniteAbelianGroup, InvariantError
 from .rings import RingSpec, make_ring
 
 GROUP_BOUND = 500_000
@@ -83,18 +83,6 @@ class MatrixSpace:
         d = af[mf[c1 * S + b2] * S + mf[d1 * S + d2]]
         return self.enc(a, b, c, d)
 
-    def mul_scalar(self, x: int, y: int) -> int:
-        S = self.S
-        af, mf = self._addf, self._mulf
-        A, B, C, D = self.A, self.B, self.C, self.D
-        a1, b1, c1, d1 = int(A[x]), int(B[x]), int(C[x]), int(D[x])
-        a2, b2, c2, d2 = int(A[y]), int(B[y]), int(C[y]), int(D[y])
-        a = af[mf[a1 * S + a2] * S + mf[b1 * S + c2]]
-        b = af[mf[a1 * S + b2] * S + mf[b1 * S + d2]]
-        c = af[mf[c1 * S + a2] * S + mf[d1 * S + c2]]
-        d = af[mf[c1 * S + b2] * S + mf[d1 * S + d2]]
-        return int(self.enc(a, b, c, d))
-
     def inv(self, x):
         """Inverse on codes with unit determinant (adjugate over det)."""
         S = self.S
@@ -127,6 +115,8 @@ class ConjugacyData:
     sizes       : class sizes
     class_of    : full-code-space lookup, -1 off the group
     class_lists : list of element-code arrays per class
+    rep_orders  : orders of the representatives, found in one array pass
+                  over their powers
     """
 
     def __init__(self, group: "MatrixGroup"):
@@ -161,7 +151,8 @@ class ConjugacyData:
         self.sizes = np.array(sizes, dtype=np.int64)
         self.class_of = class_of
         self.n_classes = len(reps)
-        assert int(self.sizes.sum()) == group.order
+        if int(self.sizes.sum()) != group.order:
+            raise InvariantError("class sizes do not sum to |G|")
         order = np.argsort(class_of[group.codes], kind="stable")
         sorted_codes = group.codes[order]
         bounds = np.concatenate([[0], np.cumsum(self.sizes)])
@@ -173,24 +164,22 @@ class ConjugacyData:
         inv_reps = sp.inv(self.reps)
         self.inverse_class = class_of[inv_reps].astype(np.int64)
         self._group = group
-        self.rep_orders = np.array(
-            [group.element_order(int(c)) for c in self.reps], dtype=np.int64
-        )
-        e = 1
-        for o in self.rep_orders:
-            e = e // gcd(e, int(o)) * int(o)
-        self.exponent = e
+        self.rep_orders = np.zeros(self.n_classes, dtype=np.int64)
+        cur, a = self.reps, 1  # cur = reps ** a
+        while not self.rep_orders.all():
+            self.rep_orders[(cur == sp.identity) & (self.rep_orders == 0)] = a
+            cur = sp.mul(cur, self.reps)
+            a += 1
+        self.exponent = lcm(*(int(o) for o in self.rep_orders))
 
     def power_map(self) -> np.ndarray:
         """pm[k, a] = class index of rep_k ** a for a in [0, exponent)."""
         sp = self._group.space
-        e = self.exponent
-        pm = np.zeros((self.n_classes, e), dtype=np.int64)
-        for kk, rep in enumerate(self.reps):
-            cur = sp.identity
-            for a in range(e):
-                pm[kk, a] = self.class_of[cur]
-                cur = sp.mul_scalar(cur, int(rep))
+        pm = np.empty((self.n_classes, self.exponent), dtype=np.int64)
+        cur = np.full(self.n_classes, sp.identity, dtype=np.int64)
+        for a in range(self.exponent):
+            pm[:, a] = self.class_of[cur]
+            cur = sp.mul(cur, self.reps)
         return pm
 
 
@@ -219,7 +208,8 @@ class MatrixGroup:
         codes = np.concatenate([[ident], codes[codes != ident]])
         self.codes = codes
         self.order = len(codes)
-        assert self.order == expected, (self.order, expected)
+        if self.order != expected:
+            raise InvariantError(f"{self.order} elements, not the order {expected}")
         self.pos_of = np.full(sp.N, -1, dtype=np.int64)
         self.pos_of[codes] = np.arange(self.order)
         self._conj = None
@@ -279,15 +269,6 @@ class MatrixGroup:
             self._conj = ConjugacyData(self)
         return self._conj
 
-    def element_order(self, code: int) -> int:
-        sp = self.space
-        cur = code
-        n = 1
-        while cur != sp.identity:
-            cur = sp.mul_scalar(cur, code)
-            n += 1
-        return n
-
     def center_codes(self) -> np.ndarray:
         """Scalar matrices diag(z, z) in the group."""
         R = self.ring
@@ -321,13 +302,15 @@ class ReductionHom:
         self.target = make_group(
             source.ring.p, source.ring.k, r2, source.ring.mode, source.flavor
         )
-        assert self.target.space is tgt_space
+        if self.target.space is not tgt_space:
+            raise InvariantError("target group is not over the reduced matrix space")
         self.code_map = cmap  # full source code space -> target codes
         self.image_of = cmap[source.codes]  # aligned to source element index
         self.kernel_codes = source.codes[self.image_of == tgt_space.identity]
         q = source.ring.q
         d = 4 if source.flavor == "gl" else 3
-        assert len(self.kernel_codes) == q ** (d * (source.ring.r - r2))
+        if len(self.kernel_codes) != q ** (d * (source.ring.r - r2)):
+            raise InvariantError("reduction kernel has the wrong order")
 
     def __call__(self, code: int) -> int:
         return int(self.code_map[code])
@@ -350,7 +333,7 @@ class MatrixElem:
         return (R.elem(int(a)), R.elem(int(b)), R.elem(int(c)), R.elem(int(d)))
 
     def __mul__(self, other):
-        return MatrixElem(self.group, self.group.space.mul_scalar(self.code, other.code))
+        return MatrixElem(self.group, int(self.group.space.mul(self.code, other.code)))
 
     def inverse(self):
         return MatrixElem(self.group, int(self.group.space.inv(np.int64(self.code))))
@@ -382,8 +365,10 @@ def make_group(p: int, k: int, r: int, mode: str, flavor: str) -> MatrixGroup:
 def sl_embedding(gl: MatrixGroup) -> np.ndarray:
     """Positions in the GL enumeration of the SL subgroup, aligned to the SL
     enumeration of the same ring."""
-    assert gl.flavor == "gl"
+    if gl.flavor != "gl":
+        raise ValueError(f"sl_embedding needs a GL2 group, got {gl!r}")
     sl = make_group(gl.ring.p, gl.ring.k, gl.ring.r, gl.ring.mode, "sl")
     pos = gl.pos_of[sl.codes]
-    assert (pos >= 0).all()
+    if (pos < 0).any():
+        raise InvariantError("an SL2 element is missing from GL2")
     return pos

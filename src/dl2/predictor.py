@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import DualChar
+from .abelian import DualChar, InvariantError
 from .torus import TorusCharClass
 
 CLAUSE_REGULAR = "regular"
@@ -43,10 +43,12 @@ class Prediction:
     sigma1_twist: DualChar | None = None
 
     def __post_init__(self):
-        s = sum(c * m * d for d, m, c in self.constituents)
-        assert s == self.total_dim, "constituents must sum to the total"
-        assert all(d > 0 for d, _m, _c in self.constituents)
-        assert self.sign == (1 if self.total_dim > 0 else -1)
+        if sum(c * m * d for d, m, c in self.constituents) != self.total_dim:
+            raise InvariantError("constituents must sum to the total")
+        if not all(d > 0 for d, _m, _c in self.constituents):
+            raise InvariantError("constituent dimensions must be positive")
+        if self.sign != (1 if self.total_dim > 0 else -1):
+            raise InvariantError("sign must be the sign of the total")
 
     def constituent_degrees(self) -> list[int]:
         out = []
@@ -65,9 +67,11 @@ class Prediction:
 
 
 def predict_gl2(tc: TorusCharClass, q: int, r: int) -> Prediction:
-    assert tc.q == q and tc.level == r, "classification record mismatch"
+    if tc.q != q or tc.level != r:
+        raise InvariantError("classification record mismatch")
     if tc.is_regular:
-        assert tc.r0 == r
+        if tc.r0 != r:
+            raise InvariantError("a regular character has conductor level r")
         sgn = (-1) ** r
         d = (q - 1) * q ** (r - 1)
         return Prediction(sgn * d, ((d, 1, sgn),), True, sgn, CLAUSE_REGULAR)
@@ -96,9 +100,8 @@ def predict_sl2(tc: TorusCharClass, q: int, r: int) -> Prediction:
             return Prediction(
                 -(q - 1), ((half, 2, -1),), False, -1, CLAUSE_SL_ODD
             )
-        assert not (
-            base.clause in (CLAUSE_REGULAR, CLAUSE_DESCENT) and tc.sl_sigma_fixed
-        ), "odd q cannot have a flip-stable restriction off level one"
+        if base.clause in (CLAUSE_REGULAR, CLAUSE_DESCENT) and tc.sl_sigma_fixed:
+            raise InvariantError("odd q cannot have a flip-stable restriction off level one")
         return base
     # even q: the regular and descent clauses split when the restriction to
     # the norm-one torus is flip-stable
@@ -119,7 +122,8 @@ def predict_sl2(tc: TorusCharClass, q: int, r: int) -> Prediction:
 def dimension_set(q: int, r: int) -> set[int]:
     """{(-1)^i (q-1) q^(i-1) : 1 <= i <= r}, exactly r values."""
     out = {(-1) ** i * (q - 1) * q ** (i - 1) for i in range(1, r + 1)}
-    assert len(out) == r
+    if len(out) != r:
+        raise InvariantError(f"{len(out)} distinct dimensions, not {r}")
     return out
 
 

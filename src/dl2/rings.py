@@ -31,6 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .abelian import InvariantError
+
 # Largest base ring for which dense S x S tables are built.
 MAX_TABLE_RING = 4096
 
@@ -372,7 +374,8 @@ class RingSpec:
             pr2 = self.p**r2
             w = pr2 ** np.arange(self.k, dtype=np.int64)
             m = ((self._digs % pr2) * w).sum(axis=1)
-        assert m.shape == (S,)
+        if m.shape != (S,):
+            raise InvariantError("reduction map does not cover the ring")
         return tgt, m
 
     def coeffs(self, code: int) -> tuple:
@@ -474,7 +477,8 @@ class ExtSpec:
                     break
             if found:
                 break
-        assert found is not None
+        if found is None:
+            raise InvariantError(f"no irreducible monic quadratic over F_{q}")
         self.B_res, self.C_res = found
         self.B = int(base.lift[found[0]])
         self.C = int(base.lift[found[1]])
@@ -596,7 +600,8 @@ class ExtSpec:
         """(target ExtSpec, map on codes) for O'_r -> O'_{r2}."""
         tgt_base, m = self.base.reduction(r2)
         tgt = make_ext(tgt_base)
-        assert (tgt.B_res, tgt.C_res) == (self.B_res, self.C_res)
+        if (tgt.B_res, tgt.C_res) != (self.B_res, self.C_res):
+            raise InvariantError("reduction changes the extension's residue polynomial")
         codes = np.arange(self.size, dtype=np.int64)
         S = self.base.size
         return tgt, m[codes % S] + m[codes // S] * tgt_base.size

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .abelian import factorise
+from .abelian import InvariantError, factorise
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def conjecture_sign(
     while qq % p == 0 and qq > 1:
         qq //= p
         k += 1
-    assert qq == 1 and p**k == q, f"q = {q} is not a power of p = {p}"
+    if qq != 1 or p**k != q:
+        raise ValueError(f"q = {q} is not a power of p = {p}")
     v = p_adic_valuation(dim, p)
     exponent = (rk_T + rk_G) * (1 + Fraction(v, k * n_positive_roots))
     if exponent.denominator != 1:
@@ -180,7 +181,8 @@ def classical_r1_dim(flavor: str, n: int, w: tuple, q: int) -> int:
     if flavor == "sl":
         gl_p_prime //= q - 1
         t_order //= q - 1
-    assert gl_p_prime % t_order == 0, "degree must be an integer"
+    if gl_p_prime % t_order:
+        raise InvariantError("degree must be an integer")
     return gl_p_prime // t_order
 
 

@@ -1,5 +1,8 @@
 import ast
+import hashlib
+import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -320,6 +323,39 @@ def test_split_blocks_guards_int64_overflow():
     assert len(_split_blocks([(eye, [0, 1, 2])], eye, 541)) == 1
 
 
+def _check_eigenblocks(blocks, M, l):
+    """Every block (B, cols) is the identity at cols and an eigenspace of M."""
+    for B, cols in blocks:
+        assert (B[:, cols] == np.eye(len(cols), dtype=np.int64)).all()
+        BM = B @ M.T % l
+        lam = int(BM[0, cols[0]])  # B[0, cols[0]] = 1
+        assert (BM == lam * B % l).all()
+
+
+def test_split_blocks_gathers_roots_over_start_vectors():
+    # e_0 is an eigenvector of diag(1, 2, 3): its Krylov relation is x - 1
+    # alone, so the other eigenvalues come from e_1 and e_2
+    l = 541
+    M = np.diag([1, 2, 3]).astype(np.int64)
+    out = _split_blocks([(np.eye(3, dtype=np.int64), [0, 1, 2])], M, l)
+    assert sorted(cols for _B, cols in out) == [[0], [1], [2]]
+    _check_eigenblocks(out, M, l)
+
+
+@pytest.mark.parametrize("p, r, flavor", [(3, 1, "gl"), (2, 2, "sl")])
+def test_split_blocks_yields_eigenblocks_of_class_matrices(p, r, flavor):
+    G = make_group(p, 1, r, "mixed", flavor)
+    cd = G.conjugacy()
+    l = dixon.dixon_prime(G.order, cd.exponent)
+    n = cd.n_classes
+    blocks = [(np.eye(n, dtype=np.int64), list(range(n)))]
+    for i in range(1, n):
+        M = dixon.class_matrix(G, cd, i) % l
+        blocks = _split_blocks(blocks, M, l)
+        _check_eigenblocks(blocks, M, l)
+    assert len(blocks) == n and all(B.shape[0] == 1 for B, _ in blocks)
+
+
 def test_lift_table_guards_int64_overflow(monkeypatch):
     G = make_group(2, 1, 1, "equal", "gl")
     Xl, degrees, _l, z, cd = dixon.character_table_mod_l(G)
@@ -387,6 +423,18 @@ def test_table_tsv_matches_golden_dump(p, r, flavor):
     assert tab.to_tsv() == golden.read_text()
 
 
+def test_tables_match_golden_digests():
+    """Each manifest table, plus SL2 (5,1,2) and (2,1,4) mixed, hashes to
+    the recorded SHA-256 of its compact sorted-key JSON dump."""
+    golden = json.loads((Path(__file__).parent / "data" / "table-digests.json").read_text())
+    assert len(golden) == 26
+    for key, digest in golden.items():
+        p, k, r, mode, flavor = re.fullmatch(r"p(\d+)k(\d+)r(\d+)-(\w+)-(\w+)", key).groups()
+        tab = character_table(make_group(int(p), int(k), int(r), mode, flavor))
+        blob = json.dumps(tab.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, key
+
+
 def test_class_function_checks_survive_python_O():
     code = (
         "import numpy as np\n"
@@ -413,7 +461,7 @@ def test_class_function_checks_survive_python_O():
 
 # Modules whose `assert`s are not yet explicit raises; every other module
 # must not gain one, since `python -O` strips them.
-ASSERTS_NOT_YET_CONVERTED = {"groups", "predictor", "rings", "weyl"}
+ASSERTS_NOT_YET_CONVERTED = set()
 
 
 def test_no_assert_outside_unconverted_modules():

@@ -72,7 +72,7 @@ def test_conjugacy_invariants(p, k, r, mode, flavor):
     for _ in range(200):
         x = int(rng.choice(G.codes))
         g = int(rng.choice(G.codes))
-        y = sp.mul_scalar(sp.mul_scalar(g, x), int(sp.inv(np.int64(g))))
+        y = int(sp.mul(sp.mul(g, x), sp.inv(np.int64(g))))
         assert cd.class_of[x] == cd.class_of[y]
 
 
@@ -121,7 +121,7 @@ def test_reduction_is_surjective_homomorphism():
     rng = random.Random(1)
     for _ in range(200):
         x, y = int(rng.choice(G.codes)), int(rng.choice(G.codes))
-        assert h(sp.mul_scalar(x, y)) == tsp.mul_scalar(h(x), h(y))
+        assert h(sp.mul(x, y)) == tsp.mul(h(x), h(y))
 
 
 def test_reduction_commutes_with_det_and_sl():
@@ -147,7 +147,7 @@ def test_borel():
     bset = set(B3.tolist())
     for a in B3:
         for b in B3:
-            assert sp.mul_scalar(int(a), int(b)) in bset
+            assert int(sp.mul(a, b)) in bset
     # order formula at higher level: q^r (q^(r-1)(q-1))^2
     G = make_group(3, 1, 2, "mixed", "gl")
     assert len(G.borel_codes()) == 9 * 36
@@ -163,6 +163,8 @@ def test_sl_embedding():
     # image = kernel of determinant
     dets = G.space.det[G.codes]
     assert (np.sort(G.codes[dets == G.ring.one]) == np.sort(S.codes)).all()
+    with pytest.raises(ValueError, match="needs a GL2 group"):
+        sl_embedding(S)
 
 
 def test_element_wrapper():
@@ -170,3 +172,25 @@ def test_element_wrapper():
     e = G.elem(int(G.codes[5]))
     assert (e * e.inverse()).code == G.space.identity
     assert e.det().is_unit()
+
+
+@pytest.mark.parametrize(
+    "p,k,r,flavor", [(3, 1, 2, "gl"), (2, 1, 3, "gl"), (5, 1, 2, "sl")]
+)
+def test_power_map_matches_per_representative_loop(p, k, r, flavor):
+    G = make_group(p, k, r, "mixed", flavor)
+    cd = G.conjugacy()
+    sp = G.space
+    orders, rows = [], []
+    for rep in cd.reps:
+        cur, order = int(rep), 1
+        while cur != sp.identity:
+            cur, order = int(sp.mul(cur, rep)), order + 1
+        orders.append(order)
+        cur, row = int(sp.identity), []
+        for _a in range(cd.exponent):
+            row.append(int(cd.class_of[cur]))
+            cur = int(sp.mul(cur, rep))
+        rows.append(row)
+    assert cd.rep_orders.tolist() == orders
+    assert cd.power_map().tolist() == rows

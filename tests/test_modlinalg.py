@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dl2.modlinalg import exact_matmul, krylov_relation, matmul_mod, poly_apply_matvec, primitive_root
+from dl2.modlinalg import exact_matmul, krylov_relation, matmul_mod, nullspace, primitive_root
 from dl2.rings import is_prime
 
 
@@ -14,18 +14,30 @@ def test_primitive_root_is_least_generator():
 
 
 def test_kernels_guard_int64_overflow():
-    # 2 (l - 1)^2 < 2^63 <= 3 (l - 1)^2: M @ v on 2x2 residues is exact in
-    # int64, but a Horner step of p(M) v adds the product c * v to it
-    l = 2**31 - 1
+    # Krylov mat-vecs are `matmul_mod` products, exact while d (l - 1)^2 <
+    # 2^53; l = 54794197 has 3 (l - 1)^2 >= 2^53 > 2 (l - 1)^2, so a 2x2
+    # relation is found and a 3x3 one refused, as is any one for l = 2^31 - 1
+    l = 54_794_197
     M = np.full((2, 2), l - 1, dtype=np.int64)
     v = np.array([l - 1, l - 1], dtype=np.int64)
     assert krylov_relation(M, v, l) == [2, 1]  # M v = -2 v
     with pytest.raises(OverflowError):
-        poly_apply_matvec([0, 1], M, v, l)
-    with pytest.raises(OverflowError):
         krylov_relation(np.eye(3, dtype=np.int64), np.ones(3, dtype=np.int64), l)
-    small = np.full((2, 2), 540, dtype=np.int64)  # -1 mod 541
-    assert poly_apply_matvec([0, 1], small, small[0], 541).tolist() == [2, 2]
+    with pytest.raises(OverflowError):
+        krylov_relation(M, v, 2**31 - 1)
+    # (x - 1)(x - 2)(x - 3) = x^3 - 6x^2 + 11x - 6, read off [K | w]'s nullspace
+    D = np.diag([1, 2, 3]).astype(np.int64)
+    assert krylov_relation(D, np.ones(3, dtype=np.int64), 541) == [535, 11, 535, 1]
+    assert krylov_relation(D, np.array([0, 1, 0]), 541) == [539, 1]
+
+
+def test_nullspace_is_the_identity_at_its_free_columns():
+    l = 541
+    A = np.array([[1, 2, 0, 3], [2, 4, 1, 0]], dtype=np.int64)
+    N, free = nullspace(A, l)
+    assert free == [1, 3]
+    assert (N[:, free] == np.eye(2, dtype=np.int64)).all()
+    assert not (A @ N.T % l).any()
 
 
 def test_float64_products_guard_2_to_53():

@@ -36,7 +36,7 @@ def test_embedding_into_gl2():
     rng = random.Random(0)
     for _ in range(300):
         x, y = int(rng.choice(t.codes)), int(rng.choice(t.codes))
-        assert t.embed_code(t.ext.mul(x, y)) == sp.mul_scalar(
+        assert t.embed_code(t.ext.mul(x, y)) == sp.mul(
             t.embed_code(x), t.embed_code(y)
         )
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import dl2.verifier
@@ -354,6 +355,43 @@ def test_cache_rejects_corrupted_table_and_recomputes(tmp_path):
     assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is not None
     path.write_bytes(path.read_bytes()[:-20])  # a truncated gzip stream
     assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is None
+
+
+def _null_coefficient(payload):
+    payload["coeffs"][1][1][0] = None
+    return payload
+
+
+MALFORMED_TABLE_FILES = {
+    "list": list,  # valid JSON, not an object
+    "null": lambda t: None,
+    "null-degrees": lambda t: {**t, "degrees": None},
+    "flat-coeffs": lambda t: {**t, "coeffs": np.ravel(t["coeffs"]).tolist()},
+    "short-coeffs": lambda t: {**t, "coeffs": t["coeffs"][:-1]},
+    "null-coefficient": _null_coefficient,
+    "exponent-0": lambda t: {**t, "exponent": 0},
+    "exponent-x": lambda t: {**t, "exponent": "x"},
+    "exponent-2e": lambda t: {**t, "exponent": 2 * t["exponent"]},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_TABLE_FILES.values(), ids=MALFORMED_TABLE_FILES)
+def test_cache_rejects_malformed_table_file_and_recomputes(tmp_path, edit):
+    """A file that is not this group's table (payload type, exponent,
+    coefficient and degree shapes) is a miss, not a crash or a table."""
+    import gzip
+    from pathlib import Path
+
+    path = save_table(character_table(make_group(3, 1, 1, "mixed", "gl")), tmp_path)
+    with gzip.open(path, "rt") as fh:
+        payload = json.load(fh)
+    with gzip.open(path, "wt") as fh:
+        json.dump(edit(payload), fh)
+    assert load_table(3, 1, 1, "mixed", "gl", tmp_path) is None
+    tab = cached_character_table(3, 1, 1, "mixed", "gl", cache_dir=str(tmp_path))
+    golden = Path(__file__).parent / "data" / "table-p3k1r1-mixed-gl.tsv"
+    assert tab.to_tsv() == golden.read_text()  # values over z24, not z48
+    assert load_table(3, 1, 1, "mixed", "gl", tmp_path) is not None
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

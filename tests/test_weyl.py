@@ -62,6 +62,8 @@ def test_conjecture_sign_examples():
     assert conjecture_sign(0, 1, 2, 2, -1, 1) == -1
     with pytest.raises(ValueError):
         conjecture_sign(1, 2, 3, 3, 0, 1)
+    with pytest.raises(ValueError, match="not a power"):
+        conjecture_sign(1, 2, 6, 2, 1, 1)
 
 
 def test_conjecture_sign_invariances():
