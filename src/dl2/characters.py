@@ -207,7 +207,8 @@ def _coset_counts(hom: ReductionHom) -> np.ndarray:
     src_cd, tgt_cd = hom.source.conjugacy(), hom.target.conjugacy()
     ns, nt = src_cd.n_classes, tgt_cd.n_classes
     N = hom.kernel_codes
-    Y = hom.source.codes[[np.flatnonzero(hom.image_of == rep)[0] for rep in tgt_cd.reps]]
+    images, first = np.unique(hom.image_of, return_index=True)  # first preimages
+    Y = hom.source.codes[first[np.searchsorted(images, tgt_cd.reps)]]
     cosets = hom.source.space.mul(np.repeat(Y, len(N)), np.tile(N, nt))
     rows = np.repeat(np.arange(nt), len(N))
     return np.bincount(rows * ns + src_cd.class_of[cosets], minlength=nt * ns).reshape(nt, ns)

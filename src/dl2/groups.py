@@ -6,12 +6,14 @@ the supported sizes, so we keep dense decode / determinant / class lookup
 arrays over it and run every bulk operation (multiplication, inversion,
 conjugation orbits, reductions) vectorised over numpy arrays of codes.
 
-Conjugacy classes are computed by orbit closure under conjugation by a
-fixed generating set (elementary matrices over additive generators of the
-ring, plus diag(u, 1) over a basis of the unit group for GL), which costs
-O(|G| * #gens) ring operations instead of O(|G|^2).  Representatives are
-the least group index in each class, so everything downstream is
-reproducible bit for bit.
+Conjugacy classes are the connected components of the graph on group
+indices joining x to g x g^-1 for each g in a fixed generating set
+(elementary matrices over additive generators of the ring, plus diag(u, 1)
+over a basis of the unit group for GL).  They are labelled by hooking and
+pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982) in whole-array
+passes, which costs O(|G| * #gens) ring operations instead of O(|G|^2).
+Representatives are the least group index in each class, so everything
+downstream is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -117,40 +119,56 @@ class ConjugacyData:
     class_lists : list of element-code arrays per class
     rep_orders  : orders of the representatives, found in one array pass
                   over their powers
+
+    The classes are the connected components of the graph joining group
+    index x to the index of g x g^-1, for g in `generators()`; each edge
+    list `nbr_g` is one whole-group conjugation.  `parent` starts as the
+    identity labelling.  A hooking pass over one edge list takes, wherever
+    the labels a = parent[x] and b = parent[nbr_g[x]] differ, parent[max(a,
+    b)] = min(a, b) (the least offer wins); pointer jumping then replaces
+    parent by parent[parent] until it is stable, so every label is again a
+    root (parent[r] = r).  parent[x] <= x and parent[x] in the class of x
+    hold throughout, and a round that hooks anything strictly lowers
+    sum(parent), which is bounded below, so the passes stop: at the first
+    full round over the generators that hooks nothing.  Then every edge
+    joins equal labels, so a label is constant on each orbit of the
+    generated group; the least index m of a class has parent[m] <= m inside
+    its class, so parent[m] = m and m labels the whole class.  Hence the
+    roots are the least indices, and sorting them orders the classes by
+    least index.  That the generators generate the group is checked by
+    `group-order` through `MatrixGroup.generated_closure`.
     """
 
     def __init__(self, group: "MatrixGroup"):
         sp = group.space
-        gens = group.generators()
-        gens = np.unique(np.asarray(gens, dtype=np.int64))
-        ginvs = sp.inv(gens)
+        gens = np.unique(np.asarray(group.generators(), dtype=np.int64))
+        # int32 edge lists: positions are below GROUP_BOUND < 2^31.
+        nbrs = [
+            group.pos_of[sp.mul(g, sp.mul(group.codes, gi))].astype(np.int32)
+            for g, gi in zip(gens, sp.inv(gens))
+        ]
+        parent = np.arange(group.order, dtype=np.int32)
+        hooked = True
+        while hooked:
+            hooked = False
+            for nbr in nbrs:
+                b = parent[nbr]
+                differ = parent != b
+                if differ.any():
+                    hooked = True
+                    a, b = parent[differ], b[differ]
+                    np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+                    jumped = parent[parent]
+                    while not np.array_equal(jumped, parent):
+                        parent, jumped = jumped, jumped[jumped]
+        del nbrs
+        roots, class_idx, sizes = np.unique(parent, return_inverse=True, return_counts=True)
         class_of = np.full(sp.N, -1, dtype=np.int32)
-        reps = []
-        sizes = []
-        for code in group.codes:
-            code = int(code)
-            if class_of[code] >= 0:
-                continue
-            cid = len(reps)
-            frontier = np.array([code], dtype=np.int64)
-            class_of[code] = cid
-            total = 1
-            while len(frontier):
-                nxt = []
-                for g, gi in zip(gens, ginvs):
-                    y = sp.mul(np.int64(g), sp.mul(frontier, np.int64(gi)))
-                    nxt.append(y)
-                cand = np.unique(np.concatenate(nxt))
-                fresh = cand[class_of[cand] < 0]
-                class_of[fresh] = cid
-                total += len(fresh)
-                frontier = fresh
-            reps.append(code)
-            sizes.append(total)
-        self.reps = np.array(reps, dtype=np.int64)
-        self.sizes = np.array(sizes, dtype=np.int64)
+        class_of[group.codes] = class_idx
+        self.reps = group.codes[roots]
+        self.sizes = sizes.astype(np.int64)
         self.class_of = class_of
-        self.n_classes = len(reps)
+        self.n_classes = len(roots)
         if int(self.sizes.sum()) != group.order:
             raise InvariantError("class sizes do not sum to |G|")
         order = np.argsort(class_of[group.codes], kind="stable")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dl2.groups import (
+    ConjugacyData,
     GroupTooLargeError,
     MatrixGroup,
+    MatrixSpace,
     gl2_order,
     make_group,
     sl2_order,
@@ -194,3 +196,71 @@ def test_power_map_matches_per_representative_loop(p, k, r, flavor):
         rows.append(row)
     assert cd.rep_orders.tolist() == orders
     assert cd.power_map().tolist() == rows
+
+
+def _classes_one_at_a_time(G):
+    """Reference: close each class by breadth-first conjugation, one class
+    at a time, in group-index order.  Returns (reps, sizes, class_of)."""
+    sp = G.space
+    gens = np.unique(np.asarray(G.generators(), dtype=np.int64))
+    ginvs = sp.inv(gens)
+    class_of = np.full(sp.N, -1, dtype=np.int32)
+    reps, sizes = [], []
+    for code in G.codes:
+        code = int(code)
+        if class_of[code] >= 0:
+            continue
+        cid = len(reps)
+        frontier = np.array([code], dtype=np.int64)
+        class_of[code] = cid
+        total = 1
+        while len(frontier):
+            cand = np.unique(np.concatenate(
+                [sp.mul(np.int64(g), sp.mul(frontier, np.int64(gi))) for g, gi in zip(gens, ginvs)]
+            ))
+            fresh = cand[class_of[cand] < 0]
+            class_of[fresh] = cid
+            total += len(fresh)
+            frontier = fresh
+        reps.append(code)
+        sizes.append(total)
+    return np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64), class_of
+
+
+@pytest.mark.parametrize("p,k,r,mode,flavor", [
+    (3, 1, 2, "mixed", "sl"),
+    (2, 2, 2, "mixed", "sl"),
+    (2, 1, 3, "mixed", "sl"),
+    (5, 1, 2, "mixed", "sl"),
+    (3, 1, 2, "mixed", "gl"),
+    (3, 1, 2, "equal", "gl"),
+    (2, 1, 3, "mixed", "gl"),
+    (2, 1, 3, "equal", "gl"),
+])
+def test_conjugacy_matches_class_by_class_closure(p, k, r, mode, flavor):
+    G = make_group(p, k, r, mode, flavor)
+    cd = G.conjugacy()
+    reps, sizes, class_of = _classes_one_at_a_time(G)
+    assert cd.reps.tolist() == reps.tolist()
+    assert cd.sizes.tolist() == sizes.tolist()
+    assert np.array_equal(cd.class_of, class_of)  # whole code space, -1 off G
+    for k_, members in enumerate(cd.class_lists):
+        assert members.tolist() == np.sort(G.codes[class_of[G.codes] == k_]).tolist()
+    assert cd.inverse_class.tolist() == class_of[G.space.inv(reps)].tolist()
+
+
+def test_conjugacy_multiplies_whole_group_arrays(monkeypatch):
+    """Two products per generator for the edge lists and one per power of
+    the representatives; a class-by-class closure made 2936 here."""
+    G = make_group(3, 1, 2, "mixed", "gl")
+    calls = []
+    mul = MatrixSpace.mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(MatrixSpace, "mul", counted)
+    cd = ConjugacyData(G)
+    n_gens = len(np.unique(G.generators()))
+    assert len(calls) <= 2 * n_gens + int(cd.rep_orders.max()) + 1
