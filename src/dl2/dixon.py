@@ -9,7 +9,9 @@ Stages:
   1. class matrices M_i with (M_i)[j, k] = #{x in C_i : x^-1 z_k in C_j},
      built lazily, cheapest classes first (cost |C_i| per column);
   2. common eigenvector splitting of the commuting family {M_i} over F_l:
-     on each block, the eigenvalues are the roots of Krylov relations, then
+     one product per M_i for the rows of all open blocks together; a block
+     on which M_i acts as a scalar passes through, and only the others take
+     the Krylov path: the eigenvalues are the roots of Krylov relations, then
      one nullspace per eigenvalue gives its eigenspace;
   3. normalisation of eigenvectors to central characters, then degrees by
      search: the one d <= isqrt(|G|) whose square has the right residue;
@@ -102,19 +104,38 @@ def _split_blocks(blocks, M, l):
     """Refine invariant blocks under M.
 
     A block is (B, cols), a row basis B with B[:, cols] the identity, so the
-    operator on it is read off at cols.  Its eigenvalues are the roots of
-    the Krylov relations of the unit vectors e_0, e_1, ..., taken until
-    their eigenspaces fill the block; each eigenspace (N, free) becomes the
-    block (N B, [cols[f] for f in free]), the identity at its columns again.
+    operator on it is read off at cols.  The rows of all blocks of more than
+    one row are stacked into S, and Y = S M^T (mod l) is one product.  A
+    block whose rows all have Y_i = lam S_i (mod l), for one lam, passes
+    unchanged: that is exactly "invariant, and M acts on it as the scalar
+    lam", since R = Y[:, cols] = lam I gives R B = lam B = Y, and R B = Y
+    with R = lam I gives Y = lam B.  On any other block, the eigenvalues
+    are the roots of the Krylov relations of the unit vectors e_0, e_1, ...,
+    taken until their eigenspaces fill the block; each eigenspace (N, free)
+    becomes the block (N B, [cols[f] for f in free]), the identity at its
+    columns again.
     """
-    Mt = M.T.astype(np.float64)  # converted once, not once per block
+    open_blocks = [(B, cols) for B, cols in blocks if B.shape[0] > 1]
+    if not open_blocks:
+        return list(blocks)
+    S = np.vstack([B for B, _ in open_blocks])
+    Y_all = matmul_mod(S, M.T.astype(np.float64), l).astype(np.int64)
+    # lam_i at row i's own identity column.  lam_i S_i is exact in int64:
+    # both are residues below l, and matmul_mod checked n (l-1)^2 < 2^53.
+    lam_all = Y_all[np.arange(len(S)), np.concatenate([c for _, c in open_blocks])]
+    scalar_row = (lam_all[:, None] * S % l == Y_all).all(axis=1)
     out = []
+    at = 0
     for B, cols in blocks:
         d = B.shape[0]
         if d == 1:
             out.append((B, cols))
             continue
-        Y = matmul_mod(B, Mt, l).astype(np.int64)
+        Y, lams, scalar = Y_all[at : at + d], lam_all[at : at + d], scalar_row[at : at + d]
+        at += d
+        if scalar.all() and (lams == lams[0]).all():
+            out.append((B, cols))
+            continue
         R = Y[:, cols]
         if not (matmul_mod(R, B, l) == Y).all():
             raise VerificationError("block not invariant")

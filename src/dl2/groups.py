@@ -131,12 +131,13 @@ class ConjugacyData:
     hold throughout, and a round that hooks anything strictly lowers
     sum(parent), which is bounded below, so the passes stop: at the first
     full round over the generators that hooks nothing.  Then every edge
-    joins equal labels, so a label is constant on each orbit of the
-    generated group; the least index m of a class has parent[m] <= m inside
-    its class, so parent[m] = m and m labels the whole class.  Hence the
-    roots are the least indices, and sorting them orders the classes by
-    least index.  That the generators generate the group is checked by
-    `group-order` through `MatrixGroup.generated_closure`.
+    joins equal labels (checked before the edge lists are freed), so a
+    label is constant on each orbit of the generated group; the least index
+    m of a class has parent[m] <= m inside its class, so parent[m] = m and m
+    labels the whole class.  Hence the roots are the least indices, and
+    sorting them orders the classes by least index.  That the generators
+    generate the group is checked by `group-order` through
+    `MatrixGroup.generated_closure`.
     """
 
     def __init__(self, group: "MatrixGroup"):
@@ -161,8 +162,10 @@ class ConjugacyData:
                     jumped = parent[parent]
                     while not np.array_equal(jumped, parent):
                         parent, jumped = jumped, jumped[jumped]
-        del nbrs
         roots, class_idx, sizes = np.unique(parent, return_inverse=True, return_counts=True)
+        if not all((class_idx[nbr] == class_idx).all() for nbr in nbrs):
+            raise InvariantError("class labels not constant along a conjugation edge")
+        del nbrs
         class_of = np.full(sp.N, -1, dtype=np.int32)
         class_of[group.codes] = class_idx
         self.reps = group.codes[roots]

@@ -35,6 +35,7 @@ from dl2.cyclotomic import matmul, substitute, zeta_powers
 from dl2 import dixon
 from dl2.dixon import _split_blocks
 from dl2.groups import make_group
+from dl2.modlinalg import krylov_relation, matmul_mod, nullspace, poly_roots
 
 
 def test_table_gl2_f2():
@@ -354,6 +355,107 @@ def test_split_blocks_yields_eigenblocks_of_class_matrices(p, r, flavor):
         blocks = _split_blocks(blocks, M, l)
         _check_eigenblocks(blocks, M, l)
     assert len(blocks) == n and all(B.shape[0] == 1 for B, _ in blocks)
+
+
+def _split_blocks_per_block(blocks, M, l):
+    """The former `_split_blocks`: one product and one Krylov pass per block."""
+    Mt = M.T.astype(np.float64)
+    out = []
+    for B, cols in blocks:
+        d = B.shape[0]
+        if d == 1:
+            out.append((B, cols))
+            continue
+        Y = matmul_mod(B, Mt, l).astype(np.int64)
+        R = Y[:, cols]
+        if not (matmul_mod(R, B, l) == Y).all():
+            raise VerificationError("block not invariant")
+        op = R.T
+        eye = np.eye(d, dtype=np.int64)
+        spaces = {}
+        for start in range(d):
+            for lam in poly_roots(krylov_relation(op, eye[start], l), l):
+                if lam not in spaces:
+                    spaces[lam] = nullspace((op - lam * eye) % l, l)
+            if sum(len(free) for _, free in spaces.values()) == d:
+                break
+        else:
+            raise VerificationError("operator not split")
+        for N, free in spaces.values():
+            out.append((matmul_mod(N, B, l), [cols[f] for f in free]))
+    return out
+
+
+def _assert_same_blocks(got, want):
+    assert len(got) == len(want)
+    for (B, cols), (B_ref, cols_ref) in zip(got, want):
+        assert B.dtype == B_ref.dtype and B.shape == B_ref.shape
+        assert B.tobytes() == B_ref.tobytes()
+        assert list(cols) == list(cols_ref)
+
+
+@pytest.mark.parametrize(
+    "p, r, mode, flavor", [(3, 2, "mixed", "gl"), (2, 3, "equal", "gl"), (5, 2, "mixed", "sl")]
+)
+def test_split_blocks_matches_per_block_loop(p, r, mode, flavor):
+    G = make_group(p, 1, r, mode, flavor)
+    cd = G.conjugacy()
+    l = dixon.dixon_prime(G.order, cd.exponent)
+    n = cd.n_classes
+    blocks = [(np.eye(n, dtype=np.int64), list(range(n)))]
+    for i in sorted(range(1, n), key=lambda i: (int(cd.sizes[i]), i)):
+        if all(B.shape[0] == 1 for B, _ in blocks):
+            break
+        M = dixon.class_matrix(G, cd, i) % l
+        new = _split_blocks(blocks, M, l)
+        _assert_same_blocks(new, _split_blocks_per_block(blocks, M, l))
+        blocks = new
+    assert len(blocks) == n
+
+
+def test_split_blocks_rejects_block_that_is_not_invariant():
+    # span(e_0 + e_2, e_1) under diag(1, 2, 3): e_0 + e_2 -> e_0 + 3 e_2
+    M = np.diag([1, 2, 3]).astype(np.int64)
+    B = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int64)
+    with pytest.raises(VerificationError, match="block not invariant"):
+        _split_blocks([(B, [0, 1])], M, 541)
+
+
+def test_split_blocks_splits_invariant_block_with_two_eigenvalues():
+    # each row is an eigenvector, so each passes its own scalar test, but
+    # with eigenvalues 3 and 2: the block is not scalar and must split
+    l = 541
+    M = np.array([[3, 0, 0], [8, 1, 0], [0, 0, 2]], dtype=np.int64)
+    B = np.array([[1, 4, 0], [0, 0, 1]], dtype=np.int64)  # B M^T = diag(3, 2) B
+    blocks = [(np.eye(3, dtype=np.int64)[[1]], [1]), (B, [0, 2])]
+    out = _split_blocks(blocks, M, l)
+    _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l))
+    assert [cols for _, cols in out] == [[1], [0], [2]]
+    _check_eigenblocks(out, M, l)
+
+
+def test_split_blocks_rejects_operator_that_does_not_split():
+    # a Jordan block: eigenvalue 1 alone, with a one-dimensional eigenspace
+    M = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    with pytest.raises(VerificationError, match="operator not split"):
+        _split_blocks([(np.eye(2, dtype=np.int64), [0, 1])], M, 541)
+
+
+def test_mod_l_table_rejects_class_matrices_that_are_scalars(monkeypatch):
+    # every block passes the scalar test unchanged, so none ever splits
+    G = make_group(2, 1, 1, "equal", "gl")
+    monkeypatch.setattr(dixon, "class_matrix", lambda g, cd, i: np.eye(cd.n_classes, dtype=np.int64))
+    with pytest.raises(VerificationError, match="table did not split"):
+        dixon.character_table_mod_l(G)
+
+
+def test_mod_l_table_calls_krylov_only_on_blocks_that_split(monkeypatch):
+    G = make_group(3, 1, 2, "mixed", "gl")
+    calls = []
+    real = dixon.krylov_relation
+    monkeypatch.setattr(dixon, "krylov_relation", lambda *a: calls.append(1) or real(*a))
+    dixon.character_table_mod_l(G)
+    assert len(calls) <= 2 * G.conjugacy().n_classes
 
 
 def test_lift_table_guards_int64_overflow(monkeypatch):
