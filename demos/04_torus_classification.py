@@ -4,7 +4,8 @@
 Each character theta of T_r^F = (O'_r)^x gets: its top-layer datum tau in
 F_{q^2}, the regular flag (tau outside F_q), conductor data (r0, theta0,
 alpha), the Weyl stabiliser, and the restriction flags that control the SL2
-behaviour."""
+behaviour.  The classification holds one array per field, row i about the
+i-th character of the dual group."""
 
 from collections import Counter
 
@@ -13,29 +14,32 @@ from dl2.torus import classify_all, conductor_by_peeling, make_torus
 torus = make_torus(3, 1, 2, "mixed")
 print(f"T^F = units of {torus.ext!r}: order {torus.order}")
 
-tcs = classify_all(torus)
-print("\nclassification summary over all", len(tcs), "characters:")
-print("  regular:", sum(tc.is_regular for tc in tcs))
-print("  r0 histogram:", dict(Counter(tc.r0 for tc in tcs)))
-print("  stabiliser histogram:", dict(Counter(tc.stab_size for tc in tcs)))
-print("  order-2 restriction (odd-q split marker):",
-      sum(tc.sl_quadratic for tc in tcs))
+cl = classify_all(torus)
+print("\nclassification summary over all", len(cl), "characters:")
+print("  regular:", int(cl.regular.sum()))
+print("  r0 histogram:", dict(Counter(cl.r0.tolist())))
+print("  stabiliser histogram:", dict(Counter(cl.stab_size.tolist())))
+print("  order-2 restriction (odd-q split marker):", int(cl.sl_quadratic.sum()))
 
 # tau is onto F_{q^2} with fibres of size |T|/q^2
-fib = Counter(tc.tau for tc in tcs)
+fib = Counter(cl.tau.tolist())
 print("\ntau fibres (pair code -> count):", dict(sorted(fib.items())))
 
-# two independent conductor algorithms agree character by character
-sample = [tc for tc in tcs if not tc.is_regular][:6]
-print("\nconductor cross-check (twist minimum vs scalar peeling):")
-for tc in sample:
-    pe = conductor_by_peeling(torus, tc.theta)
-    print(f"  theta {tc.theta.a}: r0 = {tc.r0}, peeling -> {pe}, "
-          f"alpha = {tc.alpha.a}, theta0 = {tc.theta0.a}")
-
-# a record as the CLI emits it
-from dl2.cli import _classification_record
+# two independent conductor algorithms agree character by character, and the
+# CLI records spell out theta0 at its own level
+from dl2.cli import _classification_records
 import json
 
+records = _classification_records(cl)
+thetas = torus.dual()
+sample = [i for i in range(len(cl)) if not cl.regular[i]][:6]
+print("\nconductor cross-check (twist minimum vs scalar peeling):")
+for i in sample:
+    rec = records[i]
+    pe = conductor_by_peeling(torus, thetas[i])
+    print(f"  theta {tuple(rec['theta'])}: r0 = {rec['r0']}, peeling -> {pe}, "
+          f"alpha = {tuple(rec['alpha'])}, theta0 = {tuple(rec['theta0'])}")
+
+# a record as the CLI emits it
 print("\nJSON record for the first nontrivial theta:")
-print(" ", json.dumps(_classification_record(tcs[1]), sort_keys=True))
+print(" ", json.dumps(records[1], sort_keys=True))

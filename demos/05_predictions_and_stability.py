@@ -15,19 +15,21 @@ from dl2.torus import classify_all, make_torus
 
 q, r = 3, 2
 torus = make_torus(q, 1, r, "mixed")
-tcs = classify_all(torus)
+cl = classify_all(torus)
+# a short tuple of predictions, and for each theta the position of its own
+gl_values, gl_which = predict_gl2(cl)
+sl_values, sl_which = predict_sl2(cl)
 
 print(f"predictions for GL2 at q = {q}, r = {r}:")
-hist = Counter((predict_gl2(tc, q, r).clause, predict_gl2(tc, q, r).total_dim)
-               for tc in tcs)
+hist = Counter((gl_values[k].clause, gl_values[k].total_dim) for k in gl_which.tolist())
 for (clause, dim), n in sorted(hist.items()):
     print(f"  {n:3d} characters: clause {clause!r}, total dimension {dim:+d}")
 
 print("\nSL2 splits the odd-q order-2 restriction cases in half:")
-for tc in tcs:
-    ps = predict_sl2(tc, q, r)
-    if ps.constituents != predict_gl2(tc, q, r).constituents:
-        print(f"  theta {tc.theta.a}: constituents {ps.constituents} "
+for theta, kg, ks in zip(cl.theta.tolist(), gl_which.tolist(), sl_which.tolist()):
+    ps = sl_values[ks]
+    if ps.constituents != gl_values[kg].constituents:
+        print(f"  theta {tuple(theta)}: constituents {ps.constituents} "
               f"(two of dimension (q-1)/2)")
 
 # Stability: inflating 1 - St from level 1 gives a norm-2 virtual character

@@ -11,7 +11,7 @@ computed tables.
 from .rings import RingSpec, RingElem, ExtSpec, ExtElem, make_ring, make_ext
 from .groups import MatrixGroup, make_group, gl2_order, sl2_order
 from .characters import character_table, CharacterTable, inner_product
-from .torus import CoxeterTorus, make_torus, classify_all, TorusCharClass
+from .torus import CoxeterTorus, make_torus, classify_all, Classification
 from .predictor import predict_gl2, predict_sl2, dimension_set, sign_from_dim, Prediction
 from .weyl import conjecture_sign, sweep_classical_signs
 from .verifier import run_case, run_suite, VerificationReport
@@ -20,7 +20,7 @@ __all__ = [
     "RingSpec", "RingElem", "ExtSpec", "ExtElem", "make_ring", "make_ext",
     "MatrixGroup", "make_group", "gl2_order", "sl2_order",
     "character_table", "CharacterTable", "inner_product",
-    "CoxeterTorus", "make_torus", "classify_all", "TorusCharClass",
+    "CoxeterTorus", "make_torus", "classify_all", "Classification",
     "predict_gl2", "predict_sl2", "dimension_set", "sign_from_dim", "Prediction",
     "conjecture_sign", "sweep_classical_signs",
     "run_case", "run_suite", "VerificationReport",

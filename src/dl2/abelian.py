@@ -14,8 +14,7 @@ unity, L the group exponent, so the whole module is integer arithmetic.
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Callable
 
 import numpy as np
@@ -119,6 +118,7 @@ class FiniteAbelianGroup:
     `mul(x, y)` must multiply elementwise on int64 code arrays of one shape.
 
     basis    : list of (generator code, order), orders prime powers
+    gens     : int64 array of the basis generators
     orders   : the basis orders
     exponent : lcm of the orders
     exps     : int64 array, row i the exponents of codes[i] w.r.t. the basis
@@ -139,6 +139,7 @@ class FiniteAbelianGroup:
             comp = np.unique(self.pow(self.codes, m_prime)).tolist()
             basis.extend(_Carrier(comp, scalar_mul, self.identity).p_group_basis(p))
         self.basis = basis
+        self.gens = np.array([g for g, _ in basis], dtype=np.int64)
         self.orders = tuple(n for _, n in basis)
         self.exponent = 1
         for n in self.orders:
@@ -157,6 +158,8 @@ class FiniteAbelianGroup:
             raise InvariantError("basis does not span the group")
         self.exps = exps[order]
         self.dlog = dict(zip(self.codes.tolist(), map(tuple, self.exps.tolist())))
+        # dual() is in mixed radix: the last exponent runs fastest
+        self._radix = np.array([prod(self.orders[i + 1:]) for i in range(len(basis))], dtype=np.int64)
 
     def pow(self, x, n: int):
         """x ** n elementwise on an int64 code array (or one code)."""
@@ -182,22 +185,35 @@ class FiniteAbelianGroup:
 
     def dual(self) -> list["DualChar"]:
         """All |A| characters."""
-        if not self.orders:
-            return [DualChar(self, tuple())]
-        return [DualChar(self, a) for a in product(*(range(n) for n in self.orders))]
+        return [DualChar(self, tuple(a)) for a in self.dual_rows().tolist()]
 
-    def char_from_values_on_basis(self, root_exps, L: int) -> "DualChar":
-        """Character taking value zeta_L^root_exps[i] at basis generator i."""
-        a = []
-        for (g, n), re in zip(self.basis, root_exps):
-            re %= L
-            if (re * n) % L:
-                raise InvariantError("value is not an n-th root of unity")
-            a.append((re * n // L) % n)
-        return DualChar(self, tuple(a))
+    def dual_rows(self, index=None) -> np.ndarray:
+        """Exponent rows of the characters dual()[j], j in `index` (all j
+        by default)."""
+        j = np.arange(self.order) if index is None else np.asarray(index, dtype=np.int64)
+        return j[:, None] // self._radix % np.array(self.orders, dtype=np.int64)
 
-    def trivial_char(self) -> "DualChar":
-        return DualChar(self, tuple([0] * len(self.orders)))
+    def dual_index(self, rows) -> np.ndarray:
+        """Position in dual() of each exponent row."""
+        return np.asarray(rows, dtype=np.int64) @ self._radix
+
+    def value_rows(self, codes) -> np.ndarray:
+        """Rows w(x), one per code x, with chi(x) = zeta_L^(a . w(x)) for
+        every character chi = DualChar(a), L the group exponent."""
+        codes = np.asarray(codes, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
+        if (self.codes[pos] != codes).any():
+            raise ValueError("value_rows: a code is not a group element")
+        return self.exps[pos] * (self.exponent // np.array(self.orders, dtype=np.int64)) % self.exponent
+
+    def chars_from_values(self, E, L: int) -> np.ndarray:
+        """Exponent rows of the characters taking the value zeta_L^E[..., i]
+        at basis generator i."""
+        n = np.array(self.orders, dtype=np.int64)
+        E = np.asarray(E, dtype=np.int64) % L * n
+        if (E % L).any():
+            raise InvariantError("value is not an n-th root of unity")
+        return E // L % n
 
     def __len__(self):
         return self.order
@@ -241,13 +257,6 @@ class DualChar:
     def inverse(self) -> "DualChar":
         a = tuple((-x) % n for x, n in zip(self.a, self.group.orders))
         return DualChar(self.group, a)
-
-    def compose_with_endo(self, images_of_basis) -> "DualChar":
-        """The character x -> self(f(x)), f the group endomorphism sending
-        basis generator i to images_of_basis[i]."""
-        L = self.group.exponent
-        exps = [self.root_exp(img) for img in images_of_basis]
-        return self.group.char_from_values_on_basis(exps, L)
 
     def __eq__(self, other):
         return (

@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .cache import cached_character_table
 from .predictor import predict_gl2, predict_sl2
 from .rings import is_prime
@@ -28,45 +30,46 @@ def _out_stream(path):
     return open(path, "w") if path else sys.stdout
 
 
-def _classification_record(tc) -> dict:
-    return {
-        "theta": list(tc.theta.a),
-        "basis_orders": list(tc.theta.group.orders),
-        "tau": tc.tau,
-        "regular": tc.is_regular,
-        "r0": tc.r0,
-        "theta0": list(tc.theta0.a),
-        "alpha": list(tc.alpha.a),
-        "n_minimizing_twists": tc.n_minimizing_twists,
-        "general_position": tc.general_position,
-        "stabilizer": tc.stab_size,
-        "sl_sigma_fixed": tc.sl_sigma_fixed,
-        "sl_quadratic": tc.sl_quadratic,
+def _classification_records(cl) -> list[dict]:
+    """One JSON record per theta, in the order of the torus dual group."""
+    theta0 = [None] * len(cl)
+    for r0 in np.unique(cl.r0).tolist():
+        for i, row in zip(np.flatnonzero(cl.r0 == r0).tolist(), cl.theta0_rows(r0).tolist()):
+            theta0[i] = row
+    columns = {
+        "theta": cl.theta.tolist(),
+        "tau": [None] * len(cl) if cl.tau is None else cl.tau.tolist(),
+        "regular": cl.regular.tolist(),
+        "r0": cl.r0.tolist(),
+        "theta0": theta0,
+        "alpha": cl.alpha.tolist(),
+        "n_minimizing_twists": cl.n_minimizing_twists.tolist(),
+        "general_position": cl.general_position.tolist(),
+        "stabilizer": cl.stab_size.tolist(),
+        "sl_sigma_fixed": cl.sl_sigma_fixed.tolist(),
+        "sl_quadratic": cl.sl_quadratic.tolist(),
     }
+    orders = list(cl.torus.group.orders)
+    return [dict(zip(columns, rec), basis_orders=orders) for rec in zip(*columns.values())]
 
 
 def cmd_classify_torus(args) -> int:
     torus = make_torus(args.p, args.k, args.r, args.mode)
     out = _out_stream(args.out)
-    for tc in classify_all(torus, psi_scale=args.psi_scale):
-        out.write(json.dumps(_classification_record(tc), sort_keys=True) + "\n")
+    for rec in _classification_records(classify_all(torus, psi_scale=args.psi_scale)):
+        out.write(json.dumps(rec, sort_keys=True) + "\n")
     if args.out:
         out.close()
     return 0
 
 
 def cmd_predict(args) -> int:
-    torus = make_torus(args.p, args.k, args.r, args.mode)
-    q = torus.q
+    cl = classify_all(make_torus(args.p, args.k, args.r, args.mode))
+    values, which = (predict_gl2 if args.flavor == "gl" else predict_sl2)(cl)
     out = _out_stream(args.out)
-    for tc in classify_all(torus):
-        pred = (
-            predict_gl2(tc, q, args.r)
-            if args.flavor == "gl"
-            else predict_sl2(tc, q, args.r)
-        )
-        rec = {"theta": list(tc.theta.a), "flavor": args.flavor}
-        rec.update(pred.to_dict())
+    for theta, k in zip(cl.theta.tolist(), which.tolist()):
+        rec = {"theta": theta, "flavor": args.flavor}
+        rec.update(values[k].to_dict())
         out.write(json.dumps(rec, sort_keys=True) + "\n")
     if args.out:
         out.close()

@@ -1,5 +1,10 @@
-"""Predicted (sign, dimension, decomposition) for each classified torus
+"""Predicted (sign, dimension, decomposition) for every classified torus
 character, for GL2 and SL2 over O_r.
+
+`predict_gl2` and `predict_sl2` take a `Classification` and return
+(values, which): a short tuple of `Prediction`s, one per clause and level,
+and for each theta the position of its prediction in that tuple, chosen
+from the classification flags by one `np.where` cascade.
 
 Clause selection:
   * regular theta: irreducible up to the sign (-1)^r, dimension (q-1)q^(r-1)
@@ -20,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import DualChar, InvariantError
-from .torus import TorusCharClass
+import numpy as np
+
+from .abelian import InvariantError
+from .torus import Classification
 
 CLAUSE_REGULAR = "regular"
 CLAUSE_DESCENT = "twist-descends-above-level-one"
@@ -40,7 +47,6 @@ class Prediction:
     irreducible_up_to_sign: bool
     sign: int
     clause: str
-    sigma1_twist: DualChar | None = None
 
     def __post_init__(self):
         if sum(c * m * d for d, m, c in self.constituents) != self.total_dim:
@@ -66,57 +72,48 @@ class Prediction:
         }
 
 
-def predict_gl2(tc: TorusCharClass, q: int, r: int) -> Prediction:
-    if tc.q != q or tc.level != r:
-        raise InvariantError("classification record mismatch")
-    if tc.is_regular:
-        if tc.r0 != r:
-            raise InvariantError("a regular character has conductor level r")
-        sgn = (-1) ** r
-        d = (q - 1) * q ** (r - 1)
-        return Prediction(sgn * d, ((d, 1, sgn),), True, sgn, CLAUSE_REGULAR)
-    if tc.r0 > 1:
-        sgn = (-1) ** tc.r0
-        d = (q - 1) * q ** (tc.r0 - 1)
-        return Prediction(sgn * d, ((d, 1, sgn),), True, sgn, CLAUSE_DESCENT)
-    if tc.general_position:
-        return Prediction(-(q - 1), ((q - 1, 1, -1),), True, -1, CLAUSE_GP)
-    return Prediction(
-        1 - q,
-        ((1, 1, 1), (q, 1, -1)),
-        False,
-        -1,
-        CLAUSE_SPLIT,
-        sigma1_twist=tc.alpha.inverse(),
+def _irreducible(q: int, r0: int, clause: str) -> Prediction:
+    sgn, d = (-1) ** r0, (q - 1) * q ** (r0 - 1)
+    return Prediction(sgn * d, ((d, 1, sgn),), True, sgn, clause)
+
+
+def predict_gl2(cl: Classification) -> tuple[tuple[Prediction, ...], np.ndarray]:
+    """(values, which): theta i is predicted values[which[i]]."""
+    q, r = cl.torus.q, cl.torus.r
+    if (cl.regular & (cl.r0 != r)).any():
+        raise InvariantError("a regular character has conductor level r")
+    values = (
+        _irreducible(q, r, CLAUSE_REGULAR),  # 0
+        *(_irreducible(q, r0, CLAUSE_DESCENT) for r0 in range(2, r + 1)),  # r0 - 1
+        Prediction(-(q - 1), ((q - 1, 1, -1),), True, -1, CLAUSE_GP),  # r
+        Prediction(1 - q, ((1, 1, 1), (q, 1, -1)), False, -1, CLAUSE_SPLIT),  # r + 1
     )
+    which = np.where(
+        cl.regular, 0, np.where(cl.r0 > 1, cl.r0 - 1, np.where(cl.general_position, r, r + 1))
+    )
+    return values, which
 
 
-def predict_sl2(tc: TorusCharClass, q: int, r: int) -> Prediction:
-    base = predict_gl2(tc, q, r)
+def predict_sl2(cl: Classification) -> tuple[tuple[Prediction, ...], np.ndarray]:
+    """(values, which) as `predict_gl2`, with the SL2 splittings."""
+    values, which = predict_gl2(cl)
+    q, r = cl.torus.q, cl.torus.r
+    irreducible = which < r  # the regular and descent clauses
     if q % 2 == 1:
         # only the general-position clause with an order-2 restriction splits
-        if base.clause == CLAUSE_GP and tc.sl_quadratic:
-            half = (q - 1) // 2
-            return Prediction(
-                -(q - 1), ((half, 2, -1),), False, -1, CLAUSE_SL_ODD
-            )
-        if base.clause in (CLAUSE_REGULAR, CLAUSE_DESCENT) and tc.sl_sigma_fixed:
+        if (irreducible & cl.sl_sigma_fixed).any():
             raise InvariantError("odd q cannot have a flip-stable restriction off level one")
-        return base
+        half = Prediction(-(q - 1), (((q - 1) // 2, 2, -1),), False, -1, CLAUSE_SL_ODD)
+        return values + (half,), np.where((which == r) & cl.sl_quadratic, len(values), which)
     # even q: the regular and descent clauses split when the restriction to
-    # the norm-one torus is flip-stable
-    if base.clause in (CLAUSE_REGULAR, CLAUSE_DESCENT) and tc.sl_sigma_fixed:
-        r0 = tc.r0
-        half = (q**r0 - q ** (r0 - 1)) // 2
-        sgn = (-1) ** r0
-        return Prediction(
-            sgn * (q**r0 - q ** (r0 - 1)),
-            ((half, 2, sgn),),
-            False,
-            sgn,
-            CLAUSE_SL_EVEN,
-        )
-    return base
+    # the norm-one torus is flip-stable; the halves of level r0 sit at
+    # len(values) + r0 - 2
+    def halves(r0):
+        sgn, d = (-1) ** r0, q**r0 - q ** (r0 - 1)
+        return Prediction(sgn * d, ((d // 2, 2, sgn),), False, sgn, CLAUSE_SL_EVEN)
+
+    split = irreducible & cl.sl_sigma_fixed
+    return values + tuple(map(halves, range(2, r + 1))), np.where(split, len(values) + cl.r0 - 2, which)
 
 
 def dimension_set(q: int, r: int) -> set[int]:
@@ -140,17 +137,3 @@ def sign_from_dim(d: int, q: int) -> int:
         m //= q
         i += 1
     return (-1) ** (1 + i)
-
-
-def prediction_signature(pred: Prediction) -> tuple:
-    """Structure that must be stable under inflation: the total dimension and
-    the multiset of (dimension, multiplicity, coefficient) triples."""
-    return (pred.total_dim, tuple(sorted(pred.constituents)))
-
-
-def stability_consistency(
-    tc_high: TorusCharClass, pred_high: Prediction, pred_low: Prediction
-) -> bool:
-    """Whether a prediction at level r matches the prediction of the
-    descended character at the lower level, structurally."""
-    return prediction_signature(pred_high) == prediction_signature(pred_low)

@@ -3,7 +3,10 @@ and the full classification of its characters.
 
 The torus is realised as the unit group of the unramified quadratic
 extension, embedded in GL2(O_r) by the multiplication action on the basis
-(1, xi).  For each character theta we compute:
+(1, xi).  A character theta is an exponent row a over the torus basis, with
+theta(x) = zeta_L^(a . w(x)) for the value rows w of
+`FiniteAbelianGroup.value_rows`.  `classify_all` computes, as one array
+over the rows of the dual group each:
 
   * the top-layer datum tau in F_{q^2} pairing theta against the additive
     character psi on the last congruence kernel (levels r >= 2),
@@ -17,10 +20,14 @@ extension, embedded in GL2(O_r) by the multiplication action on the basis
     the restriction is flip-stable, and the order-2 flag at level 1 that
     governs the odd-q splitting.
 
+Each field is a product of exponent rows with value rows mod L: the flip,
+the norm pullback and the descent to a lower level are each one exponent
+matrix (`FiniteAbelianGroup.chars_from_values`).
+
 Two independent conductor algorithms are provided: the brute-force minimum
-over all twists, and the iterative peeling of scalar top-layer data one
-level at a time.  They must agree; the verification layer checks this
-exhaustively.
+over all twists, for all thetas at once, and the iterative peeling of
+scalar top-layer data one level at a time, per theta.  They must agree; the
+verification layer checks this exhaustively.
 """
 
 from __future__ import annotations
@@ -62,9 +69,8 @@ class CoxeterTorus:
             self.kernels[r2] = FiniteAbelianGroup(kcodes, ext.mul, ext.one)
         # norm-one subgroup (the SL2 torus)
         self.norm_one = self.codes[ext.norm(self.codes) == ring.one]
-        self._pullbacks: dict = {}
         self._patterns: dict = {}
-        self._preimages: dict = {}
+        self._descent: dict = {}
         self._kernel_values: dict = {}
         self._extensions: dict = {}
         self._top = None
@@ -91,50 +97,34 @@ class CoxeterTorus:
     def dual(self) -> list[DualChar]:
         return self.group.dual()
 
-    def sigma_images_of_basis(self) -> list[int]:
-        return [int(self.sigma(g)) for g, _ in self.group.basis]
+    def flip(self, A) -> np.ndarray:
+        """Exponent rows of theta o sigma, for the exponent rows A."""
+        T = self.group
+        W = T.value_rows(self.sigma(self.group.gens))
+        return T.chars_from_values(np.asarray(A) @ W.T % T.exponent, T.exponent)
 
-    def char_sigma(self, theta: DualChar) -> DualChar:
-        """theta composed with the Frobenius flip."""
-        return theta.compose_with_endo(self.sigma_images_of_basis())
+    @functools.cached_property
+    def pullback_rows(self) -> np.ndarray:
+        """Row j: the exponent row of alpha(norm(-)), alpha = base_units.dual()[j]."""
+        U = self.base_units
+        W = U.value_rows(self.ext.norm(self.group.gens))
+        return self.group.chars_from_values(U.dual_rows() @ W.T % U.exponent, U.exponent)
 
     def norm_pullback(self, alpha: DualChar) -> DualChar:
         """alpha(norm(-)) as a character of the torus."""
-        cached = self._pullbacks.get(alpha.a)
-        if cached is not None:
-            return cached
-        L = self.group.exponent
-        LU = self.base_units.exponent
-        exps = []
-        for g, _n in self.group.basis:
-            e = alpha.root_exp(int(self.ext.norm(g)))
-            if (e * L) % LU:
-                raise InvariantError("norm pullback value outside mu_L")
-            exps.append(e * L // LU)
-        out = self.group.char_from_values_on_basis(exps, L)
-        self._pullbacks[alpha.a] = out
-        return out
+        row = self.pullback_rows[self.base_units.dual_index(alpha.a)]
+        return DualChar(self.group, tuple(row.tolist()))
 
-    def weyl_stabilizer(self, theta: DualChar) -> int:
-        return 2 if self.char_sigma(theta) == theta else 1
-
-    def value_rows(self, codes) -> np.ndarray:
-        """Rows w(x), one per torus code x, with theta(x) = zeta_L^(a . w(x))
-        for every theta = DualChar(a), L the group exponent."""
-        T = self.group
-        codes = np.asarray(codes, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(T.codes, codes), T.order - 1)
-        if (T.codes[pos] != codes).any():
-            raise ValueError("value_rows: a code is not a torus element")
-        return T.exps[pos] * (T.exponent // np.array(T.orders, dtype=np.int64)) % T.exponent
+    @functools.cached_property
+    def norm_one_group(self) -> FiniteAbelianGroup:
+        return FiniteAbelianGroup(self.norm_one, self.ext.mul, self.ext.one)
 
     def kernel_values(self, r2: int):
         """(W, V): the value rows of the generators of K_{r2}, and V[j] the
         values on them of the norm pullback of base_units.dual()[j]."""
         if r2 not in self._kernel_values:
-            W = self.value_rows([g for g, _ in self.kernels[r2].basis])
-            P = np.array([self.norm_pullback(al).a for al in self.base_units.dual()])
-            self._kernel_values[r2] = W, P @ W.T % self.group.exponent
+            W = self.group.value_rows(self.kernels[r2].gens)
+            self._kernel_values[r2] = W, self.pullback_rows @ W.T % self.group.exponent
         return self._kernel_values[r2]
 
     # -- the additive-character pairing on the top congruence layer -------------
@@ -148,42 +138,49 @@ class CoxeterTorus:
 
     @functools.cached_property
     def _top_rows(self) -> np.ndarray:
-        return self.value_rows(self.top_layer_elements()[1])
+        return self.group.value_rows(self.top_layer_elements()[1])
 
     def _pairing_patterns(self, psi_scale: int):
-        """For each candidate tau, the psi(Tr(x tau)) exponents over all x
-        (as int64 row bytes)."""
+        """(P, cols, lut): P[x, tau] the psi(Tr(x tau)) exponent, cols some
+        x whose exponents determine tau, and lut the tau of each key
+        sum_i P[cols[i], tau] p^(len(cols) - 1 - i)."""
         if psi_scale in self._patterns:
             return self._patterns[psi_scale]
-        F, rq = self.ring.field, self.rq
+        F, rq, p = self.ring.field, self.rq, self.ring.p
         xs = np.arange(self.q**2, dtype=np.int64)
-        rows = F.trace_to_fp[F.mul[rq.trace(rq.mul(xs[:, None], xs[None, :])), psi_scale]]
-        pats = {rows[:, tau].tobytes(): tau for tau in range(len(xs))}
-        if len(pats) != len(xs):
+        P = F.trace_to_fp[F.mul[rq.trace(rq.mul(xs[:, None], xs[None, :])), psi_scale]]
+        # greedily, the x that separate more tau: an F_p-basis of F_{q^2}
+        key, cols = np.zeros_like(xs), []
+        for x in xs.tolist():
+            if len(np.unique(key * p + P[x])) > len(np.unique(key)):
+                key, cols = key * p + P[x], cols + [x]
+        if len(np.unique(key)) != len(xs):
             raise InvariantError("trace pairing degenerate")
-        self._patterns[psi_scale] = pats
-        return pats
+        lut = np.zeros(p ** len(cols), dtype=np.int64)
+        lut[key] = xs
+        self._patterns[psi_scale] = P, cols, lut
+        return self._patterns[psi_scale]
 
-    def taus(self, A: np.ndarray, psi_scale: int = 1) -> list[int]:
-        """tau_of for each row of A, the exponent tuples of some thetas."""
+    def taus(self, A: np.ndarray, psi_scale: int = 1) -> np.ndarray:
+        """tau_of for each row of A, the exponent rows of some thetas."""
         p, L = self.ring.p, self.group.exponent
         V = A @ self._top_rows.T % L
         if (V * p % L).any():
             raise InvariantError("top-layer values are not p-th roots")
-        pats = self._pairing_patterns(psi_scale)
-        return [pats[row.tobytes()] for row in np.ascontiguousarray(V * p // L)]
+        P, cols, lut = self._pairing_patterns(psi_scale)
+        V = V * p // L
+        tau = lut[V[:, cols] @ p ** np.arange(len(cols) - 1, -1, -1)]
+        # the whole pairing row must be the pattern of the tau it was read as
+        if (P[:, tau].T != V).any():
+            raise InvariantError("top-layer values are not a trace pairing")
+        return tau
 
     def tau_of(self, theta: DualChar, psi_scale: int = 1) -> int:
         """The unique tau in F_{q^2} (pair code) with
         theta(1 + pi^(r-1) x) = psi(Tr_{F_{q^2}/F_q}(x tau)) for all x."""
         if self.r < 2:
             raise ValueError("tau is defined for levels r >= 2 only")
-        return self.taus(np.array([theta.a]), psi_scale)[0]
-
-    def is_regular(self, theta: DualChar, psi_scale: int = 1) -> bool:
-        if self.r < 2:
-            return False
-        return not self.is_scalar(self.tau_of(theta, psi_scale))
+        return int(self.taus(np.array([theta.a]), psi_scale)[0])
 
     def is_scalar(self, tau) -> bool:
         """Whether a pair code of F_{q^2} lies in the scalar subfield F_q."""
@@ -205,44 +202,31 @@ class CoxeterTorus:
             return self
         return make_torus(self.ring.p, self.ring.k, r2, self.ring.mode)
 
-    def _descent_preimages(self, r2: int):
-        """For the level-r2 torus basis, one preimage code per generator."""
-        if r2 in self._preimages:
-            return self._preimages[r2]
-        t0 = self.level_torus(r2)
-        _, m = self.ext.reduction(r2)
-        images = m[self.codes]
-        out = []
-        for g, _n in t0.group.basis:
-            pos = int(np.nonzero(images == g)[0][0])
-            out.append(int(self.codes[pos]))
-        self._preimages[r2] = out
-        return out
+    def _descent_rows(self, r2: int) -> np.ndarray:
+        """Value rows of one preimage per generator of the level-r2 basis."""
+        if r2 not in self._descent:
+            _, m = self.ext.reduction(r2)
+            gens = self.level_torus(r2).group.gens
+            pos = np.argmax(m[self.codes][None, :] == gens[:, None], axis=1)
+            self._descent[r2] = self.group.value_rows(self.codes[pos])
+        return self._descent[r2]
+
+    def descend_rows(self, A, r2: int) -> np.ndarray:
+        """Exponent rows of the level-r2 characters inflating to the rows A
+        (each trivial on K_{r2})."""
+        L = self.group.exponent
+        return self.level_torus(r2).group.chars_from_values(np.asarray(A) @ self._descent_rows(r2).T % L, L)
 
     def descend(self, eta: DualChar, r2: int) -> DualChar:
         """The character of T_{r2}^F inflating to eta (eta trivial on K_{r2})."""
-        t0 = self.level_torus(r2)
-        L, L0 = self.group.exponent, t0.group.exponent
-        exps = []
-        for pre in self._descent_preimages(r2):
-            e = eta.root_exp(pre)
-            if (e * L0) % L:
-                raise InvariantError("eta is not trivial on the descent kernel")
-            exps.append(e * L0 // L)
-        return t0.group.char_from_values_on_basis(exps, L0)
+        return DualChar(self.level_torus(r2).group, tuple(self.descend_rows(eta.a, r2).tolist()))
 
-    def inflate_from(self, theta0: DualChar, r2: int) -> DualChar:
-        """The inflation of a level-r2 torus character to level r."""
-        t0 = self.level_torus(r2)
+    def inflate_from(self, A0, r2: int) -> np.ndarray:
+        """Exponent rows of the inflations to level r of the level-r2 rows A0."""
+        T0 = self.level_torus(r2).group
         _, m = self.ext.reduction(r2)
-        L, L0 = self.group.exponent, t0.group.exponent
-        exps = []
-        for g, _n in self.group.basis:
-            e = theta0.root_exp(int(m[g]))
-            if (e * L) % L0:
-                raise InvariantError("inflated value outside mu_L")
-            exps.append(e * L // L0)
-        return self.group.char_from_values_on_basis(exps, L)
+        W = T0.value_rows(m[self.group.gens])
+        return self.group.chars_from_values(np.asarray(A0) @ W.T % T0.exponent, T0.exponent)
 
 
 def torus_order(q: int, r: int) -> int:
@@ -255,146 +239,133 @@ def make_torus(p: int, k: int, r: int, mode: str) -> CoxeterTorus:
 
 
 # ---------------------------------------------------------------------------
-# classification records
+# the classification, one array per field over the dual group
 
 
-@dataclass
-class TorusCharClass:
-    """Everything the prediction layer needs to know about one theta."""
+@dataclass(frozen=True, eq=False)
+class Classification:
+    """Everything the prediction layer needs to know about every theta: row
+    i of each array is about torus.dual()[i]."""
 
-    theta: DualChar
-    level: int                 # the ambient level r
-    q: int
-    tau: int | None            # pair code in F_{q^2}, None at r = 1
-    is_regular: bool
-    r0: int
-    theta0: DualChar           # character of the level-r0 torus
-    alpha: DualChar            # canonical twisting character of O_r^x
-    n_minimizing_twists: int
-    general_position: bool     # theta0 not flip-stable (meaningful at r0 = 1)
-    stab_size: int             # 1 or 2
-    sl_sigma_fixed: bool       # restriction to norm-one units flip-stable
-    sl_quadratic: bool         # odd q, r0 = 1: restriction of theta0 has order 2
+    torus: CoxeterTorus
+    theta: np.ndarray                # (N, b) exponent rows
+    tau: np.ndarray | None           # pair codes in F_{q^2}, None at r = 1
+    regular: np.ndarray              # tau outside F_q
+    r0: np.ndarray                   # conductor level, r for regular theta
+    theta0: np.ndarray               # position in level_torus(r0).dual()
+    alpha: np.ndarray                # exponent rows of the canonical twist of O_r^x
+    n_minimizing_twists: np.ndarray
+    general_position: np.ndarray     # theta0 not flip-stable (meaningful at r0 = 1)
+    stab_size: np.ndarray            # 1 or 2
+    sl_sigma_fixed: np.ndarray       # restriction to norm-one units flip-stable
+    sl_quadratic: np.ndarray         # odd q, r0 = 1: restriction of theta0 has order 2
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def theta0_rows(self, r0: int) -> np.ndarray:
+        """Exponent rows of theta0, at level r0, for the thetas with that r0."""
+        return self.torus.level_torus(r0).group.dual_rows(self.theta0[self.r0 == r0])
 
 
-def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass]:
-    """Classification of every theta, batch-vectorised over the dual group."""
-    T = torus.group
-    U = torus.base_units
-    L = T.exponent
-    thetas = torus.dual()
-    n_t = len(thetas)
-    A = np.array([th.a for th in thetas], dtype=np.int64)
+def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> Classification:
+    """Classification of every theta, in array passes over the dual group."""
+    T, U, r = torus.group, torus.base_units, torus.r
+    L, nU = T.exponent, U.order
+    A = T.dual_rows()
+    n_t = len(A)
 
     # -- tau and regularity (r >= 2) ------------------------------------------
-    taus = torus.taus(A, psi_scale) if torus.r >= 2 else [None] * n_t
-    regular = [tau is not None and not torus.is_scalar(tau) for tau in taus]
+    tau = torus.taus(A, psi_scale) if r >= 2 else None
+    regular = tau >= torus.q if r >= 2 else np.zeros(n_t, dtype=bool)
 
-    # -- twisted levels ---------------------------------------------------------
-    pulls = [torus.norm_pullback(al) for al in U.dual()]
-    # values of each theta, and lookup of the twists cancelling them, on the
-    # generators of each kernel
-    levels_theta = {}
-    alpha_lookup = {}
-    for r2 in range(1, torus.r + 1):
-        W, Ca = torus.kernel_values(r2)
-        levels_theta[r2] = A @ W.T % L
-        d: dict[bytes, list[int]] = {}
-        for j, row in enumerate((-Ca) % L):
-            d.setdefault(row.tobytes(), []).append(j)
-        alpha_lookup[r2] = d
+    # -- conductor data: a regular theta is its own theta0 at level r ----------
+    r0 = np.full(n_t, r)
+    theta0 = np.arange(n_t)
+    alpha = np.zeros(n_t, dtype=np.int64)
+    n_min = np.ones(n_t, dtype=np.int64)
+    todo = np.flatnonzero(~regular)
+    for r2 in range(1, r + 1):
+        if not len(todo):
+            break
+        # theta * alpha_j o N is trivial on K_{r2} iff theta and the inverse
+        # of alpha_j o N restrict to the same character of K_{r2}
+        K, (W, V) = torus.kernels[r2], torus.kernel_values(r2)
+        res_theta = K.dual_index(K.chars_from_values(A[todo] @ W.T, L))
+        res_twist = K.dual_index(K.chars_from_values(-V, L))
+        order = np.argsort(res_twist, kind="stable")
+        lo = np.searchsorted(res_twist[order], res_theta, "left")
+        cnt = np.searchsorted(res_twist[order], res_theta, "right") - lo
+        hit = cnt > 0
+        rows, lo, cnt = todo[hit], lo[hit], cnt[hit]
+        # one stacked row per (theta, minimising twist), the twists in order
+        starts = np.cumsum(cnt) - cnt
+        i = np.repeat(rows, cnt)
+        j = order[np.repeat(lo - starts, cnt) + np.arange(cnt.sum())]
+        t0 = torus.level_torus(r2).group
+        # canonical (theta0, alpha): least descended tuple, then least twist
+        # tuple; dual() positions order the tuples lexicographically
+        key = t0.dual_index(torus.descend_rows(A[i] + torus.pullback_rows[j], r2)) * nU + j
+        if len(rows):
+            best = np.minimum.reduceat(key, starts)
+            r0[rows], theta0[rows], alpha[rows], n_min[rows] = r2, best // nU, best % nU, cnt
+        todo = todo[~hit]
+    if len(todo):
+        raise InvariantError("no level makes a twist of theta trivial")
 
-    alphas = U.dual()
-    out = []
+    # -- general position of theta0 at its level, and the odd-q order-2 flag
+    # of its restriction to the norm-one units at level 1 ------------------------
+    gp = np.zeros(n_t, dtype=bool)
+    sl_quadratic = np.zeros(n_t, dtype=bool)
+    for level in np.unique(r0).tolist():
+        t0, rows0 = torus.level_torus(level), np.flatnonzero(r0 == level)
+        B = t0.group.dual_rows(theta0[rows0])
+        gp[rows0] = (t0.flip(B) != B).any(axis=1)
+        if torus.q % 2 == 1 and level == 1:
+            L1 = t0.group.exponent
+            E = B @ t0.group.value_rows(t0.norm_one_group.gens).T % L1
+            sl_quadratic[rows0] = E.any(axis=1) & (2 * E % L1 == 0).all(axis=1)
+    if (sl_quadratic & ~gp).any():
+        raise InvariantError("order-2 restriction forces general position")
 
-    # sigma action, batch: exponent tuples of theta o sigma
-    Esig = A @ torus.value_rows(torus.sigma_images_of_basis()).T % L
-    orders_arr = np.array(T.orders, dtype=np.int64)
-    if (Esig * orders_arr % L).any():
-        raise InvariantError("theta o sigma is not a character")
-    stab2 = (Esig * orders_arr // L % orders_arr == A).all(axis=1)
-
-    # norm-one flip stability, batch
-    n1 = torus.norm_one
-    Wn1 = (torus.value_rows(torus.sigma(n1)) - torus.value_rows(n1)) % L
-    sl_fixed = ((A @ Wn1.T % L) == 0).all(axis=1)
-
-    for i, th in enumerate(thetas):
-        if regular[i]:
-            r0 = torus.r
-            n_min = 1
-            theta0 = th
-            alpha = U.trivial_char()
-        else:
-            r0 = None
-            for r2 in range(1, torus.r + 1):
-                hits = alpha_lookup[r2].get(levels_theta[r2][i].tobytes())
-                if hits:
-                    r0 = r2
-                    n_min = len(hits)
-                    # canonical (theta0, alpha): least descended tuple, then
-                    # least twist tuple
-                    best = None
-                    for j in hits:
-                        eta = th * pulls[j]
-                        t0 = torus.descend(eta, r0)
-                        key = (t0.a, alphas[j].a)
-                        if best is None or key < best[0]:
-                            best = (key, t0, alphas[j])
-                    theta0, alpha = best[1], best[2]
-                    break
-            if r0 is None:
-                raise InvariantError("no level makes a twist of theta trivial")
-
-        # general position of theta0 at its level
-        t0_torus = torus.level_torus(r0)
-        gp = t0_torus.char_sigma(theta0) != theta0
-
-        # odd-q order-2 flag of the restriction at level 1
-        sl_quadratic = False
-        if torus.q % 2 == 1 and r0 == 1:
-            t1 = torus.level_torus(1)
-            L1 = t1.group.exponent
-            exps = [theta0.root_exp(int(c)) for c in t1.norm_one]
-            nontrivial = any(e % L1 for e in exps)
-            order_div_2 = all((2 * e) % L1 == 0 for e in exps)
-            sl_quadratic = nontrivial and order_div_2
-            if sl_quadratic and not gp:
-                raise InvariantError("order-2 restriction forces general position")
-
-        out.append(
-            TorusCharClass(
-                theta=th,
-                level=torus.r,
-                q=torus.q,
-                tau=taus[i],
-                is_regular=regular[i],
-                r0=r0,
-                theta0=theta0,
-                alpha=alpha,
-                n_minimizing_twists=n_min,
-                general_position=bool(gp),
-                stab_size=2 if stab2[i] else 1,
-                sl_sigma_fixed=bool(sl_fixed[i]),
-                sl_quadratic=sl_quadratic,
-            )
-        )
-    return out
+    # -- flip stability of theta, and of its restriction to the norm-one units
+    n1 = torus.norm_one_group.gens
+    Wn1 = (T.value_rows(torus.sigma(n1)) - T.value_rows(n1)) % L
+    return Classification(
+        torus=torus,
+        theta=A,
+        tau=tau,
+        regular=regular,
+        r0=r0,
+        theta0=theta0,
+        alpha=U.dual_rows(alpha),
+        n_minimizing_twists=n_min,
+        general_position=gp,
+        stab_size=np.where((torus.flip(A) == A).all(axis=1), 2, 1),
+        sl_sigma_fixed=(A @ Wn1.T % L == 0).all(axis=1),
+        sl_quadratic=sl_quadratic,
+    )
 
 
 # ---------------------------------------------------------------------------
 # the two independent conductor computations
 
 
-def conductor_brute_force(torus: CoxeterTorus, theta: DualChar) -> int:
-    """min over alpha in Irr(O_r^x) of the level of theta * alpha(norm(-)):
-    the least r2 at which some twist is trivial on the generators of K_{r2}."""
+def conductor_brute_force(torus: CoxeterTorus, A) -> np.ndarray:
+    """For each exponent row of A, the min over alpha in Irr(O_r^x) of the
+    level of theta * alpha(norm(-)): the least r2 at which some twist is
+    trivial on the generators of K_{r2}.  One (thetas, twists, generators)
+    array per level."""
     L = torus.group.exponent
-    for r2 in range(1, torus.r + 1):
+    A = np.asarray(A, dtype=np.int64)
+    out = np.zeros(len(A), dtype=np.int64)
+    for r2 in range(torus.r, 0, -1):
         W, V = torus.kernel_values(r2)
-        if ((W @ theta.a + V) % L == 0).all(axis=1).any():
-            return r2
-    raise InvariantError("no twist is trivial on the trivial kernel")
+        trivial = ((A @ W.T)[:, None, :] + V[None, :, :]) % L == 0
+        out[trivial.all(axis=2).any(axis=1)] = r2
+    if not out.all():
+        raise InvariantError("no twist is trivial on the trivial kernel")
+    return out
 
 
 def conductor_by_peeling(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 1) -> int:

@@ -159,7 +159,6 @@ class CaseData:
         self.p, self.k, self.r, self.mode, self.flavor = p, k, r, mode, flavor
         self.q = p**k
         self.cache_dir = cache_dir
-        self._predictions = {}  # theta.a -> Prediction
 
     def key(self) -> dict:
         return {
@@ -188,12 +187,11 @@ class CaseData:
     def classification(self):
         return classify_all(self.torus)
 
-    def predict(self, tc) -> Prediction:
-        """The prediction for tc, computed once per theta of the case."""
-        if tc.theta.a not in self._predictions:
-            predict = predict_gl2 if self.flavor == "gl" else predict_sl2
-            self._predictions[tc.theta.a] = predict(tc, self.q, self.r)
-        return self._predictions[tc.theta.a]
+    @functools.cached_property
+    def predictions(self) -> tuple[tuple[Prediction, ...], np.ndarray]:
+        """(values, which): theta i of the classification is predicted
+        values[which[i]]."""
+        return (predict_gl2 if self.flavor == "gl" else predict_sl2)(self.classification)
 
     def torus_size(self) -> int:
         return torus_order(self.q, self.r)
@@ -301,28 +299,32 @@ def check_classification_coherence(cd: CaseData):
     """Brute-force conductor equals iterative peeling for every theta, and
     either r0 = 1 or theta0 is regular at level r0."""
     torus = cd.torus
-    tcs = cd.classification
-    n_checked = 0
-    for tc in tcs:
-        bf = conductor_brute_force(torus, tc.theta)
-        expected = torus.r if tc.is_regular else tc.r0
-        if bf != expected:
-            return {"theta": list(tc.theta.a), "brute_force": bf}, {"r0": expected}, False
-        if torus.r >= 2:
-            pe = conductor_by_peeling(torus, tc.theta)
-            if pe != expected:
-                return {"theta": list(tc.theta.a), "peeling": pe}, {"r0": expected}, False
-        if tc.r0 > 1 and not torus.level_torus(tc.r0).is_regular(tc.theta0):
-            return (
-                {"theta": list(tc.theta.a), "r0": tc.r0},
-                {"theta0_regular": True},
-                False,
-                "conductor descent lands on a regular character",
-            )
-        n_checked += 1
+    cl = cd.classification
+    bf = conductor_brute_force(torus, cl.theta)
+    pe = cl.r0
+    if torus.r >= 2:
+        pe = np.array([conductor_by_peeling(torus, theta) for theta in torus.dual()])
+    regular0 = np.ones(len(cl), dtype=bool)
+    for r0 in range(2, torus.r + 1):
+        t0 = torus.level_torus(r0)
+        regular0[cl.r0 == r0] = t0.taus(cl.theta0_rows(r0)) >= t0.q
+    bad = np.flatnonzero((bf != cl.r0) | (pe != cl.r0) | ~regular0)
+    if len(bad):
+        i = bad[0]
+        theta, r0 = cl.theta[i].tolist(), int(cl.r0[i])
+        if bf[i] != r0:
+            return {"theta": theta, "brute_force": int(bf[i])}, {"r0": r0}, False
+        if pe[i] != r0:
+            return {"theta": theta, "peeling": int(pe[i])}, {"r0": r0}, False
+        return (
+            {"theta": theta, "r0": r0},
+            {"theta0_regular": True},
+            False,
+            "conductor descent lands on a regular character",
+        )
     return (
-        {"n_theta": n_checked},
-        {"n_theta": len(tcs)},
+        {"n_theta": len(cl)},
+        {"n_theta": len(cl)},
         True,
         "conductor by twist minimum vs scalar peeling; descent regularity",
     )
@@ -336,28 +338,31 @@ def check_classification_coherence(cd: CaseData):
 def check_dimension_law(cd: CaseData):
     """Every predicted total dimension lies in the geometric dimension set
     and the closed sign formula reproduces the case sign."""
-    tcs = cd.classification
+    values, which = cd.predictions
     dset = dimension_set(cd.q, cd.r)
-    seen = set()
-    for tc in tcs:
-        pred = cd.predict(tc)
-        if pred.total_dim not in dset:
-            return (
-                {"theta": list(tc.theta.a), "dim": pred.total_dim},
-                {"allowed": sorted(dset)},
-                False,
-            )
-        if abs(pred.total_dim) >= cd.q - 1:
-            if sign_from_dim(pred.total_dim, cd.q) != pred.sign:
-                return (
-                    {"theta": list(tc.theta.a), "dim": pred.total_dim},
-                    {"sign": pred.sign},
-                    False,
-                    "sign from dimension matches the case-derived sign",
-                )
-        seen.add(pred.total_dim)
+    used = np.unique(which).tolist()
+    # per prediction: 1 when its dimension is outside the set, 2 when the
+    # sign formula disagrees with its sign
+    fault = np.zeros(len(values), dtype=np.int64)
+    for k in used:
+        d, sign = values[k].total_dim, values[k].sign
+        fault[k] = 1 if d not in dset else 2 if sign_from_dim(d, cd.q) != sign else 0
+    bad = np.flatnonzero(fault[which])
+    if len(bad):
+        i = bad[0]
+        pred = values[which[i]]
+        computed = {"theta": cd.classification.theta[i].tolist(), "dim": pred.total_dim}
+        if fault[which[i]] == 1:
+            return computed, {"allowed": sorted(dset)}, False
+        return (
+            computed,
+            {"sign": pred.sign},
+            False,
+            "sign from dimension matches the case-derived sign",
+        )
+    seen = {values[k].total_dim for k in used}
     return (
-        {"dims_hit": sorted(seen), "n_theta": len(tcs)},
+        {"dims_hit": sorted(seen), "n_theta": len(which)},
         {"dims_allowed": sorted(dset)},
         seen == dset,
         "dimension set and closed sign formula over all theta",
@@ -365,18 +370,33 @@ def check_dimension_law(cd: CaseData):
 
 
 def _sl_restriction_classes(cd: CaseData):
-    """Group classifications by the restriction to the norm-one torus, up to
-    the Frobenius flip; predictions within a class must agree."""
+    """Classes of thetas with one restriction to the norm-one torus, up to
+    the Frobenius flip: (the class of each theta, the first theta of each
+    class).  Predictions within a class must agree."""
     torus = cd.torus
-    n1 = [int(c) for c in torus.norm_one]
-    n1s = [int(torus.sigma(c)) for c in n1]
-    groups: dict[tuple, list] = {}
-    for tc in cd.classification:
-        vals = tuple(tc.theta.root_exp(c) for c in n1)
-        flip = tuple(tc.theta.root_exp(c) for c in n1s)
-        key = min(vals, flip)
-        groups.setdefault(key, []).append(tc)
-    return groups
+    T, N1 = torus.group, torus.norm_one_group
+    res = [
+        N1.dual_index(N1.chars_from_values(cd.classification.theta @ T.value_rows(g).T, T.exponent))
+        for g in (N1.gens, torus.sigma(N1.gens))
+    ]
+    _, first, label = np.unique(np.minimum(*res), return_index=True, return_inverse=True)
+    return label, first
+
+
+def _census_units(cd: CaseData):
+    """The first theta of each unit the degree census counts once: a
+    Frobenius orbit for GL2, a restriction class for SL2."""
+    if cd.flavor == "gl":
+        theta = cd.classification.theta
+        flipped = cd.torus.group.dual_index(cd.torus.flip(theta))
+        return np.unique(np.minimum(np.arange(len(theta)), flipped), return_index=True)[1]
+    values, which = cd.predictions
+    label, first = _sl_restriction_classes(cd)
+    signatures: dict = {}
+    sig = np.array([signatures.setdefault((v.total_dim, v.constituents), len(signatures)) for v in values])
+    if (sig[which] != sig[which[first]][label]).any():
+        raise ValueError("restriction class with mixed predictions")
+    return first
 
 
 @check("degree-census", "degree census against predictions", _no_table)
@@ -385,28 +405,12 @@ def check_degree_census(cd: CaseData):
     as the predicted constituents of pairwise-orthogonal virtual characters
     require."""
     tab = cd.table
+    values, which = cd.predictions
+    first = _census_units(cd)
     required: dict[int, int] = {}
-    if cd.flavor == "gl":
-        seen_orbits = set()
-        for tc in cd.classification:
-            key = min(tc.theta.a, cd.torus.char_sigma(tc.theta).a)
-            if key in seen_orbits:
-                continue
-            seen_orbits.add(key)
-            pred = cd.predict(tc)
-            for d in pred.constituent_degrees():
-                required[d] = required.get(d, 0) + 1
-        n_units = len(seen_orbits)
-    else:
-        groups = _sl_restriction_classes(cd)
-        for key, members in groups.items():
-            preds = [cd.predict(tc) for tc in members]
-            sigs = {(p.total_dim, p.constituents) for p in preds}
-            if len(sigs) != 1:
-                raise ValueError("restriction class with mixed predictions")
-            for d in preds[0].constituent_degrees():
-                required[d] = required.get(d, 0) + 1
-        n_units = len(groups)
+    for v, n in zip(values, np.bincount(which[first], minlength=len(values)).tolist()):
+        for d in v.constituent_degrees() if n else ():
+            required[d] = required.get(d, 0) + n
     margins = {}
     ok = True
     for d, need in sorted(required.items()):
@@ -420,7 +424,7 @@ def check_degree_census(cd: CaseData):
         else "empirically-observed"
     )
     return (
-        {"margins": margins, "n_orthogonal_units": n_units},
+        {"margins": margins, "n_orthogonal_units": len(first)},
         {"all_margins_nonnegative": True},
         ok,
         f"orthogonality-forced degree multiplicities ({basis})",
@@ -436,20 +440,20 @@ def check_sl_exceptions(cd: CaseData):
     """Split restrictions must be visible in the SL table: two halves per
     flip-stable (even q) or order-two (odd q) restriction class."""
     tab = cd.table
-    groups = _sl_restriction_classes(cd)
+    values, which = cd.predictions
+    _, first = _sl_restriction_classes(cd)
     split_clause = CLAUSE_SL_ODD if cd.q % 2 else CLAUSE_SL_EVEN
-    n_split = 0
-    half_dim = None
-    for members in groups.values():
-        pred = cd.predict(members[0])
-        if pred.clause == split_clause:
-            n_split += 1
-            (d, m, _c) = pred.constituents[0]
-            if m != 2:
-                raise ValueError(f"split restriction of multiplicity {m}, expected 2")
-            half_dim = d
+    reps = which[first]
+    split = np.array([v.clause == split_clause for v in values])[reps]
+    n_split = int(split.sum())
     if n_split == 0:
         return {"n_split_classes": 0}, {"n_split_classes": 0}, True
+    for k in np.unique(reps[split]).tolist():
+        (_d, m, _c) = values[k].constituents[0]
+        if m != 2:
+            raise ValueError(f"split restriction of multiplicity {m}, expected 2")
+    # the half dimension of the split class met last in theta order
+    half_dim = values[reps[split][np.argmax(first[split])]].constituents[0][0]
     have = tab.degree_count(half_dim)
     if half_dim == 1:
         have -= 1  # the trivial character never appears in a split
@@ -472,21 +476,19 @@ def check_sign_formula(cd: CaseData):
     w = coxeter_element(2)
     rk_T, rk_G = fq_ranks(cd.flavor, 2, w)
     npos = RootSystemData(2).num_positive_roots
-    inapplicable = []
-    mismatches = []
-    tcs = cd.classification
-    for tc in tcs:
-        pred = cd.predict(tc)
-        s = conjecture_sign(rk_T, rk_G, cd.q, cd.p, pred.total_dim, npos)
-        if s is None:
-            inapplicable.append(list(tc.theta.a))
-        elif s != pred.sign:
-            mismatches.append(list(tc.theta.a))
+    values, which = cd.predictions
+    dims = {values[k].total_dim for k in np.unique(which).tolist()}
+    signs = {d: conjecture_sign(rk_T, rk_G, cd.q, cd.p, d, npos) for d in dims}
+    none = np.array([v.total_dim in signs and signs[v.total_dim] is None for v in values])
+    wrong = np.array([signs.get(v.total_dim, v.sign) not in (None, v.sign) for v in values])
+    theta = cd.classification.theta
+    inapplicable = theta[none[which]][:5].tolist()
+    mismatches = theta[wrong[which]][:5].tolist()
     return (
         {
-            "n_theta": len(tcs),
-            "mismatches": mismatches[:5],
-            "non_integer_exponents": inapplicable[:5],
+            "n_theta": len(which),
+            "mismatches": mismatches,
+            "non_integer_exponents": inapplicable,
         },
         {"mismatches": [], "non_integer_exponents": []},
         not inapplicable and not mismatches,
@@ -574,20 +576,20 @@ def check_mode_independence(mixed: CaseData, equal: CaseData):
     stats = {}
     split_counts = {}
     for mode, cd in (("mixed", mixed), ("equal", equal)):
-        tcs = cd.classification
-        preds = [cd.predict(tc) for tc in tcs]
-        stats[mode] = sorted(
-            (tc.is_regular, tc.r0, tc.stab_size, tc.general_position, pr.total_dim, pr.sign)
-            for tc, pr in zip(tcs, preds)
-        )
-        split_counts[mode] = sum(1 for pr in preds if len(pr.constituent_degrees()) > 1)
+        cl = cd.classification
+        values, which = cd.predictions
+        dim_sign = np.array([(v.total_dim, v.sign) for v in values])[which]
+        rows = np.column_stack([cl.regular, cl.r0, cl.stab_size, cl.general_position, dim_sign])
+        stats[mode] = rows[np.lexsort(rows.T[::-1])]
+        split = np.array([len(v.constituent_degrees()) > 1 for v in values])
+        split_counts[mode] = int(split[which].sum())
     return (
         {
             "n_records": len(stats["mixed"]),
             "split_records_per_mode": split_counts,
         },
         {"identical_dimension_sign_data": True},
-        stats["mixed"] == stats["equal"],
+        np.array_equal(stats["mixed"], stats["equal"]),
     )
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import dl2
 from dl2.abelian import FiniteAbelianGroup
@@ -58,7 +59,7 @@ def test_char_group_operations():
     R = make_ring(3, 1, 2, "mixed")
     U = unit_group(R)
     chars = U.dual()
-    triv = U.trivial_char()
+    triv = chars[0]
     assert triv.is_trivial()
     for ch in chars:
         assert (ch * ch.inverse()) == triv
@@ -117,7 +118,7 @@ def test_invariant_error_survives_python_O():
         "print(__debug__)\n"
         "T = make_torus(3, 1, 1, 'mixed').group\n"
         "try:\n"
-        "    T.char_from_values_on_basis([1] * len(T.basis), 2 * T.exponent)\n"
+        "    T.chars_from_values([1] * len(T.basis), 2 * T.exponent)\n"
         "except InvariantError:\n"
         "    print('rejected')\n"
     )
@@ -132,4 +133,33 @@ def test_invariant_error_survives_python_O():
 def test_invariant_error_is_an_assertion_error():
     T = make_torus(3, 1, 1, "mixed").group
     with pytest.raises(AssertionError, match="n-th root"):
-        T.char_from_values_on_basis([1] * len(T.basis), 2 * T.exponent)
+        T.chars_from_values([1] * len(T.basis), 2 * T.exponent)
+
+
+def _exact_orthogonality(A: FiniteAbelianGroup):
+    """Row j of M = dual_rows @ value_rows(codes)^T mod L holds the root
+    exponents of the j-th character at every element.  A character chi of
+    order o has image the o-th roots of unity, each taken |A|/o times: the
+    exponents are the multiples of L/o, each hit exactly |A|/o times, so
+    sum chi = 0 unless chi is trivial (o = 1: exponent 0, |A| times)."""
+    L = A.exponent
+    rows = A.dual_rows()
+    M = rows @ A.value_rows(A.codes).T % L
+    n = np.array(A.orders, dtype=np.int64)
+    order = np.lcm.reduce(n // np.gcd(rows, n), axis=1) if len(n) else np.ones(len(rows), dtype=np.int64)
+    hits = np.bincount((np.arange(len(rows))[:, None] * L + M).ravel(), minlength=len(rows) * L)
+    expected = np.where(np.arange(L)[None, :] % (L // order)[:, None] == 0, (A.order // order)[:, None], 0)
+    assert (hits.reshape(len(rows), L) == expected).all()
+    assert order[0] == 1 and (order[1:] > 1).all()  # dual()[0] alone is trivial
+
+
+@given(
+    st.sampled_from([(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 3)]),
+    st.sampled_from(["mixed", "equal"]),
+)
+def test_orthogonality_of_duals(pkr, mode):
+    """Exact in exponents, for the torus, its congruence kernels and the
+    base units."""
+    t = make_torus(*pkr, mode)
+    for A in (t.group, t.base_units, *t.kernels.values()):
+        _exact_orthogonality(A)

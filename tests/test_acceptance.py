@@ -7,6 +7,7 @@ lines; every tolerance here is exact (rational or integer identities).
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dl2.characters import (
@@ -116,13 +117,15 @@ def test_criterion_4_classification_coherence():
         for r in (1, 2, 3):
             for mode in MODES:
                 torus = make_torus(p, k, r, mode)
-                for tc in classify_all(torus):
-                    expected = r if tc.is_regular else tc.r0
-                    assert conductor_brute_force(torus, tc.theta) == expected
-                    if r >= 2:
-                        assert conductor_by_peeling(torus, tc.theta) == expected
-                    assert tc.r0 == 1 or torus.level_torus(tc.r0).is_regular(tc.theta0)
-                    n_theta += 1
+                cl = classify_all(torus)
+                assert (cl.r0[cl.regular] == r).all()
+                assert (conductor_brute_force(torus, cl.theta) == cl.r0).all()
+                if r >= 2:
+                    assert [conductor_by_peeling(torus, th) for th in torus.dual()] == cl.r0.tolist()
+                for r0 in range(2, r + 1):
+                    t0 = torus.level_torus(r0)
+                    assert (t0.taus(cl.theta0_rows(r0)) >= t0.q).all()  # theta0 regular
+                n_theta += len(cl)
     print(f"\nACCEPTANCE 4 (classification coherence): PASS  [{n_theta} characters]")
 
 
@@ -132,22 +135,16 @@ def test_criterion_5_dimension_law():
         q = p**k
         for r in (1, 2, 3):
             for mode in MODES:
-                torus = make_torus(p, k, r, mode)
+                cl = classify_all(make_torus(p, k, r, mode))
                 dset = dimension_set(q, r)
-                for flavor in FLAVORS:
-                    hit = set()
-                    for tc in classify_all(torus):
-                        pred = (
-                            predict_gl2(tc, q, r)
-                            if flavor == "gl"
-                            else predict_sl2(tc, q, r)
-                        )
+                for predict in (predict_gl2, predict_sl2):
+                    values, which = predict(cl)
+                    used = [values[i] for i in set(which.tolist())]
+                    for pred in used:
                         assert pred.total_dim in dset
-                        if abs(pred.total_dim) >= q - 1:
-                            assert sign_from_dim(pred.total_dim, q) == pred.sign
-                        hit.add(pred.total_dim)
-                        n_theta += 1
-                    assert hit == dset  # every geometric value is attained
+                        assert sign_from_dim(pred.total_dim, q) == pred.sign
+                    assert {pred.total_dim for pred in used} == dset  # every value is attained
+                    n_theta += len(which)
     print(f"\nACCEPTANCE 5 (dimension and sign law): PASS  [{n_theta} predictions]")
 
 
@@ -155,12 +152,10 @@ def test_criterion_6_degree_census():
     # the flagship count: exactly 24 flip-orbits of regular characters
     for mode in MODES:
         torus = make_torus(3, 1, 2, mode)
-        tcs = classify_all(torus)
-        regs = {tc.theta.a for tc in tcs if tc.is_regular}
-        orbits = set()
-        for tc in tcs:
-            if tc.is_regular:
-                orbits.add(min(tc.theta.a, torus.char_sigma(tc.theta).a))
+        cl = classify_all(torus)
+        regs = np.flatnonzero(cl.regular)
+        flipped = torus.group.dual_index(torus.flip(cl.theta[regs]))
+        orbits = set(np.minimum(regs, flipped).tolist())
         assert len(regs) == 48 and len(orbits) == 24
         tab = character_table(make_group(3, 1, 2, mode, "gl"))
         assert tab.degree_count(6) >= 24
@@ -189,12 +184,9 @@ def test_criterion_7_sl_exceptions():
     # SL2(F_2[t]/t^2): two degree-(q^r - q^(r-1))/2 = 1 irreducibles per
     # flagged restriction class
     cd = CaseData(2, 1, 2, "equal", "sl")
-    groups = _sl_restriction_classes(cd)
-    n_flagged = sum(
-        1
-        for members in groups.values()
-        if cd.predict(members[0]).clause == CLAUSE_SL_EVEN
-    )
+    _, first = _sl_restriction_classes(cd)
+    values, which = cd.predictions
+    n_flagged = sum(values[k].clause == CLAUSE_SL_EVEN for k in which[first].tolist())
     assert n_flagged >= 1
     tab = character_table(make_group(2, 1, 2, "equal", "sl"))
     assert tab.degree_count(1) - 1 >= 2 * n_flagged
@@ -212,19 +204,16 @@ def test_criterion_8_sign_formula():
         q = p**k
         for r in (1, 2, 3):
             for mode in MODES:
-                torus = make_torus(p, k, r, mode)
-                for flavor in FLAVORS:
+                cl = classify_all(make_torus(p, k, r, mode))
+                for flavor, predict in zip(FLAVORS, (predict_gl2, predict_sl2)):
                     rk_T, rk_G = fq_ranks(flavor, 2, w)
-                    for tc in classify_all(torus):
-                        pred = (
-                            predict_gl2(tc, q, r)
-                            if flavor == "gl"
-                            else predict_sl2(tc, q, r)
-                        )
+                    values, which = predict(cl)
+                    for k_value in set(which.tolist()):
+                        pred = values[k_value]
                         s = conjecture_sign(rk_T, rk_G, q, p, pred.total_dim, npos)
                         assert s is not None, "non-integer exponent is a finding"
                         assert s == pred.sign
-                        n_theta += 1
+                    n_theta += len(which)
     # classical level-one sweep, zero inapplicable exponents
     cases = sweep_classical_signs(5, [2, 3, 4, 5, 7, 8, 9])
     for c in cases:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dl2.predictor import (
@@ -10,25 +11,33 @@ from dl2.predictor import (
     dimension_set,
     predict_gl2,
     predict_sl2,
-    prediction_signature,
     sign_from_dim,
-    stability_consistency,
 )
 from dl2.torus import classify_all, make_torus
 
 
+def _predictions(predict, cl):
+    values, which = predict(cl)
+    return [values[k] for k in which.tolist()]
+
+
+def _signature(pred):
+    """What inflation and the flip must preserve: the total dimension and
+    the multiset of constituents."""
+    return pred.total_dim, sorted(pred.constituents)
+
+
 def test_clause_selection_and_dims():
-    t = make_torus(3, 1, 2, "mixed")
-    for tc in classify_all(t):
-        pred = predict_gl2(tc, 3, 2)
-        if tc.is_regular:
+    cl = classify_all(make_torus(3, 1, 2, "mixed"))
+    for i, pred in enumerate(_predictions(predict_gl2, cl)):
+        if cl.regular[i]:
             assert pred.clause == CLAUSE_REGULAR
             assert pred.total_dim == 6  # (q-1) q^(r-1), sign (+1)^r with r = 2
             assert pred.irreducible_up_to_sign
-        elif tc.r0 == 1 and tc.general_position:
+        elif cl.r0[i] == 1 and cl.general_position[i]:
             assert pred.clause == CLAUSE_GP
             assert pred.total_dim == -2
-        elif tc.r0 == 1:
+        elif cl.r0[i] == 1:
             assert pred.clause == CLAUSE_SPLIT
             assert pred.total_dim == -2
             assert pred.constituent_degrees() == [1, 3]
@@ -38,56 +47,48 @@ def test_clause_selection_and_dims():
 
 
 def test_descent_clause_dims():
-    t = make_torus(2, 1, 3, "mixed")
-    found = False
-    for tc in classify_all(t):
-        if not tc.is_regular and tc.r0 == 2:
-            pred = predict_gl2(tc, 2, 3)
-            assert pred.total_dim == 2  # (-1)^2 (q-1) q with q = 2
-            assert pred.sign == 1
-            found = True
-    assert found
+    cl = classify_all(make_torus(2, 1, 3, "mixed"))
+    descent = ~cl.regular & (cl.r0 == 2)
+    assert descent.any()
+    for pred in np.array(_predictions(predict_gl2, cl), dtype=object)[descent]:
+        assert pred.total_dim == 2  # (-1)^2 (q-1) q with q = 2
+        assert pred.sign == 1
 
 
 def test_trivial_theta_prediction():
     for r, mode in [(1, "mixed"), (2, "mixed"), (3, "equal")]:
-        t = make_torus(2, 1, r, mode)
-        triv = [tc for tc in classify_all(t) if tc.theta.is_trivial()][0]
-        pred = predict_gl2(triv, 2, r)
+        cl = classify_all(make_torus(2, 1, r, mode))
+        assert not cl.theta[0].any()  # dual()[0] is the trivial character
+        pred = _predictions(predict_gl2, cl)[0]
         assert pred.clause == CLAUSE_SPLIT
         assert pred.total_dim == -1  # 1 - q
         assert pred.constituent_degrees() == [1, 2]
-        assert pred.sigma1_twist is not None and pred.sigma1_twist.is_trivial()
-        ps = predict_sl2(triv, 2, r)
+        assert not cl.alpha[0].any()  # the canonical twist is trivial
+        ps = _predictions(predict_sl2, cl)[0]
         assert ps.constituent_degrees() == [1, 2]
 
 
 def test_sl_odd_split():
-    t = make_torus(3, 1, 2, "mixed")
-    n_split = 0
-    for tc in classify_all(t):
-        ps = predict_sl2(tc, 3, 2)
-        pg = predict_gl2(tc, 3, 2)
+    cl = classify_all(make_torus(3, 1, 2, "mixed"))
+    gl, sl = _predictions(predict_gl2, cl), _predictions(predict_sl2, cl)
+    for ps, pg, quadratic in zip(sl, gl, cl.sl_quadratic):
         assert ps.total_dim == pg.total_dim  # restriction preserves dimension
-        if tc.sl_quadratic:
+        if quadratic:
             assert ps.clause == CLAUSE_SL_ODD
             assert ps.constituents == ((1, 2, -1),)  # two halves of q - 1 = 2
-            n_split += 1
-    assert n_split > 0
+    assert cl.sl_quadratic.any()
 
 
 def test_sl_even_split():
-    t = make_torus(2, 1, 2, "equal")
-    n_split = 0
-    for tc in classify_all(t):
-        ps = predict_sl2(tc, 2, 2)
-        if tc.is_regular and tc.sl_sigma_fixed:
+    cl = classify_all(make_torus(2, 1, 2, "equal"))
+    flagged = cl.regular & cl.sl_sigma_fixed
+    for ps, split in zip(_predictions(predict_sl2, cl), flagged):
+        if split:
             assert ps.clause == CLAUSE_SL_EVEN
             assert ps.constituents == ((1, 2, 1),)  # halves of (q^2 - q)/2 = 1
-            n_split += 1
         else:
             assert ps.clause != CLAUSE_SL_EVEN
-    assert n_split > 0
+    assert flagged.any()
 
 
 def test_dimension_set():
@@ -111,35 +112,34 @@ def test_sign_from_dim():
 
 def test_prediction_invariance_under_flip_and_twist():
     t = make_torus(3, 1, 2, "equal")
-    tcs = {tc.theta.a: tc for tc in classify_all(t)}
-    for tc in list(tcs.values())[:24]:
-        pred = predict_gl2(tc, 3, 2)
-        flipped = tcs[t.char_sigma(tc.theta).a]
-        assert prediction_signature(predict_gl2(flipped, 3, 2)) == prediction_signature(pred)
-        for beta in t.base_units.dual():
-            tw = tcs[(tc.theta * t.norm_pullback(beta)).a]
-            assert prediction_signature(predict_gl2(tw, 3, 2)) == prediction_signature(pred)
+    cl = classify_all(t)
+    sigs = [_signature(pred) for pred in _predictions(predict_gl2, cl)]
+    flipped = t.group.dual_index(t.flip(cl.theta))
+    assert [sigs[j] for j in flipped.tolist()] == sigs
+    n = np.array(t.group.orders)
+    for pullback in t.pullback_rows:
+        twisted = t.group.dual_index((cl.theta + pullback) % n)
+        assert [sigs[j] for j in twisted.tolist()] == sigs
 
 
 def test_stability_consistency_across_levels():
     """Predictions of inflated characters match the lower-level predictions."""
     t3 = make_torus(2, 1, 3, "mixed")
-    tcs3 = {tc.theta.a: tc for tc in classify_all(t3)}
+    high = _predictions(predict_gl2, classify_all(t3))
     for r2 in (1, 2):
-        t_low = t3.level_torus(r2)
-        for tc_low in classify_all(t_low):
-            lifted = t3.inflate_from(tc_low.theta, r2)
-            tc_high = tcs3[lifted.a]
-            pred_high = predict_gl2(tc_high, 2, 3)
-            pred_low = predict_gl2(tc_low, 2, r2)
-            assert stability_consistency(tc_high, pred_high, pred_low)
+        cl_low = classify_all(t3.level_torus(r2))
+        lifted = t3.group.dual_index(t3.inflate_from(cl_low.theta, r2))
+        low = _predictions(predict_gl2, cl_low)
+        assert [_signature(high[i]) for i in lifted.tolist()] == [_signature(p) for p in low]
 
 
 def test_sigma1_twist_identifies_norm_pullbacks():
+    """theta = alpha o norm is the split clause twisted by sigma_1 = alpha:
+    its canonical twist is alpha^-1."""
     t = make_torus(3, 1, 2, "mixed")
-    tcs = {tc.theta.a: tc for tc in classify_all(t)}
+    cl = classify_all(t)
+    preds = _predictions(predict_gl2, cl)
     for alpha in t.base_units.dual():
-        tc = tcs[t.norm_pullback(alpha).a]
-        pred = predict_gl2(tc, 3, 2)
-        assert pred.clause == CLAUSE_SPLIT
-        assert pred.sigma1_twist == alpha
+        i = t.group.dual_index(t.norm_pullback(alpha).a)
+        assert preds[i].clause == CLAUSE_SPLIT
+        assert tuple(cl.alpha[i].tolist()) == alpha.inverse().a

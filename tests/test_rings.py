@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dl2.rings import make_ext, make_ring
 
@@ -223,3 +224,23 @@ def test_ext_reduction_consistency():
     for _ in range(100):
         x, y = rng.randrange(X.size), rng.randrange(X.size)
         assert m[X.mul(x, y)] == tgt.mul(int(m[x]), int(m[y]))
+
+
+@given(
+    st.sampled_from(sorted({(p, k, r) for p, k, r, _mode in CASES})),
+    st.sampled_from(["mixed", "equal"]),
+    st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=64),
+    st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=64),
+)
+def test_norm_properties(pkr, mode, xs, ys):
+    """The norm is multiplicative, maps units to base units, and is
+    x sigma(x); norm pullbacks and the norm-one flip rows rest on these."""
+    R = make_ring(*pkr, mode)
+    X = make_ext(R)
+    x = np.array(xs[: len(ys)], dtype=np.int64) % X.size
+    y = np.array(ys[: len(xs)], dtype=np.int64) % X.size
+    assert (X.norm(X.mul(x, y)) == R.mul[X.norm(x), X.norm(y)]).all()
+    units = X.units()
+    assert np.isin(X.norm(units), R.units()).all()
+    codes = np.arange(X.size, dtype=np.int64)
+    assert (X.mul(codes, X.frobenius(codes)) == X.embed_base(X.norm(codes))).all()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dl2.abelian import DualChar
 from dl2.groups import make_group
 from dl2.torus import (
     classify_all,
@@ -72,8 +73,8 @@ def test_tau():
     cnt = Counter(t.tau_of(th) for th in chars)
     assert len(cnt) == 9 and all(v == 8 for v in cnt.values())  # onto, fibers |T|/q^2
     # equivariance: tau(theta o sigma) = sigma(tau(theta))
-    for th in chars:
-        assert t.tau_of(t.char_sigma(th)) == t.rq.frobenius(t.tau_of(th))
+    A = t.group.dual_rows()
+    assert (t.taus(t.flip(A)) == t.rq.frobenius(t.taus(A))).all()
     with pytest.raises(ValueError):
         make_torus(3, 1, 1, "mixed").tau_of(triv)
 
@@ -83,37 +84,32 @@ def test_tau_psi_independence():
         t = make_torus(3, 1, 2, mode)
         a = classify_all(t, psi_scale=1)
         b = classify_all(t, psi_scale=2)
-        for x, y in zip(a, b):
-            assert x.is_regular == y.is_regular
-            assert x.r0 == y.r0
+        assert (a.regular == b.regular).all()
+        assert (a.r0 == b.r0).all()
 
 
 def test_regular_counts_and_stabilizers():
     t = make_torus(3, 1, 2, "mixed")
-    tcs = classify_all(t)
-    regs = [tc for tc in tcs if tc.is_regular]
-    assert len(regs) == 48
-    for tc in regs:
-        assert tc.stab_size == 1  # regular characters are never flip-stable
-    triv = [tc for tc in tcs if tc.theta.is_trivial()][0]
-    assert triv.stab_size == 2
-    assert t.weyl_stabilizer(triv.theta) == 2
+    cl = classify_all(t)
+    assert cl.regular.sum() == 48
+    assert (cl.stab_size[cl.regular] == 1).all()  # regular characters are never flip-stable
+    assert not cl.theta[0].any() and cl.stab_size[0] == 2  # dual()[0] is trivial
+    assert (cl.stab_size == np.where((t.flip(cl.theta) == cl.theta).all(axis=1), 2, 1)).all()
 
 
 def test_conductor_conventions():
     t = make_torus(3, 1, 2, "mixed")
-    tcs = {tc.theta.a: tc for tc in classify_all(t)}
-    triv = [th for th in t.dual() if th.is_trivial()][0]
-    tc = tcs[triv.a]
-    assert tc.r0 == 1 and tc.theta0.is_trivial() and tc.alpha.is_trivial()
+    cl = classify_all(t)
+    assert t.dual()[0].is_trivial()
+    assert cl.r0[0] == 1 and cl.theta0[0] == 0 and not cl.alpha[0].any()
     # theta = alpha o norm: the canonical twist is exactly the inverse
     for alpha in t.base_units.dual():
         if alpha.is_trivial():
             continue
-        tc = tcs[t.norm_pullback(alpha).a]
-        assert tc.r0 == 1
-        assert tc.theta0.is_trivial()
-        assert tc.alpha == alpha.inverse()
+        i = t.group.dual_index(t.norm_pullback(alpha).a)
+        assert cl.r0[i] == 1
+        assert cl.theta0[i] == 0  # the trivial character of the level-1 torus
+        assert tuple(cl.alpha[i].tolist()) == alpha.inverse().a
 
 
 def test_conductor_agreement_and_descent_regularity():
@@ -121,76 +117,76 @@ def test_conductor_agreement_and_descent_regularity():
         for r in (1, 2, 3):
             for mode in ("mixed", "equal"):
                 t = make_torus(p, k, r, mode)
-                for tc in classify_all(t):
-                    expected = r if tc.is_regular else tc.r0
-                    assert conductor_brute_force(t, tc.theta) == expected
-                    if r >= 2:
-                        assert conductor_by_peeling(t, tc.theta) == expected
-                    if tc.r0 > 1:
-                        assert t.level_torus(tc.r0).is_regular(tc.theta0)
+                cl = classify_all(t)
+                assert (cl.r0[cl.regular] == r).all()
+                assert (conductor_brute_force(t, cl.theta) == cl.r0).all()
+                if r >= 2:
+                    assert [conductor_by_peeling(t, th) for th in t.dual()] == cl.r0.tolist()
+                for r0 in range(2, r + 1):
+                    t0 = t.level_torus(r0)
+                    assert (t0.taus(cl.theta0_rows(r0)) >= t0.q).all()  # theta0 regular
 
 
 def test_conductor_twist_stability():
     t = make_torus(2, 1, 3, "mixed")
-    tcs = {tc.theta.a: tc for tc in classify_all(t)}
-    for tc in list(tcs.values())[:24]:
-        for beta in t.base_units.dual():
-            tw = tc.theta * t.norm_pullback(beta)
-            assert tcs[tw.a].r0 == tc.r0
+    cl = classify_all(t)
+    n = np.array(t.group.orders)
+    for pullback in t.pullback_rows:
+        assert (cl.r0[t.group.dual_index((cl.theta + pullback) % n)] == cl.r0).all()
 
 
 def test_inflation_levels():
     """A regular level-r' character inflated to level r has conductor r'."""
     t3 = make_torus(2, 1, 3, "mixed")
     t2 = t3.level_torus(2)
-    tcs3 = {tc.theta.a: tc for tc in classify_all(t3)}
-    for tc in classify_all(t2):
-        if not tc.is_regular:
-            continue
-        lifted = t3.inflate_from(tc.theta, 2)
-        lifted_tc = tcs3[lifted.a]
-        assert not lifted_tc.is_regular
-        assert lifted_tc.r0 == 2
-        # level is preserved by inflation
-        assert t3.char_level(lifted) == t2.char_level(tc.theta)
+    cl3, cl2 = classify_all(t3), classify_all(t2)
+    regular = cl2.theta[cl2.regular]
+    lifted = t3.inflate_from(regular, 2)
+    i = t3.group.dual_index(lifted)
+    assert not cl3.regular[i].any()
+    assert (cl3.r0[i] == 2).all()
+    # level is preserved by inflation
+    for row, low in zip(lifted.tolist(), regular.tolist()):
+        assert t3.char_level(DualChar(t3.group, tuple(row))) == t2.char_level(DualChar(t2.group, tuple(low)))
 
 
 def test_general_position_examples():
     t1 = make_torus(3, 1, 1, "mixed")
-    for th in t1.dual():
-        gp = t1.char_sigma(th) != th
-        # order q+1 characters with theta != theta^q are in general position
-        if th.order() == 4 and t1.char_sigma(th) != th:
-            assert gp
-        if th.is_trivial():
-            assert not gp
+    cl = classify_all(t1)
+    # F_9^x is cyclic of order 8 and the flip is the q-th power
+    assert t1.group.orders == (8,)
+    A = cl.theta
+    assert (t1.flip(A) == 3 * A % 8).all()
+    # general position: theta0 != theta0^q, theta0 the least twist of theta
+    B = cl.theta0_rows(1)
+    assert (cl.general_position == (B % 4 != 0).any(axis=1)).all()
+    assert not cl.general_position[0]  # the trivial character
+    # characters of order q+1 = 4 have no twist fixed by the flip
+    assert cl.general_position[[th.order() == 4 for th in t1.dual()]].all()
 
 
 def test_sl_restriction_data():
     # norm-one subgroup of F_9 has order 4 with exactly one order-2 character
     t = make_torus(3, 1, 1, "mixed")
     assert len(t.norm_one) == 4
-    tcs = classify_all(t)
-    quad = [tc for tc in tcs if tc.sl_quadratic]
+    cl = classify_all(t)
     # 2 characters of T restrict to the order-2 character (fibers of size 8/4)
-    assert len(quad) == 2
+    assert cl.sl_quadratic.sum() == 2
     # q = 2, r = 2: regular characters with flip-stable restriction exist
-    t22 = make_torus(2, 1, 2, "equal")
-    flagged = [tc for tc in classify_all(t22) if tc.is_regular and tc.sl_sigma_fixed]
-    assert len(flagged) > 0
+    cl22 = classify_all(make_torus(2, 1, 2, "equal"))
+    assert (cl22.regular & cl22.sl_sigma_fixed).any()
     # trivial character restricts trivially
-    triv = [tc for tc in tcs if tc.theta.is_trivial()][0]
-    vals = [triv.theta.root_exp(int(c)) for c in t.norm_one]
-    assert all(v == 0 for v in vals) and not triv.sl_quadratic
+    triv = t.dual()[0]
+    assert triv.is_trivial()
+    vals = [triv.root_exp(int(c)) for c in t.norm_one]
+    assert all(v == 0 for v in vals) and not cl.sl_quadratic[0]
 
 
 def test_odd_q_no_flip_stable_restriction_off_level_one():
     for mode in ("mixed", "equal"):
         for (p, k, r) in [(3, 1, 2), (3, 1, 3), (5, 1, 2)]:
-            t = make_torus(p, k, r, mode)
-            for tc in classify_all(t):
-                if tc.is_regular or tc.r0 > 1:
-                    assert not tc.sl_sigma_fixed
+            cl = classify_all(make_torus(p, k, r, mode))
+            assert not (cl.sl_sigma_fixed & (cl.regular | (cl.r0 > 1))).any()
 
 
 def test_norm_one_subgroup_size():
@@ -257,7 +253,7 @@ def test_fast_paths_match_literal_definitions(pkr, mode, picks, psi_pick):
     psi_scale = 1 + psi_pick % (t.q - 1)
     for i in picks:
         theta = thetas[i % len(thetas)]
-        assert conductor_brute_force(t, theta) == min(_literal_level(t, theta * pl) for pl in pulls)
+        assert conductor_brute_force(t, [theta.a]).tolist() == [min(_literal_level(t, theta * pl) for pl in pulls)]
         assert t.char_level(theta) == _literal_level(t, theta)
         if t.r >= 2:
             assert [t.tau_of(theta, psi_scale)] == _literal_tau(t, theta, psi_scale)

@@ -114,28 +114,27 @@ def test_mode_independence_respects_size_bound(monkeypatch):
     assert calls == []
 
 
-def test_mode_independence_predicts_once_per_theta(monkeypatch):
+def test_mode_independence_predicts_once_per_case(monkeypatch):
     calls = []
     predict = dl2.verifier.predict_gl2
-    monkeypatch.setattr(dl2.verifier, "predict_gl2", lambda *a: calls.append(a) or predict(*a))
+    monkeypatch.setattr(dl2.verifier, "predict_gl2", lambda cl: calls.append(cl) or predict(cl))
     c = check_mode_independence(CaseData(3, 1, 2, "mixed", "gl"), CaseData(3, 1, 2, "equal", "gl"))
     assert c.verdict == "pass" and c.computed["n_records"] == 72
-    assert len(calls) == 2 * 72
+    assert len(calls) == 2  # one array call per mode predicts all 72 thetas
 
 
-def test_run_suite_predicts_once_per_theta(monkeypatch):
+def test_run_suite_predicts_once_per_case(monkeypatch):
     """Dimension-law, degree-census, sign-formula and mode-independence share
-    one prediction per theta and case."""
+    one array of predictions per case."""
     calls = []
     predict = dl2.verifier.predict_gl2
-    monkeypatch.setattr(dl2.verifier, "predict_gl2", lambda *a: calls.append(a) or predict(*a))
+    monkeypatch.setattr(dl2.verifier, "predict_gl2", lambda cl: calls.append(cl) or predict(cl))
     out = run_suite([(3, 1, 2, "gl", "mixed"), (3, 1, 2, "gl", "equal")])
     assert out["all_pass"]
-    assert len(calls) == 2 * 72  # |T| = q^2 (q^2 - 1) thetas in each mode
-    per_torus = {}
-    for tc, _q, _r in calls:
-        per_torus.setdefault(id(tc.theta.group), set()).add(tc.theta.a)
-    assert sorted(len(thetas) for thetas in per_torus.values()) == [72, 72]
+    assert len(calls) == 2
+    # one classification of each mode's torus, |T| = q^2 (q^2 - 1) thetas each
+    assert sorted(cl.torus.ring.mode for cl in calls) == ["equal", "mixed"]
+    assert [len(cl) for cl in calls] == [72, 72]
 
 
 def test_classical_sweep_check():
@@ -406,3 +405,47 @@ def test_oversize_case_inapplicable_not_failed():
     rep = run_case(7, 1, 3, "gl", "mixed")
     assert rep.all_pass()
     assert all(c.verdict == "inapplicable" for c in rep.checks)
+
+
+# -- the traced benchmark's hooks ------------------------------------------------
+
+
+def test_perfbench_spans_wrap_live_attributes(tmp_path):
+    """`perfbench/spans.py` wraps dl2 functions at the attributes their
+    callers look them up by.  Installing it and running one small suite
+    must record a span for each: a renamed attribute fails here, not only
+    in the traced benchmark.  The harness is imported as it is, not
+    edited."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json\n"
+        "import spans\n"
+        "rec = spans.Recorder()\n"
+        "spans.install(rec)\n"
+        "from dl2.verifier import run_suite\n"
+        f"out = run_suite([(2, 1, 2, 'gl', 'mixed')], cache_dir={str(tmp_path)!r})\n"
+        "print(json.dumps({'all_pass': out['all_pass'], 'spans': sorted(rec.summary()),\n"
+        "                  'check_ids': list(spans.CHECK_IDS)}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["all_pass"]
+    required = {
+        "torus.make_torus",
+        "torus.classify_all",
+        "torus.conductor_brute_force",
+        "torus.conductor_by_peeling",
+        "predictor.predict",
+        "cache.save_group",
+    } | {f"verifier.check.{c}" for c in out["check_ids"]}
+    assert required <= set(out["spans"]), sorted(required - set(out["spans"]))
