@@ -31,13 +31,12 @@ from dl2.cli import _classification_records
 import json
 
 records = _classification_records(cl)
-thetas = torus.dual()
+peeled = conductor_by_peeling(torus, cl.theta)
 sample = [i for i in range(len(cl)) if not cl.regular[i]][:6]
 print("\nconductor cross-check (twist minimum vs scalar peeling):")
 for i in sample:
     rec = records[i]
-    pe = conductor_by_peeling(torus, thetas[i])
-    print(f"  theta {tuple(rec['theta'])}: r0 = {rec['r0']}, peeling -> {pe}, "
+    print(f"  theta {tuple(rec['theta'])}: r0 = {rec['r0']}, peeling -> {peeled[i]}, "
           f"alpha = {tuple(rec['alpha'])}, theta0 = {tuple(rec['theta0'])}")
 
 # a record as the CLI emits it

@@ -2,9 +2,19 @@
 
 A 2x2 matrix [[a, b], [c, d]] over a ring with |O_r| = S is coded as the
 integer a + b*S + c*S^2 + d*S^3.  The whole code space [0, S^4) is small at
-the supported sizes, so we keep dense decode / determinant / class lookup
-arrays over it and run every bulk operation (multiplication, inversion,
-conjugation orbits, reductions) vectorised over numpy arrays of codes.
+the supported sizes, so we keep dense determinant / class lookup arrays over
+it and run every bulk operation (multiplication, inversion, conjugation
+orbits, reductions) vectorised over numpy arrays of codes.
+
+Multiplication reads one pair-dot table per space: with pair codes
+u = u0 + u1*S and v = v0 + v1*S, dot[u*S^2 + v] = u0*v0 + u1*v1 in the
+ring.  A code x holds its rows as the pair codes x mod S^2 = (a, b) and
+x div S^2 = (c, d); two column arrays over the code space hold each code's
+columns (a, c) and (b, d) as pair codes.  So each entry of a product is one
+gather, and a product is four.  The table, the column arrays and every index
+and partial sum are below S^4 = N, and the space is refused above
+N = 40 000 000 < 2^31, so all of it is exact in int32; products come back as
+int64 codes.
 
 Conjugacy classes are the connected components of the graph on group
 indices joining x to g x g^-1 for each g in a fixed generating set
@@ -49,21 +59,22 @@ class MatrixSpace:
         S = ring.size
         self.S = S
         N = S**4
+        # int32 bound of the pair-dot arithmetic: every code, table index
+        # and partial sum in `mul` is below S^4 = N <= 40 000 000 < 2^31
         if N > 40_000_000:
             raise GroupTooLargeError(f"matrix code space {N} too large")
         self.N = N
-        codes = np.arange(N, dtype=np.int64)
-        self.A = codes % S
-        self.B = (codes // S) % S
-        self.C = (codes // (S * S)) % S
-        self.D = codes // (S * S * S)
-        add, mul, neg = ring.add, ring.mul, ring.neg
-        self._addf = add.ravel()
-        self._mulf = mul.ravel()
-        self._neg = neg
-        ad = self._mulf[self.A * S + self.D]
-        bc = self._mulf[self.B * S + self.C]
-        self.det = self._addf[ad * S + neg[bc]]
+        self._mulf = ring.mul.ravel()
+        self._neg = ring.neg
+        # dot[(u0 + u1 S) S^2 + (v0 + v1 S)] = u0 v0 + u1 v1: the C-order
+        # array over (u1, u0, v1, v0)
+        M = ring.mul.astype(np.int32)
+        self._dot = ring.add.astype(np.int32).ravel()[M[None, :, None, :] * S + M[:, None, :, None]].ravel()
+        a, b, c, d = self.dec(np.arange(N, dtype=np.int32))
+        # the columns (a, c) and (b, d) of every code as pair codes
+        self._col1 = a + c * S
+        self._col2 = b + d * S
+        self.det = ring.add[self._mulf[a * S + d], ring.neg[self._mulf[b * S + c]]]
         self.identity = self.enc(ring.one, 0, 0, ring.one)
 
     def enc(self, a, b, c, d):
@@ -71,26 +82,24 @@ class MatrixSpace:
         return a + b * S + c * S * S + d * S * S * S
 
     def dec(self, code):
-        return self.A[code], self.B[code], self.C[code], self.D[code]
+        S = self.S
+        return code % S, code // S % S, code // (S * S) % S, code // (S * S * S)
 
     def mul(self, x, y):
-        """Matrix product on (arrays of) codes."""
-        S = self.S
-        af, mf = self._addf, self._mulf
-        a1, b1, c1, d1 = self.A[x], self.B[x], self.C[x], self.D[x]
-        a2, b2, c2, d2 = self.A[y], self.B[y], self.C[y], self.D[y]
-        a = af[mf[a1 * S + a2] * S + mf[b1 * S + c2]]
-        b = af[mf[a1 * S + b2] * S + mf[b1 * S + d2]]
-        c = af[mf[c1 * S + a2] * S + mf[d1 * S + c2]]
-        d = af[mf[c1 * S + b2] * S + mf[d1 * S + d2]]
-        return self.enc(a, b, c, d)
+        """Matrix product on (arrays of) codes, x broadcast against y.  The
+        rows of x are the pair codes x mod S^2 and x div S^2, so each entry
+        of the product is one gather from the pair-dot table."""
+        S, S2, dot = self.S, self.S * self.S, self._dot
+        lo, hi = x % S2 * S2, x // S2 * S2
+        c1, c2 = self._col1[y], self._col2[y]
+        return (dot[lo + c1] + dot[lo + c2] * S + (dot[hi + c1] + dot[hi + c2] * S) * S2).astype(np.int64)
 
     def inv(self, x):
         """Inverse on codes with unit determinant (adjugate over det)."""
         S = self.S
         mf, neg = self._mulf, self._neg
         idet = self.ring.inv[self.det[x]]
-        a, b, c, d = self.A[x], self.B[x], self.C[x], self.D[x]
+        a, b, c, d = self.dec(x)
         return self.enc(
             mf[d * S + idet],
             neg[mf[b * S + idet]],
@@ -102,7 +111,8 @@ class MatrixSpace:
         """(target space, code map over the full code space)."""
         tgt_ring, m = self.ring.reduction(r2)
         tgt = matrix_space(tgt_ring)
-        return tgt, tgt.enc(m[self.A], m[self.B], m[self.C], m[self.D])
+        a, b, c, d = self.dec(np.arange(self.N, dtype=np.int64))
+        return tgt, tgt.enc(m[a], m[b], m[c], m[d])
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +310,7 @@ class MatrixGroup:
 
     def borel_codes(self) -> np.ndarray:
         """Upper-triangular elements of the group (c = 0)."""
-        return self.codes[self.space.C[self.codes] == 0]
+        return self.codes[self.space.dec(self.codes)[2] == 0]
 
     def reduction(self, r2: int) -> "ReductionHom":
         return ReductionHom(self, r2)

@@ -24,10 +24,12 @@ Each field is a product of exponent rows with value rows mod L: the flip,
 the norm pullback and the descent to a lower level are each one exponent
 matrix (`FiniteAbelianGroup.chars_from_values`).
 
-Two independent conductor algorithms are provided: the brute-force minimum
-over all twists, for all thetas at once, and the iterative peeling of
-scalar top-layer data one level at a time, per theta.  They must agree; the
-verification layer checks this exhaustively.
+Two independent conductor algorithms are provided, each for all thetas at
+once: the brute-force minimum over all twists, and the iterative peeling of
+scalar top-layer data, one array pass per level over the thetas whose datum
+is still scalar.  Peeling reads only `taus`, the twist extensions, the
+kernel values and the descent, never a `Classification` field.  They must
+agree; the verification layer checks this exhaustively.
 """
 
 from __future__ import annotations
@@ -110,11 +112,6 @@ class CoxeterTorus:
         W = U.value_rows(self.ext.norm(self.group.gens))
         return self.group.chars_from_values(U.dual_rows() @ W.T % U.exponent, U.exponent)
 
-    def norm_pullback(self, alpha: DualChar) -> DualChar:
-        """alpha(norm(-)) as a character of the torus."""
-        row = self.pullback_rows[self.base_units.dual_index(alpha.a)]
-        return DualChar(self.group, tuple(row.tolist()))
-
     @functools.cached_property
     def norm_one_group(self) -> FiniteAbelianGroup:
         return FiniteAbelianGroup(self.norm_one, self.ext.mul, self.ext.one)
@@ -162,7 +159,11 @@ class CoxeterTorus:
         return self._patterns[psi_scale]
 
     def taus(self, A: np.ndarray, psi_scale: int = 1) -> np.ndarray:
-        """tau_of for each row of A, the exponent rows of some thetas."""
+        """For each exponent row of A, the unique tau in F_{q^2} (pair code)
+        with theta(1 + pi^(r-1) x) = psi(Tr_{F_{q^2}/F_q}(x tau)) for all x
+        (levels r >= 2)."""
+        if self.r < 2:
+            raise ValueError("tau is defined for levels r >= 2 only")
         p, L = self.ring.p, self.group.exponent
         V = A @ self._top_rows.T % L
         if (V * p % L).any():
@@ -174,26 +175,6 @@ class CoxeterTorus:
         if (P[:, tau].T != V).any():
             raise InvariantError("top-layer values are not a trace pairing")
         return tau
-
-    def tau_of(self, theta: DualChar, psi_scale: int = 1) -> int:
-        """The unique tau in F_{q^2} (pair code) with
-        theta(1 + pi^(r-1) x) = psi(Tr_{F_{q^2}/F_q}(x tau)) for all x."""
-        if self.r < 2:
-            raise ValueError("tau is defined for levels r >= 2 only")
-        return int(self.taus(np.array([theta.a]), psi_scale)[0])
-
-    def is_scalar(self, tau) -> bool:
-        """Whether a pair code of F_{q^2} lies in the scalar subfield F_q."""
-        return int(tau) < self.q
-
-    # -- levels -----------------------------------------------------------------
-
-    def char_level(self, eta: DualChar) -> int:
-        """Least r' in [1, r] with eta trivial on the kernel K_{r'}."""
-        for r2 in range(1, self.r + 1):
-            if not (self.kernel_values(r2)[0] @ eta.a % self.group.exponent).any():
-                return r2
-        raise InvariantError("character not trivial on the trivial kernel")
 
     # -- descent ---------------------------------------------------------------
 
@@ -216,10 +197,6 @@ class CoxeterTorus:
         (each trivial on K_{r2})."""
         L = self.group.exponent
         return self.level_torus(r2).group.chars_from_values(np.asarray(A) @ self._descent_rows(r2).T % L, L)
-
-    def descend(self, eta: DualChar, r2: int) -> DualChar:
-        """The character of T_{r2}^F inflating to eta (eta trivial on K_{r2})."""
-        return DualChar(self.level_torus(r2).group, tuple(self.descend_rows(eta.a, r2).tolist()))
 
     def inflate_from(self, A0, r2: int) -> np.ndarray:
         """Exponent rows of the inflations to level r of the level-r2 rows A0."""
@@ -368,53 +345,50 @@ def conductor_brute_force(torus: CoxeterTorus, A) -> np.ndarray:
     return out
 
 
-def conductor_by_peeling(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 1) -> int:
-    """Iterative peeling: while the top-layer datum is scalar, strip one
-    level by twisting with an extension of psi(s * ((-) - 1)/pi^(rho-1))."""
-    cur_torus, cur = torus, theta
-    while True:
-        rho = cur_torus.r
-        if rho == 1:
-            return 1
-        tau = cur_torus.tau_of(cur, psi_scale)
-        if not cur_torus.is_scalar(tau):
-            return rho
-        s = int(tau) % cur_torus.q  # tau = diag(s, s)
-        alpha2 = _extend_kernel_character(cur_torus, s, psi_scale)
-        eta = cur * cur_torus.norm_pullback(alpha2.inverse())
-        if cur_torus.char_level(eta) > rho - 1:
+def conductor_by_peeling(torus: CoxeterTorus, A, psi_scale: int = 1) -> np.ndarray:
+    """For each exponent row of A, the level reached by iterative peeling:
+    while the top-layer datum tau is scalar, twist by the inverse of an
+    extension of psi(s * ((-) - 1)/pi^(rho-1)), s = tau, and descend one
+    level.  One array pass per level over the rows still open."""
+    A = np.asarray(A, dtype=np.int64)
+    out = np.ones(len(A), dtype=np.int64)
+    rows, t = np.arange(len(A)), torus
+    while t.r >= 2 and len(rows):
+        rho = t.r
+        tau = t.taus(A, psi_scale)
+        scalar = tau < t.q
+        out[rows[~scalar]] = rho
+        rows, A = rows[scalar], A[scalar]
+        # tau = diag(s, s): the pair code of a scalar is s itself
+        j = _extend_kernel_character(t, psi_scale)[tau[scalar]]
+        # theta * (alpha_j o N)^-1 must be trivial on the last kernel
+        W, V = t.kernel_values(rho - 1)
+        if ((A @ W.T - V[j]) % t.group.exponent).any():
             raise InvariantError("peeling did not lower the level")
-        cur = cur_torus.descend(eta, rho - 1)
-        cur_torus = cur_torus.level_torus(rho - 1)
+        A, t = t.descend_rows(A - t.pullback_rows[j], rho - 1), t.level_torus(rho - 1)
+    return out
 
 
-def _extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> DualChar:
-    """Some character of O_r^x restricting on the last ring kernel to
-    u -> psi(s * (u - 1)/pi^(r-1)); existence by abelianness.  Memoised
-    per (s, psi_scale) on the torus."""
-    if (s, psi_scale) in torus._extensions:
-        return torus._extensions[s, psi_scale]
-    R = torus.ring
-    F = R.field
-    U = torus.base_units
-    LU = U.exponent
-    p = R.p
-    # ring kernel elements and their required psi-exponents
-    _, mred = R.reduction(R.r - 1)
-    kcodes = [int(u) for u in R.units() if mred[u] == 1]
-    want = {}
-    for u in kcodes:
-        x = R.div_pi_top(int(R.add[u, R.neg[R.one]]))
-        c = F.mul[F.mul[s, x], psi_scale]
-        want[u] = int(F.trace_to_fp[c])
-    for alpha in U.dual():
-        ok = True
-        for u in kcodes:
-            e = alpha.root_exp(u)
-            if (e * p) % LU != 0 or (e * p // LU) % p != want[u]:
-                ok = False
-                break
-        if ok:
-            torus._extensions[s, psi_scale] = alpha
-            return alpha
-    raise InvariantError("no extension found; the unit group is abelian")
+def _extend_kernel_character(torus: CoxeterTorus, psi_scale: int) -> np.ndarray:
+    """Entry s, for each s in F_q: the position in base_units.dual() of the
+    first character of O_r^x restricting on the last ring kernel to
+    u -> psi(s * (u - 1)/pi^(r-1)); one exists since the unit group is
+    abelian.  Memoised per psi_scale on the torus."""
+    if psi_scale in torus._extensions:
+        return torus._extensions[psi_scale]
+    R, U = torus.ring, torus.base_units
+    F, LU, p = R.field, U.exponent, R.p
+    tgt, mred = R.reduction(R.r - 1)
+    units = R.units()
+    kcodes = units[mred[units] == tgt.one]
+    x = np.array([R.div_pi_top(int(R.add[u, R.neg[R.one]])) for u in kcodes.tolist()])
+    # want[s, u]: the psi-exponent in F_p required at u; E[j, u] the value
+    # exponent (mod LU) of dual()[j] at u
+    s = np.arange(torus.q)
+    want = F.trace_to_fp[F.mul[F.mul[s[:, None], x[None, :]], psi_scale]]
+    E = U.dual_rows() @ U.value_rows(kcodes).T % LU
+    match = (E[None, :, :] * p == want[:, None, :] * LU).all(axis=2)
+    if not match.any(axis=1).all():
+        raise InvariantError("no extension found; the unit group is abelian")
+    torus._extensions[psi_scale] = np.argmax(match, axis=1)
+    return torus._extensions[psi_scale]

@@ -301,9 +301,7 @@ def check_classification_coherence(cd: CaseData):
     torus = cd.torus
     cl = cd.classification
     bf = conductor_brute_force(torus, cl.theta)
-    pe = cl.r0
-    if torus.r >= 2:
-        pe = np.array([conductor_by_peeling(torus, theta) for theta in torus.dual()])
+    pe = conductor_by_peeling(torus, cl.theta)
     regular0 = np.ones(len(cl), dtype=bool)
     for r0 in range(2, torus.r + 1):
         t0 = torus.level_torus(r0)

@@ -1,13 +1,15 @@
-"""The per-theta classification and predictions, kept as the oracle of the
-array versions in `dl2.torus` and `dl2.predictor`.
+"""The per-theta classification, predictions and conductor peeling, kept as
+the oracle of the array versions in `dl2.torus` and `dl2.predictor`.
 
-`classify_all`, `predict_gl2` and `predict_sl2` below are the former
-per-theta implementations: one `TorusCharClass` record per theta, built in a
-Python loop of scalar descents, flips and root exponents.  The scalar
-helpers they relied on (`char_sigma`, the flip through the images of the
-basis, the looped `norm_pullback` and `descend`, and the pattern lookup of
-tau by row bytes) come with them, so the oracle shares no array pass with
-the code it checks.  The tests compare both, field by field.
+`classify_all`, `predict_gl2`, `predict_sl2` and `conductor_by_peeling`
+below are the former per-theta implementations: one `TorusCharClass` record
+or one peeled level per theta, built in a Python loop of scalar descents,
+flips and root exponents.  The scalar helpers they relied on (`char_sigma`,
+the flip through the images of the basis, the looped `norm_pullback`,
+`descend` and `char_level`, the pattern lookup of tau by row bytes, and the
+search for a twist extending the additive character one unit at a time)
+come with them, so the oracle shares no array pass with the code it
+checks.  The tests compare both, field by field and theta by theta.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dl2.predictor import predict_gl2 as array_predict_gl2
 from dl2.predictor import predict_sl2 as array_predict_sl2
 from dl2.torus import CoxeterTorus, make_torus
 from dl2.torus import classify_all as array_classify_all
+from dl2.torus import conductor_by_peeling as array_conductor_by_peeling
 
 MANIFEST_PKR = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
 
@@ -100,17 +103,38 @@ def descend(torus: CoxeterTorus, eta: DualChar, r2: int) -> DualChar:
     return char_from_values_on_basis(t0.group, exps, L0)
 
 
-def taus(torus: CoxeterTorus, A: np.ndarray, psi_scale: int = 1) -> list[int]:
-    """tau of each row of A, by looking up its pairing row's bytes."""
+@functools.lru_cache(maxsize=None)
+def tau_patterns(torus: CoxeterTorus, psi_scale: int):
+    """(pats, W): the tau of each pairing row's bytes, and the value rows of
+    the top-layer elements."""
     F, rq = torus.ring.field, torus.rq
-    p, L = torus.ring.p, torus.group.exponent
     xs = np.arange(torus.q**2, dtype=np.int64)
     rows = F.trace_to_fp[F.mul[rq.trace(rq.mul(xs[:, None], xs[None, :])), psi_scale]]
     pats = {rows[:, tau].tobytes(): tau for tau in range(len(xs))}
-    V = A @ torus.group.value_rows(torus.top_layer_elements()[1]).T % L
+    return pats, torus.group.value_rows(torus.top_layer_elements()[1])
+
+
+def taus(torus: CoxeterTorus, A: np.ndarray, psi_scale: int = 1) -> list[int]:
+    """tau of each row of A, by looking up its pairing row's bytes."""
+    p, L = torus.ring.p, torus.group.exponent
+    pats, W = tau_patterns(torus, psi_scale)
+    V = A @ W.T % L
     if (V * p % L).any():
         raise InvariantError("top-layer values are not p-th roots")
     return [pats[row.tobytes()] for row in np.ascontiguousarray(V * p // L)]
+
+
+def is_scalar(torus: CoxeterTorus, tau: int) -> bool:
+    """Whether a pair code of F_{q^2} lies in the scalar subfield F_q."""
+    return tau < torus.q
+
+
+def char_level(torus: CoxeterTorus, eta: DualChar) -> int:
+    """Least r' in [1, r] with eta trivial on the basis of the kernel K_{r'}."""
+    for r2 in range(1, torus.r + 1):
+        if all(eta.root_exp(g) == 0 for g, _n in torus.kernels[r2].basis):
+            return r2
+    raise InvariantError("character not trivial on the trivial kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +171,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
 
     # -- tau and regularity (r >= 2) ------------------------------------------
     taus_ = taus(torus, A, psi_scale) if torus.r >= 2 else [None] * n_t
-    regular = [tau is not None and not torus.is_scalar(tau) for tau in taus_]
+    regular = [tau is not None and not is_scalar(torus, tau) for tau in taus_]
 
     # -- twisted levels ---------------------------------------------------------
     pulls = [norm_pullback(torus, al) for al in U.dual()]
@@ -244,6 +268,55 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
 
 
 # ---------------------------------------------------------------------------
+# the per-theta conductor peeling
+
+
+@functools.lru_cache(maxsize=None)
+def extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> DualChar:
+    """The first character of O_r^x, in dual() order, restricting on the
+    last ring kernel to u -> psi(s * (u - 1)/pi^(r-1))."""
+    R = torus.ring
+    F, U, p = R.field, torus.base_units, R.p
+    LU = U.exponent
+    _, mred = R.reduction(R.r - 1)
+    want = {}
+    for u in R.units().tolist():
+        if mred[u] == 1:
+            x = R.div_pi_top(int(R.add[u, R.neg[R.one]]))
+            want[u] = int(F.trace_to_fp[F.mul[F.mul[s, x], psi_scale]])
+    for alpha in U.dual():
+        ok = True
+        for u, w in want.items():
+            e = alpha.root_exp(u)
+            if (e * p) % LU != 0 or (e * p // LU) % p != w:
+                ok = False
+                break
+        if ok:
+            return alpha
+    raise InvariantError("no extension found; the unit group is abelian")
+
+
+def conductor_by_peeling(torus: CoxeterTorus, theta: DualChar, psi_scale: int = 1) -> int:
+    """Iterative peeling: while the top-layer datum is scalar, strip one
+    level by twisting with an extension of psi(s * ((-) - 1)/pi^(rho-1))."""
+    cur_torus, cur = torus, theta
+    while True:
+        rho = cur_torus.r
+        if rho == 1:
+            return 1
+        tau = taus(cur_torus, np.array([cur.a]), psi_scale)[0]
+        if not is_scalar(cur_torus, tau):
+            return rho
+        s = tau % cur_torus.q  # tau = diag(s, s)
+        alpha2 = extend_kernel_character(cur_torus, s, psi_scale)
+        eta = cur * norm_pullback(cur_torus, alpha2.inverse())
+        if char_level(cur_torus, eta) > rho - 1:
+            raise InvariantError("peeling did not lower the level")
+        cur = descend(cur_torus, eta, rho - 1)
+        cur_torus = cur_torus.level_torus(rho - 1)
+
+
+# ---------------------------------------------------------------------------
 # the per-theta predictions
 
 
@@ -328,3 +401,12 @@ def test_arrays_match_per_theta_oracle(p, k, r, mode):
         for predict, oracle in ((array_predict_gl2, predict_gl2), (array_predict_sl2, predict_sl2)):
             values, which = predict(cl)
             assert [values[k] for k in which.tolist()] == [oracle(tc, q, r) for tc in tcs]
+
+
+@pytest.mark.parametrize("p,k,r,mode", ORACLE_CASES)
+def test_array_peeling_matches_per_theta_peeling(p, k, r, mode):
+    torus = make_torus(p, k, r, mode)
+    for psi_scale in [s for s in (1, 2) if s < torus.q]:
+        peeled = array_conductor_by_peeling(torus, torus.group.dual_rows(), psi_scale)
+        assert peeled.dtype == np.int64
+        assert peeled.tolist() == [conductor_by_peeling(torus, th, psi_scale) for th in torus.dual()]

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dl2.groups import (
     ConjugacyData,
@@ -10,10 +11,15 @@ from dl2.groups import (
     MatrixSpace,
     gl2_order,
     make_group,
+    matrix_space,
     sl2_order,
     sl_embedding,
 )
 from dl2.rings import make_ring
+from test_rings import CASES as RING_CASES
+
+# every (p, k, r) of the ring tests, in both modes
+SPACE_CASES = sorted({(p, k, r, mode) for (p, k, r, _) in RING_CASES for mode in ("mixed", "equal")})
 
 ORDER_CASES = [
     (2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3),
@@ -94,7 +100,7 @@ def test_generated_closure_counts_proper_subgroup(p, k, r, mode, monkeypatch):
     one breadth-first round reaches an element twice."""
     G = make_group(p, k, r, mode, "gl")
     sp = G.space
-    upper = [g for g in G.generators() if sp.C[g] == 0 and sp.B[g] != 0]
+    upper = [g for g in G.generators() if sp.dec(g)[2] == 0 and sp.dec(g)[1] != 0]
     monkeypatch.setattr(G, "generators", lambda: upper)
     assert G.generated_closure() == (p**k) ** r
 
@@ -124,6 +130,64 @@ def test_reduction_is_surjective_homomorphism():
     for _ in range(200):
         x, y = int(rng.choice(G.codes)), int(rng.choice(G.codes))
         assert h(sp.mul(x, y)) == tsp.mul(h(x), h(y))
+
+
+def _entrywise_product(R, x, y):
+    """Codes of x y, entry by entry through the ring's add and mul tables."""
+    S = R.size
+    a1, b1, c1, d1 = (x // S**i % S for i in range(4))
+    a2, b2, c2, d2 = (y // S**i % S for i in range(4))
+
+    def dot(u0, v0, u1, v1):
+        return R.add[R.mul[u0, v0], R.mul[u1, v1]]
+
+    return (
+        dot(a1, a2, b1, c2)
+        + dot(a1, b2, b1, d2) * S
+        + dot(c1, a2, d1, c2) * S**2
+        + dot(c1, b2, d1, d2) * S**3
+    )
+
+
+@given(st.sampled_from(SPACE_CASES), st.data())
+def test_mul_is_the_entrywise_matrix_product(case, data):
+    """MatrixSpace.mul on any codes, invertible or not: scalars, 1-D arrays
+    and (1, n) x (m, 1) broadcasts, always int64."""
+    R = make_ring(*case)
+    sp = matrix_space(R)
+    code = st.integers(min_value=0, max_value=sp.N - 1)
+    x, y = data.draw(code), data.draw(code)
+    assert sp.mul(x, y) == _entrywise_product(R, x, y) and sp.mul(x, y).dtype == np.int64
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    xs = np.array(data.draw(st.lists(code, min_size=n, max_size=n)), dtype=np.int64)
+    ys = np.array(data.draw(st.lists(code, min_size=n, max_size=n)), dtype=np.int64)
+    for u, v in [(xs, ys), (xs, y), (x, ys), (xs[None, :], ys[:, None]), (xs[:, None], ys[None, :3])]:
+        got = sp.mul(u, v)
+        assert got.dtype == np.int64 and got.shape == np.broadcast_shapes(np.shape(u), np.shape(v))
+        assert (got == _entrywise_product(R, np.asarray(u), np.asarray(v))).all()
+
+
+@given(
+    st.sampled_from([c for c in SPACE_CASES if c[2] >= 2]),
+    st.integers(min_value=1),
+    st.lists(st.integers(min_value=0), min_size=4, max_size=4),
+)
+def test_reduction_maps_are_homomorphisms(case, r2_pick, picks):
+    """O_r -> O_{r2} preserves add, mul and one on ring elements, and the
+    induced map on matrix codes preserves the matrix product."""
+    R = make_ring(*case)
+    r2 = 1 + r2_pick % R.r
+    tgt, m = R.reduction(r2)
+    a, b = picks[0] % R.size, picks[1] % R.size
+    assert m[R.add[a, b]] == tgt.add[m[a], m[b]]
+    assert m[R.mul[a, b]] == tgt.mul[m[a], m[b]]
+    assert m[R.one] == tgt.one
+    sp = matrix_space(R)
+    tsp, cmap = sp.reduce_map(r2)
+    assert tsp.ring is tgt
+    x, y = picks[2] % sp.N, picks[3] % sp.N
+    assert cmap[sp.mul(x, y)] == tsp.mul(cmap[x], cmap[y])
+    assert cmap[sp.identity] == tsp.identity
 
 
 def test_reduction_commutes_with_det_and_sl():

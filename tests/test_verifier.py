@@ -137,6 +137,16 @@ def test_run_suite_predicts_once_per_case(monkeypatch):
     assert [len(cl) for cl in calls] == [72, 72]
 
 
+def test_run_suite_peels_once_per_case(monkeypatch):
+    """classification-coherence peels every theta of a case in one array call."""
+    calls = []
+    peel = dl2.verifier.conductor_by_peeling
+    monkeypatch.setattr(dl2.verifier, "conductor_by_peeling", lambda t, A: calls.append((t, len(A))) or peel(t, A))
+    out = run_suite([(3, 1, 2, "gl", "mixed"), (3, 1, 2, "gl", "equal")])
+    assert out["all_pass"]
+    assert sorted((t.ring.mode, n) for t, n in calls) == [("equal", 72), ("mixed", 72)]
+
+
 def test_classical_sweep_check():
     c = check_classical_sweep(n_max=4, qs=(2, 3, 5))
     assert c.verdict == "pass"
