@@ -106,10 +106,13 @@ class CharacterTable:
         self.group = group
         self.exponent = e
         self.conjugacy = cd
-        order = sorted(
-            range(len(degs)),
-            key=lambda t: (int(degs[t]), tuple(map(tuple, coeffs[t].tolist()))),
-        )
+        # rows by (degree, coefficients flattened in C order), stably: the
+        # order of Python's sort on (degree, nested tuples), as nested tuples
+        # of one shape compare as their flattenings.  A column equal in all
+        # rows decides no comparison, so only the varying ones are keys.
+        flat = coeffs.reshape(len(degs), -1)
+        flat = flat[:, (flat != flat[:1]).any(axis=0)]
+        order = np.lexsort(np.vstack([flat.T[::-1], degs[None]]))
         self.coeffs = coeffs[order]
         self.degrees = degs[order]
 

@@ -165,7 +165,11 @@ def cmd_dump_table(args) -> int:
 
 def prime_int(text: str) -> int:
     p = int(text)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # beyond the proven range of the test
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     return p
 

@@ -17,13 +17,16 @@ Stages:
      search: the one d <= isqrt(|G|) whose square has the right residue;
   4. lifting to exact root-of-unity multiplicities with the inverse Fourier
      sum over power maps, then canonical reduction into Z[zeta_e];
-  5. verification of both orthogonality relations over Z[zeta_e], exact via
-     split primes and CRT (`cyclotomic.matmul`).
+  5. verification of both orthogonality relations over Z[zeta_e], checked
+     on the values at the primitive e-th roots of unity modulo split primes,
+     with no CRT rebuild (`verify_orthogonality`).
 
 No tolerance anywhere; every verification is an integer identity.  The
 products mod l are float64 BLAS products of residues (`modlinalg.matmul_mod`
 and `exact_matmul`), each guarded so that every partial sum is an integer
-below 2^53.
+below 2^53.  The lift and the verification hold their float64 arrays a
+block at a time, sized by `_BLOCK_BYTES`; every bound is per entry, so the
+blocking changes no proof.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 
 import numpy as np
 
-from .cyclotomic import matmul, phi, zeta_powers
+from .cyclotomic import _evaluation_matrices, phi, split_primes, zeta_powers
 from .groups import ConjugacyData, MatrixGroup
 from .modlinalg import (
     exact_matmul,
@@ -42,10 +45,15 @@ from .modlinalg import (
     nullspace,
     poly_roots,
     primitive_root,
+    reduce_mod,
 )
 from .rings import is_prime
 
 MODULUS_SEARCH_BOUND = 30_000_000
+
+# Bytes of the float64 block that `lift_table` (rows of W) and
+# `verify_orthogonality` (values at a block of roots) hold at a time.
+_BLOCK_BYTES = 2**21
 
 
 class ModulusSearchError(RuntimeError):
@@ -207,44 +215,105 @@ def lift_table(group: MatrixGroup):
     a_idx, i_idx = np.meshgrid(np.arange(e), np.arange(e), indexing="ij")
     zpow = np.array([pow(z, a, l) for a in range(e)], dtype=np.int64)
     Zmat = zpow[((-a_idx * i_idx) % e)] * inv_mod(e, l) % l  # Zmat[a, i] = z^(-a i) / e
+    Zmat = Zmat.astype(np.float64)
 
-    # W @ Zmat, W[t k, i] = chi_t(z_k^i), sums e products of residues: exact
-    # when e (l - 1)^2 < 2^53.  The multiplicities stay float64 integers.
-    W = Xl.astype(np.float64)[:, pm.reshape(-1)].reshape(n * n, e)
-    mult = matmul_mod(W, Zmat, l)
-    del W
-    # multiplicities are genuine eigenvalue counts: they must sum to degrees
-    if not (mult.reshape(n, n, e).sum(axis=2) == degrees[:, None]).all():
-        raise VerificationError("lift produced non-multiplicities")
-
-    # nonnegative multiplicities summing to a degree are at most max(degrees)
+    # W @ Zmat, W[t k, i] = chi_t(z_k^i), by blocks of rows t: an entry sums
+    # e products of residues, exact when e (l - 1)^2 < 2^53.  The
+    # multiplicities stay float64 integers.
+    Xf = Xl.astype(np.float64)
     Z = zeta_powers(e)
-    coeffs = exact_matmul(mult, Z, int(degrees.max()), int(np.abs(Z).max()))
-    coeffs = coeffs.astype(np.int64).reshape(n, n, phi(e))
+    # nonnegative multiplicities summing to a degree are at most max(degrees)
+    bounds = int(degrees.max()), int(np.abs(Z).max())
+    coeffs = np.empty((n, n, phi(e)), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * n * e))
+    for lo in range(0, n, step):
+        W = Xf[lo : lo + step][:, pm.reshape(-1)].reshape(-1, e)
+        mult = matmul_mod(W, Zmat, l)
+        # multiplicities are genuine eigenvalue counts: they must sum to degrees
+        if not (mult.reshape(-1, n, e).sum(axis=2) == degrees[lo : lo + step, None]).all():
+            raise VerificationError("lift produced non-multiplicities")
+        coeffs[lo : lo + step] = exact_matmul(mult, Z, *bounds).reshape(-1, n, phi(e))
     return coeffs, e, degrees, cd
+
+
+def _relation_residues(R, sizes, inverse_class, targets, V, l):
+    """Per block of the roots of V (`cyclotomic._evaluation_matrices`):
+    (lo, (P1 - T1, P2 - T2)), the values mod l of both relations of
+    `verify_orthogonality` minus their targets, at roots lo, lo + 1, ...,
+    as (roots, n, n) float64 stacks of integers in (-l, l).
+
+    R is the (n n, d) table of coefficient residues mod l, so an entry of R
+    times a column of V sums d products of residues; the relation products
+    sum n.  Both are exact below 2^53, for the primes of `split_primes(e,
+    max(n, d), ...)`."""
+    n = len(sizes)
+    d = V.shape[0]
+    step = max(1, _BLOCK_BYTES // (8 * n * n))
+    for lo in range(0, d, step):
+        vals = matmul_mod(V[:, lo : lo + step].T, R.T, l).reshape(-1, n, n)
+        conj = vals[:, :, inverse_class]  # chi_t(g_k^-1) at each root
+        vals_w = vals * sizes  # each below (l - 1)^2
+        P1 = matmul_mod(reduce_mod(vals_w, l, out=vals_w), conj.transpose(0, 2, 1), l)
+        del vals_w
+        P2 = matmul_mod(vals.transpose(0, 2, 1), conj, l)
+        del vals, conj
+        for P, t in zip((P1, P2), targets):
+            P.reshape(len(P), n * n)[:, :: n + 1] -= t
+        yield lo, (P1, P2)
 
 
 def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
     """Exact first and second orthogonality over Z[zeta_e].
 
-    Both relations are `cyclotomic.matmul` products, read against chi(g^-1)
-    = conj chi(g): sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) must be |G| [i = j],
-    and sum_t chi_t(g_k) chi_t(g_l^-1) the centralizer order [k = l], on the
-    nose: coefficient 0 equal and every other coefficient zero.  A table
-    whose products would overflow int64 is not verified.
+    For the (characters, classes) table C and chi(g^-1) = conj chi(g), the
+    relations are P1 = C diag(|C_k|) C[:, inv]^T = |G| I = T1, that is
+    sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) = |G| [i = j], and P2 = C^T C[:,
+    inv] = diag(|C_G(g_k)|) = T2, products over Z[zeta_e] whose targets are
+    rational.  They are checked on the values at the primitive e-th roots
+    modulo split primes: no interpolation and no CRT rebuild.
+
+    Exactness.  By `cyclotomic.matmul`'s bound, with x = max|C| and y = x
+    max|C_k|, every canonical coefficient of P1 (factors at most y and x)
+    and of P2 (factors at most x) is at most B = (2d - 1) z d n x y, d =
+    phi(e); those of the targets are at most |G|, so those of P - T are at
+    most B + |G|.
+    The primes l are `split_primes(e, max(n, d), B + |G|)`, with product
+    M > 2 (B + |G|).  At each l, evaluation a -> (a(r_j))_j at the
+    primitive e-th roots r_j mod l is a ring isomorphism Z[zeta_e]/l ->
+    F_l^d (see `cyclotomic`), so P(r_j) is the product of the values of C
+    at r_j, computed as float64 products of residues that `split_primes`
+    keeps exact, and T(r_j) = T mod l.  Agreement at every r_j thus gives
+    P = T in Z[zeta_e]/l: every coefficient of P - T is divisible by l.
+    Over all the primes it is divisible by M, and at most B + |G| < M/2 in
+    absolute value, hence zero: P = T in Z[zeta_e].  A table with B >=
+    2^63 is not verified (the ladder of `split_primes` ends at 2^64).
+
+    On a mismatch, coefficient 0 of the residual P - T mod l is sum_j (P -
+    T)(r_j) Vinv[j, 0], by interpolation; the failure is reported as in
+    the constant term when that is nonzero, else in the irrational part.
     """
-    n = coeffs.shape[0]
-    inv = coeffs[:, cd.inverse_class, :]
-    w = cd.sizes.astype(np.int64)
-    for X, Y, target in (
-        (coeffs * w[None, :, None], inv.transpose(1, 0, 2), order * np.eye(n, dtype=np.int64)),
-        (coeffs.transpose(1, 0, 2), inv, np.diag(cd.centralizer_orders.astype(np.int64))),
-    ):
-        try:
-            P = matmul(X, Y, cd.exponent)
-        except OverflowError as exc:
-            raise VerificationError(str(exc)) from exc
-        if not (P[:, :, 0] == target).all():
-            raise VerificationError("orthogonality failed (constant term)")
-        if P[:, :, 1:].any():
-            raise VerificationError("orthogonality failed (irrational part)")
+    n, _, d = coeffs.shape
+    e = cd.exponent
+    x = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
+    bound = (2 * d - 1) * int(np.abs(zeta_powers(e)).max()) * d * n * x * x * int(cd.sizes.max())
+    if bound >= 2**63:
+        raise VerificationError(f"int64 overflow risk: Z[zeta_{e}] product bound {bound} >= 2^63")
+    try:
+        primes = split_primes(e, max(n, d), bound + order)
+    except OverflowError as exc:
+        raise VerificationError(str(exc)) from exc
+    for l in primes:
+        V, Vinv = _evaluation_matrices(e, l)
+        # |C| <= x < 2^32, as x^2 <= B < 2^63
+        R = reduce_mod(coeffs.reshape(n * n, d), l)
+        args = (R, cd.sizes % l, cd.inverse_class, (order % l, cd.centralizer_orders % l), V, l)
+        for _, (res1, res2) in _relation_residues(*args):
+            if res1.any() or res2.any():
+                which = 0 if res1.any() else 1
+                # each block sums its roots' terms, d (l - 1)^2 < 2^53 in all
+                c0 = sum(
+                    np.tensordot(Vinv[lo : lo + len(res[which]), 0], res[which] % l, axes=1)
+                    for lo, res in _relation_residues(*args)
+                )
+                part = "constant term" if (c0 % l).any() else "irrational part"
+                raise VerificationError(f"orthogonality failed ({part})")

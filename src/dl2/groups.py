@@ -68,13 +68,17 @@ class MatrixSpace:
         self._neg = ring.neg
         # dot[(u0 + u1 S) S^2 + (v0 + v1 S)] = u0 v0 + u1 v1: the C-order
         # array over (u1, u0, v1, v0)
-        M = ring.mul.astype(np.int32)
-        self._dot = ring.add.astype(np.int32).ravel()[M[None, :, None, :] * S + M[:, None, :, None]].ravel()
-        a, b, c, d = self.dec(np.arange(N, dtype=np.int32))
+        M, A = ring.mul.astype(np.int32), ring.add.astype(np.int32)
+        self._dot = A.ravel()[M[None, :, None, :] * S + M[:, None, :, None]].ravel()
+        # the code space in C order over (d, c, b, a): each array below is
+        # its ring tables broadcast over four axes of length S
+        x = np.arange(S, dtype=np.int32)
+        shape = (S, S, S, S)
         # the columns (a, c) and (b, d) of every code as pair codes
-        self._col1 = a + c * S
-        self._col2 = b + d * S
-        self.det = ring.add[self._mulf[a * S + d], ring.neg[self._mulf[b * S + c]]]
+        self._col1 = np.broadcast_to(x[None, :, None, None] * S + x, shape).ravel()
+        self._col2 = np.broadcast_to(x[:, None, None, None] * S + x[:, None], shape).ravel()
+        # det = a d - b c, int32 as every code is
+        self.det = A[M.T[:, None, None, :], ring.neg[M.T][None, :, :, None]].ravel()
         self.identity = self.enc(ring.one, 0, 0, ring.one)
 
     def enc(self, a, b, c, d):

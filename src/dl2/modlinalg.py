@@ -2,7 +2,8 @@
 
 Residues are numpy int64, or float64 holding integers.  Matrix products go
 through `exact_matmul`, one float64 BLAS product whose exactness it checks,
-and `matmul_mod`, the same product on residues reduced mod l.
+and `matmul_mod`, the same product on residues reduced mod l in float64 by
+`reduce_mod`.
 """
 
 from __future__ import annotations
@@ -29,15 +30,39 @@ def exact_matmul(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
     return A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
 
 
+def reduce_mod(P: np.ndarray, l: int, out=None) -> np.ndarray:
+    """P mod l in [0, l), as float64, for an integer array P (int64, or
+    float64 holding integers) with -2^53 + l < P < 2^53; the result goes
+    to `out`, a float64 array of P's shape, when one is given.
+
+    Exactness.  q = floor(P fl(1/l)), r = P - q l, then one fix-up by l in
+    each direction.  fl(1/l) = (1 + d1)/l and the product rounds by a
+    factor 1 + d2 with |d1|, |d2| <= 2^-53, so for |P| < 2^53 the product
+    lies within |P| (2^-52 + 2^-106) / l < 2/l of P/l.  Write P = k l + m
+    with 0 <= m < l.  Then q = k + 1 only when m = l - 1, and q l = P + 1
+    <= 2^53; q = k - 1 only when m <= 1, and q l = P - l - m >= -2^53;
+    otherwise q = k.  So q l is an integer of absolute value at most 2^53,
+    hence a float64, and r = P - q l, an integer below 2^53 in absolute
+    value, is exact as well.  r is -1, m + l or m in the three cases, so
+    the fix-ups leave m.  Products of `exact_matmul` with inner (l - 1)^2 <
+    2^53 lie in [0, 2^53 - 4] (4 divides (l - 1)^2 for odd l).
+    """
+    q = np.multiply(P, 1.0 / l)
+    np.floor(q, out=q)
+    q *= l
+    r = np.subtract(P, q, out=q if out is None else out)
+    np.subtract(r, l, out=r, where=r >= l)
+    np.add(r, l, out=r, where=r < 0)
+    return r
+
+
 def matmul_mod(A: np.ndarray, B: np.ndarray, l: int) -> np.ndarray:
     """A @ B mod l for arrays of residues in [0, l), in their common dtype
-    (int64 for int64 residues); exact by `exact_matmul` when A.shape[-1] *
-    (l - 1)^2 < 2^53, OverflowError otherwise."""
+    (int64 for int64 residues); exact by `exact_matmul` and `reduce_mod`
+    when A.shape[-1] * (l - 1)^2 < 2^53, OverflowError otherwise."""
     P = exact_matmul(A, B, l - 1, l - 1)
-    # the remainder is taken in int64, several times faster than float64's,
-    # and written back into P when the result is float64
-    Q = P.astype(np.int64)
-    return np.remainder(Q, l, out=P if np.result_type(A, B) == np.float64 else Q)
+    reduce_mod(P, l, out=P)
+    return P if np.result_type(A, B) == np.float64 else P.astype(np.int64)
 
 
 def inv_mod(a: int, l: int) -> int:

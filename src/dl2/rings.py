@@ -37,14 +37,38 @@ from .abelian import InvariantError
 MAX_TABLE_RING = 4096
 
 
+# psi_12: the least strong pseudoprime to all of the first 12 prime bases
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROVEN_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
+    """Primality by deterministic Miller-Rabin over the first 12 prime
+    bases, proven correct for n < psi_12 = 318 665 857 834 031 151 167 461;
+    ValueError from psi_12 on."""
+    n = int(n)
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(f"{n} is not below psi_12 = {_MR_PROVEN_BELOW}, where is_prime is proven")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    # n - 1 = 2^s t, t odd; n passes base b when b^t = 1 or b^(2^i t) = -1
+    # for some i < s
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    t = (n - 1) >> s
+    for b in _MR_BASES:
+        y = pow(b, t, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

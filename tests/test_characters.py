@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from dl2.characters import (
     tensor_linear,
     trivial_character,
 )
-from dl2.cyclotomic import matmul, substitute, zeta_powers
+from dl2.cyclotomic import matmul, split_primes, substitute, zeta_powers
 from dl2 import dixon
 from dl2.dixon import _split_blocks
 from dl2.groups import make_group
@@ -64,6 +65,17 @@ def test_table_canonical_order():
     degs = [int(d) for d in tab.degrees]
     assert degs == sorted(degs)
     assert all(ch.degree() == d for ch, d in zip(tab.chars, degs))
+    # from any row order, the order of Python's sort on (degree, nested tuples)
+    rng = np.random.default_rng(5)
+    for c in [(3, 1, 2, "mixed", "gl"), (2, 2, 2, "mixed", "sl")]:
+        tab = character_table(make_group(*c))
+        perm = rng.permutation(len(tab))
+        coeffs, degs = tab.coeffs[perm], tab.degrees[perm]
+        want = sorted(
+            range(len(degs)), key=lambda t: (int(degs[t]), tuple(map(tuple, coeffs[t].tolist())))
+        )
+        again = CharacterTable(tab.group, parts=(coeffs, tab.exponent, degs))
+        assert (again.coeffs == coeffs[want]).all() and (again.degrees == degs[want]).all()
 
 
 def test_orthonormality_of_irreducibles():
@@ -467,12 +479,131 @@ def test_lift_table_guards_int64_overflow(monkeypatch):
         dixon.lift_table(G)
 
 
+def test_lift_table_by_row_blocks_matches_one_block(monkeypatch):
+    G = make_group(3, 1, 2, "mixed", "gl")
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 2**40)  # W in one block
+    whole = dixon.lift_table(G)[0]
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 1)  # one row t per block
+    assert (dixon.lift_table(G)[0] == whole).all()
+
+
 def test_verify_rejects_table_beyond_int64_bound():
     tab = character_table(make_group(2, 1, 1, "equal", "gl"))
     coeffs = tab.coeffs.copy()
     coeffs[0, 0, 0] = 2**40
     with pytest.raises(VerificationError, match="overflow"):
         CharacterTable(tab.group, parts=(coeffs, tab.exponent, tab.degrees)).verify()
+
+
+def _verify_orthogonality_by_matmul(coeffs, cd, order):
+    """The reference: both relations as `cyclotomic.matmul` products rebuilt
+    by CRT, compared coefficientwise with their targets."""
+    n = coeffs.shape[0]
+    inv = coeffs[:, cd.inverse_class, :]
+    w = cd.sizes.astype(np.int64)
+    for X, Y, target in (
+        (coeffs * w[None, :, None], inv.transpose(1, 0, 2), order * np.eye(n, dtype=np.int64)),
+        (coeffs.transpose(1, 0, 2), inv, np.diag(cd.centralizer_orders.astype(np.int64))),
+    ):
+        try:
+            P = matmul(X, Y, cd.exponent)
+        except OverflowError as exc:
+            raise VerificationError(str(exc)) from exc
+        if not (P[:, :, 0] == target).all():
+            raise VerificationError("orthogonality failed (constant term)")
+        if P[:, :, 1:].any():
+            raise VerificationError("orthogonality failed (irrational part)")
+
+
+def _verdict(check, coeffs, cd, order):
+    try:
+        check(coeffs, cd, order)
+    except VerificationError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _assert_same_verdict(tab, what, coeffs, cd, want):
+    """Accepted or rejected as the reference decided; with the same message
+    unless either side refused the table at its int64 guard, whose bounds
+    differ (the reference bounds each relation on its own)."""
+    got = _verdict(dixon.verify_orthogonality, coeffs, cd, tab.group.order)
+    assert (got == "accepted") == (want == "accepted"), what
+    if "overflow" not in got + want:
+        assert got == want, what
+
+
+def _mutations(tab):
+    """The table, then each corruption: +-1 at coefficient 0, +-1 at an
+    irrational coefficient (when there is one), a row copied over another,
+    one class size changed, one centralizer order changed (which only the
+    second relation sees), and + l at coefficient 0 for the first prime l
+    that the check at the roots uses (which only a later prime sees)."""
+    cd, coeffs = tab.conjugacy, tab.coeffs
+    n, _, d = coeffs.shape
+    rng = random.Random(n * 1000 + d)
+    yield "table", coeffs, cd
+    for a in [0] + ([rng.randrange(1, d)] if d > 1 else []):
+        for sign in (1, -1):
+            bad = coeffs.copy()
+            bad[rng.randrange(n), rng.randrange(n), a] += sign
+            yield f"coefficient {a} {sign:+d}", bad, cd
+    bad = coeffs.copy()
+    src, dst = rng.sample(range(n), 2)
+    bad[dst] = bad[src]
+    yield "row copied", bad, cd
+    for field in ("sizes", "centralizer_orders"):
+        fields = {f: getattr(cd, f) for f in ("sizes", "inverse_class", "centralizer_orders", "exponent")}
+        fields[field] = fields[field].copy()
+        fields[field][rng.randrange(n)] += 1
+        yield f"one of {field}", coeffs, SimpleNamespace(**fields)
+    bad = coeffs.copy()
+    bad[rng.randrange(n), rng.randrange(n), 0] += split_primes(cd.exponent, max(n, d), 1)[0]
+    yield "+ l at coefficient 0", bad, cd
+
+
+ORACLE_CASES = [
+    (p, k, r, mode, flavor)
+    for (p, k, r) in [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
+    for mode in ("mixed", "equal")
+    for flavor in ("gl", "sl")
+]
+
+
+@pytest.mark.parametrize("p, k, r, mode, flavor", ORACLE_CASES)
+def test_verify_at_roots_agrees_with_crt_products(p, k, r, mode, flavor):
+    """On each manifest table (GL2(GR(4,2)) mixed is p, k, r = 2, 2, 2) and
+    its corruptions, the check at the roots accepts exactly when the two
+    CRT-rebuilt products do, with the same message."""
+    tab = character_table(make_group(p, k, r, mode, flavor))
+    for what, coeffs, cd in _mutations(tab):
+        want = _verdict(_verify_orthogonality_by_matmul, coeffs, cd, tab.group.order)
+        assert (want == "accepted") == (what == "table"), what
+        _assert_same_verdict(tab, what, coeffs, cd, want)
+
+
+def test_verify_at_roots_rejects_residual_divisible_by_the_first_prime():
+    """Adding the first prime l to a coefficient leaves every relation
+    unchanged mod l, so only the next prime rejects it, and the product of
+    the primes, not the int64 guard, decides."""
+    tab = character_table(make_group(2, 1, 1, "mixed", "gl"))
+    cd = tab.conjugacy
+    n, _, d = tab.coeffs.shape
+    bad = tab.coeffs.copy()
+    bad[-1, -1, 0] += split_primes(cd.exponent, max(n, d), 1)[0]
+    with pytest.raises(VerificationError, match="constant term"):
+        dixon.verify_orthogonality(bad, cd, tab.group.order)
+
+
+@pytest.mark.parametrize("p, k, r, mode, flavor", [(2, 2, 2, "mixed", "gl"), (3, 1, 2, "mixed", "sl")])
+def test_verify_at_roots_one_root_per_block(monkeypatch, p, k, r, mode, flavor):
+    """With a budget below one root's values, every block is a single root,
+    and the verdicts stay those of the CRT-rebuilt products."""
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 1)
+    tab = character_table(make_group(p, k, r, mode, flavor))
+    for what, coeffs, cd in _mutations(tab):
+        want = _verdict(_verify_orthogonality_by_matmul, coeffs, cd, tab.group.order)
+        _assert_same_verdict(tab, what, coeffs, cd, want)
 
 
 def test_tensor_linear_permutes_table():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from dl2.modlinalg import exact_matmul, krylov_relation, matmul_mod, nullspace, primitive_root
+from dl2.cyclotomic import split_primes
+from dl2.modlinalg import (
+    exact_matmul,
+    krylov_relation,
+    matmul_mod,
+    nullspace,
+    primitive_root,
+    reduce_mod,
+)
 from dl2.rings import is_prime
 
 
@@ -53,3 +62,39 @@ def test_float64_products_guard_2_to_53():
     assert matmul_mod(A, A, l).tolist() == [[2, 2], [2, 2]]
     with pytest.raises(OverflowError):
         matmul_mod(np.full((1, 3), 1, dtype=np.int64), np.ones((3, 1), dtype=np.int64), l)
+
+
+# the primes of split_primes, from the largest (inner 1, l near 2^26.5) to
+# those for many terms, for a few exponents
+REDUCTION_PRIMES = sorted({
+    l for e in (1, 6, 60, 1176) for inner in (1, 3, 252, 4096)
+    for l in split_primes(e, inner, 2**62)
+})
+
+
+@st.composite
+def _reductions(draw):
+    """A prime of `split_primes` and integers P in reduce_mod's domain
+    -2^53 + l < P < 2^53, many next to a multiple of l, where the floor
+    step can miss by one."""
+    l = draw(st.sampled_from(REDUCTION_PRIMES))
+    lo, hi = -(2**53) + l + 1, 2**53 - 1
+    k = st.integers(lo // l + 1, hi // l - 1)
+    near_multiple = st.builds(lambda k, m: k * l + m, k, st.sampled_from([-1, 0, 1, 2]))
+    ends = st.sampled_from([lo, lo + 1, -l - 1, -l, -1, 0, 1, l - 1, l, 2**53 - 4, hi])
+    values = st.one_of(st.integers(lo, hi), near_multiple, ends)
+    return l, draw(st.lists(values, min_size=1, max_size=6))
+
+
+@given(_reductions())
+# the floor step one too high (P = k l - 1 near 2^53) and one too low (P = l)
+@example((1473529, [9007199253193939]))
+@example((1482421, [1482421]))
+def test_reduce_mod_matches_python_integers(case):
+    l, ints = case
+    want = [float(v % l) for v in ints]
+    for P in (np.array(ints, dtype=np.int64), np.array(ints, dtype=np.float64)):
+        assert reduce_mod(P, l).tolist() == want
+    out = np.array(ints, dtype=np.float64)
+    assert reduce_mod(out, l, out=out) is out
+    assert out.tolist() == want

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dl2.rings import make_ext, make_ring
+from dl2.rings import is_prime, make_ext, make_ring
 
 CASES = [
     (2, 1, 1, "equal"),
@@ -244,3 +244,30 @@ def test_norm_properties(pkr, mode, xs, ys):
     assert np.isin(X.norm(units), R.units()).all()
     codes = np.arange(X.size, dtype=np.int64)
     assert (X.mul(codes, X.frobenius(codes)) == X.embed_base(X.norm(codes))).all()
+
+
+def _is_prime_by_trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(200_000):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine
+    # prime bases (psi_4 and psi_9)
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # psi_12 is the first input beyond the proven range
+    with pytest.raises(ValueError, match="psi_12"):
+        is_prime(318_665_857_834_031_151_167_461)

@@ -239,6 +239,7 @@ def test_cli_verify_manifest(tmp_path):
     ("p=2 k=1 r=1 flavor=gl", "required: --mode"),
     ("p=4 k=1 r=1 flavor=gl mode=mixed", "4 is not a prime"),
     ("p=2 k=1 r=1 flavor=xx mode=mixed", "invalid choice: 'xx'"),
+    ("p=318665857834031151167463 k=1 r=1 flavor=gl mode=mixed", "where is_prime is proven"),
 ])
 def test_cli_rejects_bad_manifest_line(tmp_path, capsys, line, reason):
     mf = tmp_path / "suite.txt"
@@ -258,6 +259,7 @@ def test_cli_rejects_bad_manifest_line(tmp_path, capsys, line, reason):
      "--psi-scale", "3"],
     ["predict", "--p", "2", "--k", "1", "--r", "0", "--flavor", "gl", "--mode", "equal"],
     ["verify", "--p", "1", "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal"],
+    ["verify", "--p", str(10**24 + 7), "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal"],
     ["dump-table", "--p", "2", "--k", "1", "--r", "-1", "--flavor", "gl", "--mode", "equal"],
 ])
 def test_cli_rejects_bad_input(argv, capsys):
