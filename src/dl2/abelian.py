@@ -4,9 +4,10 @@ A group is handed over as an array of integer element codes together with a
 multiplication ``mul(x, y)`` that acts elementwise on int64 code arrays of
 one shape (numpy broadcasting, so a single code is a 0-d array).  We compute
 a basis of cyclic factors (primary decomposition: each Sylow component is
-one array power of all codes, then one recursion per component), discrete
-logarithms of every element with respect to that basis, and from there the
-full character group with exact root-of-unity values.
+one array power of all codes, then one array basis search per component,
+taking in each round the least code of greatest order modulo the span so
+far), discrete logarithms of every element with respect to that basis, and
+from there the full character group with exact root-of-unity values.
 
 Character values are handled as exponents of a fixed primitive L-th root of
 unity, L the group exponent, so the whole module is integer arithmetic.
@@ -14,7 +15,7 @@ unity, L the group exponent, so the whole module is integer arithmetic.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable
 
 import numpy as np
@@ -38,80 +39,6 @@ def factorise(n: int) -> dict[int, int]:
     return out
 
 
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-class _Carrier:
-    """Element set with multiplication; the unit the basis recursion runs on.
-
-    Quotient carriers are built by mapping products to canonical coset
-    representatives, so the same code works at every recursion depth.
-    """
-
-    def __init__(self, elems: list[int], mul: Callable[[int, int], int], identity: int):
-        self.elems = elems
-        self.mul = mul
-        self.identity = identity
-        self.order = len(elems)
-
-    def pow(self, x: int, n: int) -> int:
-        out, cur = self.identity, int(x)
-        n %= self.order
-        while n:
-            if n & 1:
-                out = self.mul(out, cur)
-            cur = self.mul(cur, cur)
-            n >>= 1
-        return out
-
-    def p_order(self, x: int, p: int) -> int:
-        o, cur = 1, x
-        while cur != self.identity:
-            cur = self.pow(cur, p)
-            o *= p
-            if o > self.order:
-                raise InvariantError(f"{x} has no {p}-power order")
-        return o
-
-    def p_group_basis(self, p: int) -> list[tuple[int, int]]:
-        """Basis of an abelian p-group: list of (generator, order)."""
-        if self.order == 1:
-            return []
-        best, best_ord = None, 0
-        for x in self.elems:
-            o = self.p_order(x, p)
-            if o > best_ord:
-                best, best_ord = x, o
-        if best_ord == self.order:
-            return [(best, best_ord)]
-        # discrete logs inside <best>
-        cyc = {self.identity: 0}
-        cur = self.identity
-        for i in range(1, best_ord):
-            cur = self.mul(cur, best)
-            cyc[cur] = i
-        # quotient by <best>, canonical representative = least code in coset
-        rep: dict[int, int] = {}
-        for x in self.elems:
-            if x in rep:
-                continue
-            coset = sorted(self.mul(x, h) for h in cyc)
-            for y in coset:
-                rep[y] = coset[0]
-        qelems = sorted(set(rep.values()))
-        q = _Carrier(qelems, lambda a, b: rep[self.mul(a, b)], rep[self.identity])
-        out = [(best, best_ord)]
-        for y, m in q.p_group_basis(p):
-            # lift y to exact order m: y^m = best^s forces m | s by maximality
-            s = cyc[self.pow(y, m)]
-            if s % m:
-                raise InvariantError("maximal-order invariant violated")
-            adj = self.pow(best, (-(s // m)) % best_ord)
-            out.append((self.mul(y, adj), m))
-        return out
-
-
 class FiniteAbelianGroup:
     """Finite abelian group on integer codes with basis and discrete logs.
 
@@ -122,7 +49,6 @@ class FiniteAbelianGroup:
     orders   : the basis orders
     exponent : lcm of the orders
     exps     : int64 array, row i the exponents of codes[i] w.r.t. the basis
-    dlog     : dict code -> exponent tuple w.r.t. the basis (the rows of exps)
     """
 
     def __init__(self, codes, mul: Callable, identity: int):
@@ -130,20 +56,16 @@ class FiniteAbelianGroup:
         self._mul = mul
         self.identity = int(identity)
         self.order = len(self.codes)
-        scalar_mul = lambda a, b: int(mul(np.int64(a), np.int64(b)))
         basis: list[tuple[int, int]] = []
         for p in sorted(factorise(self.order)):
             m_prime = self.order
             while m_prime % p == 0:
                 m_prime //= p
-            comp = np.unique(self.pow(self.codes, m_prime)).tolist()
-            basis.extend(_Carrier(comp, scalar_mul, self.identity).p_group_basis(p))
+            basis.extend(self._p_basis(np.unique(self.pow(self.codes, m_prime)), p))
         self.basis = basis
         self.gens = np.array([g for g, _ in basis], dtype=np.int64)
         self.orders = tuple(n for _, n in basis)
-        self.exponent = 1
-        for n in self.orders:
-            self.exponent = lcm(self.exponent, n)
+        self.exponent = lcm(*self.orders)
         # all basis products, one array multiplication per generator power
         acc = np.array([self.identity], dtype=np.int64)
         exps = np.zeros((1, 0), dtype=np.int64)
@@ -157,9 +79,57 @@ class FiniteAbelianGroup:
         if len(acc) != self.order or (acc[order] != self.codes).any():
             raise InvariantError("basis does not span the group")
         self.exps = exps[order]
-        self.dlog = dict(zip(self.codes.tolist(), map(tuple, self.exps.tolist())))
         # dual() is in mixed radix: the last exponent runs fastest
         self._radix = np.array([prod(self.orders[i + 1:]) for i in range(len(basis))], dtype=np.int64)
+
+    def _p_basis(self, comp: np.ndarray, p: int) -> list[tuple[int, int]]:
+        """Basis of the abelian p-group on the ascending codes `comp`.
+
+        Elements are handled by position in `comp`, and two array products
+        give every map needed: `pth` takes x to x^p, and `step` takes x to
+        x·g for the generator g of a round.  Round d adds a generator g_d to
+        H_d = <g_0, ..., g_{d-1}>.  `lab[i]` is the position of the least
+        code in comp[i]·H_d, so the positions with lab[i] == i are the least
+        coset representatives.  The round takes the least representative of
+        greatest order n_d in G/H_d (the least p^k with x^(p^k) in H_d), and
+        relabels by the minimum of `lab` over x·g_d^j, j < n_d, by pointer
+        doubling: after t steps `new` is the minimum over j < 2^t, and
+        g_d^(n_d) lies in H_d, so any window of n_d powers will do.  The
+        same doubling lists the powers of g_d.  Generator d is then lifted
+        back through rounds d-1, ..., 0: if y^m lies in g_j^s·H_j, the
+        maximality of n_j forces m | s, and y·g_j^(-s/m) has order m modulo
+        H_j.
+        """
+        at = lambda x: np.searchsorted(comp, x)
+        one, lab, pth = at(self.identity), np.arange(len(comp)), at(self.pow(comp, p))
+        rounds = []  # (n_d, labels of H_d, positions of g_d^0 .. g_d^(n_d - 1))
+        while len(reps := np.flatnonzero(lab == np.arange(len(comp)))) > 1:
+            x, o = reps, np.ones(len(reps), dtype=np.int64)
+            while (live := lab[x] != lab[one]).any():
+                x, o = pth[x], np.where(live, o * p, o)
+                if o.max() > len(reps):
+                    raise InvariantError(f"an element has no {p}-power order")
+            i = int(np.argmax(o))
+            n, new, powers = int(o[i]), lab, np.array([one])
+            step = at(self._mul(comp, np.full_like(comp, comp[reps[i]])))
+            for _ in range((n - 1).bit_length()):
+                new, powers = np.minimum(new, new[step]), np.concatenate([powers, step[powers]])
+                step = step[step]
+            rounds.append((n, lab, powers[:n]))
+            lab = new
+        basis = []
+        for d, (m, _, gd) in enumerate(rounds):
+            y = gd[1]
+            for n, lab, powers in reversed(rounds[:d]):
+                ym, k = y, 1
+                while k < m:
+                    ym, k = pth[ym], k * p
+                s = np.flatnonzero(lab[powers] == lab[ym])
+                if len(s) != 1 or s[0] % m:
+                    raise InvariantError("maximal-order invariant violated")
+                y = lab[at(self._mul(comp[y], comp[powers[-(s[0] // m) % n]]))]
+            basis.append((int(comp[y]), m))
+        return basis
 
     def pow(self, x, n: int):
         """x ** n elementwise on an int64 code array (or one code)."""
@@ -172,16 +142,6 @@ class FiniteAbelianGroup:
             if n:
                 x = self._mul(x, x)
         return out
-
-    def element_order(self, x: int) -> int:
-        n = self.exponent
-        for p, a in factorise(self.exponent).items():
-            for _ in range(a):
-                if self.pow(x, n // p) == self.identity:
-                    n //= p
-                else:
-                    break
-        return n
 
     def dual(self) -> list["DualChar"]:
         """All |A| characters."""
@@ -232,12 +192,8 @@ class DualChar:
         self.a = a
 
     def root_exp(self, x: int) -> int:
-        L = self.group.exponent
-        t = self.group.dlog[int(x)]
-        s = 0
-        for ai, xi, ni in zip(self.a, t, self.group.orders):
-            s += ai * xi * (L // ni)
-        return s % L
+        w = self.group.value_rows([x])[0]
+        return int(np.dot(self.a, w)) % self.group.exponent
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.a)

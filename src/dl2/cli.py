@@ -7,7 +7,8 @@ Subcommands:
   sweep-conjecture level-one sign sweep over type A torus classes
   dump-table       character table as TSV or structured JSON
 
-`verify` exits 0 exactly when no non-inapplicable check fails.
+Exit codes: 0 when every law holds (for `verify`, when no check that
+applies fails), 1 when a law fails, 2 on bad input, with one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ import sys
 
 import numpy as np
 
-from .cache import cached_character_table
+from .abelian import factorise
+from .cache import cached_character_table, resolve_cache_dir
+from .characters import TABLE_BOUND
+from .groups import gl2_order, sl2_order
 from .predictor import predict_gl2, predict_sl2
-from .rings import is_prime
+from .rings import MAX_TABLE_RING, is_prime
 from .torus import classify_all, make_torus
 from .verifier import run_case, run_suite
 from .weyl import sweep_classical_signs
@@ -127,9 +131,22 @@ def cmd_verify(args) -> int:
     return 0 if result["all_pass"] else 1
 
 
+def _prime_powers(text: str) -> list[int]:
+    """The --q list; ValueError unless every entry is a prime power."""
+    qs = []
+    for tok in text.split(","):
+        try:
+            q = int(tok)
+        except ValueError:
+            raise ValueError(f"--q: {tok!r} is not an integer") from None
+        if q < 2 or len(factorise(q)) != 1:
+            raise ValueError(f"--q: {q} is not a prime power")
+        qs.append(q)
+    return qs
+
+
 def cmd_sweep_conjecture(args) -> int:
-    qs = [int(q) for q in args.q.split(",")]
-    cases = sweep_classical_signs(args.n_max, qs)
+    cases = sweep_classical_signs(args.n_max, _prime_powers(args.q))
     out = _out_stream(args.out)
     if args.format == "json":
         out.write(json.dumps([c.to_dict() for c in cases], indent=2) + "\n")
@@ -179,6 +196,27 @@ def positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"{n} is not >= 1")
     return n
+
+
+def _check_input(args) -> None:
+    """Raise ValueError, with a one-line reason, on input that the option
+    types cannot judge alone: a case past the table limits, a --q entry that
+    is not a prime power, or a cache directory that cannot be made."""
+    cmd = args.command
+    if cmd in ("classify-torus", "predict") and (size := args.p ** (args.k * args.r)) > MAX_TABLE_RING:
+        raise ValueError(f"|O_r| = {size} exceeds the table limit {MAX_TABLE_RING}")
+    if cmd == "dump-table":
+        order = (gl2_order if args.flavor == "gl" else sl2_order)(args.p**args.k, args.r)
+        if order > TABLE_BOUND:
+            group = f"{args.flavor.upper()}2(O_{args.r})"
+            raise ValueError(f"|{group}| = {order} exceeds the table bound {TABLE_BOUND}")
+    if cmd == "sweep-conjecture":
+        _prime_powers(args.q)
+    if cmd in ("verify", "dump-table"):
+        try:
+            resolve_cache_dir(args.cache_dir)
+        except OSError as exc:
+            raise ValueError(f"cannot use cache directory {exc.filename!r}: {exc.strerror}") from None
 
 
 def _add_case_args(sp, need_flavor=True, required=True):
@@ -232,6 +270,11 @@ def main(argv=None) -> int:
         q = args.p**args.k
         if not 1 <= args.psi_scale < q:
             classify.error(f"--psi-scale must be a nonzero element code of F_{q}, in 1..{q - 1}")
+    try:
+        _check_input(args)
+    except ValueError as exc:
+        print(f"dl2 {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return args.fn(args)
 
 

@@ -248,17 +248,11 @@ class MatrixGroup:
         self.pos_of = np.full(sp.N, -1, dtype=np.int64)
         self.pos_of[codes] = np.arange(self.order)
         self._conj = None
-        self._unit_group = None
 
     # -- structure ------------------------------------------------------------
 
     def unit_group(self) -> FiniteAbelianGroup:
-        if self._unit_group is None:
-            R = self.ring
-            self._unit_group = FiniteAbelianGroup(
-                R.units(), lambda a, b: R.mul[a, b], R.one
-            )
-        return self._unit_group
+        return self.ring.unit_group
 
     def generators(self) -> list[int]:
         """Elementary matrices over ring additive generators, plus diag(u, 1)

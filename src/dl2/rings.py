@@ -27,11 +27,11 @@ lifted coefficientwise, so codes are reproducible across runs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .abelian import InvariantError
+from .abelian import FiniteAbelianGroup, InvariantError
 
 # Largest base ring for which dense S x S tables are built.
 MAX_TABLE_RING = 4096
@@ -371,6 +371,12 @@ class RingSpec:
         """All unit codes, ascending."""
         return np.nonzero(self.is_unit)[0].astype(np.int64)
 
+    @cached_property
+    def unit_group(self) -> FiniteAbelianGroup:
+        """O_r^x with its basis and dual; one per interned ring, shared by
+        `MatrixGroup.unit_group()` and `CoxeterTorus.base_units`."""
+        return FiniteAbelianGroup(self.units(), lambda a, b: self.mul[a, b], self.one)
+
     def invert(self, code: int) -> int:
         if not self.is_unit[code]:
             raise ZeroDivisionError(f"code {code} is not a unit")
@@ -592,16 +598,6 @@ class ExtSpec:
     def units(self) -> np.ndarray:
         codes = np.arange(self.size, dtype=np.int64)
         return codes[self.is_unit(codes)]
-
-    def pow(self, x, n):
-        out, cur = self.one, int(x)
-        n = int(n)
-        while n:
-            if n & 1:
-                out = int(self.mul(out, cur))
-            cur = int(self.mul(cur, cur))
-            n >>= 1
-        return out
 
     def embed_base(self, code):
         """O_r -> O'_r."""

@@ -60,9 +60,7 @@ class CoxeterTorus:
         # F_{q^2} in pair codes a0 + q a1: the extension of the level-1 ring
         self.rq = make_ext(make_ring(ring.p, ring.k, 1, ring.mode))
         # unit group of the base ring and its dual (the twisting characters)
-        self.base_units = FiniteAbelianGroup(
-            ring.units(), lambda a, b: ring.mul[a, b], ring.one
-        )
+        self.base_units = ring.unit_group
         # congruence kernels K_{r'} = units congruent 1 mod pi^{r'}
         self.kernels: dict[int, FiniteAbelianGroup] = {}
         for r2 in range(1, ring.r + 1):

@@ -69,10 +69,13 @@ def test_char_group_operations():
 
 
 def test_element_orders():
+    """The order of x is the least divisor n of the exponent with x^n = 1."""
     R = make_ring(2, 1, 3, "equal")
     U = unit_group(R)
-    orders = sorted(U.element_order(int(c)) for c in U.codes)
-    assert orders == [1, 2, 4, 4]
+    orders = np.zeros(U.order, dtype=np.int64)
+    for n in sorted(d for d in range(1, U.exponent + 1) if U.exponent % d == 0):
+        orders[(orders == 0) & (U.pow(U.codes, n) == U.identity)] = n
+    assert sorted(orders.tolist()) == [1, 2, 4, 4]
 
 
 def _round_trip_groups():
@@ -89,16 +92,23 @@ def _round_trip_groups():
 
 
 def test_dlog_round_trip():
-    """Every code is the product of the basis powers its dlog names, and
-    the dlog rows are the exps array."""
+    """Every code is the product of the basis powers its exps row names, and
+    the value rows are the exps rows scaled to the exponent."""
     for A, mul in _round_trip_groups():
-        assert (A.exps == [A.dlog[c] for c in A.codes.tolist()]).all()
-        for c in A.codes.tolist():
-            acc = A.identity
-            for (g, _n), e in zip(A.basis, A.dlog[c]):
-                for _ in range(e):
-                    acc = int(mul(acc, g))
-            assert acc == c
+        scale = A.exponent // np.array(A.orders, dtype=np.int64)
+        assert (A.value_rows(A.codes) == A.exps * scale % A.exponent).all()
+        assert ((0 <= A.exps) & (A.exps < np.array(A.orders, dtype=np.int64))).all()
+        acc = np.full_like(A.codes, A.identity)
+        for (g, n), e in zip(A.basis, A.exps.T):
+            for k in range(n - 1):
+                acc = np.where(e > k, mul(acc, np.full_like(acc, g)), acc)
+        assert (acc == A.codes).all()
+
+
+def test_one_unit_group_per_ring():
+    for args in [(3, 1, 2, "mixed"), (2, 2, 2, "equal")]:
+        U = make_group(*args, "gl").unit_group()
+        assert U is make_torus(*args).base_units is make_ring(*args).unit_group
 
 
 def test_array_pow_matches_repeated_product():

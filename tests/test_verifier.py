@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +201,20 @@ def test_cli_classify_torus(tmp_path, capsys):
             "general_position", "stabilizer"} <= set(rec)
 
 
+def test_cli_classify_torus_matches_golden_digests(tmp_path):
+    """The JSON lines of classify-torus hash to the recorded SHA-256.  They
+    carry the theta rows over the torus basis and the basis orders, so any
+    change of basis shows here."""
+    golden = json.loads((Path(__file__).parent / "data" / "classify-torus-digests.json").read_text())
+    assert len(golden) == 4
+    for key, digest in golden.items():
+        p, k, r, mode = re.fullmatch(r"p(\d+)k(\d+)r(\d+)-(\w+)", key).groups()
+        out = tmp_path / f"{key}.jsonl"
+        assert main(["classify-torus", "--p", p, "--k", k, "--r", r, "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, key
+
+
 def test_cli_predict(tmp_path):
     out = tmp_path / "pred.jsonl"
     assert main(["predict", "--p", "3", "--k", "1", "--r", "1",
@@ -250,6 +267,21 @@ def test_cli_rejects_bad_manifest_line(tmp_path, capsys, line, reason):
     assert err[0].startswith(f"dl2: {mf}:3: ") and reason in err[0]
 
 
+# input that parses but cannot be run; rejected with one stderr line
+_CHECKED_INPUT = [
+    ["sweep-conjecture", "--q", "2,x"],
+    ["sweep-conjecture", "--q", "1"],
+    ["sweep-conjecture", "--q", "6"],
+    ["dump-table", "--p", "5", "--k", "1", "--r", "2", "--flavor", "gl", "--mode", "mixed"],
+    ["classify-torus", "--p", "2", "--k", "1", "--r", "13", "--mode", "mixed"],
+    ["predict", "--p", "2", "--k", "1", "--r", "13", "--flavor", "gl", "--mode", "equal"],
+    ["verify", "--p", "2", "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal",
+     "--cache-dir", __file__],
+    ["dump-table", "--p", "2", "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal",
+     "--cache-dir", str(Path(__file__) / "sub")],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["classify-torus", "--p", "4", "--k", "1", "--r", "1", "--mode", "mixed"],
     ["classify-torus", "--p", "3", "--k", "0", "--r", "1", "--mode", "mixed"],
@@ -261,12 +293,15 @@ def test_cli_rejects_bad_manifest_line(tmp_path, capsys, line, reason):
     ["verify", "--p", "1", "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal"],
     ["verify", "--p", str(10**24 + 7), "--k", "1", "--r", "1", "--flavor", "gl", "--mode", "equal"],
     ["dump-table", "--p", "2", "--k", "1", "--r", "-1", "--flavor", "gl", "--mode", "equal"],
+    *_CHECKED_INPUT,
 ])
 def test_cli_rejects_bad_input(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+    err = capsys.readouterr().err.splitlines()
+    assert "error:" in err[-1]
+    assert argv not in _CHECKED_INPUT or len(err) == 1
 
 
 def test_cli_accepts_extension_psi_scale(tmp_path):
