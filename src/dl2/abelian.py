@@ -39,6 +39,16 @@ def factorise(n: int) -> dict[int, int]:
     return out
 
 
+def unique(x) -> np.ndarray:
+    """The sorted distinct values of x, as `np.unique(x)` gives them.  That
+    call asks `np.ma.is_masked`, which imports numpy.ma (some 25 ms) the
+    first time; sorting and comparing neighbours does not."""
+    x = np.sort(np.asarray(x), axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 class FiniteAbelianGroup:
     """Finite abelian group on integer codes with basis and discrete logs.
 
@@ -61,7 +71,7 @@ class FiniteAbelianGroup:
             m_prime = self.order
             while m_prime % p == 0:
                 m_prime //= p
-            basis.extend(self._p_basis(np.unique(self.pow(self.codes, m_prime)), p))
+            basis.extend(self._p_basis(unique(self.pow(self.codes, m_prime)), p))
         self.basis = basis
         self.gens = np.array([g for g, _ in basis], dtype=np.int64)
         self.orders = tuple(n for _, n in basis)

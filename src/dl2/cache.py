@@ -1,19 +1,29 @@
 """Portable on-disk cache for character tables.
 
-Files are keyed by (p, k, r, mode, flavor) and carry a format-version
-field; a table is returned only after `CharacterTable.verify()` accepts it,
-and anything that fails to read or to verify is recomputed and overwritten.
-Each cached table's group is also written out (`save_group`), but nothing
-reads that file.  The cache directory comes from an explicit argument or
-the DL2_CACHE_DIR environment variable; with neither set, everything stays
-in process memory only.
+Each table is one `np.savez_compressed` file, `table-<p,k,r,mode,flavor>.npz`,
+with the members
+  meta        0-d unicode array: JSON of format ("dl2-table/2"), p, k, r,
+              mode, flavor and exponent e;
+  class_reps  int64 codes of the class representatives;
+  degrees     int64 degrees;
+  coeffs      the (n, n, phi(e)) Z[zeta_e] coefficient tensor, in the
+              narrowest signed integer dtype that holds its largest entry.
+It is read back with `allow_pickle=False`, so no member is ever unpickled.
+A table is returned only when its format, exponent, representatives,
+dtypes and shapes match the freshly enumerated group and then
+`CharacterTable.verify()` accepts it; anything else is recomputed and
+overwritten.  Files of an older format (`table-*.json.gz`) are never
+opened.  Each cached table's group is also written out (`save_group`), but
+nothing reads that file.  The cache directory comes from an explicit
+argument or the DL2_CACHE_DIR environment variable; with neither set,
+everything stays in process memory only.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
+import zipfile
 import zlib
 from pathlib import Path
 
@@ -24,7 +34,7 @@ from .cyclotomic import phi
 from .groups import MatrixGroup, make_group
 
 GROUP_FORMAT = "dl2-group/1"
-TABLE_FORMAT = "dl2-table/1"
+TABLE_FORMAT = "dl2-table/2"
 ENV_VAR = "DL2_CACHE_DIR"
 
 
@@ -46,7 +56,7 @@ def group_cache_path(cache_dir: Path, p, k, r, mode, flavor) -> Path:
 
 
 def table_cache_path(cache_dir: Path, p, k, r, mode, flavor) -> Path:
-    return cache_dir / f"table-{_stem(p, k, r, mode, flavor)}.json.gz"
+    return cache_dir / f"table-{_stem(p, k, r, mode, flavor)}.npz"
 
 
 def save_group(group: MatrixGroup, cache_dir: Path):
@@ -76,7 +86,7 @@ def save_group(group: MatrixGroup, cache_dir: Path):
 def save_table(table: CharacterTable, cache_dir: Path):
     g = table.group
     R = g.ring
-    payload = {
+    meta = {
         "format": TABLE_FORMAT,
         "p": R.p,
         "k": R.k,
@@ -84,13 +94,17 @@ def save_table(table: CharacterTable, cache_dir: Path):
         "mode": R.mode,
         "flavor": g.flavor,
         "exponent": table.exponent,
-        "class_reps": [int(c) for c in table.conjugacy.reps],
-        "degrees": [int(d) for d in table.degrees],
-        "coeffs": table.coeffs.tolist(),
     }
+    bound = int(np.abs(table.coeffs).max(initial=0))
+    narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     path = table_cache_path(cache_dir, R.p, R.k, R.r, R.mode, g.flavor)
-    with gzip.open(path, "wt") as fh:
-        fh.write(json.dumps(payload))  # one write: json.dump makes ~10^5 small ones
+    np.savez_compressed(
+        path,
+        meta=np.array(json.dumps(meta)),
+        class_reps=table.conjugacy.reps,
+        degrees=table.degrees,
+        coeffs=table.coeffs.astype(narrow),
+    )
     return path
 
 
@@ -102,25 +116,27 @@ def load_table(p, k, r, mode, flavor, cache_dir: Path) -> CharacterTable | None:
     if not path.exists():
         return None
     try:
-        with gzip.open(path, "rt") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or payload.get("format") != TABLE_FORMAT:
+        with np.load(path, allow_pickle=False) as z:
+            meta, reps, coeffs, degrees = (z[m] for m in ("meta", "class_reps", "coeffs", "degrees"))
+        meta = json.loads(meta.item()) if meta.dtype.kind == "U" and meta.shape == () else None
+        if not isinstance(meta, dict) or meta.get("format") != TABLE_FORMAT:
             return None
         group = make_group(p, k, r, mode, flavor)
         cd = group.conjugacy()
         n, e = cd.n_classes, cd.exponent
-        if payload["class_reps"] != [int(c) for c in cd.reps] or payload["exponent"] != e:
+        if meta.get("exponent") != e or any(a.dtype.kind != "i" for a in (reps, coeffs, degrees)):
             return None
-        coeffs = np.array(payload["coeffs"], dtype=np.int64)
-        degrees = np.array(payload["degrees"], dtype=np.int64)
-        if coeffs.shape != (n, n, phi(e)) or degrees.shape != (n,):
+        if not np.array_equal(reps, cd.reps) or coeffs.shape != (n, n, phi(e)) or degrees.shape != (n,):
             return None
-        table = CharacterTable(group, parts=(coeffs, e, degrees))
-        del payload, coeffs  # free the parsed lists before verify() allocates
+        table = CharacterTable(group, parts=(coeffs.astype(np.int64), e, degrees.astype(np.int64)))
         table.verify()
-    # EOFError and zlib.error: what a truncated or damaged gzip stream raises;
-    # TypeError: a null or an object where numpy needs an integer
-    except (VerificationError, OSError, EOFError, zlib.error, ValueError, TypeError, KeyError, json.JSONDecodeError):
+    # BadZipFile, EOFError and zlib.error: what a truncated or damaged file
+    # raises, RuntimeError when the damage hits a member's compression or
+    # encryption flags; KeyError: a missing member; ValueError: an object
+    # array, which allow_pickle=False refuses, or meta that is not JSON
+    except (
+        VerificationError, OSError, EOFError, zlib.error, zipfile.BadZipFile, RuntimeError, KeyError, ValueError
+    ):
         return None
     return table
 

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .abelian import factorise
+from .abelian import factorise, unique
 from .cache import cached_character_table, resolve_cache_dir
 from .characters import TABLE_BOUND
 from .groups import gl2_order, sl2_order
@@ -37,7 +37,7 @@ def _out_stream(path):
 def _classification_records(cl) -> list[dict]:
     """One JSON record per theta, in the order of the torus dual group."""
     theta0 = [None] * len(cl)
-    for r0 in np.unique(cl.r0).tolist():
+    for r0 in unique(cl.r0).tolist():
         for i, row in zip(np.flatnonzero(cl.r0 == r0).tolist(), cl.theta0_rows(r0).tolist()):
             theta0[i] = row
     columns = {

@@ -33,7 +33,7 @@ from math import lcm
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup, InvariantError
+from .abelian import FiniteAbelianGroup, InvariantError, unique
 from .rings import RingSpec, make_ring
 
 GROUP_BOUND = 500_000
@@ -156,7 +156,7 @@ class ConjugacyData:
 
     def __init__(self, group: "MatrixGroup"):
         sp = group.space
-        gens = np.unique(np.asarray(group.generators(), dtype=np.int64))
+        gens = unique(np.asarray(group.generators(), dtype=np.int64))
         # int32 edge lists: positions are below GROUP_BOUND < 2^31.
         nbrs = [
             group.pos_of[sp.mul(g, sp.mul(group.codes, gi))].astype(np.int32)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import DualChar, FiniteAbelianGroup, InvariantError
+from .abelian import DualChar, FiniteAbelianGroup, InvariantError, unique
 from .rings import RingSpec, make_ext, make_ring
 
 
@@ -147,9 +147,9 @@ class CoxeterTorus:
         # greedily, the x that separate more tau: an F_p-basis of F_{q^2}
         key, cols = np.zeros_like(xs), []
         for x in xs.tolist():
-            if len(np.unique(key * p + P[x])) > len(np.unique(key)):
+            if len(unique(key * p + P[x])) > len(unique(key)):
                 key, cols = key * p + P[x], cols + [x]
-        if len(np.unique(key)) != len(xs):
+        if len(unique(key)) != len(xs):
             raise InvariantError("trace pairing degenerate")
         lut = np.zeros(p ** len(cols), dtype=np.int64)
         lut[key] = xs
@@ -292,7 +292,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> Classification:
     # of its restriction to the norm-one units at level 1 ------------------------
     gp = np.zeros(n_t, dtype=bool)
     sl_quadratic = np.zeros(n_t, dtype=bool)
-    for level in np.unique(r0).tolist():
+    for level in unique(r0).tolist():
         t0, rows0 = torus.level_torus(level), np.flatnonzero(r0 == level)
         B = t0.group.dual_rows(theta0[rows0])
         gp[rows0] = (t0.flip(B) != B).any(axis=1)

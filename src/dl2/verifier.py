@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .abelian import unique
 from .cache import cached_character_table
 from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py traces it here
     CharacterTable,
@@ -338,7 +339,7 @@ def check_dimension_law(cd: CaseData):
     and the closed sign formula reproduces the case sign."""
     values, which = cd.predictions
     dset = dimension_set(cd.q, cd.r)
-    used = np.unique(which).tolist()
+    used = unique(which).tolist()
     # per prediction: 1 when its dimension is outside the set, 2 when the
     # sign formula disagrees with its sign
     fault = np.zeros(len(values), dtype=np.int64)
@@ -446,7 +447,7 @@ def check_sl_exceptions(cd: CaseData):
     n_split = int(split.sum())
     if n_split == 0:
         return {"n_split_classes": 0}, {"n_split_classes": 0}, True
-    for k in np.unique(reps[split]).tolist():
+    for k in unique(reps[split]).tolist():
         (_d, m, _c) = values[k].constituents[0]
         if m != 2:
             raise ValueError(f"split restriction of multiplicity {m}, expected 2")
@@ -475,7 +476,7 @@ def check_sign_formula(cd: CaseData):
     rk_T, rk_G = fq_ranks(cd.flavor, 2, w)
     npos = RootSystemData(2).num_positive_roots
     values, which = cd.predictions
-    dims = {values[k].total_dim for k in np.unique(which).tolist()}
+    dims = {values[k].total_dim for k in unique(which).tolist()}
     signs = {d: conjecture_sign(rk_T, rk_G, cd.q, cd.p, d, npos) for d in dims}
     none = np.array([v.total_dim in signs and signs[v.total_dim] is None for v in values])
     wrong = np.array([signs.get(v.total_dim, v.sign) not in (None, v.sign) for v in values])

@@ -43,6 +43,20 @@ MANIFEST_PKR = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)
 # scalar helpers of the per-theta path
 
 
+@functools.lru_cache(maxsize=None)
+def value_rows_by_code(group) -> dict[int, list[int]]:
+    """{code: value row} over the whole group, built once per group."""
+    return dict(zip(group.codes.tolist(), group.value_rows(group.codes).tolist()))
+
+
+def root_exp(chi: DualChar, x: int) -> int:
+    """chi(x) = zeta_L^root_exp(chi, x), L the group exponent: the value of
+    `DualChar.root_exp`, read from a per-group dict rather than looked up
+    through `value_rows` on each call."""
+    w = value_rows_by_code(chi.group)[int(x)]
+    return sum(a * wi for a, wi in zip(chi.a, w)) % chi.group.exponent
+
+
 def char_from_values_on_basis(group, root_exps, L: int) -> DualChar:
     """Character taking value zeta_L^root_exps[i] at basis generator i."""
     a = []
@@ -61,7 +75,7 @@ def sigma_images_of_basis(torus: CoxeterTorus) -> list[int]:
 def char_sigma(torus: CoxeterTorus, theta: DualChar) -> DualChar:
     """theta composed with the Frobenius flip."""
     L = theta.group.exponent
-    exps = [theta.root_exp(img) for img in sigma_images_of_basis(torus)]
+    exps = [root_exp(theta, img) for img in sigma_images_of_basis(torus)]
     return char_from_values_on_basis(theta.group, exps, L)
 
 
@@ -71,7 +85,7 @@ def norm_pullback(torus: CoxeterTorus, alpha: DualChar) -> DualChar:
     LU = torus.base_units.exponent
     exps = []
     for g, _n in torus.group.basis:
-        e = alpha.root_exp(int(torus.ext.norm(g)))
+        e = root_exp(alpha, int(torus.ext.norm(g)))
         if (e * L) % LU:
             raise InvariantError("norm pullback value outside mu_L")
         exps.append(e * L // LU)
@@ -96,7 +110,7 @@ def descend(torus: CoxeterTorus, eta: DualChar, r2: int) -> DualChar:
     L, L0 = torus.group.exponent, t0.group.exponent
     exps = []
     for pre in descent_preimages(torus, r2):
-        e = eta.root_exp(pre)
+        e = root_exp(eta, pre)
         if (e * L0) % L:
             raise InvariantError("eta is not trivial on the descent kernel")
         exps.append(e * L0 // L)
@@ -132,7 +146,7 @@ def is_scalar(torus: CoxeterTorus, tau: int) -> bool:
 def char_level(torus: CoxeterTorus, eta: DualChar) -> int:
     """Least r' in [1, r] with eta trivial on the basis of the kernel K_{r'}."""
     for r2 in range(1, torus.r + 1):
-        if all(eta.root_exp(g) == 0 for g, _n in torus.kernels[r2].basis):
+        if all(root_exp(eta, g) == 0 for g, _n in torus.kernels[r2].basis):
             return r2
     raise InvariantError("character not trivial on the trivial kernel")
 
@@ -240,7 +254,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
         if torus.q % 2 == 1 and r0 == 1:
             t1 = torus.level_torus(1)
             L1 = t1.group.exponent
-            exps = [theta0.root_exp(int(c)) for c in t1.norm_one]
+            exps = [root_exp(theta0, int(c)) for c in t1.norm_one]
             nontrivial = any(e % L1 for e in exps)
             order_div_2 = all((2 * e) % L1 == 0 for e in exps)
             sl_quadratic = nontrivial and order_div_2
@@ -287,7 +301,7 @@ def extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> Dual
     for alpha in U.dual():
         ok = True
         for u, w in want.items():
-            e = alpha.root_exp(u)
+            e = root_exp(alpha, u)
             if (e * p) % LU != 0 or (e * p // LU) % p != w:
                 ok = False
                 break

@@ -246,6 +246,73 @@ def test_norm_properties(pkr, mode, xs, ys):
     assert (X.mul(codes, X.frobenius(codes)) == X.embed_base(X.norm(codes))).all()
 
 
+_CODES = st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=64)
+
+
+def _drawn(size, *lists):
+    """Equal-length int64 code arrays below `size` from drawn lists."""
+    m = min(len(v) for v in lists)
+    return [np.array(v[:m], dtype=np.int64) % size for v in lists]
+
+
+@given(st.sampled_from(CASES), _CODES, _CODES, _CODES)
+def test_ring_axioms_drawn(case, xs, ys, zs):
+    """Associativity, distributivity and identities of O_r and of O'_r, on
+    drawn triples."""
+    R = make_ring(*case)
+    a, b, c = _drawn(R.size, xs, ys, zs)
+    M, A = R.mul, R.add
+    assert (M[M[a, b], c] == M[a, M[b, c]]).all()
+    assert (A[A[a, b], c] == A[a, A[b, c]]).all()
+    assert (M[a, A[b, c]] == A[M[a, b], M[a, c]]).all()
+    assert (M[R.one, a] == a).all() and (A[R.zero, a] == a).all()
+    assert (A[a, R.neg[a]] == R.zero).all()
+    X = make_ext(R)
+    a, b, c = _drawn(X.size, xs, ys, zs)
+    assert (X.mul(X.mul(a, b), c) == X.mul(a, X.mul(b, c))).all()
+    assert (X.add(X.add(a, b), c) == X.add(a, X.add(b, c))).all()
+    assert (X.mul(a, X.add(b, c)) == X.add(X.mul(a, b), X.mul(a, c))).all()
+    assert (X.mul(X.one, a) == a).all() and (X.add(X.zero, a) == a).all()
+    assert (X.add(a, X.neg(a)) == X.zero).all()
+
+
+@given(
+    st.sampled_from(CASES),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_unit_inverses_drawn(case, i, j):
+    """invert(u) is the inverse of a unit u, and a non-unit has none."""
+    R = make_ring(*case)
+    units = R.units()
+    u = int(units[i % len(units)])
+    assert R.mul[u, R.invert(u)] == R.one
+    non_units = np.flatnonzero(~R.is_unit)
+    z = int(non_units[j % len(non_units)])
+    with pytest.raises(ZeroDivisionError):
+        R.invert(z)
+    X = make_ext(R)
+    ext_units = X.units()
+    v = int(ext_units[i % len(ext_units)])
+    assert X.mul(v, X.inv(v)) == X.one
+
+
+@given(st.sampled_from(CASES), _CODES, _CODES)
+def test_frobenius_is_ring_automorphism_drawn(case, xs, ys):
+    """sigma respects sums, products and 1, is an involution, and fixes the
+    embedded base ring O_r."""
+    R = make_ring(*case)
+    X = make_ext(R)
+    x, y = _drawn(X.size, xs, ys)
+    fr = X.frobenius
+    assert (fr(X.mul(x, y)) == X.mul(fr(x), fr(y))).all()
+    assert (fr(X.add(x, y)) == X.add(fr(x), fr(y))).all()
+    assert fr(X.one) == X.one
+    assert (fr(fr(x)) == x).all()
+    (b,) = _drawn(R.size, xs)
+    assert (fr(X.embed_base(b)) == X.embed_base(b)).all()
+
+
 def _is_prime_by_trial_division(n):
     if n < 2:
         return False

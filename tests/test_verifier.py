@@ -8,7 +8,7 @@ import pytest
 
 import dl2.verifier
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
-from dl2.characters import ClassFunction, adjunction_check, character_table
+from dl2.characters import CharacterTable, ClassFunction, adjunction_check, character_table
 from dl2.cli import main
 from dl2.groups import make_group
 from dl2.torus import classify_all
@@ -334,6 +334,19 @@ def test_cli_dump_table(tmp_path):
 # -- caches --------------------------------------------------------------------
 
 
+def _read_members(path) -> dict:
+    with np.load(path, allow_pickle=False) as z:
+        return {name: z[name] for name in z.files}
+
+
+def _meta(members) -> dict:
+    return json.loads(members["meta"].item())
+
+
+def _with_meta(members, **changes) -> dict:
+    return {**members, "meta": np.array(json.dumps({**_meta(members), **changes}))}
+
+
 def test_table_cache_roundtrip(tmp_path):
     tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
     save_table(tab, tmp_path)
@@ -346,9 +359,40 @@ def test_table_cache_roundtrip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("stored", [None, np.int16, np.int32])
+def test_table_cache_roundtrip_is_int64(tmp_path, stored):
+    """The file holds the narrowest dtype (int8: every coefficient is at
+    most 12); the loaded tensor is int64 and equal to the built one, also
+    when the file holds a wider integer dtype."""
+    tab = character_table(make_group(3, 1, 2, "mixed", "gl"))
+    path = save_table(tab, tmp_path)
+    members = _read_members(path)
+    assert members["coeffs"].dtype == np.int8
+    assert _meta(members)["format"] == "dl2-table/2"
+    if stored is not None:
+        np.savez_compressed(path, **{**members, "coeffs": members["coeffs"].astype(stored)})
+    loaded = load_table(3, 1, 2, "mixed", "gl", tmp_path)
+    assert loaded is not None
+    assert loaded.coeffs.dtype == np.int64 and loaded.degrees.dtype == np.int64
+    assert (loaded.coeffs == tab.coeffs).all() and (loaded.degrees == tab.degrees).all()
+
+
+def test_table_cache_narrows_to_int16_and_verifies_on_load(tmp_path):
+    """Coefficients beyond int8 are stored as int16, exactly.  The tables
+    within reach have none (their largest coefficient is their largest
+    degree, at most 48), so the tensor here is a scaled table, which the
+    loader's verify() then rejects."""
+    tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
+    scaled = CharacterTable(tab.group, parts=(tab.coeffs * 50, tab.exponent, tab.degrees))
+    members = _read_members(save_table(scaled, tmp_path))
+    assert members["coeffs"].dtype == np.int16
+    assert (members["coeffs"] == scaled.coeffs).all()
+    assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is None
+
+
 def test_cached_character_table(tmp_path):
     t1 = cached_character_table(3, 1, 1, "mixed", "sl", cache_dir=str(tmp_path))
-    assert (tmp_path / "table-p3k1r1-mixed-sl.json.gz").exists()
+    assert (tmp_path / "table-p3k1r1-mixed-sl.npz").exists()
     assert (tmp_path / "group-p3k1r1-mixed-sl.npz").exists()
     t2 = cached_character_table(3, 1, 1, "mixed", "sl", cache_dir=str(tmp_path))
     assert (t1.coeffs == t2.coeffs).all()
@@ -375,69 +419,128 @@ def test_table_paths_build_no_class_functions(tmp_path, monkeypatch):
 
 
 def test_cache_rejects_bad_format(tmp_path):
-    path = tmp_path / "table-p2k1r1-equal-gl.json.gz"
-    import gzip
-
-    with gzip.open(path, "wt") as fh:
-        json.dump({"format": "other/9"}, fh)
+    """A valid table under another format string is a miss."""
+    path = save_table(character_table(make_group(2, 1, 1, "equal", "gl")), tmp_path)
+    assert path == tmp_path / "table-p2k1r1-equal-gl.npz"
+    assert load_table(2, 1, 1, "equal", "gl", tmp_path) is not None
+    np.savez_compressed(path, **_with_meta(_read_members(path), format="other/9"))
     assert load_table(2, 1, 1, "equal", "gl", tmp_path) is None
 
 
 def test_cache_rejects_corrupted_table_and_recomputes(tmp_path):
-    import gzip
-
     tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
     path = save_table(tab, tmp_path)
-    with gzip.open(path, "rt") as fh:
-        payload = json.load(fh)
-    payload["coeffs"][3][2][0] += 1
-    with gzip.open(path, "wt") as fh:
-        json.dump(payload, fh)
+    members = _read_members(path)
+    members["coeffs"][3, 2, 0] += 1
+    np.savez_compressed(path, **members)
     assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is None
     rep = run_case(2, 1, 2, "gl", "mixed", cache_dir=str(tmp_path))
     verdicts = {c.check_id: c.verdict for c in rep.checks}
     assert verdicts["table-validity"] == "pass" and verdicts["stability"] == "pass"
     # the recomputed table overwrote the corrupted file
     assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is not None
-    path.write_bytes(path.read_bytes()[:-20])  # a truncated gzip stream
+    path.write_bytes(path.read_bytes()[:-20])  # a truncated zip file
     assert load_table(2, 1, 2, "mixed", "gl", tmp_path) is None
 
 
-def _null_coefficient(payload):
-    payload["coeffs"][1][1][0] = None
-    return payload
+def _nan_coefficient(members):
+    coeffs = members["coeffs"].astype(np.float64)
+    coeffs[1, 1, 0] = np.nan
+    return {**members, "coeffs": coeffs}
 
 
 MALFORMED_TABLE_FILES = {
-    "list": list,  # valid JSON, not an object
-    "null": lambda t: None,
-    "null-degrees": lambda t: {**t, "degrees": None},
-    "flat-coeffs": lambda t: {**t, "coeffs": np.ravel(t["coeffs"]).tolist()},
+    "list": lambda t: {**t, "meta": np.array(json.dumps([_meta(t)]))},  # meta not a dict
+    "null": lambda t: {**t, "meta": np.array("null")},
+    "meta-int": lambda t: {**t, "meta": np.array(5)},
+    # the exact degrees as floats: only the dtype check rejects them
+    "null-degrees": lambda t: {**t, "degrees": t["degrees"].astype(np.float64)},
+    "flat-coeffs": lambda t: {**t, "coeffs": t["coeffs"].ravel()},
     "short-coeffs": lambda t: {**t, "coeffs": t["coeffs"][:-1]},
-    "null-coefficient": _null_coefficient,
-    "exponent-0": lambda t: {**t, "exponent": 0},
-    "exponent-x": lambda t: {**t, "exponent": "x"},
-    "exponent-2e": lambda t: {**t, "exponent": 2 * t["exponent"]},
+    "null-coefficient": _nan_coefficient,
+    "exponent-0": lambda t: _with_meta(t, exponent=0),
+    "exponent-x": lambda t: _with_meta(t, exponent="x"),
+    "exponent-2e": lambda t: _with_meta(t, exponent=2 * _meta(t)["exponent"]),
 }
 
 
 @pytest.mark.parametrize("edit", MALFORMED_TABLE_FILES.values(), ids=MALFORMED_TABLE_FILES)
 def test_cache_rejects_malformed_table_file_and_recomputes(tmp_path, edit):
-    """A file that is not this group's table (payload type, exponent,
-    coefficient and degree shapes) is a miss, not a crash or a table."""
-    import gzip
-    from pathlib import Path
-
+    """A file that is not this group's table (meta type, exponent,
+    coefficient and degree dtypes and shapes) is a miss, not a crash or a
+    table."""
     path = save_table(character_table(make_group(3, 1, 1, "mixed", "gl")), tmp_path)
-    with gzip.open(path, "rt") as fh:
-        payload = json.load(fh)
-    with gzip.open(path, "wt") as fh:
-        json.dump(edit(payload), fh)
+    np.savez_compressed(path, **edit(_read_members(path)))
     assert load_table(3, 1, 1, "mixed", "gl", tmp_path) is None
     tab = cached_character_table(3, 1, 1, "mixed", "gl", cache_dir=str(tmp_path))
     golden = Path(__file__).parent / "data" / "table-p3k1r1-mixed-gl.tsv"
     assert tab.to_tsv() == golden.read_text()  # values over z24, not z48
     assert load_table(3, 1, 1, "mixed", "gl", tmp_path) is not None
+
+
+def test_cache_rejects_missing_member(tmp_path):
+    path = save_table(character_table(make_group(3, 1, 1, "mixed", "gl")), tmp_path)
+    members = _read_members(path)
+    for name in members:
+        np.savez_compressed(path, **{k: v for k, v in members.items() if k != name})
+        assert load_table(3, 1, 1, "mixed", "gl", tmp_path) is None, name
+
+
+_unpickled = []
+
+
+def _record_unpickling(tag):
+    _unpickled.append(tag)
+
+
+class _RecordsUnpickling:
+    def __reduce__(self):
+        return _record_unpickling, ("unpickled",)
+
+
+def test_cache_never_unpickles(tmp_path):
+    """An object array in the file is a miss, and nothing in it runs."""
+    path = save_table(character_table(make_group(3, 1, 1, "mixed", "gl")), tmp_path)
+    members = _read_members(path)
+    coeffs = members["coeffs"].astype(object)
+    coeffs[0, 0, 0] = _RecordsUnpickling()
+    np.savez_compressed(path, **{**members, "coeffs": coeffs})
+    with np.load(path, allow_pickle=True) as z:  # the file does carry a live pickle
+        z["coeffs"]
+    assert _unpickled == ["unpickled"]
+    _unpickled.clear()
+    assert load_table(3, 1, 1, "mixed", "gl", tmp_path) is None
+    assert _unpickled == []
+
+
+def test_cache_ignores_older_json_table(tmp_path, monkeypatch):
+    """A valid table file of the previous format (gzip JSON) is never
+    opened: the table is recomputed and written as .npz beside it."""
+    import gzip
+
+    import dl2.cache
+
+    tab = character_table(make_group(3, 1, 1, "mixed", "gl"))
+    old = tmp_path / "table-p3k1r1-mixed-gl.json.gz"
+    payload = {
+        "format": "dl2-table/1", "p": 3, "k": 1, "r": 1, "mode": "mixed", "flavor": "gl",
+        "exponent": tab.exponent,
+        "class_reps": tab.conjugacy.reps.tolist(),
+        "degrees": tab.degrees.tolist(),
+        "coeffs": tab.coeffs.tolist(),
+    }
+    with gzip.open(old, "wt") as fh:
+        json.dump(payload, fh)
+    stale = old.read_bytes()
+    built = []
+    monkeypatch.setattr(dl2.cache, "character_table", lambda g: built.append(g) or character_table(g))
+    got = cached_character_table(3, 1, 1, "mixed", "gl", cache_dir=str(tmp_path))
+    assert len(built) == 1  # a miss
+    assert (got.coeffs == tab.coeffs).all()
+    assert (tmp_path / "table-p3k1r1-mixed-gl.npz").exists()
+    assert old.read_bytes() == stale
+    cached_character_table(3, 1, 1, "mixed", "gl", cache_dir=str(tmp_path))
+    assert len(built) == 1  # now a hit, from the .npz
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -496,3 +599,34 @@ def test_perfbench_spans_wrap_live_attributes(tmp_path):
         "cache.save_group",
     } | {f"verifier.check.{c}" for c in out["check_ids"]}
     assert required <= set(out["spans"]), sorted(required - set(out["spans"]))
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    """`np.unique(x)` with no return_* flag imports numpy.ma (some 25 ms) on
+    first use; a verify case and a cached table, missed then hit, must
+    leave it as `import dl2.cli, dl2.cache` did."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import dl2.cli, dl2.cache\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from dl2.verifier import run_suite\n"
+        "assert run_suite([(2, 1, 2, 'gl', 'mixed')])['all_pass']\n"
+        "for _ in range(2):\n"
+        f"    dl2.cache.cached_character_table(3, 1, 1, 'mixed', 'gl', cache_dir={str(tmp_path)!r})\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before, "numpy.ma imported during the run"
+    assert (tmp_path / "table-p3k1r1-mixed-gl.npz").exists()
