@@ -15,10 +15,17 @@ Every element is identified with an integer *code* in [0, q^r):
 
 Arithmetic is table driven (dense add/mul tables over the code space), which
 keeps everything exact and lets callers operate on whole numpy arrays of
-codes at once.  The unramified quadratic extension O'_r is represented on
-top of a base ring as pairs (a, b) <-> a + b*xi with xi a root of a fixed
-monic quadratic; its arithmetic is closed-form in the base tables, so no
-quadratic-size tables are ever materialised for the extension.
+codes at once.  The residue field F_q = F_p[x]/f is built from the exp/log
+("Zech") representation (Lidl and Niederreiter, Finite Fields, ch. 9):
+multiplication by xbar is one array map on digit vectors, the least code g
+generating F_q^x gives the power table exp and its inverse log, products are
+exp[log a + log b], sums are digitwise, and the Frobenius is exp[p log c].
+The rings O_r are then built from the field by digit convolutions.
+
+The unramified quadratic extension O'_r is represented on top of a base ring
+as pairs (a, b) <-> a + b*xi with xi a root of a fixed monic quadratic; its
+arithmetic is closed-form in the base tables, so no quadratic-size tables are
+ever materialised for the extension.
 
 Defining polynomials are pinned to the lexicographically least monic
 irreducible of the required degree (most significant coefficient first),
@@ -74,15 +81,6 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (coefficient lists, ascending degree)
-
-
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def _poly_rem_mod_p(a, f, p):
@@ -144,7 +142,13 @@ class PrimePowerField:
     """F_q, q = p^k, elements coded as integers in [0, q).
 
     The code of sum(d_i * xbar^i) is sum(d_i * p^i); in particular the
-    prime subfield is coded 0..p-1 and xbar is coded p.
+    prime subfield is coded 0..p-1 and, for k >= 2, xbar is coded p.
+
+    digits : (q, k) int64, digits[c, i] = d_i of code c
+    exp    : exp[n] = g^n for n in [0, q - 1), g = exp[1] the least code
+             generating F_q^x
+    log    : the inverse of exp on the units; log[0] = 0 is a placeholder
+    add, mul : (q, q) int64 tables; neg, frob, trace_to_fp : int64 arrays
     """
 
     def __init__(self, p: int, k: int):
@@ -154,66 +158,53 @@ class PrimePowerField:
             raise ValueError("k must be >= 1")
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.poly = least_irreducible(p, k)
-        q = self.q
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        digs = [self._digits(c) for c in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                s = [(x + y) % p for x, y in zip(digs[a], digs[b])]
-                add[a, b] = add[b, a] = self._undigits(s)
-                m = _poly_rem_mod_p(_poly_mul_mod_p(digs[a], digs[b], p), self.poly, p)
-                mul[a, b] = mul[b, a] = self._undigits(m)
-        self.add = add
-        self.mul = mul
-        self.neg = np.array(
-            [self._undigits([(-d) % p for d in digs[c]]) for c in range(q)], dtype=np.int64
-        )
-        inv = np.zeros(q, dtype=np.int64)
-        one_positions = np.argwhere(mul == 1)
-        for a, b in one_positions:
-            inv[a] = b
-        self.inv = inv
-        # x -> x^p, the arithmetic Frobenius generating Gal(F_q/F_p)
-        frob = np.zeros(q, dtype=np.int64)
-        for c in range(q):
-            frob[c] = self.pow(c, p)
-        self.frob = frob
-        # absolute trace to F_p
-        tr = np.zeros(q, dtype=np.int64)
-        for c in range(q):
-            acc, cur = 0, c
-            for _ in range(k):
-                acc = int(add[acc, cur])
-                cur = int(frob[cur])
-            tr[c] = acc
-        self.trace_to_fp = tr
-
-    def _digits(self, code):
-        p, k = self.p, self.k
-        out = []
+        codes = np.arange(q, dtype=np.int64)
+        place = p ** np.arange(k, dtype=np.int64)
+        self.digits = digits = codes[:, None] // place % p
+        # xbar * c: shift the digits up, folding the top one through xbar^k = -f
+        shifted = np.zeros_like(digits)
+        shifted[:, 1:] = digits[:, :-1]
+        times_x = (shifted - digits[:, -1:] * self.poly[:k]) % p @ place
+        # planes[i, c]: the digits of xbar^i * c, so g * c has the digits
+        # sum_i g_i planes[i, c] mod p
+        planes, xc = [], codes
         for _ in range(k):
-            out.append(code % p)
-            code //= p
-        return out
-
-    def _undigits(self, digs):
-        p = self.p
-        out = 0
-        for d in reversed(digs[: self.k]):
-            out = out * p + (d % p)
-        return out
-
-    def pow(self, c, n):
-        out, cur = 1, c
-        while n:
-            if n & 1:
-                out = int(self.mul[out, cur])
-            cur = int(self.mul[cur, cur])
-            n >>= 1
-        return out
+            planes.append(digits[xc])
+            xc = times_x[xc]
+        planes = np.stack(planes)
+        for g in range(1, q):
+            # powers g^0 .. g^(q-2) by doubling: exp holds g^0 .. g^(m-1) and
+            # step is multiplication by g^m
+            step = np.tensordot(digits[g], planes, 1) % p @ place
+            exp = np.ones(1, dtype=np.int64)
+            while exp.size < q - 1:
+                exp, step = np.concatenate([exp, step[exp]]), step[step]
+            exp = exp[: q - 1]
+            if (exp[1:] != 1).all():
+                break
+        self.exp = exp
+        self.log = np.zeros(q, dtype=np.int64)
+        self.log[exp] = np.arange(q - 1)
+        # g^a g^b = g^(a + b), read from the power table laid out twice;
+        # int32 halves the (q, q) index temporary
+        log32 = self.log.astype(np.int32)
+        self.mul = np.concatenate([exp, exp])[np.add.outer(log32, log32)]
+        self.mul[0, :] = self.mul[:, 0] = 0
+        # digitwise sum: a + b, less p^(i+1) at each digit i that carries
+        self.add = np.add.outer(codes, codes)
+        for d, overflow in zip(digits.T.astype(np.int32), p * place):
+            np.subtract(self.add, overflow, out=self.add, where=np.add.outer(d, d) >= p)
+        self.neg = (-digits) % p @ place
+        # x -> x^p, the arithmetic Frobenius generating Gal(F_q/F_p)
+        self.frob = exp[p * self.log % (q - 1)]
+        self.frob[0] = 0
+        # absolute trace to F_p: c + c^p + ... + c^(p^(k-1))
+        tr, cur = np.zeros(q, dtype=np.int64), codes
+        for _ in range(k):
+            tr, cur = self.add[tr, cur], self.frob[cur]
+        self.trace_to_fp = tr
 
     def __repr__(self):
         return f"F{self.q}"
@@ -336,11 +327,7 @@ class RingSpec:
         for i in range(k):
             res += (digs[:, i] % p) * (p**i)
         self.residue = res
-        lift = np.zeros(self.q, dtype=np.int64)
-        for c in range(self.q):
-            ds = self.field._digits(c)
-            lift[c] = sum(int(d) * int(w) for d, w in zip(ds, weights))
-        self.lift = lift
+        self.lift = self.field.digits @ weights
         self.pi = p if r > 1 else 0
 
     def _finish(self):
@@ -359,11 +346,9 @@ class RingSpec:
         if self.r == 1:
             pows = [self.one] + [0] * self.r
         self.pi_pows = pows  # pi^0 .. pi^r (last is 0)
-        top = pows[self.r - 1]
-        sect = {}
-        for s in range(self.q):
-            sect[int(self.mul[top, self.lift[s]])] = s
-        self._pi_top_section = sect
+        sect = np.full(S, -1, dtype=np.int64)
+        sect[self.mul[pows[self.r - 1], self.lift]] = np.arange(self.q)
+        self._pi_top_section = sect  # -1 off the image of pi^(r-1) * lift
 
     # -- public operations -------------------------------------------------
 
@@ -382,13 +367,14 @@ class RingSpec:
             raise ZeroDivisionError(f"code {code} is not a unit")
         return int(self.inv[code])
 
-    def div_pi_top(self, code: int) -> int:
-        """Section of multiplication by pi^(r-1): returns s in F_q with
-        pi^(r-1) * lift(s) == code.  Defined exactly on that image."""
-        try:
-            return self._pi_top_section[int(code)]
-        except KeyError:
+    def div_pi_top(self, code):
+        """Section of multiplication by pi^(r-1), on scalar or array codes:
+        returns s in F_q with pi^(r-1) * lift(s) == code.  Defined exactly
+        on that image."""
+        s = self._pi_top_section[code]
+        if (s < 0).any():
             raise ValueError(f"code {code} is not divisible by pi^{self.r - 1}")
+        return s
 
     @lru_cache(maxsize=None)
     def reduction(self, r2: int):
@@ -494,24 +480,19 @@ class ExtSpec:
         self.degree = 2
         q = base.q
         F = base.field
-        found = None
+        # irreducible over F_q <=> no root in F_q: per B, mark each C =
+        # -(x^2 + B x) and take the least C left unmarked
+        x = np.arange(q)
         for Bres in range(q):
-            for Cres in range(q):
-                # irreducible over F_q <=> no root in F_q
-                has_root = any(
-                    int(F.add[F.add[F.mul[x, x], F.mul[Bres, x]], Cres]) == 0
-                    for x in range(q)
-                )
-                if not has_root:
-                    found = (Bres, Cres)
-                    break
-            if found:
+            has_root = np.zeros(q, dtype=bool)
+            has_root[F.neg[F.add[F.mul[x, x], F.mul[Bres, x]]]] = True
+            if not has_root.all():
                 break
-        if found is None:
+        else:
             raise InvariantError(f"no irreducible monic quadratic over F_{q}")
-        self.B_res, self.C_res = found
-        self.B = int(base.lift[found[0]])
-        self.C = int(base.lift[found[1]])
+        self.B_res, self.C_res = Bres, int(np.argmin(has_root))
+        self.B = int(base.lift[self.B_res])
+        self.C = int(base.lift[self.C_res])
         self.size = base.size**2
         self.q = q
 

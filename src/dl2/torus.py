@@ -379,7 +379,7 @@ def _extend_kernel_character(torus: CoxeterTorus, psi_scale: int) -> np.ndarray:
     tgt, mred = R.reduction(R.r - 1)
     units = R.units()
     kcodes = units[mred[units] == tgt.one]
-    x = np.array([R.div_pi_top(int(R.add[u, R.neg[R.one]])) for u in kcodes.tolist()])
+    x = R.div_pi_top(R.add[kcodes, R.neg[R.one]])
     # want[s, u]: the psi-exponent in F_p required at u; E[j, u] the value
     # exponent (mod LU) of dual()[j] at u
     s = np.arange(torus.q)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dl2.rings import is_prime, make_ext, make_ring
+from dl2.abelian import factorise
+from dl2.rings import PrimePowerField, _poly_rem_mod_p, get_field, is_prime, make_ext, make_ring
 
 CASES = [
     (2, 1, 1, "equal"),
@@ -338,3 +339,151 @@ def test_is_prime_rejects_strong_pseudoprimes():
     # psi_12 is the first input beyond the proven range
     with pytest.raises(ValueError, match="psi_12"):
         is_prime(318_665_857_834_031_151_167_461)
+
+
+# ---------------------------------------------------------------------------
+# the former field build, one polynomial product per pair of codes, kept as
+# the oracle of the exp/log build in `PrimePowerField`
+
+
+def _poly_mul_mod_p(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _digits(code, p, k):
+    return [code // p**i % p for i in range(k)]
+
+
+def _undigits(digs, p):
+    out = 0
+    for d in reversed(digs):
+        out = out * p + d % p
+    return out
+
+
+def _poly_product(a, b, F):
+    """The F-code of a * b, multiplied as polynomials mod (p, F.poly)."""
+    p, k = F.p, F.k
+    m = _poly_rem_mod_p(_poly_mul_mod_p(_digits(a, p, k), _digits(b, p, k), p), F.poly, p)
+    return _undigits(m, p)
+
+
+def _loop_field(p, k):
+    """add, mul, neg, frob and trace_to_fp of F_{p^k}, filled pair by pair."""
+    q = p**k
+    poly = get_field(p, k).poly
+    digs = [_digits(c, p, k) for c in range(q)]
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):
+            add[a][b] = add[b][a] = _undigits([x + y for x, y in zip(digs[a], digs[b])], p)
+            m = _poly_rem_mod_p(_poly_mul_mod_p(digs[a], digs[b], p), poly, p)
+            mul[a][b] = mul[b][a] = _undigits(m, p)
+    add, mul = np.array(add), np.array(mul)
+    neg = np.array([_undigits([-d for d in digs[c]], p) for c in range(q)])
+    frob = np.array([_power(mul, c, p) for c in range(q)])
+    tr = np.zeros(q, dtype=np.int64)
+    for c in range(q):
+        cur = c
+        for _ in range(k):
+            tr[c] = add[tr[c], cur]
+            cur = frob[cur]
+    return add, mul, neg, frob, tr
+
+
+def _power(mul, c, n):
+    out, cur = 1, int(c)
+    while n:
+        if n & 1:
+            out = int(mul[out, cur])
+        cur = int(mul[cur, cur])
+        n >>= 1
+    return out
+
+
+SMALL_FIELDS = [(p, k) for p in range(2, 257) if is_prime(p) for k in range(1, 9) if p**k <= 256]
+
+
+@pytest.mark.parametrize("p,k", SMALL_FIELDS, ids=lambda v: str(v))
+def test_field_tables_match_loop_build(p, k):
+    F = get_field(p, k)
+    add, mul, neg, frob, tr = _loop_field(p, k)
+    assert (F.add == add).all() and (F.mul == mul).all()
+    assert (F.neg == neg).all() and (F.frob == frob).all() and (F.trace_to_fp == tr).all()
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (5, 5), (7, 4), (3, 7)])
+def test_largest_fields(p, k):
+    """The largest fields under MAX_TABLE_RING, built outside the field
+    cache so their tables are freed after the test."""
+    F = PrimePowerField(p, k)
+    q = F.q
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(q, size=(2, 300))
+    assert [int(F.mul[x, y]) for x, y in zip(a, b)] == [_poly_product(x, y, F) for x, y in zip(a, b)]
+    # exp and log are inverse bijections between [0, q - 1) and the units
+    assert (F.log[F.exp] == np.arange(q - 1)).all()
+    assert (F.exp[F.log[1:]] == np.arange(1, q)).all()
+    # g = exp[1] has order q - 1, by polynomial square-and-multiply
+    g = int(F.exp[1])
+
+    def poly_pow(c, n):
+        out = 1
+        for bit in bin(n)[2:]:
+            out = _poly_product(out, out, F)
+            if bit == "1":
+                out = _poly_product(out, c, F)
+        return out
+
+    assert poly_pow(g, q - 1) == 1
+    assert all(poly_pow(g, (q - 1) // ell) != 1 for ell in factorise(q - 1))
+    # frob is c -> c^p, a ring automorphism of order k
+    assert [int(F.frob[c]) for c in a[:50]] == [poly_pow(int(c), p) for c in a[:50]]
+    assert (F.frob[F.mul[a, b]] == F.mul[F.frob[a], F.frob[b]]).all()
+    assert (F.frob[F.add[a, b]] == F.add[F.frob[a], F.frob[b]]).all()
+    powers = [np.arange(q)]
+    for _ in range(k):
+        powers.append(F.frob[powers[-1]])
+    assert (powers[k] == powers[0]).all()
+    assert all((powers[j] != powers[0]).any() for j in range(1, k))
+    # the trace is additive and F_p-valued
+    tr = F.trace_to_fp
+    assert ((0 <= tr) & (tr < p)).all()
+    assert (tr[F.add[a, b]] == (tr[a] + tr[b]) % p).all()
+
+
+def _least_quadratic_by_loop(F):
+    """The former search: (B, C) least with y^2 + B y + C rootless over F."""
+    q = F.q
+    for B in range(q):
+        for C in range(q):
+            if not any(int(F.add[F.add[F.mul[x, x], F.mul[B, x]], C]) == 0 for x in range(q)):
+                return B, C
+
+
+@pytest.mark.parametrize("p,k,r,mode", [*CASES, (2, 9, 1, "mixed"), (3, 5, 1, "mixed")])
+def test_ext_quadratic_matches_loop_search(p, k, r, mode):
+    X = make_ext(make_ring(p, k, r, mode))
+    assert (X.B_res, X.C_res) == _least_quadratic_by_loop(X.base.field)
+
+
+@pytest.mark.parametrize("p,k,r,mode", [c for c in CASES if c[2] >= 2])
+def test_div_pi_top_array_matches_scalar(p, k, r, mode):
+    R = make_ring(p, k, r, mode)
+    image = R.mul[R.pi_pows[r - 1], R.lift]
+    s = R.div_pi_top(image)
+    assert s.tolist() == [R.div_pi_top(int(c)) for c in image] == list(range(R.q))
+    outside = int(np.setdiff1d(np.arange(R.size), image)[0])
+    with pytest.raises(ValueError, match="not divisible"):
+        R.div_pi_top(outside)
+    with pytest.raises(ValueError, match="not divisible"):
+        R.div_pi_top(np.append(image, outside))
+    X = make_ext(R)
+    pairs = np.arange(R.q**2)
+    assert (X.div_pi_top(X.mul_pi_top_lift(pairs)) == pairs).all()

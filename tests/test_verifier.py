@@ -603,8 +603,9 @@ def test_perfbench_spans_wrap_live_attributes(tmp_path):
 
 def test_run_does_not_import_numpy_ma(tmp_path):
     """`np.unique(x)` with no return_* flag imports numpy.ma (some 25 ms) on
-    first use; a verify case and a cached table, missed then hit, must
-    leave it as `import dl2.cli, dl2.cache` did."""
+    first use; a verify case, a cached table, missed then hit, and a ring
+    over a non-prime field must leave it as `import dl2.cli, dl2.cache`
+    did."""
     import os
     import subprocess
     import sys
@@ -617,6 +618,8 @@ def test_run_does_not_import_numpy_ma(tmp_path):
         "before = 'numpy.ma' in sys.modules\n"
         "from dl2.verifier import run_suite\n"
         "assert run_suite([(2, 1, 2, 'gl', 'mixed')])['all_pass']\n"
+        "from dl2.rings import make_ext, make_ring\n"
+        "make_ext(make_ring(2, 3, 1, 'mixed'))\n"
         "for _ in range(2):\n"
         f"    dl2.cache.cached_character_table(3, 1, 1, 'mixed', 'gl', cache_dir={str(tmp_path)!r})\n"
         "print(before, 'numpy.ma' in sys.modules)\n"
