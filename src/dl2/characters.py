@@ -192,7 +192,7 @@ def inflate(chi: ClassFunction, hom: ReductionHom) -> ClassFunction:
     """Pull back a class function on G_{r'} to G_r along the reduction."""
     if chi.group is not hom.target:
         raise ValueError("inflate: chi does not live on the reduction's target")
-    img_class = hom.target.conjugacy().class_of[hom.code_map[hom.source.conjugacy().reps]]
+    img_class = hom.target.conjugacy().class_of[hom(hom.source.conjugacy().reps)]
     return ClassFunction(hom.source, chi.e, chi.coeffs[img_class])
 
 
@@ -269,7 +269,7 @@ def adjunction_defect(hom: ReductionHom) -> np.ndarray:
     """
     src_cd, tgt_cd = hom.source.conjugacy(), hom.target.conjugacy()
     ns, nt = src_cd.n_classes, tgt_cd.n_classes
-    img_class = tgt_cd.class_of[hom.code_map[src_cd.reps]]
+    img_class = tgt_cd.class_of[hom(src_cd.reps)]
     AS = np.zeros((nt, ns), dtype=np.int64)
     AS[img_class, np.arange(ns)] = src_cd.sizes
     C = _coset_counts(hom)

@@ -111,11 +111,11 @@ class MatrixSpace:
             mf[a * S + idet],
         )
 
-    def reduce_map(self, r2: int):
-        """(target space, code map over the full code space)."""
+    def reduce_map(self, r2: int, codes):
+        """(target space, images of the given codes), entry by entry."""
         tgt_ring, m = self.ring.reduction(r2)
         tgt = matrix_space(tgt_ring)
-        a, b, c, d = self.dec(np.arange(self.N, dtype=np.int64))
+        a, b, c, d = self.dec(codes)
         return tgt, tgt.enc(m[a], m[b], m[c], m[d])
 
 
@@ -327,22 +327,25 @@ class ReductionHom:
         if not (1 <= r2 <= source.ring.r):
             raise ValueError(f"target level {r2} out of range")
         self.source = source
-        tgt_space, cmap = source.space.reduce_map(r2)
+        tgt_space, self.image_of = source.space.reduce_map(r2, source.codes)  # by source index
         self.target = make_group(
             source.ring.p, source.ring.k, r2, source.ring.mode, source.flavor
         )
         if self.target.space is not tgt_space:
             raise InvariantError("target group is not over the reduced matrix space")
-        self.code_map = cmap  # full source code space -> target codes
-        self.image_of = cmap[source.codes]  # aligned to source element index
         self.kernel_codes = source.codes[self.image_of == tgt_space.identity]
         q = source.ring.q
         d = 4 if source.flavor == "gl" else 3
         if len(self.kernel_codes) != q ** (d * (source.ring.r - r2)):
             raise InvariantError("reduction kernel has the wrong order")
 
-    def __call__(self, code: int) -> int:
-        return int(self.code_map[code])
+    def __call__(self, code):
+        """Images of source element codes, scalar or array; ValueError for a
+        code off the source group."""
+        pos = self.source.pos_of[code]
+        if (pos < 0).any():
+            raise ValueError(f"code {code} is not an element of {self.source!r}")
+        return self.image_of[pos]
 
 
 class MatrixElem:

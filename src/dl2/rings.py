@@ -1,31 +1,28 @@
 """Exact arithmetic in truncated local rings.
 
-Two families of finite local rings O_r with residue field F_q (q = p^k) are
-supported, selected by a *mode*:
+Every ring here is a monic quotient C[y]/(g) over a coefficient ring C coded
+in [0, base); sum(c_i y^i) has the code sum(c_i * base^i) (`Quotient`).  The
+finite local rings O_r with residue field F_q (q = p^k) come in two *modes*:
 
-* ``"equal"``  : O_r = F_q[t]/t^r, equal characteristic p.
-* ``"mixed"``  : O_r = GR(p^r, k), the Galois ring Z[x]/(p^r, f(x)) with f a
-  monic degree-k lift of an irreducible polynomial over F_p.  For k = 1 this
-  is Z/p^r.
+* ``"equal"`` : O_r = F_q[t]/(t^r), C = F_q; the code is sum(d_j * q^j), d_j
+  the F_q-code of the t^j coefficient.
+* ``"mixed"`` : O_r = GR(p^r, k) = (Z/p^r)[x]/(fhat), the Galois ring with
+  fhat a monic lift of an irreducible f over F_p (Wan, Lectures on Finite
+  Fields and Galois Rings, 2003); for k = 1 this is Z/p^r.  The code is
+  sum(c_i * (p^r)^i), c_i in [0, p^r) the x^i coefficient.
 
-Every element is identified with an integer *code* in [0, q^r):
+At r = 1 both are F_q in the field's own codes.  O_r keeps dense add/mul
+tables over its codes, filled from its quotient one row block at a time, so
+callers work exactly on whole numpy arrays of codes.  The unramified
+quadratic extension O'_r = O_r[xi]/(xi^2 + B xi + C) codes a + b xi as
+a + b * |O_r| and has no tables: add, neg and mul are its quotient's over the
+base tables, and Frobenius, norm, trace and inverse are closed forms in them.
 
-* equal mode : code = sum(d_j * q^j), d_j the F_q-code of the t^j coefficient;
-* mixed mode : code = sum(c_i * (p^r)^i), c_i in [0, p^r) the x^i coefficient.
-
-Arithmetic is table driven (dense add/mul tables over the code space), which
-keeps everything exact and lets callers operate on whole numpy arrays of
-codes at once.  The residue field F_q = F_p[x]/f is built from the exp/log
-("Zech") representation (Lidl and Niederreiter, Finite Fields, ch. 9):
-multiplication by xbar is one array map on digit vectors, the least code g
-generating F_q^x gives the power table exp and its inverse log, products are
-exp[log a + log b], sums are digitwise, and the Frobenius is exp[p log c].
-The rings O_r are then built from the field by digit convolutions.
-
-The unramified quadratic extension O'_r is represented on top of a base ring
-as pairs (a, b) <-> a + b*xi with xi a root of a fixed monic quadratic; its
-arithmetic is closed-form in the base tables, so no quadratic-size tables are
-ever materialised for the extension.
+The residue field F_q = F_p[x]/f is built from the exp/log ("Zech")
+representation (Lidl and Niederreiter, Finite Fields, ch. 9): multiplication
+by xbar is one array map on digit vectors, the least code g generating F_q^x
+gives the power table exp and its inverse log, products are exp[log a +
+log b], sums are digitwise, and the Frobenius is exp[p log c].
 
 Defining polynomials are pinned to the lexicographically least monic
 irreducible of the required degree (most significant coefficient first),
@@ -216,7 +213,95 @@ def get_field(p: int, k: int) -> PrimePowerField:
 
 
 # ---------------------------------------------------------------------------
+# monic quotients C[y]/(g)
+
+
+class Quotient:
+    """Arithmetic in C[y]/(g), g monic of degree n over a coefficient ring C
+    coded in [0, base).
+
+    C is given by its (base, base) `add` and `mul` tables and `neg` array,
+    g by its coefficients g_0 .. g_{n-1} below the leading 1, as C codes.
+    sum(c_i y^i), i < n, has the code sum(c_i base^i).  The methods act
+    elementwise on broadcasting int64 code arrays or on scalars.
+    """
+
+    def __init__(self, add, mul, neg, g):
+        self.base, self.n = len(neg), len(g)
+        # flat tables: C's a + b and a b at a * base + b
+        self.c_add, self.c_mul, self.c_neg = add.ravel(), mul.ravel(), neg
+        # y^n = sum(-g_j y^j): multiplication by each -g_j as a map on C
+        self.times_minus_g = [mul[:, neg[c]] for c in g]
+        # a product has digits up to y^(2n-2); for g = y^n those at y^n and
+        # above are 0 in the quotient, so they are never formed
+        self.width = 2 * self.n - 1 if any(g) else self.n
+
+    def digits(self, x):
+        """The n digits c_0 .. c_{n-1} of codes x below base^n."""
+        out = []
+        for _ in range(self.n - 1):
+            out.append(x % self.base)
+            x = x // self.base
+        return out + [x]
+
+    def code(self, digits):
+        """The code of the digits c_0, c_1, ...; those not given are 0."""
+        out = digits[-1]
+        for d in digits[-2::-1]:
+            out = out * self.base + d
+        return out
+
+    def reduce(self, x, tgt):
+        """The codes in `tgt` of the first tgt.n digits of x, each modulo
+        tgt.base: the reduction map when tgt's coefficient ring is C modulo
+        an ideal, coded by remainders, and its g is this g reduced."""
+        return tgt.code([d % tgt.base for d in self.digits(x)[: tgt.n]])
+
+    def add(self, x, y):
+        A, b = self.c_add, self.base
+        return self.code([A[u * b + v] for u, v in zip(self.digits(x), self.digits(y))])
+
+    def neg(self, x):
+        return self.code([self.c_neg[a] for a in self.digits(x)])
+
+    def mul(self, x, y):
+        """Convolve the digits through C's tables, then fold each y^m,
+        m >= n, top-down through y^n = sum(-g_j y^j)."""
+        A, M, b, n, width = self.c_add, self.c_mul, self.base, self.n, self.width
+        xs = [u * b for u in self.digits(x)]
+        ys = self.digits(y)
+        conv = [None] * width
+        for i in range(n):
+            for j in range(min(n, width - i)):
+                t = M[xs[i] + ys[j]]
+                conv[i + j] = t if conv[i + j] is None else A[conv[i + j] * b + t]
+        for m in range(width - 1, n - 1, -1):
+            for j, times in enumerate(self.times_minus_g):
+                conv[m - n + j] = A[conv[m - n + j] * b + times[conv[m]]]
+        return self.code(conv[:n])
+
+
+def _ring_quotient(field: PrimePowerField, r: int, mode: str) -> Quotient:
+    """O_r as a quotient: F_q[t]/(t^r) (base q, n = r), or GR(p^r, k) =
+    (Z/p^r)[x]/(fhat) (base p^r, n = k) with fhat the coefficientwise lift
+    of field.poly.  At r = 1 both are F_q in the field's codes."""
+    if mode == "equal":
+        return Quotient(field.add, field.mul, field.neg, [0] * r)
+    pr = field.p**r
+    if r == 1:  # Z/p is F_p, whose tables exist already
+        Fp = get_field(field.p, 1)
+        zmod = Fp.add, Fp.mul, Fp.neg
+    else:
+        x = np.arange(pr, dtype=np.int64)
+        zmod = np.add.outer(x, x) % pr, np.multiply.outer(x, x) % pr, -x % pr
+    return Quotient(*zmod, [c % pr for c in field.poly[:-1]])
+
+
+# ---------------------------------------------------------------------------
 # truncated local rings
+
+# entries of the add and mul tables built per row block
+_BLOCK = 1 << 14
 
 
 class RingSpec:
@@ -230,6 +315,7 @@ class RingSpec:
       residue    : code -> F_q code of the reduction mod pi
       lift       : F_q code -> canonical lift code (section of residue)
       pi         : code of the uniformiser (t resp. p)
+      quot       : the Quotient whose codes these are (see `_ring_quotient`)
     """
 
     def __init__(self, p: int, k: int, r: int, mode: str):
@@ -240,98 +326,30 @@ class RingSpec:
         if k < 1 or r < 1:
             raise ValueError("k and r must be >= 1")
         self.p, self.k, self.r, self.mode = p, k, r, mode
-        self.q = p**k
-        self.size = self.q**r
-        if self.size > MAX_TABLE_RING:
-            raise ValueError(
-                f"|O_r| = {self.size} exceeds the table limit {MAX_TABLE_RING}"
-            )
-        self.field = get_field(p, k)
-        if mode == "equal":
-            self._build_equal()
+        self.q = q = p**k
+        self.size = S = q**r
+        if S > MAX_TABLE_RING:
+            raise ValueError(f"|O_r| = {S} exceeds the table limit {MAX_TABLE_RING}")
+        self.field = F = get_field(p, k)
+        self.quot = quot = _ring_quotient(F, r, mode)
+        codes = np.arange(S, dtype=np.int64)
+        if r == 1:
+            # both modes are F_q in the field's own codes
+            self.add, self.mul, self.neg = F.add, F.mul, F.neg
         else:
-            self._build_mixed()
-        self._finish()
-
-    # -- equal characteristic: F_q[t]/t^r, digits base q ------------------
-
-    def _build_equal(self):
-        q, r, S = self.q, self.r, self.size
-        F = self.field
-        codes = np.arange(S, dtype=np.int64)
-        digs = np.empty((S, r), dtype=np.int64)
-        tmp = codes.copy()
-        for j in range(r):
-            digs[:, j] = tmp % q
-            tmp //= q
-        self._digs = digs
-        weights = q ** np.arange(r, dtype=np.int64)
-
-        add = np.zeros((S, S), dtype=np.int64)
-        for j in range(r):
-            add += F.add[digs[:, None, j], digs[None, :, j]] * weights[j]
-        digit_acc = [np.zeros((S, S), dtype=np.int64) for _ in range(r)]
-        for i in range(r):
-            for j in range(r - i):
-                term = F.mul[digs[:, None, i], digs[None, :, j]]
-                digit_acc[i + j] = F.add[digit_acc[i + j], term]
-        mul = np.zeros((S, S), dtype=np.int64)
-        for d in range(r):
-            mul += digit_acc[d] * weights[d]
-        self.add, self.mul = add, mul
-        self.neg = (F.neg[digs] * weights).sum(axis=1)
-        self.residue = digs[:, 0].copy()
-        self.lift = np.arange(q, dtype=np.int64)  # constant polynomials
-        self.pi = int(q) if r > 1 else 0
-
-    # -- mixed characteristic: GR(p^r, k), digits base p^r -----------------
-
-    def _build_mixed(self):
-        p, k, r = self.p, self.k, self.r
-        pr = p**r
-        S = self.size
-        fhat = [c % pr for c in self.field.poly]  # monic lift of f
-        codes = np.arange(S, dtype=np.int64)
-        digs = np.empty((S, k), dtype=np.int64)
-        tmp = codes.copy()
-        for i in range(k):
-            digs[:, i] = tmp % pr
-            tmp //= pr
-        self._digs = digs
-        weights = (pr) ** np.arange(k, dtype=np.int64)
-
-        add = np.zeros((S, S), dtype=np.int64)
-        for i in range(k):
-            add += ((digs[:, None, i] + digs[None, :, i]) % pr) * weights[i]
-        self.add = add
-
-        # convolution then reduction by the monic fhat, all mod p^r
-        conv = [
-            sum(
-                digs[:, None, i] * digs[None, :, d - i]
-                for i in range(max(0, d - k + 1), min(k, d + 1))
-            )
-            % pr
-            for d in range(2 * k - 1)
-        ]
-        for d in range(2 * k - 2, k - 1, -1):
-            c = conv[d]
-            for j in range(k):
-                conv[d - k + j] = (conv[d - k + j] - c * fhat[j]) % pr
-        mul = np.zeros((S, S), dtype=np.int64)
-        for i in range(k):
-            mul += conv[i] * weights[i]
-        self.mul = mul
-        self.neg = (((-digs) % pr) * weights).sum(axis=1)
-        res = np.zeros(S, dtype=np.int64)
-        for i in range(k):
-            res += (digs[:, i] % p) * (p**i)
-        self.residue = res
-        self.lift = self.field.digits @ weights
-        self.pi = p if r > 1 else 0
-
-    def _finish(self):
-        S = self.size
+            # row blocks of _BLOCK entries bound the quotient's temporaries
+            self.add = np.empty((S, S), dtype=np.int64)
+            self.mul = np.empty((S, S), dtype=np.int64)
+            step = max(1, _BLOCK // S)
+            for lo in range(0, S, step):
+                x = codes[lo : lo + step, None]
+                self.add[lo : lo + step] = quot.add(x, codes)
+                self.mul[lo : lo + step] = quot.mul(x, codes)
+            self.neg = quot.neg(codes)
+        level_one = _ring_quotient(F, 1, mode)  # F_q in the field's codes
+        self.residue = quot.reduce(codes, level_one)
+        self.lift = quot.code(level_one.digits(np.arange(q, dtype=np.int64)))
+        self.pi = (q if mode == "equal" else p) if r > 1 else 0
         self.zero, self.one = 0, 1
         self.is_unit = self.residue != 0
         inv = np.zeros(S, dtype=np.int64)
@@ -341,13 +359,11 @@ class RingSpec:
         self.inv = inv
         # powers of pi, and the section of multiplication by pi^(r-1)
         pows = [self.one]
-        for _ in range(self.r):
-            pows.append(int(self.mul[pows[-1], self.pi]) if self.r > 1 else 0)
-        if self.r == 1:
-            pows = [self.one] + [0] * self.r
+        for _ in range(r):
+            pows.append(int(self.mul[pows[-1], self.pi]))
         self.pi_pows = pows  # pi^0 .. pi^r (last is 0)
         sect = np.full(S, -1, dtype=np.int64)
-        sect[self.mul[pows[self.r - 1], self.lift]] = np.arange(self.q)
+        sect[self.mul[pows[r - 1], self.lift]] = np.arange(q)
         self._pi_top_section = sect  # -1 off the image of pi^(r-1) * lift
 
     # -- public operations -------------------------------------------------
@@ -382,22 +398,12 @@ class RingSpec:
         if not (1 <= r2 <= self.r):
             raise ValueError(f"target level {r2} out of range 1..{self.r}")
         tgt = make_ring(self.p, self.k, r2, self.mode)
-        S = self.size
-        if self.mode == "equal":
-            w = self.q ** np.arange(r2, dtype=np.int64)
-            m = (self._digs[:, :r2] * w).sum(axis=1)
-        else:
-            pr2 = self.p**r2
-            w = pr2 ** np.arange(self.k, dtype=np.int64)
-            m = ((self._digs % pr2) * w).sum(axis=1)
-        if m.shape != (S,):
-            raise InvariantError("reduction map does not cover the ring")
-        return tgt, m
+        return tgt, self.quot.reduce(np.arange(self.size, dtype=np.int64), tgt.quot)
 
     def coeffs(self, code: int) -> tuple:
         """Canonical coefficient vector of a code (t-coeffs as F_q codes in
         equal mode, x-coeffs in [0, p^r) in mixed mode)."""
-        return tuple(int(v) for v in self._digs[code])
+        return tuple(int(v) for v in self.quot.digits(code))
 
     def elem(self, code: int) -> "RingElem":
         return RingElem(self, int(code) % self.size)
@@ -477,7 +483,6 @@ class ExtSpec:
 
     def __init__(self, base: RingSpec):
         self.base = base
-        self.degree = 2
         q = base.q
         F = base.field
         # irreducible over F_q <=> no root in F_q: per B, mark each C =
@@ -495,6 +500,8 @@ class ExtSpec:
         self.C = int(base.lift[self.C_res])
         self.size = base.size**2
         self.q = q
+        quot = Quotient(base.add, base.mul, base.neg, [self.C, self.B])
+        self.add, self.neg, self.mul = quot.add, quot.neg, quot.mul
 
     # -- coding -------------------------------------------------------------
 
@@ -518,29 +525,7 @@ class ExtSpec:
         return self.enc(0, 1)
 
     # -- arithmetic (scalar or numpy array codes) ----------------------------
-
-    def add(self, x, y):
-        S = self.base.size
-        A = self.base.add
-        a1, b1 = x % S, x // S
-        a2, b2 = y % S, y // S
-        return A[a1, a2] + A[b1, b2] * S
-
-    def neg(self, x):
-        S = self.base.size
-        N = self.base.neg
-        return N[x % S] + N[x // S] * S
-
-    def mul(self, x, y):
-        # (a1 + b1 xi)(a2 + b2 xi), xi^2 = -B xi - C
-        S = self.base.size
-        A, M, N = self.base.add, self.base.mul, self.base.neg
-        a1, b1 = x % S, x // S
-        a2, b2 = y % S, y // S
-        bb = M[b1, b2]
-        a = A[M[a1, a2], N[M[bb, self.C]]]
-        b = A[A[M[a1, b2], M[b1, a2]], N[M[bb, self.B]]]
-        return a + b * S
+    # add, neg and mul are the quotient's, set in __init__
 
     def frobenius(self, x):
         S = self.base.size

@@ -183,11 +183,11 @@ def test_reduction_maps_are_homomorphisms(case, r2_pick, picks):
     assert m[R.mul[a, b]] == tgt.mul[m[a], m[b]]
     assert m[R.one] == tgt.one
     sp = matrix_space(R)
-    tsp, cmap = sp.reduce_map(r2)
-    assert tsp.ring is tgt
     x, y = picks[2] % sp.N, picks[3] % sp.N
-    assert cmap[sp.mul(x, y)] == tsp.mul(cmap[x], cmap[y])
-    assert cmap[sp.identity] == tsp.identity
+    tsp, (hx, hy, hxy, hid) = sp.reduce_map(r2, np.array([x, y, sp.mul(x, y), sp.identity]))
+    assert tsp.ring is tgt
+    assert hxy == tsp.mul(hx, hy)
+    assert hid == tsp.identity
 
 
 def test_reduction_commutes_with_det_and_sl():
@@ -200,6 +200,18 @@ def test_reduction_commutes_with_det_and_sl():
     hs = S.reduction(1)
     for c in S.codes[:: max(1, S.order // 100)]:
         assert hs(int(c)) == h(int(c))
+
+
+def test_reduction_hom_rejects_non_members():
+    """h maps group element codes only; a matrix code off the group raises."""
+    G = make_group(3, 1, 2, "mixed", "sl")
+    h = G.reduction(1)
+    assert (h(G.codes) == h.image_of).all()
+    outside = int(np.flatnonzero(G.pos_of < 0)[0])
+    with pytest.raises(ValueError, match="not an element"):
+        h(outside)
+    with pytest.raises(ValueError, match="not an element"):
+        h(np.append(G.codes[:3], outside))
 
 
 def test_borel():

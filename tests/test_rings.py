@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dl2.abelian import factorise
-from dl2.rings import PrimePowerField, _poly_rem_mod_p, get_field, is_prime, make_ext, make_ring
+from dl2.rings import PrimePowerField, RingSpec, _poly_rem_mod_p, get_field, is_prime, make_ext, make_ring
 
 CASES = [
     (2, 1, 1, "equal"),
@@ -487,3 +487,120 @@ def test_div_pi_top_array_matches_scalar(p, k, r, mode):
     X = make_ext(R)
     pairs = np.arange(R.q**2)
     assert (X.div_pi_top(X.mul_pi_top_lift(pairs)) == pairs).all()
+
+
+# ---------------------------------------------------------------------------
+# the former ring builds, digit convolutions over whole (S, S) planes, and
+# the former closed-form extension arithmetic, kept as the oracle of the
+# `Quotient` arithmetic
+
+
+def _convolution_equal(p, k, r):
+    """add, mul, neg, residue, lift and the reduction to level r2 of
+    F_q[t]/t^r: digits base q, convolved through the field tables."""
+    F = get_field(p, k)
+    q, S = F.q, F.q**r
+    weights = q ** np.arange(r, dtype=np.int64)
+    digs = np.arange(S, dtype=np.int64)[:, None] // weights % q
+    add = np.zeros((S, S), dtype=np.int64)
+    for j in range(r):
+        add += F.add[digs[:, None, j], digs[None, :, j]] * weights[j]
+    digit_acc = [np.zeros((S, S), dtype=np.int64) for _ in range(r)]
+    for i in range(r):
+        for j in range(r - i):
+            term = F.mul[digs[:, None, i], digs[None, :, j]]
+            digit_acc[i + j] = F.add[digit_acc[i + j], term]
+    mul = np.zeros((S, S), dtype=np.int64)
+    for d in range(r):
+        mul += digit_acc[d] * weights[d]
+    neg = (F.neg[digs] * weights).sum(axis=1)
+
+    def reduction(r2):
+        return (digs[:, :r2] * weights[:r2]).sum(axis=1)
+
+    return add, mul, neg, digs[:, 0].copy(), np.arange(q, dtype=np.int64), reduction
+
+
+def _convolution_mixed(p, k, r):
+    """The same for GR(p^r, k): digits base p^r, convolved mod p^r and
+    reduced by the monic lift of the field polynomial."""
+    F = get_field(p, k)
+    pr, S = p**r, p ** (k * r)
+    fhat = [c % pr for c in F.poly]
+    weights = pr ** np.arange(k, dtype=np.int64)
+    digs = np.arange(S, dtype=np.int64)[:, None] // weights % pr
+    add = np.zeros((S, S), dtype=np.int64)
+    for i in range(k):
+        add += ((digs[:, None, i] + digs[None, :, i]) % pr) * weights[i]
+    conv = [
+        sum(
+            digs[:, None, i] * digs[None, :, d - i]
+            for i in range(max(0, d - k + 1), min(k, d + 1))
+        )
+        % pr
+        for d in range(2 * k - 1)
+    ]
+    for d in range(2 * k - 2, k - 1, -1):
+        c = conv[d]
+        for j in range(k):
+            conv[d - k + j] = (conv[d - k + j] - c * fhat[j]) % pr
+    mul = np.zeros((S, S), dtype=np.int64)
+    for i in range(k):
+        mul += conv[i] * weights[i]
+    neg = (((-digs) % pr) * weights).sum(axis=1)
+    residue = ((digs % p) * p ** np.arange(k, dtype=np.int64)).sum(axis=1)
+
+    def reduction(r2):
+        pr2 = p**r2
+        return ((digs % pr2) * pr2 ** np.arange(k, dtype=np.int64)).sum(axis=1)
+
+    return add, mul, neg, residue, F.digits @ weights, reduction
+
+
+ORACLE_RINGS = [
+    (p, k, r, mode)
+    for p in range(2, 257)
+    if is_prime(p)
+    for k in range(1, 9)
+    for r in range(1, 9)
+    if p ** (k * r) <= 256
+    for mode in ("equal", "mixed")
+] + [(2, 5, 2, "mixed"), (2, 1, 10, "equal")]
+
+
+@pytest.mark.parametrize("p,k,r,mode", ORACLE_RINGS, ids=lambda v: str(v))
+def test_ring_tables_match_convolution_build(p, k, r, mode):
+    """Every table and map of O_r, exhaustively, against the convolution
+    builds; built outside the ring cache so the tables are freed after."""
+    R = RingSpec(p, k, r, mode)
+    build = _convolution_equal if mode == "equal" else _convolution_mixed
+    add, mul, neg, residue, lift, reduction = build(p, k, r)
+    assert (R.add == add).all() and (R.mul == mul).all() and (R.neg == neg).all()
+    assert (R.residue == residue).all() and (R.lift == lift).all()
+    inv = np.zeros(R.size, dtype=np.int64)
+    rows, cols = np.nonzero(mul == 1)
+    inv[rows] = cols
+    inv[residue == 0] = 0
+    assert (R.inv == inv).all()
+    for r2 in range(1, r + 1):
+        assert (R.reduction(r2)[1] == reduction(r2)).all()
+
+
+def _closed_form_ext(X, x, y):
+    """add, neg and mul of O'_r in the former closed forms."""
+    S = X.base.size
+    A, M, N = X.base.add, X.base.mul, X.base.neg
+    a1, b1 = x % S, x // S
+    a2, b2 = y % S, y // S
+    bb = M[b1, b2]
+    mul = A[M[a1, a2], N[M[bb, X.C]]] + A[A[M[a1, b2], M[b1, a2]], N[M[bb, X.B]]] * S
+    return A[a1, a2] + A[b1, b2] * S, N[a1] + N[b1] * S, mul
+
+
+@pytest.mark.parametrize("p,k,r,mode", ORACLE_RINGS[:-2], ids=lambda v: str(v))
+def test_ext_arithmetic_matches_closed_forms(p, k, r, mode):
+    X = make_ext(make_ring(p, k, r, mode))
+    x, y = np.random.default_rng(X.size + r).integers(X.size, size=(2, 2000))
+    add, neg, mul = _closed_form_ext(X, x, y)
+    assert (X.add(x, y) == add).all() and (X.neg(x) == neg).all() and (X.mul(x, y) == mul).all()
+    assert [int(X.add(x[0], y[0])), int(X.neg(x[0])), int(X.mul(x[0], y[0]))] == [add[0], neg[0], mul[0]]
