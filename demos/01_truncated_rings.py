@@ -34,7 +34,7 @@ print("sigma-fixed elements = embedded base ring:",
 
 # Norm and trace are x * sigma(x) and x + sigma(x), landing in the base.
 x = X.xi
-print("\nxi =", X.elem(x), " norm:", X.norm(x), " trace:", X.trace(x))
+print("\nxi =", (R.coeffs(x % R.size), R.coeffs(x // R.size)), " norm:", X.norm(x), " trace:", X.trace(x))
 print("norm is multiplicative on units:",
       all(X.norm(X.mul(a, b)) == R.mul[X.norm(a), X.norm(b)]
           for a in X.units()[:20] for b in X.units()[:20]))

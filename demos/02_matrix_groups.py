@@ -28,7 +28,8 @@ print(f"\nGL2(F_3): Borel order {len(B)}, index {G3.order // len(B)} (= q + 1)")
 pos = sl_embedding(make_group(3, 1, 2, "mixed", "gl"))
 print(f"\nSL2(Z/9) inside GL2(Z/9): {len(pos)} of {make_group(3,1,2,'mixed','gl').order}")
 
-# a matrix, its entries and inverse
-m = G.elem(int(G.codes[17]))
-print("\nsample element of GL2(Z/4):", m, " det:", m.det().coeffs)
-print("m * m^-1 = identity:", (m * m.inverse()).code == G.space.identity)
+# a matrix code, its entries, determinant and inverse
+m = G.codes[17]
+a, b, c, d = (G.ring.coeffs(e) for e in G.space.dec(m))
+print(f"\nsample element of GL2(Z/4): [[{a}, {b}], [{c}, {d}]]  det:", G.ring.coeffs(G.space.det[m]))
+print("m * m^-1 = identity:", G.space.mul(m, G.space.inv(m)) == G.space.identity)

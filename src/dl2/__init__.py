@@ -8,7 +8,7 @@ dimension, sign, decomposition, and stability statement against the
 computed tables.
 """
 
-from .rings import RingSpec, RingElem, ExtSpec, ExtElem, make_ring, make_ext
+from .rings import RingSpec, ExtSpec, make_ring, make_ext
 from .groups import MatrixGroup, make_group, gl2_order, sl2_order
 from .characters import character_table, CharacterTable, inner_product
 from .torus import CoxeterTorus, make_torus, classify_all, Classification
@@ -17,7 +17,7 @@ from .weyl import conjecture_sign, sweep_classical_signs
 from .verifier import run_case, run_suite, VerificationReport
 
 __all__ = [
-    "RingSpec", "RingElem", "ExtSpec", "ExtElem", "make_ring", "make_ext",
+    "RingSpec", "ExtSpec", "make_ring", "make_ext",
     "MatrixGroup", "make_group", "gl2_order", "sl2_order",
     "character_table", "CharacterTable", "inner_product",
     "CoxeterTorus", "make_torus", "classify_all", "Classification",

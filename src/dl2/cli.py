@@ -200,8 +200,9 @@ def positive_int(text: str) -> int:
 
 def _check_input(args) -> None:
     """Raise ValueError, with a one-line reason, on input that the option
-    types cannot judge alone: a case past the table limits, a --q entry that
-    is not a prime power, or a cache directory that cannot be made."""
+    types cannot judge alone: a case past the table limits, a --n-max below
+    2 (no rank to sweep), a --q entry that is not a prime power, or a cache
+    directory that cannot be made."""
     cmd = args.command
     if cmd in ("classify-torus", "predict") and (size := args.p ** (args.k * args.r)) > MAX_TABLE_RING:
         raise ValueError(f"|O_r| = {size} exceeds the table limit {MAX_TABLE_RING}")
@@ -211,6 +212,8 @@ def _check_input(args) -> None:
             group = f"{args.flavor.upper()}2(O_{args.r})"
             raise ValueError(f"|{group}| = {order} exceeds the table bound {TABLE_BOUND}")
     if cmd == "sweep-conjecture":
+        if args.n_max < 2:
+            raise ValueError(f"--n-max: {args.n_max} is below 2, the least n swept")
         _prime_powers(args.q)
     if cmd in ("verify", "dump-table"):
         try:

@@ -51,8 +51,8 @@ from .rings import is_prime
 
 MODULUS_SEARCH_BOUND = 30_000_000
 
-# Bytes of the float64 block that `lift_table` (rows of W) and
-# `verify_orthogonality` (values at a block of roots) hold at a time.
+# Bytes of the float64 block that `lift_table` (rows of W, columns of Zmat)
+# and `verify_orthogonality` (values at a block of roots) hold at a time.
 _BLOCK_BYTES = 2**21
 
 
@@ -211,15 +211,20 @@ def lift_table(group: MatrixGroup):
     e = cd.exponent
     pm = cd.power_map()
 
-    # inverse Fourier transform over each cyclic power orbit
-    a_idx, i_idx = np.meshgrid(np.arange(e), np.arange(e), indexing="ij")
-    zpow = np.array([pow(z, a, l) for a in range(e)], dtype=np.int64)
-    Zmat = zpow[((-a_idx * i_idx) % e)] * inv_mod(e, l) % l  # Zmat[a, i] = z^(-a i) / e
-    Zmat = Zmat.astype(np.float64)
+    # inverse Fourier transform over each cyclic power orbit: Zmat[a, i] =
+    # z^(-a i) / e = zinv[a i mod e] is formed one block of columns at a
+    # time, Zmat[a, c + j] = zinv[(a c mod e) + (a j mod e)] read from zinv
+    # laid out twice
+    einv = inv_mod(e, l)
+    zinv = np.array([pow(z, -m, l) * einv % l for m in range(e)], dtype=np.float64)
+    zinv = np.concatenate([zinv, zinv])
+    a = np.arange(e)
+    cstep = max(1, _BLOCK_BYTES // (8 * e))
+    aj = np.multiply.outer(a, a[:cstep]) % e
 
-    # W @ Zmat, W[t k, i] = chi_t(z_k^i), by blocks of rows t: an entry sums
-    # e products of residues, exact when e (l - 1)^2 < 2^53.  The
-    # multiplicities stay float64 integers.
+    # W @ Zmat, W[t k, i] = chi_t(z_k^i), by blocks of rows t and columns i:
+    # an entry sums e products of residues, exact when e (l - 1)^2 < 2^53.
+    # The multiplicities stay float64 integers.
     Xf = Xl.astype(np.float64)
     Z = zeta_powers(e)
     # nonnegative multiplicities summing to a degree are at most max(degrees)
@@ -228,7 +233,9 @@ def lift_table(group: MatrixGroup):
     step = max(1, _BLOCK_BYTES // (8 * n * e))
     for lo in range(0, n, step):
         W = Xf[lo : lo + step][:, pm.reshape(-1)].reshape(-1, e)
-        mult = matmul_mod(W, Zmat, l)
+        mult = np.empty_like(W)
+        for c in range(0, e, cstep):
+            mult[:, c : c + cstep] = matmul_mod(W, zinv[aj[:, : e - c] + (a * c % e)[:, None]], l)
         # multiplicities are genuine eigenvalue counts: they must sum to degrees
         if not (mult.reshape(-1, n, e).sum(axis=2) == degrees[lo : lo + step, None]).all():
             raise VerificationError("lift produced non-multiplicities")

@@ -28,7 +28,7 @@ downstream is reproducible bit for bit.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import lcm
 
 import numpy as np
@@ -247,7 +247,6 @@ class MatrixGroup:
             raise InvariantError(f"{self.order} elements, not the order {expected}")
         self.pos_of = np.full(sp.N, -1, dtype=np.int64)
         self.pos_of[codes] = np.arange(self.order)
-        self._conj = None
 
     # -- structure ------------------------------------------------------------
 
@@ -293,10 +292,9 @@ class MatrixGroup:
             frontier = np.flatnonzero(fresh)
         return int(seen.sum())
 
+    @cache
     def conjugacy(self) -> ConjugacyData:
-        if self._conj is None:
-            self._conj = ConjugacyData(self)
-        return self._conj
+        return ConjugacyData(self)
 
     def center_codes(self) -> np.ndarray:
         """Scalar matrices diag(z, z) in the group."""
@@ -310,11 +308,11 @@ class MatrixGroup:
         """Upper-triangular elements of the group (c = 0)."""
         return self.codes[self.space.dec(self.codes)[2] == 0]
 
+    @cache
     def reduction(self, r2: int) -> "ReductionHom":
+        """The reduction to level r2; one per group and level, shared by
+        every caller."""
         return ReductionHom(self, r2)
-
-    def elem(self, code: int) -> "MatrixElem":
-        return MatrixElem(self, int(code))
 
     def __repr__(self):
         return f"MatrixGroup({self.flavor.upper()}2, {self.ring!r}, order={self.order})"
@@ -346,46 +344,6 @@ class ReductionHom:
         if (pos < 0).any():
             raise ValueError(f"code {code} is not an element of {self.source!r}")
         return self.image_of[pos]
-
-
-class MatrixElem:
-    """Convenience wrapper: one matrix of an enumerated group."""
-
-    __slots__ = ("group", "code")
-
-    def __init__(self, group: MatrixGroup, code: int):
-        self.group = group
-        self.code = code
-
-    @property
-    def entries(self):
-        sp = self.group.space
-        a, b, c, d = sp.dec(self.code)
-        R = self.group.ring
-        return (R.elem(int(a)), R.elem(int(b)), R.elem(int(c)), R.elem(int(d)))
-
-    def __mul__(self, other):
-        return MatrixElem(self.group, int(self.group.space.mul(self.code, other.code)))
-
-    def inverse(self):
-        return MatrixElem(self.group, int(self.group.space.inv(np.int64(self.code))))
-
-    def det(self):
-        return self.group.ring.elem(int(self.group.space.det[self.code]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixElem)
-            and self.group is other.group
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.code))
-
-    def __repr__(self):
-        a, b, c, d = (e.coeffs for e in self.entries)
-        return f"[[{a}, {b}], [{c}, {d}]]"
 
 
 @lru_cache(maxsize=None)

@@ -405,9 +405,6 @@ class RingSpec:
         equal mode, x-coeffs in [0, p^r) in mixed mode)."""
         return tuple(int(v) for v in self.quot.digits(code))
 
-    def elem(self, code: int) -> "RingElem":
-        return RingElem(self, int(code) % self.size)
-
     def __repr__(self):
         base = f"GR({self.p}^{self.r},{self.k})" if self.mode == "mixed" else f"F{self.q}[t]/t^{self.r}"
         return f"RingSpec({base})"
@@ -417,51 +414,6 @@ class RingSpec:
 def make_ring(p: int, k: int, r: int, mode: str) -> RingSpec:
     """Interned constructor: one RingSpec per (p, k, r, mode)."""
     return RingSpec(p, k, r, mode)
-
-
-class RingElem:
-    """A value of O_r.  Thin wrapper over (spec, code); equality structural."""
-
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: RingSpec, code: int):
-        self.spec = spec
-        self.code = int(code)
-
-    @property
-    def coeffs(self):
-        return self.spec.coeffs(self.code)
-
-    def __add__(self, other):
-        return RingElem(self.spec, self.spec.add[self.code, other.code])
-
-    def __sub__(self, other):
-        return RingElem(self.spec, self.spec.add[self.code, self.spec.neg[other.code]])
-
-    def __mul__(self, other):
-        return RingElem(self.spec, self.spec.mul[self.code, other.code])
-
-    def __neg__(self):
-        return RingElem(self.spec, self.spec.neg[self.code])
-
-    def inverse(self):
-        return RingElem(self.spec, self.spec.invert(self.code))
-
-    def is_unit(self):
-        return bool(self.spec.is_unit[self.code])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElem)
-            and self.spec is other.spec
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), self.code))
-
-    def __repr__(self):
-        return f"RingElem({self.coeffs})"
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +459,6 @@ class ExtSpec:
 
     def enc(self, a, b):
         return a + b * self.base.size
-
-    def dec(self, code):
-        S = self.base.size
-        return code % S, code // S
 
     @property
     def zero(self):
@@ -565,10 +513,6 @@ class ExtSpec:
         codes = np.arange(self.size, dtype=np.int64)
         return codes[self.is_unit(codes)]
 
-    def embed_base(self, code):
-        """O_r -> O'_r."""
-        return code  # (a, 0) coding
-
     def residue_pair(self, x):
         """Reduction mod pi as an F_{q^2} pair code a0 + q*a1 in [0, q^2)."""
         S = self.base.size
@@ -606,9 +550,6 @@ class ExtSpec:
         M = self.base.mul
         return M[x % S, top] + M[x // S, top] * S
 
-    def elem(self, code: int) -> "ExtElem":
-        return ExtElem(self, int(code))
-
     def __repr__(self):
         return f"ExtSpec({self.base!r}, y^2+{self.B_res}y+{self.C_res})"
 
@@ -616,52 +557,3 @@ class ExtSpec:
 @lru_cache(maxsize=None)
 def make_ext(base: RingSpec) -> ExtSpec:
     return ExtSpec(base)
-
-
-class ExtElem:
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: ExtSpec, code: int):
-        self.spec = spec
-        self.code = int(code)
-
-    @property
-    def coeffs(self):
-        a, b = self.spec.dec(self.code)
-        return (self.spec.base.coeffs(a), self.spec.base.coeffs(b))
-
-    def __add__(self, other):
-        return ExtElem(self.spec, self.spec.add(self.code, other.code))
-
-    def __mul__(self, other):
-        return ExtElem(self.spec, self.spec.mul(self.code, other.code))
-
-    def __neg__(self):
-        return ExtElem(self.spec, self.spec.neg(self.code))
-
-    def frobenius(self):
-        return ExtElem(self.spec, self.spec.frobenius(self.code))
-
-    def norm(self) -> RingElem:
-        return RingElem(self.spec.base, self.spec.norm(self.code))
-
-    def trace(self) -> RingElem:
-        return RingElem(self.spec.base, self.spec.trace(self.code))
-
-    def inverse(self):
-        if not self.spec.is_unit(self.code):
-            raise ZeroDivisionError("not a unit")
-        return ExtElem(self.spec, self.spec.inv(self.code))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtElem)
-            and self.spec is other.spec
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), self.code))
-
-    def __repr__(self):
-        return f"ExtElem({self.coeffs})"

@@ -69,11 +69,6 @@ class CoxeterTorus:
             self.kernels[r2] = FiniteAbelianGroup(kcodes, ext.mul, ext.one)
         # norm-one subgroup (the SL2 torus)
         self.norm_one = self.codes[ext.norm(self.codes) == ring.one]
-        self._patterns: dict = {}
-        self._descent: dict = {}
-        self._kernel_values: dict = {}
-        self._extensions: dict = {}
-        self._top = None
 
     # -- embedding into GL2 ----------------------------------------------------
 
@@ -114,33 +109,30 @@ class CoxeterTorus:
     def norm_one_group(self) -> FiniteAbelianGroup:
         return FiniteAbelianGroup(self.norm_one, self.ext.mul, self.ext.one)
 
+    @functools.cache
     def kernel_values(self, r2: int):
         """(W, V): the value rows of the generators of K_{r2}, and V[j] the
         values on them of the norm pullback of base_units.dual()[j]."""
-        if r2 not in self._kernel_values:
-            W = self.group.value_rows(self.kernels[r2].gens)
-            self._kernel_values[r2] = W, self.pullback_rows @ W.T % self.group.exponent
-        return self._kernel_values[r2]
+        W = self.group.value_rows(self.kernels[r2].gens)
+        return W, self.pullback_rows @ W.T % self.group.exponent
 
     # -- the additive-character pairing on the top congruence layer -------------
 
+    @functools.cache
     def top_layer_elements(self):
         """(pair codes x, ext codes of 1 + pi^(r-1) lift(x)) over F_{q^2}."""
-        if self._top is None:
-            xs = np.arange(self.q**2, dtype=np.int64)
-            self._top = xs, self.ext.add(self.ext.one, self.ext.mul_pi_top_lift(xs))
-        return self._top
+        xs = np.arange(self.q**2, dtype=np.int64)
+        return xs, self.ext.add(self.ext.one, self.ext.mul_pi_top_lift(xs))
 
     @functools.cached_property
     def _top_rows(self) -> np.ndarray:
         return self.group.value_rows(self.top_layer_elements()[1])
 
+    @functools.cache
     def _pairing_patterns(self, psi_scale: int):
         """(P, cols, lut): P[x, tau] the psi(Tr(x tau)) exponent, cols some
         x whose exponents determine tau, and lut the tau of each key
         sum_i P[cols[i], tau] p^(len(cols) - 1 - i)."""
-        if psi_scale in self._patterns:
-            return self._patterns[psi_scale]
         F, rq, p = self.ring.field, self.rq, self.ring.p
         xs = np.arange(self.q**2, dtype=np.int64)
         P = F.trace_to_fp[F.mul[rq.trace(rq.mul(xs[:, None], xs[None, :])), psi_scale]]
@@ -153,8 +145,7 @@ class CoxeterTorus:
             raise InvariantError("trace pairing degenerate")
         lut = np.zeros(p ** len(cols), dtype=np.int64)
         lut[key] = xs
-        self._patterns[psi_scale] = P, cols, lut
-        return self._patterns[psi_scale]
+        return P, cols, lut
 
     def taus(self, A: np.ndarray, psi_scale: int = 1) -> np.ndarray:
         """For each exponent row of A, the unique tau in F_{q^2} (pair code)
@@ -181,14 +172,13 @@ class CoxeterTorus:
             return self
         return make_torus(self.ring.p, self.ring.k, r2, self.ring.mode)
 
+    @functools.cache
     def _descent_rows(self, r2: int) -> np.ndarray:
         """Value rows of one preimage per generator of the level-r2 basis."""
-        if r2 not in self._descent:
-            _, m = self.ext.reduction(r2)
-            gens = self.level_torus(r2).group.gens
-            pos = np.argmax(m[self.codes][None, :] == gens[:, None], axis=1)
-            self._descent[r2] = self.group.value_rows(self.codes[pos])
-        return self._descent[r2]
+        _, m = self.ext.reduction(r2)
+        gens = self.level_torus(r2).group.gens
+        pos = np.argmax(m[self.codes][None, :] == gens[:, None], axis=1)
+        return self.group.value_rows(self.codes[pos])
 
     def descend_rows(self, A, r2: int) -> np.ndarray:
         """Exponent rows of the level-r2 characters inflating to the rows A
@@ -367,13 +357,12 @@ def conductor_by_peeling(torus: CoxeterTorus, A, psi_scale: int = 1) -> np.ndarr
     return out
 
 
+@functools.cache
 def _extend_kernel_character(torus: CoxeterTorus, psi_scale: int) -> np.ndarray:
     """Entry s, for each s in F_q: the position in base_units.dual() of the
     first character of O_r^x restricting on the last ring kernel to
     u -> psi(s * (u - 1)/pi^(r-1)); one exists since the unit group is
-    abelian.  Memoised per psi_scale on the torus."""
-    if psi_scale in torus._extensions:
-        return torus._extensions[psi_scale]
+    abelian.  Memoised per (torus, psi_scale)."""
     R, U = torus.ring, torus.base_units
     F, LU, p = R.field, U.exponent, R.p
     tgt, mred = R.reduction(R.r - 1)
@@ -388,5 +377,4 @@ def _extend_kernel_character(torus: CoxeterTorus, psi_scale: int) -> np.ndarray:
     match = (E[None, :, :] * p == want[:, None, :] * LU).all(axis=2)
     if not match.any(axis=1).all():
         raise InvariantError("no extension found; the unit group is abelian")
-    torus._extensions[psi_scale] = np.argmax(match, axis=1)
-    return torus._extensions[psi_scale]
+    return np.argmax(match, axis=1)

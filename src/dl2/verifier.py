@@ -500,6 +500,10 @@ def _first_failed_pair(D: np.ndarray, low: CharacterTable, high: CharacterTable)
     # the exponent of the quotient divides the group's, so its values promote
     e = high.exponent
     chi = substitute(low.coeffs, low.exponent, e, e // low.exponent)
+    # an entry of W sums D.shape[0] products chi D in int64
+    bound = D.shape[0] * int(np.abs(chi).max(initial=0)) * int(np.abs(D).max(initial=0))
+    if bound >= 2**63:
+        raise OverflowError(f"int64 overflow risk: chi^T D bound {bound} >= 2^63")
     W = np.einsum("iak,ab->ibk", chi, D)
     psi_bar = high.coeffs[:, high.conjugacy.inverse_class, :].transpose(1, 0, 2)
     failed = np.argwhere(matmul(W, psi_bar, e).any(axis=2))

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -481,10 +482,26 @@ def test_lift_table_guards_int64_overflow(monkeypatch):
 
 def test_lift_table_by_row_blocks_matches_one_block(monkeypatch):
     G = make_group(3, 1, 2, "mixed", "gl")
-    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 2**40)  # W in one block
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 2**40)  # W and Zmat in one block
     whole = dixon.lift_table(G)[0]
-    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 1)  # one row t per block
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 1)  # one row t, one column i per block
     assert (dixon.lift_table(G)[0] == whole).all()
+
+
+def test_lift_table_memory_is_not_quadratic_in_the_exponent():
+    """SL2(F_13) has e = 1092 and a 0.64 MiB table; the lift's peak stays
+    below two dense e x e float64 arrays (18.2 MiB), since Zmat is formed a
+    block of columns at a time."""
+    G = make_group(13, 1, 1, "mixed", "sl")
+    e = G.conjugacy().exponent
+    assert e == 1092
+    tracemalloc.start()
+    try:
+        dixon.lift_table(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * e * e * 8
 
 
 def test_verify_rejects_table_beyond_int64_bound():

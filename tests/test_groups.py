@@ -121,6 +121,12 @@ def test_reduction_homs():
         make_group(2, 1, 2, "mixed", "gl").reduction(3)
 
 
+def test_conjugacy_and_reduction_are_memoised_per_group():
+    G = make_group(2, 1, 3, "mixed", "sl")
+    assert G.conjugacy() is G.conjugacy()
+    assert G.reduction(1) is G.reduction(1)
+
+
 def test_reduction_is_surjective_homomorphism():
     G = make_group(3, 1, 2, "equal", "gl")
     h = G.reduction(1)
@@ -246,10 +252,12 @@ def test_sl_embedding():
 
 
 def test_element_wrapper():
+    """Elements are plain codes: every code times its inverse is the
+    identity, and every GL determinant is a unit."""
     G = make_group(2, 1, 2, "mixed", "gl")
-    e = G.elem(int(G.codes[5]))
-    assert (e * e.inverse()).code == G.space.identity
-    assert e.det().is_unit()
+    sp = G.space
+    assert (sp.mul(G.codes, sp.inv(G.codes)) == sp.identity).all()
+    assert G.ring.is_unit[sp.det[G.codes]].all()
 
 
 @pytest.mark.parametrize(

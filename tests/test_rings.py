@@ -174,7 +174,7 @@ def test_frobenius_unique_nontrivial_automorphism():
     X = make_ext(R)
     roots = []
     for z in range(X.size):
-        val = X.add(X.add(X.mul(z, z), X.mul(X.embed_base(X.B), z)), X.embed_base(X.C))
+        val = X.add(X.add(X.mul(z, z), X.mul(X.B, z)), X.C)
         if val == 0:
             roots.append(z)
     assert len(roots) == 2
@@ -207,8 +207,8 @@ def test_norm_trace():
     # norm and trace via the Frobenius, all elements
     for x in range(X.size):
         s = X.frobenius(x)
-        assert X.mul(x, s) == X.embed_base(X.norm(x))
-        assert X.add(x, s) == X.embed_base(X.trace(x))
+        assert X.mul(x, s) == X.norm(x)
+        assert X.add(x, s) == X.trace(x)
 
 
 def test_ext_inverse():
@@ -244,7 +244,7 @@ def test_norm_properties(pkr, mode, xs, ys):
     units = X.units()
     assert np.isin(X.norm(units), R.units()).all()
     codes = np.arange(X.size, dtype=np.int64)
-    assert (X.mul(codes, X.frobenius(codes)) == X.embed_base(X.norm(codes))).all()
+    assert (X.mul(codes, X.frobenius(codes)) == X.norm(codes)).all()
 
 
 _CODES = st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=64)
@@ -311,7 +311,7 @@ def test_frobenius_is_ring_automorphism_drawn(case, xs, ys):
     assert fr(X.one) == X.one
     assert (fr(fr(x)) == x).all()
     (b,) = _drawn(R.size, xs)
-    assert (fr(X.embed_base(b)) == X.embed_base(b)).all()
+    assert (fr(b) == b).all()
 
 
 def _is_prime_by_trial_division(n):

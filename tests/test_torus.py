@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from dl2.abelian import DualChar
 from dl2.groups import make_group
 from dl2.torus import (
+    CoxeterTorus,
+    _extend_kernel_character,
     classify_all,
     conductor_brute_force,
     conductor_by_peeling,
@@ -204,14 +206,24 @@ def test_pairing_patterns_memoised_per_torus():
         for (p, k, r) in [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 3)]
         for mode in ("mixed", "equal")
     ]
-    first = []
+    patterns = CoxeterTorus._pairing_patterns
     for t in tori:
         classify_all(t)
-        first.append(dict(t._patterns))
-    for t, patterns in zip(tori, first):
+    computed = patterns.cache_info().misses
+    for t in tori:
         classify_all(t)
-        assert patterns and t._patterns.keys() == patterns.keys()
-        assert all(t._patterns[s] is patterns[s] for s in patterns)
+    assert computed and patterns.cache_info().misses == computed
+
+
+def test_torus_memos_return_the_identical_object():
+    t = make_torus(3, 1, 3, "mixed")
+    classify_all(t)
+    for r2 in range(1, t.r + 1):
+        assert t.kernel_values(r2) is t.kernel_values(r2)
+    for r2 in range(1, t.r):
+        assert t._descent_rows(r2) is t._descent_rows(r2)
+    assert t._pairing_patterns(1) is t._pairing_patterns(1)
+    assert _extend_kernel_character(t, 1) is _extend_kernel_character(t, 1)
 
 
 def _literal_level(t, eta):

@@ -10,10 +10,11 @@ import dl2.verifier
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
 from dl2.characters import CharacterTable, ClassFunction, adjunction_check, character_table
 from dl2.cli import main
-from dl2.groups import make_group
+from dl2.groups import ReductionHom, make_group
 from dl2.torus import classify_all
 from dl2.verifier import (
     CaseData,
+    _first_failed_pair,
     check_inflation_adjunction,
     check_classical_sweep,
     check_mode_independence,
@@ -68,7 +69,7 @@ def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     # averaging over the broken kernel stops being integral, and the check
     # must still return a verdict naming the first failing pair.
     G = make_group(2, 1, 2, "mixed", "sl")
-    hom = G.reduction(1)
+    hom = ReductionHom(G, 1)  # not the memoized G.reduction(1), which others share
     assert G.codes[2] not in hom.kernel_codes
     hom.kernel_codes = hom.kernel_codes.copy()
     hom.kernel_codes[0] = G.codes[2]
@@ -81,6 +82,19 @@ def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     c = check_inflation_adjunction(CaseData(2, 1, 2, "mixed", "sl"))
     assert c.verdict == "fail"
     assert c.computed == {"failed_pair": [0, 1]}
+
+
+def test_first_failed_pair_guards_int64_overflow(monkeypatch):
+    G = make_group(2, 1, 2, "mixed", "sl")
+    low, high = character_table(G.reduction(1).target), character_table(G)
+    D = np.zeros((low.conjugacy.n_classes, high.conjugacy.n_classes), dtype=np.int64)
+    D[0, 0] = 2**62  # n_low * max|chi| * 2^62 >= 2^63
+    with pytest.raises(OverflowError, match="chi\\^T D bound"):
+        _first_failed_pair(D, low, high)
+    monkeypatch.setattr(dl2.verifier, "adjunction_defect", lambda hom: D)
+    c = check_inflation_adjunction(CaseData(2, 1, 2, "mixed", "sl"))
+    assert c.verdict == "error"
+    assert c.computed["error"].startswith("OverflowError: int64 overflow risk")
 
 
 def test_crashing_check_is_recorded_as_error(monkeypatch, tmp_path):
@@ -269,6 +283,8 @@ def test_cli_rejects_bad_manifest_line(tmp_path, capsys, line, reason):
 
 # input that parses but cannot be run; rejected with one stderr line
 _CHECKED_INPUT = [
+    ["sweep-conjecture", "--n-max", "-3"],
+    ["sweep-conjecture", "--n-max", "1"],
     ["sweep-conjecture", "--q", "2,x"],
     ["sweep-conjecture", "--q", "1"],
     ["sweep-conjecture", "--q", "6"],
