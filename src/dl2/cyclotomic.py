@@ -98,15 +98,23 @@ def phi(e: int) -> int:
 def zeta_powers(e: int) -> np.ndarray:
     """Read-only int64 array of shape (e, phi(e)) whose row j holds the
     canonical coefficients of zeta_e^j, i.e. of x^j mod Phi_e."""
-    f = cyclotomic_poly(e)
-    rows = [[1] + [0] * (phi(e) - 1)]
-    for _ in range(e - 1):
+    f = np.array(cyclotomic_poly(e)[:-1], dtype=np.int64)
+    out = np.zeros((e, len(f)), dtype=np.int64)
+    out[0, 0] = 1
+    for j in range(1, e):
         # x * row, with x^phi(e) = -(f_0 + ... + f_{phi(e)-1} x^(phi(e)-1))
-        lead = rows[-1][-1]
-        rows.append([a - lead * b for a, b in zip([0] + rows[-1][:-1], f)])
-    out = np.array(rows, dtype=np.int64)
+        out[j, 1:] = out[j - 1, :-1]
+        out[j] -= out[j - 1, -1] * f
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def zeta_bound(e: int) -> int:
+    """max|zeta_powers(e)|, the largest absolute canonical coefficient of an
+    e-th root of unity."""
+    Z = zeta_powers(e)
+    return max(int(Z.max()), -int(Z.min()))
 
 
 # -- the evaluation-domain product --------------------------------------------
@@ -203,7 +211,7 @@ def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     n, m, d = X.shape
     p = Y.shape[1]
     x, y = (max(int(A.max(initial=0)), -int(A.min(initial=0))) for A in (X, Y))
-    bound = (2 * d - 1) * int(np.abs(zeta_powers(e)).max()) * d * m * x * y
+    bound = (2 * d - 1) * zeta_bound(e) * d * m * x * y
     if bound >= 2**63:
         raise OverflowError(f"int64 overflow risk: Z[zeta_{e}] product bound {bound} >= 2^63")
     primes = split_primes(e, max(m, d), bound)
@@ -252,7 +260,7 @@ def substitute(X: np.ndarray, e: int, E: int, m: int, shift=0) -> np.ndarray:
         raise ValueError(f"zeta_{E}^{m} is not a primitive {e}-th root of unity")
     X = np.asarray(X, dtype=np.int64)
     Z = zeta_powers(E)
-    bound = phi(e) * int(np.abs(X).max(initial=0)) * int(np.abs(Z).max())
+    bound = phi(e) * int(np.abs(X).max(initial=0)) * zeta_bound(E)
     if bound >= 2**63:
         raise OverflowError(f"int64 overflow risk: substitution bound {bound} >= 2^63")
     S = Z[(np.arange(phi(e)) * m + np.asarray(shift)[..., None]) % E]

@@ -1,9 +1,9 @@
 """Exact irreducible character tables via class-sum eigenvector splitting.
 
 The classical modular method: work modulo a prime l with l = 1 (mod e),
-e the group exponent, and l > 2*isqrt(|G|), so that F_l contains the needed
-roots of unity and integer character data is determined by its residue
-(see `dixon_prime`).
+e the group exponent, and l > 2*isqrt(|G|)*max|zeta_powers(e)|, so that F_l
+contains the needed roots of unity and integer character data is determined
+by its residue (see `dixon_prime`).
 
 Stages:
   1. class matrices M_i with (M_i)[j, k] = #{x in C_i : x^-1 z_k in C_j},
@@ -15,18 +15,20 @@ Stages:
      one nullspace per eigenvalue gives its eigenspace;
   3. normalisation of eigenvectors to central characters, then degrees by
      search: the one d <= isqrt(|G|) whose square has the right residue;
-  4. lifting to exact root-of-unity multiplicities with the inverse Fourier
-     sum over power maps, then canonical reduction into Z[zeta_e];
+  4. lifting by the Galois action: chi(g^m) = sigma_m(chi(g)), so the
+     values of every entry at the primitive e-th roots mod l are columns
+     of the mod-l table read through the power map, and one interpolation
+     (`cyclotomic._evaluation_matrices`) gives its canonical coefficients
+     in Z[zeta_e];
   5. verification of both orthogonality relations over Z[zeta_e], checked
      on the values at the primitive e-th roots of unity modulo split primes,
      with no CRT rebuild (`verify_orthogonality`).
 
 No tolerance anywhere; every verification is an integer identity.  The
-products mod l are float64 BLAS products of residues (`modlinalg.matmul_mod`
-and `exact_matmul`), each guarded so that every partial sum is an integer
-below 2^53.  The lift and the verification hold their float64 arrays a
-block at a time, sized by `_BLOCK_BYTES`; every bound is per entry, so the
-blocking changes no proof.
+products mod l are float64 BLAS products of residues (`modlinalg.matmul_mod`),
+each guarded so that every partial sum is an integer below 2^53.  The lift
+and the verification hold their float64 arrays a block at a time, sized by
+`_BLOCK_BYTES`; every bound is per entry, so the blocking changes no proof.
 """
 
 from __future__ import annotations
@@ -35,24 +37,16 @@ import math
 
 import numpy as np
 
-from .cyclotomic import _evaluation_matrices, phi, split_primes, zeta_powers
+from .cyclotomic import _evaluation_matrices, phi, split_primes, zeta_bound
 from .groups import ConjugacyData, MatrixGroup
-from .modlinalg import (
-    exact_matmul,
-    inv_mod,
-    krylov_relation,
-    matmul_mod,
-    nullspace,
-    poly_roots,
-    primitive_root,
-    reduce_mod,
-)
+from .modlinalg import inv_mod, krylov_relation, matmul_mod, nullspace, poly_roots, reduce_mod
 from .rings import is_prime
 
 MODULUS_SEARCH_BOUND = 30_000_000
 
-# Bytes of the float64 block that `lift_table` (rows of W, columns of Zmat)
-# and `verify_orthogonality` (values at a block of roots) hold at a time.
+# Bytes of the float64 block that `lift_table` (values of a block of rows t
+# at all roots) and `verify_orthogonality` (values at a block of roots) hold
+# at a time.
 _BLOCK_BYTES = 2**21
 
 
@@ -70,17 +64,20 @@ class VerificationError(AssertionError):
 
 
 def dixon_prime(order: int, exponent: int) -> int:
-    """Smallest prime l = 1 (mod exponent) with l > 2*isqrt(order).
+    """Smallest prime l = 1 (mod exponent) with l > 2*isqrt(order)*z, for
+    z = max|zeta_powers(exponent)| (`cyclotomic.zeta_bound`).
 
     This is enough, though l may lie below 2*sqrt(order) (SL2(Z/4), of
-    order 48, gets l = 13 < 2*sqrt(48)).  Every degree d and every
-    eigenvalue multiplicity the lift reads back is an integer in
-    [0, isqrt(order)], since d^2 <= order: such an integer is its own
-    least residue, and two degrees d1 != d2 in [1, isqrt(order)] have
-    0 < |d1 - d2| < d1 + d2 < l, so d1^2 and d2^2 differ mod l and the
-    degree search finds one root.
+    order 48, gets l = 13 < 2*sqrt(48)).  Every degree d is an integer in
+    [1, isqrt(order)], since d^2 <= order, so two degrees d1 != d2 have
+    0 < |d1 - d2| < d1 + d2 < l: d1^2 and d2^2 differ mod l and the degree
+    search finds one root.  The lift reads back the canonical coefficients
+    c_i of a character value chi(g), the sum of its d eigenvalues zeta_e^a,
+    that is sum_a m_a zeta_powers(e)[a] with m_a >= 0 summing to d; so
+    |c_i| <= d z <= isqrt(order) z < l/2, and c_i is the symmetric residue
+    of c_i mod l.
     """
-    lo = int(2 * math.isqrt(order)) + 1
+    lo = 2 * math.isqrt(order) * zeta_bound(exponent) + 1
     # l = 1 + m*exponent
     m = max(1, (lo - 1) // exponent)
     while True:
@@ -164,12 +161,11 @@ def _split_blocks(blocks, M, l):
 
 
 def character_table_mod_l(group: MatrixGroup):
-    """Mod-l character values: (Xl, l, z, cd) with Xl[t, k] = chi_t(z_k)."""
+    """Mod-l character values: (Xl, degrees, l, cd) with Xl[t, k] =
+    chi_t(z_k) mod l, and l = `dixon_prime(|G|, e)`."""
     cd = group.conjugacy()
     n = cd.n_classes
-    e = cd.exponent
-    l = dixon_prime(group.order, e)
-    z = pow(primitive_root(l), (l - 1) // e, l)
+    l = dixon_prime(group.order, cd.exponent)
 
     blocks = [(np.eye(n, dtype=np.int64), list(range(n)))]
     order_of_use = sorted(range(1, n), key=lambda i: (int(cd.sizes[i]), i))
@@ -198,48 +194,38 @@ def character_table_mod_l(group: MatrixGroup):
     if int((degrees.astype(object) ** 2).sum()) != group.order:
         raise VerificationError("degree recovery failed")
     Xl = V * degrees[:, None] % l * csz_inv % l
-    return Xl, degrees, l, z, cd
+    return Xl, degrees, l, cd
 
 
 def lift_table(group: MatrixGroup):
     """Exact table: (int coefficient tensor (n, n, phi(e)), e, degrees, cd).
 
     Entry [t, k] holds the canonical Z[zeta_e] coefficients of chi_t(z_k).
+    Read zeta_e as the root w of `_evaluation_matrices` (another primitive
+    root only maps each row to a Galois conjugate, also a row).  The value
+    of chi_t(z_k) at the root r_j = w^(m_j) is sigma_(m_j)(chi_t(z_k)) =
+    chi_t(z_k^(m_j)) = Xl[t, pm[k, m_j]] mod l; those values times Vinv are
+    the coefficients mod l, and by `dixon_prime` their symmetric residues
+    are the coefficients.
     """
-    Xl, degrees, l, z, cd = character_table_mod_l(group)
-    n = cd.n_classes
-    e = cd.exponent
-    pm = cd.power_map()
-
-    # inverse Fourier transform over each cyclic power orbit: Zmat[a, i] =
-    # z^(-a i) / e = zinv[a i mod e] is formed one block of columns at a
-    # time, Zmat[a, c + j] = zinv[(a c mod e) + (a j mod e)] read from zinv
-    # laid out twice
-    einv = inv_mod(e, l)
-    zinv = np.array([pow(z, -m, l) * einv % l for m in range(e)], dtype=np.float64)
-    zinv = np.concatenate([zinv, zinv])
-    a = np.arange(e)
-    cstep = max(1, _BLOCK_BYTES // (8 * e))
-    aj = np.multiply.outer(a, a[:cstep]) % e
-
-    # W @ Zmat, W[t k, i] = chi_t(z_k^i), by blocks of rows t and columns i:
-    # an entry sums e products of residues, exact when e (l - 1)^2 < 2^53.
-    # The multiplicities stay float64 integers.
+    Xl, degrees, l, cd = character_table_mod_l(group)
+    n, e = cd.n_classes, cd.exponent
+    d = phi(e)
+    if 2 * int(degrees.max()) * zeta_bound(e) >= l:
+        raise VerificationError(f"l = {l} is too small to lift degree {int(degrees.max())}")
+    _, Vinv = _evaluation_matrices(e, l)
+    # the m_j, ascending as in `_evaluation_matrices` (at e = 1, w^0 = w = 1)
+    m = [a for a in range(e) if math.gcd(a, e) == 1]
+    cols = cd.power_map()[:, m]
     Xf = Xl.astype(np.float64)
-    Z = zeta_powers(e)
-    # nonnegative multiplicities summing to a degree are at most max(degrees)
-    bounds = int(degrees.max()), int(np.abs(Z).max())
-    coeffs = np.empty((n, n, phi(e)), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (8 * n * e))
+    coeffs = np.empty((n, n, d), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * n * d))
     for lo in range(0, n, step):
-        W = Xf[lo : lo + step][:, pm.reshape(-1)].reshape(-1, e)
-        mult = np.empty_like(W)
-        for c in range(0, e, cstep):
-            mult[:, c : c + cstep] = matmul_mod(W, zinv[aj[:, : e - c] + (a * c % e)[:, None]], l)
-        # multiplicities are genuine eigenvalue counts: they must sum to degrees
-        if not (mult.reshape(-1, n, e).sum(axis=2) == degrees[lo : lo + step, None]).all():
-            raise VerificationError("lift produced non-multiplicities")
-        coeffs[lo : lo + step] = exact_matmul(mult, Z, *bounds).reshape(-1, n, phi(e))
+        # each coefficient sums d products of residues: `matmul_mod` checks
+        # d (l - 1)^2 < 2^53
+        c = matmul_mod(Xf[lo : lo + step][:, cols], Vinv, l)
+        c[c > l // 2] -= l
+        coeffs[lo : lo + step] = c
     return coeffs, e, degrees, cd
 
 
@@ -302,7 +288,7 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
     n, _, d = coeffs.shape
     e = cd.exponent
     x = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
-    bound = (2 * d - 1) * int(np.abs(zeta_powers(e)).max()) * d * n * x * x * int(cd.sizes.max())
+    bound = (2 * d - 1) * zeta_bound(e) * d * n * x * x * int(cd.sizes.max())
     if bound >= 2**63:
         raise VerificationError(f"int64 overflow risk: Z[zeta_{e}] product bound {bound} >= 2^63")
     try:

@@ -293,7 +293,9 @@ def _ring_quotient(field: PrimePowerField, r: int, mode: str) -> Quotient:
         zmod = Fp.add, Fp.mul, Fp.neg
     else:
         x = np.arange(pr, dtype=np.int64)
-        zmod = np.add.outer(x, x) % pr, np.multiply.outer(x, x) % pr, -x % pr
+        zmod = np.add.outer(x, x), np.multiply.outer(x, x), -x
+        for table in zmod:
+            table %= pr  # in place, with no second (pr, pr) temporary
     return Quotient(*zmod, [c % pr for c in field.poly[:-1]])
 
 
@@ -336,6 +338,9 @@ class RingSpec:
         if r == 1:
             # both modes are F_q in the field's own codes
             self.add, self.mul, self.neg = F.add, F.mul, F.neg
+        elif quot.n == 1:
+            # Z/p^r (mixed, k = 1) is its own coefficient ring: share its tables
+            self.add, self.mul, self.neg = quot.c_add.reshape(S, S), quot.c_mul.reshape(S, S), quot.c_neg
         else:
             # row blocks of _BLOCK entries bound the quotient's temporaries
             self.add = np.empty((S, S), dtype=np.int64)

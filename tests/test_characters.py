@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,11 +33,19 @@ from dl2.characters import (
     tensor_linear,
     trivial_character,
 )
-from dl2.cyclotomic import matmul, split_primes, substitute, zeta_powers
+from dl2.cyclotomic import matmul, phi, split_primes, substitute, zeta_bound, zeta_powers
 from dl2 import dixon
 from dl2.dixon import _split_blocks
 from dl2.groups import make_group
-from dl2.modlinalg import krylov_relation, matmul_mod, nullspace, poly_roots
+from dl2.modlinalg import (
+    exact_matmul,
+    inv_mod,
+    krylov_relation,
+    matmul_mod,
+    nullspace,
+    poly_roots,
+    primitive_root,
+)
 
 
 def test_table_gl2_f2():
@@ -473,35 +481,105 @@ def test_mod_l_table_calls_krylov_only_on_blocks_that_split(monkeypatch):
 
 def test_lift_table_guards_int64_overflow(monkeypatch):
     G = make_group(2, 1, 1, "equal", "gl")
-    Xl, degrees, _l, z, cd = dixon.character_table_mod_l(G)
-    l = 2**31 - 1  # prime; e * (l - 1)^2 >= 2^63 for the exponent e = 6
-    monkeypatch.setattr(dixon, "character_table_mod_l", lambda group: (Xl, degrees, l, z, cd))
+    Xl, degrees, _l, cd = dixon.character_table_mod_l(G)
+    l = 2**31 - 1  # prime, = 1 (mod 6); phi(6) (l - 1)^2 >= 2^53 for the exponent e = 6
+    monkeypatch.setattr(dixon, "character_table_mod_l", lambda group: (Xl, degrees, l, cd))
     with pytest.raises(OverflowError):
         dixon.lift_table(G)
 
 
 def test_lift_table_by_row_blocks_matches_one_block(monkeypatch):
     G = make_group(3, 1, 2, "mixed", "gl")
-    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 2**40)  # W and Zmat in one block
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 2**40)  # all rows t in one block
     whole = dixon.lift_table(G)[0]
-    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 1)  # one row t, one column i per block
+    monkeypatch.setattr(dixon, "_BLOCK_BYTES", 1)  # one row t per block
     assert (dixon.lift_table(G)[0] == whole).all()
 
 
 def test_lift_table_memory_is_not_quadratic_in_the_exponent():
-    """SL2(F_13) has e = 1092 and a 0.64 MiB table; the lift's peak stays
-    below two dense e x e float64 arrays (18.2 MiB), since Zmat is formed a
-    block of columns at a time."""
+    """SL2(F_13) has e = 1092, phi(e) = 288 and a 0.64 MiB table; once the
+    caches are filled by a first call, the lift's peak stays within six
+    tables.  The multiplicity lift, with its (n^2, e) sums and e x e
+    inverse Fourier blocks, peaked at 17 tables."""
     G = make_group(13, 1, 1, "mixed", "sl")
-    e = G.conjugacy().exponent
+    cd = G.conjugacy()
+    e = cd.exponent
     assert e == 1092
+    dixon.lift_table(G)
     tracemalloc.start()
     try:
         dixon.lift_table(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * e * e * 8
+    assert peak < 6 * cd.n_classes**2 * phi(e) * 8
+
+
+def _lift_table_by_multiplicities(group):
+    """The former `lift_table`: the multiplicity of each e-th root w^a as an
+    eigenvalue of z_k, by the inverse Fourier sum over its power orbit, then
+    the exact product of the multiplicities with `zeta_powers`."""
+    Xl, degrees, l, cd = dixon.character_table_mod_l(group)
+    n, e = cd.n_classes, cd.exponent
+    w = pow(primitive_root(l), (l - 1) // e, l)
+    einv = inv_mod(e, l)
+    zinv = np.array([pow(w, -m, l) * einv % l for m in range(e)], dtype=np.float64)
+    a = np.arange(e)
+    # mult[t k, a] = (1/e) sum_i chi_t(z_k^i) w^(-a i)
+    W = Xl.astype(np.float64)[:, cd.power_map()].reshape(n * n, e)
+    mult = matmul_mod(W, zinv[np.multiply.outer(a, a) % e], l)
+    assert (mult.reshape(n, n, e).sum(axis=2) == degrees[:, None]).all()
+    coeffs = exact_matmul(mult, zeta_powers(e), int(degrees.max()), zeta_bound(e))
+    return coeffs.astype(np.int64).reshape(n, n, phi(e)), e, degrees, cd
+
+
+@pytest.mark.parametrize(
+    "p, r, mode, flavor",
+    [
+        (3, 2, "mixed", "gl"),  # GL2(Z/9)
+        (2, 3, "equal", "gl"),  # GL2(F_2[t]/t^3)
+        (5, 2, "mixed", "sl"),
+        (13, 1, "mixed", "sl"),  # e = 1092, max|zeta_powers(e)| = 2
+        (17, 1, "mixed", "sl"),  # e = 2448
+    ],
+)
+def test_lift_table_matches_multiplicity_lift(monkeypatch, p, r, mode, flavor):
+    """Reading the values at the primitive roots off the power map and
+    interpolating gives the multiplicity lift's tensor, unsorted."""
+    G = make_group(p, 1, r, mode, flavor)
+    mod_l = dixon.character_table_mod_l(G)
+    monkeypatch.setattr(dixon, "character_table_mod_l", lambda group: mod_l)
+    coeffs, e, degrees, cd = dixon.lift_table(G)
+    ref, e_ref, degrees_ref, cd_ref = _lift_table_by_multiplicities(G)
+    assert coeffs.dtype == ref.dtype and coeffs.shape == ref.shape
+    assert (coeffs == ref).all()
+    assert e == e_ref and (degrees == degrees_ref).all() and cd is cd_ref
+
+
+def test_lift_table_refuses_a_prime_too_small_for_the_degrees(monkeypatch):
+    """Coefficients up to deg z in absolute value are their symmetric residues
+    only when 2 max(deg) z < l; at SL2(F_13), z = 2 and l = 1093."""
+    G = make_group(13, 1, 1, "mixed", "sl")
+    Xl, degrees, l, cd = dixon.character_table_mod_l(G)
+    assert (l, l % cd.exponent, zeta_bound(cd.exponent)) == (1093, 1, 2)
+    for top, refused in [(273, False), (274, True)]:  # 4 * 273 < 1093 <= 4 * 274
+        claimed = degrees.copy()
+        claimed[-1] = top
+        monkeypatch.setattr(dixon, "character_table_mod_l", lambda group: (Xl, claimed, l, cd))
+        if refused:
+            with pytest.raises(VerificationError, match="too small"):
+                dixon.lift_table(G)
+        else:
+            dixon.lift_table(G)
+
+
+def test_dixon_prime_clears_the_coefficient_bound():
+    G = make_group(13, 1, 1, "mixed", "sl")
+    e = G.conjugacy().exponent
+    assert dixon.dixon_prime(G.order, e) > 2 * isqrt(G.order) * 2
+    # e = 105 has z = 2: the bound 2 * 110 * 2 = 440 passes the prime 421 = 4 * 105 + 1
+    assert zeta_bound(105) == 2
+    assert dixon.dixon_prime(110**2, 105) == 631
 
 
 def test_verify_rejects_table_beyond_int64_bound():
@@ -674,10 +752,11 @@ def test_table_tsv_matches_golden_dump(p, r, flavor):
 
 
 def test_tables_match_golden_digests():
-    """Each manifest table, plus SL2 (5,1,2) and (2,1,4) mixed, hashes to
-    the recorded SHA-256 of its compact sorted-key JSON dump."""
+    """Each manifest table, plus SL2 (5,1,2), (2,1,4), (13,1,1) and
+    (17,1,1) mixed, hashes to the recorded SHA-256 of its compact
+    sorted-key JSON dump."""
     golden = json.loads((Path(__file__).parent / "data" / "table-digests.json").read_text())
-    assert len(golden) == 26
+    assert len(golden) == 28
     for key, digest in golden.items():
         p, k, r, mode, flavor = re.fullmatch(r"p(\d+)k(\d+)r(\d+)-(\w+)-(\w+)", key).groups()
         tab = character_table(make_group(int(p), int(k), int(r), mode, flavor))

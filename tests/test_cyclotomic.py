@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dl2.cyclotomic import (
     phi,
     split_primes,
     substitute,
+    zeta_bound,
     zeta_powers,
 )
 from dl2.rings import is_prime
@@ -106,7 +108,40 @@ def test_zeta_powers_rows():
         # row j evaluated at exp(2 pi i / e) is exp(2 pi i j / e)
         z = np.exp(2j * np.pi * np.arange(phi(e)) / e)
         assert np.allclose(Z @ z, np.exp(2j * np.pi * np.arange(e) / e))
-    assert int(np.abs(zeta_powers(105)).max()) == 2
+    assert int(np.abs(zeta_powers(105)).max()) == zeta_bound(105) == 2
+    assert zeta_bound(1092) == 2 and zeta_bound(2448) == 1
+
+
+def _zeta_powers_by_lists(e):
+    """The former `zeta_powers`: the rows as Python lists, one at a time."""
+    f = cyclotomic_poly(e)
+    rows = [[1] + [0] * (phi(e) - 1)]
+    for _ in range(e - 1):
+        lead = rows[-1][-1]
+        rows.append([a - lead * b for a, b in zip([0] + rows[-1][:-1], f)])
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 12, 105, 1092, 2448])
+def test_zeta_powers_matches_list_build(e):
+    Z = zeta_powers(e)
+    ref = _zeta_powers_by_lists(e)
+    assert Z.dtype == ref.dtype and Z.shape == ref.shape and (Z == ref).all()
+    assert not Z.flags.writeable
+
+
+def test_zeta_powers_builds_in_place():
+    """At e = 2448 (phi = 768, a 14.3 MiB table) the build holds little
+    beyond its output; the list build peaks near twice it."""
+    e = 2448
+    cyclotomic_poly(e)
+    tracemalloc.start()
+    try:
+        Z = zeta_powers.__wrapped__(e)  # a fresh build, past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * Z.nbytes
 
 
 PRODUCT_EXPONENTS = [1, 2, 3, 4, 12, 24, 60, 105, 1176]

@@ -586,6 +586,18 @@ def test_ring_tables_match_convolution_build(p, k, r, mode):
         assert (R.reduction(r2)[1] == reduction(r2)).all()
 
 
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 3), (5, 2)])
+def test_prime_galois_ring_shares_its_quotient_tables(p, r):
+    """Z/p^r (mixed, k = 1) keeps one copy of its add and mul tables: the
+    ring's are views of the quotient's."""
+    R = RingSpec(p, 1, r, "mixed")
+    assert np.shares_memory(R.add, R.quot.c_add) and np.shares_memory(R.mul, R.quot.c_mul)
+    assert np.shares_memory(R.neg, R.quot.c_neg)
+    x = np.arange(p**r, dtype=np.int64)
+    assert (R.add == np.add.outer(x, x) % p**r).all()
+    assert (R.mul == np.multiply.outer(x, x) % p**r).all()
+
+
 def _closed_form_ext(X, x, y):
     """add, neg and mul of O'_r in the former closed forms."""
     S = X.base.size
