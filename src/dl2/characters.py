@@ -125,9 +125,11 @@ class CharacterTable:
         return len(self.degrees)
 
     def verify(self):
-        """Exact orthogonality and degree identities; raises
-        VerificationError on failure."""
+        """Exact orthogonality, Galois compatibility with the power map and
+        degree identities; raises VerificationError on failure."""
         verify_orthogonality(self.coeffs, self.conjugacy, self.group.order)
+        if (self.coeffs[:, 0, 0] != self.degrees).any() or self.coeffs[:, 0, 1:].any():
+            raise VerificationError("degrees are not the values at the identity")
         if int((self.degrees.astype(object) ** 2).sum()) != self.group.order:
             raise VerificationError("sum of squared degrees is not |G|")
         if len(self.degrees) != self.conjugacy.n_classes:

@@ -54,39 +54,43 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
+from .abelian import factorise
 from .modlinalg import inv_mod, matmul_mod, primitive_root
 from .rings import is_prime
 
 
-def _poly_divmod_int(num: list, den: list):
-    """Division with remainder by a monic integer polynomial."""
-    num = list(num)
-    d = len(den) - 1
-    q = [0] * max(1, len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            q[i - d] = c
-            for j in range(d + 1):
-                num[i - d + j] -= c * den[j]
-    return q, num[:d]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(e: int) -> tuple:
-    """Integer coefficients (ascending) of the e-th cyclotomic polynomial."""
-    if e == 1:
-        return (-1, 1)
-    # (x^e - 1) / prod_{d | e, d < e} Phi_d
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
-    for d in range(1, e):
-        if e % d == 0:
-            q, r = _poly_divmod_int(num, list(cyclotomic_poly(d)))
-            if any(r):
-                raise ArithmeticError(f"Phi_{d} does not divide x^{e} - 1 exactly")
-            num = q
-    return tuple(num)
+    """Integer coefficients (ascending) of the e-th cyclotomic polynomial.
+
+    Phi_e(x) = Phi_m(x^(e/m)) for m the product of the primes of e, and
+    Phi_m = prod_{d | m} (x^d - 1)^mu(m/d).  The factors with mu = 1 are
+    multiplied in (p (x^d - 1) is p shifted by d minus p), then those with
+    mu = -1 divided out: q = p / (x^d - 1) has q_i = q_(i-d) - p_i, the
+    negated running sums of p over blocks of d coefficients, and the rest
+    of p must be what q (x^d - 1) puts there.  The arrays hold Python
+    integers, so no step can overflow."""
+    primes = list(factorise(e))
+    m = prod(primes)
+    num, dens = np.array([1], dtype=object), []
+    for bits in range(1 << len(primes)):
+        chosen = [q for i, q in enumerate(primes) if bits >> i & 1]
+        d = m // prod(chosen)  # mu(m/d) = (-1)^len(chosen)
+        if len(chosen) % 2:
+            dens.append(d)
+        else:
+            pad = np.zeros(d, dtype=object)
+            num = np.concatenate([pad, num]) - np.concatenate([num, pad])
+    for d in dens:
+        top = len(num) - d  # coefficients of q
+        blocks = np.concatenate([num[:top], np.zeros(-top % d, dtype=object)]).reshape(-1, d)
+        q = -np.cumsum(blocks, axis=0).ravel()[:top]
+        if (num[top:] != q[top - d :]).any():
+            raise ArithmeticError(f"x^{d} - 1 does not divide the product for Phi_{e}")
+        num = q
+    out = np.zeros((len(num) - 1) * (e // m) + 1, dtype=object)
+    out[:: e // m] = num
+    return tuple(int(c) for c in out)
 
 
 @lru_cache(maxsize=None)
@@ -94,17 +98,29 @@ def phi(e: int) -> int:
     return len(cyclotomic_poly(e)) - 1
 
 
+def _zeta_rows(e: int):
+    """The rows of `zeta_powers(e)` in order, each x times the one before
+    mod Phi_e (x^phi(e) = -(f_0 + ... + f_(phi(e)-1) x^(phi(e)-1))), in one
+    int64 buffer that every step overwrites."""
+    f = np.array(cyclotomic_poly(e)[:-1], dtype=np.int64)
+    row = np.zeros(len(f), dtype=np.int64)
+    row[0] = 1
+    yield row
+    for _ in range(1, e):
+        lead = int(row[-1])
+        row[1:] = row[:-1]
+        row[0] = 0
+        row -= lead * f
+        yield row
+
+
 @lru_cache(maxsize=None)
 def zeta_powers(e: int) -> np.ndarray:
     """Read-only int64 array of shape (e, phi(e)) whose row j holds the
     canonical coefficients of zeta_e^j, i.e. of x^j mod Phi_e."""
-    f = np.array(cyclotomic_poly(e)[:-1], dtype=np.int64)
-    out = np.zeros((e, len(f)), dtype=np.int64)
-    out[0, 0] = 1
-    for j in range(1, e):
-        # x * row, with x^phi(e) = -(f_0 + ... + f_{phi(e)-1} x^(phi(e)-1))
-        out[j, 1:] = out[j - 1, :-1]
-        out[j] -= out[j - 1, -1] * f
+    out = np.empty((e, phi(e)), dtype=np.int64)
+    for j, row in enumerate(_zeta_rows(e)):
+        out[j] = row
     out.flags.writeable = False
     return out
 
@@ -112,9 +128,8 @@ def zeta_powers(e: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def zeta_bound(e: int) -> int:
     """max|zeta_powers(e)|, the largest absolute canonical coefficient of an
-    e-th root of unity."""
-    Z = zeta_powers(e)
-    return max(int(Z.max()), -int(Z.min()))
+    e-th root of unity, taken row by row with nothing kept."""
+    return max(int(np.abs(row).max()) for row in _zeta_rows(e))
 
 
 # -- the evaluation-domain product --------------------------------------------
@@ -154,6 +169,14 @@ def split_primes(e: int, inner: int, bound: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _root(e: int, l: int) -> int:
+    """w = g^((l - 1) / e) mod l, for g the least primitive root mod a prime
+    l = 1 (mod e): a root of unity of order e, the first root of
+    `_evaluation_matrices`."""
+    return pow(primitive_root(l), (l - 1) // e, l)
+
+
+@lru_cache(maxsize=None)
 def _evaluation_matrices(e: int, l: int):
     """(V, Vinv), residues mod l as float64, for l a prime = 1 (mod e).
 
@@ -164,7 +187,7 @@ def _evaluation_matrices(e: int, l: int):
     Phi_e'(r_j)) mod l, so values times Vinv is the coefficient row again.
     """
     d = phi(e)
-    w = pow(primitive_root(l), (l - 1) // e, l)
+    w = _root(e, l)
     r = np.array([pow(w, k, l) for k in range(1, e + 1) if gcd(k, e) == 1], dtype=np.int64)
     V = np.ones((d, d), dtype=np.int64)
     for a in range(1, d):

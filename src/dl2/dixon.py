@@ -7,12 +7,17 @@ by its residue (see `dixon_prime`).
 
 Stages:
   1. class matrices M_i with (M_i)[j, k] = #{x in C_i : x^-1 z_k in C_j},
-     built lazily, cheapest classes first (cost |C_i| per column);
-  2. common eigenvector splitting of the commuting family {M_i} over F_l:
-     one product per M_i for the rows of all open blocks together; a block
-     on which M_i acts as a scalar passes through, and only the others take
-     the Krylov path: the eigenvalues are the roots of Krylov relations, then
-     one nullspace per eigenvalue gives its eigenspace;
+     each built once and added into a few seeded elements sum_i c_i M_i
+     of the class algebra (cost |C_i| per column);
+  2. common eigenvector splitting over F_l by those elements: one product
+     per element for the rows of all open blocks together; a block on
+     which it acts as a scalar passes through, and each other block takes
+     the Krylov path: the eigenvalues are the roots of the minimal
+     polynomials of seeded sequences u . op^a w (Berlekamp-Massey), and
+     one product of the quotients f / (x - lam_j) with the powers op^a w
+     gives every eigenspace, complete once their dimensions sum to the
+     block's; rows still together are split by the class matrices one at a
+     time;
   3. normalisation of eigenvectors to central characters, then degrees by
      search: the one d <= isqrt(|G|) whose square has the right residue;
   4. lifting by the Galois action: chi(g^m) = sigma_m(chi(g)), so the
@@ -20,9 +25,11 @@ Stages:
      of the mod-l table read through the power map, and one interpolation
      (`cyclotomic._evaluation_matrices`) gives its canonical coefficients
      in Z[zeta_e];
-  5. verification of both orthogonality relations over Z[zeta_e], checked
-     on the values at the primitive e-th roots of unity modulo split primes,
-     with no CRT rebuild (`verify_orthogonality`).
+  5. verification over Z[zeta_e] (`verify_orthogonality`): Galois
+     compatibility sigma_m(chi(g)) = chi(g^m) with the group's power map,
+     once, at one split prime; then both orthogonality relations at one
+     primitive e-th root per split prime, which compatibility makes enough,
+     with no CRT rebuild.
 
 No tolerance anywhere; every verification is an integer identity.  The
 products mod l are float64 BLAS products of residues (`modlinalg.matmul_mod`),
@@ -34,20 +41,28 @@ and the verification hold their float64 arrays a block at a time, sized by
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from .cyclotomic import _evaluation_matrices, phi, split_primes, zeta_bound
+from .cyclotomic import _evaluation_matrices, _root, phi, split_primes, zeta_bound
 from .groups import ConjugacyData, MatrixGroup
-from .modlinalg import inv_mod, krylov_relation, matmul_mod, nullspace, poly_roots, reduce_mod
+from .modlinalg import inv_mod, matmul_mod, min_poly, poly_roots, reduce_mod, rref
 from .rings import is_prime
 
 MODULUS_SEARCH_BOUND = 30_000_000
 
-# Bytes of the float64 block that `lift_table` (values of a block of rows t
-# at all roots) and `verify_orthogonality` (values at a block of roots) hold
-# at a time.
+# Bytes of the float64 block that `lift_table` and `verify_orthogonality`
+# hold at a time: values of a block of rows t at all roots, or of the whole
+# table at a block of roots.
 _BLOCK_BYTES = 2**21
+
+# Seeded class-algebra elements built in the one pass over the class
+# matrices, start vectors in a first round, and rounds before "operator not
+# split" (see `character_table_mod_l`, `_eigenspaces`).
+_WEIGHTS = 2
+_START = 8
+_ROUNDS = 8
 
 
 class ModulusSearchError(RuntimeError):
@@ -105,7 +120,109 @@ def class_matrix(group: MatrixGroup, cd: ConjugacyData, i: int) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=n * n).reshape(n, n)
 
 
-def _split_blocks(blocks, M, l):
+def _class_algebra_elements(group: MatrixGroup, cd: ConjugacyData, l: int, rng, count: int):
+    """`count` seeded elements sum_i c_i M_i of the class algebra, each
+    over all the class matrices with weights c_i drawn from F_l, as (n, n)
+    int64 residues mod l.  Every class matrix is built once, by
+    `class_matrix`, and added into all the sums.
+
+    Exactness.  Column k of sum_i M_i counts every x in G once, at the
+    class of x^-1 z_k, so sum_i M_i[j, k] = |C_j|.  The terms c_i M_i[j, k]
+    are nonnegative, so every partial sum of an entry is at most (l - 1)
+    |C_j| <= (l - 1) |G|, below 2^63 by the guard."""
+    n = cd.n_classes
+    if (l - 1) * group.order >= 2**63:
+        raise OverflowError(f"int64 overflow risk: (l - 1) |G| = {(l - 1) * group.order} >= 2^63")
+    weights = _draw(rng, (count, n), l).astype(np.int64)
+    acc = np.zeros((count, n, n), dtype=np.int64)
+    term = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        M = class_matrix(group, cd, i)
+        for A, c in zip(acc, weights[:, i]):
+            A += np.multiply(M, c, out=term)
+    return list(acc % l)
+
+
+def _draw(rng, shape, l: int) -> np.ndarray:
+    """Seeded residues mod l, float64, of the given shape, from
+    `rng.randbytes`; no proof uses how they are distributed."""
+    raw = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return (raw % np.uint64(l)).astype(np.float64).reshape(shape)
+
+
+def _eigenspaces(op: np.ndarray, l: int, rng):
+    """The eigenspaces of op, a (d, d) array of residues, over F_l: a list
+    of (N, piv), ascending in the eigenvalue, with the rows of N a basis
+    and N[:, piv] the identity; VerificationError("operator not split")
+    when op is not diagonalisable over F_l.
+
+    Each round adds a batch of seeded random start vectors w (min(d,
+    `_START`), then as many again as all before) and their powers op^a w,
+    a < 2d.  A product with op costs about the same for one start vector as
+    for eight, as reading op dominates.
+      * Roots.  A seeded functional u of all the batches gives the sequence
+        u . (op^a w)_w, and Berlekamp-Massey its minimal polynomial f_u from
+        its 2d terms, as its degree is at most d.  f_u divides the minimal
+        polynomial of op, so when op is diagonalisable over F_l, f_u is a
+        product of distinct linear factors; f_u with fewer distinct roots
+        in F_l than its degree proves op not split.  The roots of every
+        f_u are pooled into f = prod (x - lam), with a new functional until
+        f(op) w = 0 for every start vector (one product).
+      * Eigenvectors.  Then g_j(op) w for the quotient g_j = f / (x -
+        lam_j) satisfies (op - lam_j) g_j(op) w = f(op) w = 0: it lies in
+        the eigenspace E_j.  For all j and all start vectors this is one
+        product of the quotients' coefficients with the powers.
+      * Dimension count.  The found spaces F_j, spanned by those vectors,
+        lie in the E_j, which are independent; so when their dimensions sum
+        to d, so do those of the E_j, op is diagonalisable, and F_j = E_j.
+        This ends the search; it is the only way it succeeds.
+    A split operator fails to close the count in a round only when an
+    eigenspace holds more dimensions than there are start vectors, and
+    its roots are missed only when each of `_ROUNDS` functionals misses
+    one (probability at most d l^-_ROUNDS); after `_ROUNDS` rounds, or
+    functionals, op is refused as not split.
+
+    Every product is a `matmul_mod` or a `min_poly` of residues, exact
+    under their guards; the synthetic division multiplies two residues in
+    int64, as does `rref`."""
+    d = len(op)
+    opT = op.T.astype(np.float64)
+    lams = set()
+    for r in range(_ROUNDS):
+        W = np.empty((2 * d, min(d, _START) << max(0, r - 1), d))
+        W[0] = _draw(rng, W.shape[1:], l)
+        for a in range(1, 2 * d):
+            W[a] = matmul_mod(W[a - 1], opT, l)
+        # P[a, w] = op^a w, one start vector w per row
+        P = W if r == 0 else np.concatenate([P, W], axis=1)
+        flat = P.reshape(2 * d, -1)
+        for _ in range(_ROUNDS):
+            f_u = min_poly(matmul_mod(flat, _draw(rng, flat.shape[1:], l), l).astype(np.int64), l)
+            roots = poly_roots(f_u, l)
+            if len(roots) < len(f_u) - 1:
+                raise VerificationError("operator not split")
+            lams.update(roots)
+            lam = np.array(sorted(lams), dtype=np.int64)
+            k = len(lam)
+            f = np.ones(1, dtype=np.int64)
+            for x in lam:
+                f = (np.concatenate([[0], f]) - x * np.concatenate([f, [0]])) % l
+            if not matmul_mod(f[None].astype(np.float64), flat[: k + 1], l).any():
+                break
+        else:
+            raise VerificationError("operator not split")
+        # G[a, j]: coefficient a of f / (x - lam_j), by synthetic division
+        G = np.ones((k, k), dtype=np.int64)
+        for a in range(k - 1, 0, -1):
+            G[a - 1] = (f[a] + lam * G[a]) % l
+        X = matmul_mod(G.T.astype(np.float64), flat[:k], l).astype(np.int64).reshape(k, -1, d)
+        spaces = [(R, piv) for R, piv in (rref(x, l) for x in X) if piv]
+        if sum(len(piv) for _, piv in spaces) == d:
+            return spaces
+    raise VerificationError("operator not split")
+
+
+def _split_blocks(blocks, M, l, rng=None):
     """Refine invariant blocks under M.
 
     A block is (B, cols), a row basis B with B[:, cols] the identity, so the
@@ -114,12 +231,14 @@ def _split_blocks(blocks, M, l):
     block whose rows all have Y_i = lam S_i (mod l), for one lam, passes
     unchanged: that is exactly "invariant, and M acts on it as the scalar
     lam", since R = Y[:, cols] = lam I gives R B = lam B = Y, and R B = Y
-    with R = lam I gives Y = lam B.  On any other block, the eigenvalues
-    are the roots of the Krylov relations of the unit vectors e_0, e_1, ...,
-    taken until their eigenspaces fill the block; each eigenspace (N, free)
-    becomes the block (N B, [cols[f] for f in free]), the identity at its
-    columns again.
+    with R = lam I gives Y = lam B.  Any other block must satisfy R B = Y,
+    and is replaced by the eigenspaces of its operator (`_eigenspaces`):
+    each (N, piv) becomes the block (N B, [cols[p] for p in piv]), the
+    identity at its columns again.  `rng` draws the start vectors; by
+    default it is seeded with (n, l).
     """
+    if rng is None:
+        rng = random.Random(f"{len(M)} {l}")
     open_blocks = [(B, cols) for B, cols in blocks if B.shape[0] > 1]
     if not open_blocks:
         return list(blocks)
@@ -144,37 +263,50 @@ def _split_blocks(blocks, M, l):
         R = Y[:, cols]
         if not (matmul_mod(R, B, l) == Y).all():
             raise VerificationError("block not invariant")
-        op = R.T
-        eye = np.eye(d, dtype=np.int64)
-        spaces = {}
-        for start in range(d):
-            for lam in poly_roots(krylov_relation(op, eye[start], l), l):
-                if lam not in spaces:
-                    spaces[lam] = nullspace((op - lam * eye) % l, l)
-            if sum(len(free) for _, free in spaces.values()) == d:
-                break
-        else:
-            raise VerificationError("operator not split")
-        for N, free in spaces.values():
-            out.append((matmul_mod(N, B, l), [cols[f] for f in free]))
+        spaces = _eigenspaces(R.T, l, rng)
+        NB = matmul_mod(np.vstack([N for N, _ in spaces]), B, l)
+        lo = 0
+        for N, piv in spaces:
+            out.append((NB[lo : lo + len(N)], [cols[p] for p in piv]))
+            lo += len(N)
     return out
 
 
 def character_table_mod_l(group: MatrixGroup):
     """Mod-l character values: (Xl, degrees, l, cd) with Xl[t, k] =
-    chi_t(z_k) mod l, and l = `dixon_prime(|G|, e)`."""
+    chi_t(z_k) mod l, and l = `dixon_prime(|G|, e)`.
+
+    The blocks are split by `_WEIGHTS` seeded elements of the class algebra
+    (`_class_algebra_elements`, one pass over the class matrices), drawn
+    from one `random.Random` seeded with (n, l), so two calls give the same
+    blocks.  Each block `_split_blocks` leaves is a whole common
+    eigenspace of the elements used, so a one-dimensional block is
+    invariant under the commutative class algebra: a common eigenvector of
+    every M_i.  Rows whose eigenvalues collide under every element (two
+    given rows do with probability 1/l per element) are split by the class
+    matrices one at a time; a block that all of them act on as scalars is
+    a common eigenspace of dimension above one, and the table did not
+    split mod l."""
     cd = group.conjugacy()
     n = cd.n_classes
     l = dixon_prime(group.order, cd.exponent)
+    rng = random.Random(f"{n} {l}")
 
     blocks = [(np.eye(n, dtype=np.int64), list(range(n)))]
-    order_of_use = sorted(range(1, n), key=lambda i: (int(cd.sizes[i]), i))
-    for i in order_of_use:
-        if all(B.shape[0] == 1 for B, _ in blocks):
+
+    def split():
+        return all(B.shape[0] == 1 for B, _ in blocks)
+
+    for M in _class_algebra_elements(group, cd, l, rng, _WEIGHTS):
+        if not split():
+            blocks = _split_blocks(blocks, M, l, rng)
+    # a block that every element acts on as a scalar: each class matrix in
+    # turn, cheapest first, until all are split or none is left
+    for i in sorted(range(1, n), key=lambda i: (int(cd.sizes[i]), i)):
+        if split():
             break
-        M = class_matrix(group, cd, i) % l
-        blocks = _split_blocks(blocks, M, l)
-    if not all(B.shape[0] == 1 for B, _ in blocks):
+        blocks = _split_blocks(blocks, class_matrix(group, cd, i) % l, l, rng)
+    if not split():
         raise VerificationError("table did not split")
 
     V = np.vstack([B for B, _ in blocks]) % l
@@ -214,9 +346,7 @@ def lift_table(group: MatrixGroup):
     if 2 * int(degrees.max()) * zeta_bound(e) >= l:
         raise VerificationError(f"l = {l} is too small to lift degree {int(degrees.max())}")
     _, Vinv = _evaluation_matrices(e, l)
-    # the m_j, ascending as in `_evaluation_matrices` (at e = 1, w^0 = w = 1)
-    m = [a for a in range(e) if math.gcd(a, e) == 1]
-    cols = cd.power_map()[:, m]
+    cols = cd.power_map()[:, _unit_exponents(e)]
     Xf = Xl.astype(np.float64)
     coeffs = np.empty((n, n, d), dtype=np.int64)
     step = max(1, _BLOCK_BYTES // (8 * n * d))
@@ -229,21 +359,99 @@ def lift_table(group: MatrixGroup):
     return coeffs, e, degrees, cd
 
 
-def _relation_residues(R, sizes, inverse_class, targets, V, l):
+def _unit_exponents(e: int) -> list[int]:
+    """The m_j coprime to e, ascending, so that r_j = w^(m_j) are the roots
+    of `_evaluation_matrices` in its order (at e = 1, w^0 = w = 1)."""
+    return [a for a in range(e) if math.gcd(a, e) == 1]
+
+
+def _values(coeffs: np.ndarray, V: np.ndarray, l: int) -> np.ndarray:
+    """The values mod l of a (rows, n, d) int64 block of coefficient rows at
+    the roots of the columns of V, as a (rows, n, columns) float64 array.
+    Coefficients below 2^53 reduce exactly (`reduce_mod`), and each value
+    sums d products of residues: exact when d (l - 1)^2 < 2^53."""
+    rows, n, d = coeffs.shape
+    return matmul_mod(reduce_mod(coeffs.reshape(rows * n, d), l), V, l).reshape(rows, n, -1)
+
+
+def _galois_refusal(coeffs, cd, pm, l: int, x: int):
+    """Why the table C = coeffs cannot be shown to satisfy sigma_m(C) = C o
+    pi_m, pi_m = pm[:, m], for every unit m, or None when it can.
+
+    First, each pi_m must permute the classes and keep class sizes,
+    centralizer orders and inverses; that is checked on pm directly.  Then,
+    at the prime l, the table's values at every primitive root r_j =
+    w^(m_j) are compared with vals[t, k, j] == vals[t, pi_(m_j)(k), 0], in
+    row blocks of t.
+
+    Why this is exact.  Let D = sigma_m(C[t, k]) - C[t, pi_m(k)].  The
+    evaluation a -> a(r) at a root r mod l is a ring map, and sigma_m
+    followed by it is the evaluation at r^m, so with r_i^m = r_i' and the
+    comparison at k and at pi_m(k),
+      D(r_i) = vals[t, k, i'] - vals[t, pi_m(k), i]
+             = vals[t, pi_(m_i m)(k), 0] - vals[t, pi_(m_i)(pi_m(k)), 0] = 0,
+    since pm[pm[k, a], b] = pm[k, ab]: the class of (g^a)^b is that of
+    g^(ab), as pm comes from the group.  Zero at every root makes every
+    coefficient of D divisible by l (the evaluation at the roots is an
+    isomorphism Z[zeta_e]/l -> F_l^d).  Those of sigma_m(C[t, k]) are at
+    most d x z (`cyclotomic.substitute`) and those of C at most x, so with
+    2 (d x z + x) < l each coefficient of D is 0: sigma_m(C) = C o pi_m
+    holds in Z[zeta_e]."""
+    n, _, d = coeffs.shape
+    if not (
+        (np.sort(pm, axis=0) == np.arange(n)[:, None]).all()
+        and (cd.sizes[pm] == cd.sizes[:, None]).all()
+        and (cd.centralizer_orders[pm] == cd.centralizer_orders[:, None]).all()
+        and (cd.inverse_class[pm] == pm[cd.inverse_class]).all()
+    ):
+        return "power map does not preserve the classes, their sizes, centralizers and inverses"
+    if 2 * (d * x * zeta_bound(cd.exponent) + x) >= l:
+        return f"l = {l} is too small to check Galois compatibility"
+    V, _ = _evaluation_matrices(cd.exponent, l)
+    step = max(1, _BLOCK_BYTES // (8 * n * d))
+    for lo in range(0, n, step):
+        vals = _values(coeffs[lo : lo + step], V, l)
+        if not (vals == vals[:, :, 0][:, pm]).all():
+            return "character values are not Galois-compatible with the power map"
+    return None
+
+
+def _relations_at_r0(coeffs, cd, order: int, l: int) -> bool:
+    """Whether P1 - T1 and P2 - T2 of `verify_orthogonality` vanish mod l at
+    the root r_0 = w of `_evaluation_matrices` (its first root, as m_0 = 1
+    or e = 1): two n x n products of the values at r_0, which are taken
+    from row blocks of the table; each sums n products of residues."""
+    n, _, d = coeffs.shape
+    w = _root(cd.exponent, l)
+    powers = np.empty((d, 1))
+    powers[0] = 1
+    for a in range(1, d):
+        powers[a] = powers[a - 1] * w % l
+    step = max(1, _BLOCK_BYTES // (8 * n * d))
+    vals = np.concatenate([_values(coeffs[lo : lo + step], powers, l)[:, :, 0] for lo in range(0, n, step)])
+    conj = vals[:, cd.inverse_class]  # chi_t(g_k^-1)
+    P1 = matmul_mod(reduce_mod(vals * (cd.sizes % l), l), conj.T, l)  # products below l^2 < 2^53
+    P2 = matmul_mod(vals.T, conj, l)
+    eye = np.eye(n, dtype=bool)
+    return (P1 == np.where(eye, order % l, 0)).all() and (P2 == np.diag(cd.centralizer_orders % l)).all()
+
+
+def _relation_residues(coeffs, sizes, inverse_class, targets, V, l):
     """Per block of the roots of V (`cyclotomic._evaluation_matrices`):
     (lo, (P1 - T1, P2 - T2)), the values mod l of both relations of
     `verify_orthogonality` minus their targets, at roots lo, lo + 1, ...,
     as (roots, n, n) float64 stacks of integers in (-l, l).
 
-    R is the (n n, d) table of coefficient residues mod l, so an entry of R
-    times a column of V sums d products of residues; the relation products
-    sum n.  Both are exact below 2^53, for the primes of `split_primes(e,
-    max(n, d), ...)`."""
-    n = len(sizes)
-    d = V.shape[0]
+    The values at the roots of a block come from row blocks of the table
+    (`_values`, d terms each); the relation products sum n.  Both are exact
+    below 2^53, for the primes of `split_primes(e, max(n, d), ...)`."""
+    n, _, d = coeffs.shape
     step = max(1, _BLOCK_BYTES // (8 * n * n))
+    rows = max(1, _BLOCK_BYTES // (8 * n * d))
     for lo in range(0, d, step):
-        vals = matmul_mod(V[:, lo : lo + step].T, R.T, l).reshape(-1, n, n)
+        vals = np.concatenate(
+            [_values(coeffs[t : t + rows], V[:, lo : lo + step], l) for t in range(0, n, rows)]
+        ).transpose(2, 0, 1)
         conj = vals[:, :, inverse_class]  # chi_t(g_k^-1) at each root
         vals_w = vals * sizes  # each below (l - 1)^2
         P1 = matmul_mod(reduce_mod(vals_w, l, out=vals_w), conj.transpose(0, 2, 1), l)
@@ -256,34 +464,50 @@ def _relation_residues(R, sizes, inverse_class, targets, V, l):
 
 
 def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
-    """Exact first and second orthogonality over Z[zeta_e].
+    """Exact first and second orthogonality over Z[zeta_e], and Galois
+    compatibility of the table with the group's power map.
 
     For the (characters, classes) table C and chi(g^-1) = conj chi(g), the
     relations are P1 = C diag(|C_k|) C[:, inv]^T = |G| I = T1, that is
     sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) = |G| [i = j], and P2 = C^T C[:,
     inv] = diag(|C_G(g_k)|) = T2, products over Z[zeta_e] whose targets are
-    rational.  They are checked on the values at the primitive e-th roots
-    modulo split primes: no interpolation and no CRT rebuild.
+    rational.  They are checked on the values at the root r_0 = w of
+    `_evaluation_matrices` modulo split primes: no interpolation and no CRT
+    rebuild.
 
     Exactness.  By `cyclotomic.matmul`'s bound, with x = max|C| and y = x
     max|C_k|, every canonical coefficient of P1 (factors at most y and x)
     and of P2 (factors at most x) is at most B = (2d - 1) z d n x y, d =
     phi(e); those of the targets are at most |G|, so those of P - T are at
-    most B + |G|.
-    The primes l are `split_primes(e, max(n, d), B + |G|)`, with product
-    M > 2 (B + |G|).  At each l, evaluation a -> (a(r_j))_j at the
-    primitive e-th roots r_j mod l is a ring isomorphism Z[zeta_e]/l ->
-    F_l^d (see `cyclotomic`), so P(r_j) is the product of the values of C
-    at r_j, computed as float64 products of residues that `split_primes`
-    keeps exact, and T(r_j) = T mod l.  Agreement at every r_j thus gives
-    P = T in Z[zeta_e]/l: every coefficient of P - T is divisible by l.
-    Over all the primes it is divisible by M, and at most B + |G| < M/2 in
-    absolute value, hence zero: P = T in Z[zeta_e].  A table with B >=
-    2^63 is not verified (the ladder of `split_primes` ends at 2^64).
+    most B + |G|.  The primes l are `split_primes(e, max(n, d), B + |G|)`,
+    with product M > 2 (B + |G|).  A table with B >= 2^63 is not verified
+    (the ladder of `split_primes` ends at 2^64).
+      * Galois compatibility.  `_galois_refusal`, once, at the largest
+        prime, proves sigma_m(C) = C o pi_m for every unit m, pi_m =
+        pm[:, m] a permutation of the classes that keeps sizes, centralizer
+        orders and inverses.
+      * P1 is an integer matrix.  sigma_m(P1)[i, j] = sum_k |C_k| C[i,
+        pi_m k] C[j, inv pi_m k] = P1[i, j], reindexing by pi_m; fixed by
+        every sigma_m, P1 is rational, and integral.  So P1(r_0) = P1 mod l
+        at each prime, and P1(r_0) = T1 mod l at every prime makes P1 - T1
+        divisible by M; at most B + |G| < M/2 in absolute value, it is 0.
+      * P2 at one root.  sigma_m(P2) = P2[pi_m][:, pi_m] likewise, and T2
+        is kept by pi_m; so (P2 - T2)(r_j) = (P2 - T2)[pi_j][:, pi_j](r_0),
+        with pi_j = pi_(m_j), and zero at r_0 is zero at every root.  The
+        evaluation at the roots is a ring isomorphism Z[zeta_e]/l -> F_l^d
+        (see `cyclotomic`), so every coefficient of P2 - T2 is divisible by
+        l, over all the primes by M, and it is 0 as for P1.
+    Each relation is then one n x n product of residues per prime, float64
+    and exact as `split_primes` keeps n (l - 1)^2 < 2^53.
 
-    On a mismatch, coefficient 0 of the residual P - T mod l is sum_j (P -
-    T)(r_j) Vinv[j, 0], by interpolation; the failure is reported as in
-    the constant term when that is nonzero, else in the irrational part.
+    On any failure the relations are checked at every primitive root
+    (`_relation_residues`), where agreement at every r_j gives P = T in
+    Z[zeta_e]/l directly, so the verdict and its message are those of the
+    CRT-rebuilt products: coefficient 0 of the residual P - T mod l is
+    sum_j (P - T)(r_j) Vinv[j, 0], by interpolation, and the failure is
+    reported as in the constant term when that is nonzero, else in the
+    irrational part.  A table that satisfies both relations but not Galois
+    compatibility is refused with the reason.
     """
     n, _, d = coeffs.shape
     e = cd.exponent
@@ -295,11 +519,13 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
         primes = split_primes(e, max(n, d), bound + order)
     except OverflowError as exc:
         raise VerificationError(str(exc)) from exc
+    # |C| <= x < 2^32, as x^2 <= B < 2^63
+    refusal = _galois_refusal(coeffs, cd, cd.power_map()[:, _unit_exponents(e)], primes[0], x)
+    if refusal is None and all(_relations_at_r0(coeffs, cd, order, l) for l in primes):
+        return
     for l in primes:
         V, Vinv = _evaluation_matrices(e, l)
-        # |C| <= x < 2^32, as x^2 <= B < 2^63
-        R = reduce_mod(coeffs.reshape(n * n, d), l)
-        args = (R, cd.sizes % l, cd.inverse_class, (order % l, cd.centralizer_orders % l), V, l)
+        args = (coeffs, cd.sizes % l, cd.inverse_class, (order % l, cd.centralizer_orders % l), V, l)
         for _, (res1, res2) in _relation_residues(*args):
             if res1.any() or res2.any():
                 which = 0 if res1.any() else 1
@@ -310,3 +536,6 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
                 )
                 part = "constant term" if (c0 % l).any() else "irrational part"
                 raise VerificationError(f"orthogonality failed ({part})")
+    # both relations hold at every root of every prime, so the check at r_0
+    # passed and the refusal is set
+    raise VerificationError(refusal)

@@ -199,6 +199,7 @@ class ConjugacyData:
         inv_reps = sp.inv(self.reps)
         self.inverse_class = class_of[inv_reps].astype(np.int64)
         self._group = group
+        self._power_map = None
         self.rep_orders = np.zeros(self.n_classes, dtype=np.int64)
         cur, a = self.reps, 1  # cur = reps ** a
         while not self.rep_orders.all():
@@ -208,14 +209,18 @@ class ConjugacyData:
         self.exponent = lcm(*(int(o) for o in self.rep_orders))
 
     def power_map(self) -> np.ndarray:
-        """pm[k, a] = class index of rep_k ** a for a in [0, exponent)."""
-        sp = self._group.space
-        pm = np.empty((self.n_classes, self.exponent), dtype=np.int64)
-        cur = np.full(self.n_classes, sp.identity, dtype=np.int64)
-        for a in range(self.exponent):
-            pm[:, a] = self.class_of[cur]
-            cur = sp.mul(cur, self.reps)
-        return pm
+        """pm[k, a] = class index of rep_k ** a for a in [0, exponent), as a
+        read-only array built on the first call."""
+        if self._power_map is None:
+            sp = self._group.space
+            pm = np.empty((self.n_classes, self.exponent), dtype=np.int64)
+            cur = np.full(self.n_classes, sp.identity, dtype=np.int64)
+            for a in range(self.exponent):
+                pm[:, a] = self.class_of[cur]
+                cur = sp.mul(cur, self.reps)
+            pm.flags.writeable = False
+            self._power_map = pm
+        return self._power_map
 
 
 class MatrixGroup:

@@ -1,4 +1,5 @@
-"""Dense linear algebra and polynomial roots modulo a prime.
+"""Dense linear algebra, minimal polynomials of sequences and polynomial
+roots modulo a prime.
 
 Residues are numpy int64, or float64 holding integers.  Matrix products go
 through `exact_matmul`, one float64 BLAS product whose exactness it checks,
@@ -70,44 +71,34 @@ def inv_mod(a: int, l: int) -> int:
 
 
 def rref(A: np.ndarray, l: int):
-    """Reduced row echelon form mod l: returns (R, pivot column list)."""
+    """Reduced row echelon form mod l: returns (R, pivot column list).
+
+    Each pivot is the first column in which a row not yet used has a
+    nonzero entry; those rows vanish left of it, so the pivots come out in
+    the order of a left-to-right column scan, and the loop runs once per
+    pivot."""
     R = A.copy() % l
-    rows, cols = R.shape
     pivots = []
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
+    for rank in range(R.shape[0]):
+        nz = np.flatnonzero(R[rank:].any(axis=0))
+        if not len(nz):
             break
-        col = R[rank:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        pr = rank + int(nz[0])
+        c = int(nz[0])
+        pr = rank + int(np.flatnonzero(R[rank:, c])[0])
         if pr != rank:
             R[[rank, pr]] = R[[pr, rank]]
         R[rank] = (R[rank] * inv_mod(int(R[rank, c]), l)) % l
-        other = np.nonzero(R[:, c])[0]
+        other = np.flatnonzero(R[:, c])
         other = other[other != rank]
         if len(other):
             R[other] = (R[other] - np.outer(R[other, c], R[rank])) % l
         pivots.append(c)
-        rank += 1
-    return R[:rank], pivots
-
-
-def nullspace(A: np.ndarray, l: int):
-    """Basis of {v : A v = 0} mod l: (N, free), the rows of N spanning it
-    and N[:, free] the identity (free are the non-pivot columns of A)."""
-    R, pivots = rref(A, l)
-    free = [c for c in range(A.shape[1]) if c not in pivots]
-    N = np.zeros((len(free), A.shape[1]), dtype=np.int64)
-    N[:, free] = np.eye(len(free), dtype=np.int64)
-    N[:, pivots] = -R[:, free].T % l
-    return N, free
+    return R[: len(pivots)], pivots
 
 
 def poly_roots(p, l: int) -> list[int]:
-    """All roots in F_l, by vectorised evaluation over the whole field."""
+    """All roots in F_l, ascending, by vectorised evaluation over the whole
+    field."""
     out = []
     chunk = 1_000_000
     for lo in range(0, l, chunk):
@@ -119,31 +110,35 @@ def poly_roots(p, l: int) -> list[int]:
     return out
 
 
-def krylov_relation(M: np.ndarray, v: np.ndarray, l: int) -> list[int]:
-    """Monic minimal relation of the Krylov sequence v, Mv, M^2 v, ...,
-    as ascending coefficients; M and v are residues in [0, l).
+def min_poly(seq, l: int) -> list[int]:
+    """The monic minimal polynomial of a linearly recurrent sequence s_0,
+    s_1, ... of residues mod l, as ascending coefficients f with sum_a f_a
+    s_(i + a) = 0 for every i; by Berlekamp-Massey, so it is that
+    polynomial when the sequence holds at least twice its degree terms.
 
-    The sequence grows while its next vector w is independent of the
-    previous ones K (an incremental row reduction); the relation is then
-    the one-dimensional nullspace of [K | w], whose free column is w's.
-    Each mat-vec is a `matmul_mod` product, so OverflowError is raised
-    unless len(v) * (l - 1)^2 < 2^53; that bound also keeps the int64 row
-    operations, products of two residues, exact."""
-    K, rows, pivots = [], [], []
-    w = v % l
-    while True:
-        red = w
-        for row, pc in zip(rows, pivots):
-            red = (red - red[pc] * row) % l
-        nz = np.flatnonzero(red)
-        if not len(nz):
-            break
-        K.append(w)
-        w = matmul_mod(M, w, l)  # before the first product of two residues
-        pivots.append(int(nz[0]))
-        rows.append(red * inv_mod(int(red[nz[0]]), l) % l)
-    N, _ = nullspace(np.column_stack(K + [w]), l)
-    return [int(c) for c in N[0]]
+    Each discrepancy sums at most len(seq) products of two residues in
+    int64; OverflowError is raised unless len(seq) (l - 1)^2 < 2^63."""
+    s = np.asarray(seq, dtype=np.int64) % l
+    N = len(s)
+    if N * (l - 1) ** 2 >= 2**63:
+        raise OverflowError(f"int64 exactness: {N} terms of (l - 1)^2 for l = {l}")
+    # connection polynomial C (C_0 = 1): s_i + C_1 s_(i-1) + ... + C_L s_(i-L) = 0
+    C = np.zeros(N + 1, dtype=np.int64)
+    C[0] = 1
+    B = C.copy()
+    L, m, b = 0, 1, 1
+    for i in range(N):
+        disc = int(C[: L + 1] @ s[i - L : i + 1][::-1]) % l
+        if not disc:
+            m += 1
+            continue
+        T = C.copy() if 2 * L <= i else None
+        C[m:] = (C[m:] - disc * inv_mod(b, l) % l * B[: N + 1 - m]) % l
+        if T is None:
+            m += 1
+        else:
+            L, B, b, m = i + 1 - L, T, disc, 1
+    return [int(c) for c in C[L::-1]]
 
 
 def primitive_root(l: int) -> int:

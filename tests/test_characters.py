@@ -33,19 +33,28 @@ from dl2.characters import (
     tensor_linear,
     trivial_character,
 )
-from dl2.cyclotomic import matmul, phi, split_primes, substitute, zeta_bound, zeta_powers
+from dl2.cyclotomic import (
+    _evaluation_matrices,
+    matmul,
+    phi,
+    split_primes,
+    substitute,
+    zeta_bound,
+    zeta_powers,
+)
 from dl2 import dixon
 from dl2.dixon import _split_blocks
 from dl2.groups import make_group
 from dl2.modlinalg import (
     exact_matmul,
     inv_mod,
-    krylov_relation,
     matmul_mod,
-    nullspace,
     poly_roots,
     primitive_root,
+    reduce_mod,
+    rref,
 )
+from test_modlinalg import krylov_relation, nullspace
 
 
 def test_table_gl2_f2():
@@ -315,6 +324,46 @@ def test_verify_rejects_wrong_degrees():
         CharacterTable(G, parts=(tab.coeffs, tab.exponent, degs)).verify()
 
 
+def test_verify_rejects_reversed_degrees():
+    """Reversed, the degrees of GL2(F_3) keep their sum of squares, their
+    count and their divisibility; only the values at the identity differ."""
+    G = make_group(3, 1, 1, "mixed", "gl")
+    tab = character_table(G)
+    with pytest.raises(VerificationError, match="degrees are not the values at the identity"):
+        CharacterTable(G, parts=(tab.coeffs, tab.exponent, tab.degrees[::-1].copy())).verify()
+
+
+def galois_breaking_swap(tab):
+    """The first table with two columns swapped whose classes have one size
+    and are self-inverse, whose rows are not a permutation of the genuine
+    rows, and which breaks Galois compatibility: (coeffs, (a, b))."""
+    cd, n = tab.conjugacy, len(tab)
+    rows = {row.tobytes() for row in tab.coeffs}
+    pm = cd.power_map()
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            if cd.sizes[a] != cd.sizes[b] or cd.inverse_class[a] != a or cd.inverse_class[b] != b:
+                continue
+            C = tab.coeffs.copy()
+            C[:, [a, b]] = C[:, [b, a]]
+            # a column pm[a, m] != a holds a Galois conjugate that the swap
+            # does not move along
+            if {row.tobytes() for row in C} != rows and (pm[[a, b]] != np.array([[a], [b]])).any():
+                return C, (a, b)
+    raise AssertionError("no such swap")
+
+
+def test_verify_rejects_column_swap_that_keeps_orthogonality():
+    """SL2(Z/9): two same-size self-inverse classes swapped keep both
+    orthogonality relations, which the CRT reference accepts, but break
+    chi(g^m) = sigma_m(chi(g))."""
+    tab = character_table(make_group(3, 1, 2, "mixed", "sl"))
+    C, _ = galois_breaking_swap(tab)
+    assert _verdict(_verify_orthogonality_by_matmul, C, tab.conjugacy, tab.group.order) == "accepted"
+    with pytest.raises(VerificationError, match="not Galois-compatible"):
+        CharacterTable(tab.group, parts=(C, tab.exponent, tab.degrees)).verify()
+
+
 def _class_matrix_by_columns(group, cd, i):
     """The reference: one product and one count per column k."""
     sp = group.space
@@ -407,12 +456,16 @@ def _split_blocks_per_block(blocks, M, l):
     return out
 
 
-def _assert_same_blocks(got, want):
+def _assert_same_blocks(got, want, l):
+    """The same row spaces, in any order: equal reduced row echelon forms,
+    and each block the identity at its columns."""
+    def spaces(blocks):
+        for B, cols in blocks:
+            assert B.dtype == np.int64 and (B[:, cols] == np.eye(len(cols), dtype=np.int64)).all()
+        return sorted((tuple(piv), R.tobytes()) for R, piv in (rref(B, l) for B, _ in blocks))
+
     assert len(got) == len(want)
-    for (B, cols), (B_ref, cols_ref) in zip(got, want):
-        assert B.dtype == B_ref.dtype and B.shape == B_ref.shape
-        assert B.tobytes() == B_ref.tobytes()
-        assert list(cols) == list(cols_ref)
+    assert spaces(got) == spaces(want)
 
 
 @pytest.mark.parametrize(
@@ -429,7 +482,7 @@ def test_split_blocks_matches_per_block_loop(p, r, mode, flavor):
             break
         M = dixon.class_matrix(G, cd, i) % l
         new = _split_blocks(blocks, M, l)
-        _assert_same_blocks(new, _split_blocks_per_block(blocks, M, l))
+        _assert_same_blocks(new, _split_blocks_per_block(blocks, M, l), l)
         blocks = new
     assert len(blocks) == n
 
@@ -450,8 +503,8 @@ def test_split_blocks_splits_invariant_block_with_two_eigenvalues():
     B = np.array([[1, 4, 0], [0, 0, 1]], dtype=np.int64)  # B M^T = diag(3, 2) B
     blocks = [(np.eye(3, dtype=np.int64)[[1]], [1]), (B, [0, 2])]
     out = _split_blocks(blocks, M, l)
-    _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l))
-    assert [cols for _, cols in out] == [[1], [0], [2]]
+    _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l), l)
+    assert sorted(cols for _, cols in out) == [[0], [1], [2]]
     _check_eigenblocks(out, M, l)
 
 
@@ -471,12 +524,76 @@ def test_mod_l_table_rejects_class_matrices_that_are_scalars(monkeypatch):
 
 
 def test_mod_l_table_calls_krylov_only_on_blocks_that_split(monkeypatch):
+    """The Krylov search runs only on blocks that are not scalar, and each
+    run splits its block, so there are fewer runs than classes."""
     G = make_group(3, 1, 2, "mixed", "gl")
     calls = []
-    real = dixon.krylov_relation
-    monkeypatch.setattr(dixon, "krylov_relation", lambda *a: calls.append(1) or real(*a))
+    real = dixon._eigenspaces
+    monkeypatch.setattr(dixon, "_eigenspaces", lambda *a: calls.append(1) or real(*a))
     dixon.character_table_mod_l(G)
-    assert len(calls) <= 2 * G.conjugacy().n_classes
+    assert 0 < len(calls) < G.conjugacy().n_classes
+
+
+def test_mod_l_table_is_deterministic():
+    """The seeded elements and start vectors give the same blocks, hence
+    the same rows in the same order, on every call."""
+    G = make_group(2, 1, 3, "equal", "gl")
+    first, again = dixon.character_table_mod_l(G), dixon.character_table_mod_l(G)
+    assert first[0].tobytes() == again[0].tobytes() and (first[1] == again[1]).all()
+    cd = G.conjugacy()
+    M = dixon.class_matrix(G, cd, 5) % first[2]
+    blocks = [(np.eye(cd.n_classes, dtype=np.int64), list(range(cd.n_classes)))]
+    one, two = (_split_blocks(blocks, M, first[2]) for _ in range(2))
+    assert [c for _, c in one] == [c for _, c in two]
+    assert all(B.tobytes() == B2.tobytes() for (B, _), (B2, _) in zip(one, two))
+
+
+def test_class_matrices_one_at_a_time_split_what_the_elements_leave(monkeypatch):
+    """With no seeded elements every block is left to the class matrices
+    one at a time, which still give the same table rows."""
+    G = make_group(3, 1, 2, "mixed", "sl")
+    Xl, degrees, l, cd = dixon.character_table_mod_l(G)
+    monkeypatch.setattr(dixon, "_WEIGHTS", 0)
+    Xl0, degrees0, l0, _ = dixon.character_table_mod_l(G)
+    assert l0 == l and sorted(map(bytes, Xl0)) == sorted(map(bytes, Xl))
+
+
+@pytest.mark.parametrize("p, r, mode, flavor", [(3, 2, "mixed", "gl"), (2, 1, "equal", "gl")])
+def test_class_algebra_elements_are_weighted_sums_of_class_matrices(p, r, mode, flavor):
+    G = make_group(p, 1, r, mode, flavor)
+    cd = G.conjugacy()
+    l = dixon.dixon_prime(G.order, cd.exponent)
+    got = dixon._class_algebra_elements(G, cd, l, random.Random(7), 3)
+    weights = dixon._draw(random.Random(7), (3, cd.n_classes), l).astype(np.int64)
+    for A, c in zip(got, weights):
+        want = sum(ci * dixon.class_matrix(G, cd, i) for i, ci in enumerate(c)) % l
+        assert A.dtype == np.int64 and (A == want).all()
+
+
+def test_eigenspaces_fill_eigenspaces_of_every_dimension():
+    """A diagonalisable operator with an eigenvalue of multiplicity 5, more
+    than the first rounds' start vectors, conjugated to hide its basis."""
+    l = 101
+    rng = np.random.default_rng(3)
+    diag = np.array([4] * 5 + [9, 9, 17, 50], dtype=np.int64)
+    while True:
+        P = rng.integers(0, l, size=(9, 9))
+        R, piv = rref(P, l)
+        if len(piv) == 9:
+            break
+    Pinv = rref(np.hstack([P, np.eye(9, dtype=np.int64)]), l)[0][:, 9:]
+    op = P @ np.diag(diag) % l @ Pinv % l
+    spaces = dixon._eigenspaces(op, l, random.Random(0))
+    assert [len(N) for N, _ in spaces] == [5, 2, 1, 1]
+    for (N, piv), lam in zip(spaces, [4, 9, 17, 50]):
+        assert (N[:, piv] == np.eye(len(piv), dtype=np.int64)).all()
+        assert not ((op - lam * np.eye(9, dtype=np.int64)) @ N.T % l).any()
+
+
+def test_eigenspaces_refuse_an_eigenvalue_outside_the_field():
+    # x^2 + 1 has no root mod 103 (103 = 3 mod 4)
+    with pytest.raises(VerificationError, match="operator not split"):
+        dixon._eigenspaces(np.array([[0, 102], [1, 0]], dtype=np.int64), 103, random.Random(0))
 
 
 def test_lift_table_guards_int64_overflow(monkeypatch):
@@ -648,7 +765,9 @@ def _mutations(tab):
     bad[dst] = bad[src]
     yield "row copied", bad, cd
     for field in ("sizes", "centralizer_orders"):
-        fields = {f: getattr(cd, f) for f in ("sizes", "inverse_class", "centralizer_orders", "exponent")}
+        fields = {
+            f: getattr(cd, f) for f in ("sizes", "inverse_class", "centralizer_orders", "exponent", "power_map")
+        }
         fields[field] = fields[field].copy()
         fields[field][rng.randrange(n)] += 1
         yield f"one of {field}", coeffs, SimpleNamespace(**fields)
@@ -699,6 +818,54 @@ def test_verify_at_roots_one_root_per_block(monkeypatch, p, k, r, mode, flavor):
     for what, coeffs, cd in _mutations(tab):
         want = _verdict(_verify_orthogonality_by_matmul, coeffs, cd, tab.group.order)
         _assert_same_verdict(tab, what, coeffs, cd, want)
+
+
+def _verify_orthogonality_at_all_roots(coeffs, cd, order):
+    """The former `verify_orthogonality`: both relations at every primitive
+    root of every prime, from R, a float64 copy of all the coefficient
+    residues."""
+    n, _, d = coeffs.shape
+    e = cd.exponent
+    x = max(int(coeffs.max(initial=0)), -int(coeffs.min(initial=0)))
+    bound = (2 * d - 1) * zeta_bound(e) * d * n * x * x * int(cd.sizes.max())
+    if bound >= 2**63:
+        raise VerificationError(f"int64 overflow risk: Z[zeta_{e}] product bound {bound} >= 2^63")
+    try:
+        primes = split_primes(e, max(n, d), bound + order)
+    except OverflowError as exc:
+        raise VerificationError(str(exc)) from exc
+    for l in primes:
+        V, Vinv = _evaluation_matrices(e, l)
+        R = reduce_mod(coeffs.reshape(n * n, d), l)
+        vals = matmul_mod(V.T, R.T, l).reshape(d, n, n)
+        conj = vals[:, :, cd.inverse_class]
+        P1 = matmul_mod(reduce_mod(vals * (cd.sizes % l), l), conj.transpose(0, 2, 1), l)
+        P2 = matmul_mod(vals.transpose(0, 2, 1), conj, l)
+        for which, (P, t) in enumerate(((P1, order % l), (P2, cd.centralizer_orders % l))):
+            P.reshape(d, n * n)[:, :: n + 1] -= t
+            if P.any():
+                c0 = np.tensordot(Vinv[:, 0], P % l, axes=1)
+                part = "constant term" if (c0 % l).any() else "irrational part"
+                raise VerificationError(f"orthogonality failed ({part})")
+
+
+@pytest.mark.parametrize(
+    "p, k, r, mode, flavor", [(2, 2, 2, "mixed", "gl"), (3, 1, 2, "mixed", "sl"), (2, 1, 3, "equal", "gl")]
+)
+def test_verify_agrees_with_the_check_at_all_roots(monkeypatch, p, k, r, mode, flavor):
+    """A genuine table is accepted by the two products per prime at r_0
+    alone, never reaching the check at every root; each corruption gets
+    the verdict and message of the former check at every root."""
+    tab = character_table(make_group(p, k, r, mode, flavor))
+    for what, coeffs, cd in _mutations(tab):
+        want = _verdict(_verify_orthogonality_at_all_roots, coeffs, cd, tab.group.order)
+        assert _verdict(dixon.verify_orthogonality, coeffs, cd, tab.group.order) == want, what
+
+    def unreachable(*args):
+        raise AssertionError("checked at every root")
+
+    monkeypatch.setattr(dixon, "_relation_residues", unreachable)
+    dixon.verify_orthogonality(tab.coeffs, tab.conjugacy, tab.group.order)
 
 
 def test_tensor_linear_permutes_table():

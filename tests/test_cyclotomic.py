@@ -1,12 +1,13 @@
 import math
+import time
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dl2.cyclotomic import (
-    _poly_divmod_int,
     cyclotomic_poly,
     matmul,
     phi,
@@ -16,6 +17,66 @@ from dl2.cyclotomic import (
     zeta_powers,
 )
 from dl2.rings import is_prime
+
+
+def _poly_divmod_int(num: list, den: list):
+    """Division with remainder by a monic integer polynomial."""
+    num = list(num)
+    d = len(den) - 1
+    q = [0] * max(1, len(num) - d)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        if c:
+            q[i - d] = c
+            for j in range(d + 1):
+                num[i - d + j] -= c * den[j]
+    return q, num[:d]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_poly_by_division(e: int) -> tuple:
+    """The former `cyclotomic_poly`: x^e - 1 divided by every Phi_d, d | e,
+    d < e, in Python lists."""
+    if e == 1:
+        return (-1, 1)
+    num = [0] * (e + 1)
+    num[0], num[e] = -1, 1
+    for d in range(1, e):
+        if e % d == 0:
+            q, r = _poly_divmod_int(num, list(_cyclotomic_poly_by_division(d)))
+            assert not any(r)
+            num = q
+    return tuple(num)
+
+
+def test_cyclotomic_poly_matches_list_division():
+    for e in range(1, 501):
+        assert cyclotomic_poly(e) == _cyclotomic_poly_by_division(e), e
+
+
+def test_cyclotomic_poly_at_a_large_exponent_is_fast():
+    """e = 14 880 = 2^5 3 5 31, the exponent of SL2(F_31); the list
+    division took about 5 s."""
+    t = time.perf_counter()
+    f = cyclotomic_poly.__wrapped__(14_880)
+    assert time.perf_counter() - t < 1.0
+    assert len(f) - 1 == 3840 and f[0] == f[-1] == 1
+    # Phi_e(x) = Phi_930(x^16): only every 16th coefficient is nonzero
+    assert not any(f[i] for i in range(len(f)) if i % 16)
+
+
+def test_zeta_bound_is_the_largest_power_coefficient():
+    for e in range(1, 501):
+        Z = zeta_powers.__wrapped__(e)
+        assert zeta_bound.__wrapped__(e) == int(np.abs(Z).max()), e
+
+
+def test_zeta_bound_keeps_no_power_table():
+    e = 2 * 3 * 5 * 7 * 11
+    before = zeta_powers.cache_info().currsize
+    z = zeta_bound.__wrapped__(e)
+    assert zeta_powers.cache_info().currsize == before
+    assert z == int(np.abs(zeta_powers.__wrapped__(e)).max()) == 9
 
 
 def test_cyclotomic_polynomials():

@@ -5,13 +5,131 @@ from hypothesis import example, given, strategies as st
 from dl2.cyclotomic import split_primes
 from dl2.modlinalg import (
     exact_matmul,
-    krylov_relation,
+    inv_mod,
     matmul_mod,
-    nullspace,
+    min_poly,
+    poly_roots,
     primitive_root,
     reduce_mod,
+    rref,
 )
 from dl2.rings import is_prime
+
+
+def nullspace(A: np.ndarray, l: int):
+    """Basis of {v : A v = 0} mod l: (N, free), the rows of N spanning it
+    and N[:, free] the identity (free are the non-pivot columns of A).
+    The former eigenspace kernel of `dixon`, kept as a reference."""
+    R, pivots = rref(A, l)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    N = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    N[:, free] = np.eye(len(free), dtype=np.int64)
+    N[:, pivots] = -R[:, free].T % l
+    return N, free
+
+
+def krylov_relation(M: np.ndarray, v: np.ndarray, l: int) -> list[int]:
+    """Monic minimal relation of the Krylov sequence v, Mv, M^2 v, ...,
+    as ascending coefficients; M and v are residues in [0, l).  The former
+    eigenvalue search of `dixon`, kept as a reference.
+
+    The sequence grows while its next vector w is independent of the
+    previous ones K (an incremental row reduction); the relation is then
+    the one-dimensional nullspace of [K | w], whose free column is w's.
+    Each mat-vec is a `matmul_mod` product, so OverflowError is raised
+    unless len(v) * (l - 1)^2 < 2^53; that bound also keeps the int64 row
+    operations, products of two residues, exact."""
+    K, rows, pivots = [], [], []
+    w = v % l
+    while True:
+        red = w
+        for row, pc in zip(rows, pivots):
+            red = (red - red[pc] * row) % l
+        nz = np.flatnonzero(red)
+        if not len(nz):
+            break
+        K.append(w)
+        w = matmul_mod(M, w, l)  # before the first product of two residues
+        pivots.append(int(nz[0]))
+        rows.append(red * inv_mod(int(red[nz[0]]), l) % l)
+    N, _ = nullspace(np.column_stack(K + [w]), l)
+    return [int(c) for c in N[0]]
+
+
+def _rref_by_columns(A: np.ndarray, l: int):
+    """The former `rref`: one pass over every column in turn."""
+    R = A.copy() % l
+    rows, cols = R.shape
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        nz = np.nonzero(R[rank:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            R[[rank, pr]] = R[[pr, rank]]
+        R[rank] = (R[rank] * inv_mod(int(R[rank, c]), l)) % l
+        other = np.nonzero(R[:, c])[0]
+        other = other[other != rank]
+        if len(other):
+            R[other] = (R[other] - np.outer(R[other, c], R[rank])) % l
+        pivots.append(c)
+        rank += 1
+    return R[:rank], pivots
+
+
+@given(st.integers(1, 6), st.integers(1, 7), st.sampled_from([2, 3, 13]), st.integers(0, 2**32))
+def test_rref_matches_column_scan(rows, cols, l, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, l, size=(rows, cols))
+    A[:, rng.integers(0, cols)] = 0  # a zero column
+    if rows > 1:
+        A[-1] = A[0] * 2  # a dependent row
+    R, piv = rref(A, l)
+    R_ref, piv_ref = _rref_by_columns(A, l)
+    assert piv == piv_ref and R.tobytes() == R_ref.tobytes()
+
+
+def test_min_poly_recovers_known_recurrences():
+    l = 541
+    # sum of c_lam lam^a over distinct lam with c_lam != 0: prod (x - lam)
+    lams, cs = [2, 5, 11], [1, 7, 540]
+    seq = [sum(c * pow(x, a, l) for x, c in zip(lams, cs)) % l for a in range(6)]
+    f = min_poly(seq, l)
+    assert len(f) == 4 and f[-1] == 1 and poly_roots(f, l) == lams
+    # Fibonacci: x^2 - x - 1; the zero sequence: 1; a geometric one: x - 3
+    fib = [0, 1]
+    for _ in range(8):
+        fib.append((fib[-1] + fib[-2]) % l)
+    assert min_poly(fib, l) == [l - 1, l - 1, 1]
+    assert min_poly([0] * 6, l) == [1]
+    assert min_poly([pow(3, a, l) for a in range(4)], l) == [l - 3, 1]
+    with pytest.raises(OverflowError):
+        min_poly([1] * 8, 2**31 - 1)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32))
+def test_min_poly_is_the_krylov_relation_of_a_unit_functional(d, seed):
+    """For the functional e_0 applied to M^a v, the minimal polynomial of
+    the scalar sequence divides the Krylov relation of v, and equals it
+    when v = e_0 and M is a companion matrix (the sequence then determines
+    the relation)."""
+    l = 101
+    rng = np.random.default_rng(seed)
+    f = [int(c) for c in rng.integers(0, l, size=d)] + [1]
+    C = np.zeros((d, d), dtype=np.int64)
+    C[1:, :-1] = np.eye(d - 1, dtype=np.int64)
+    C[:, -1] = [-c % l for c in f[:-1]]
+    v = np.eye(d, dtype=np.int64)[0]
+    seq, w = [], v
+    for _ in range(2 * d):
+        seq.append(int(w[-1]))
+        w = matmul_mod(C, w, l)
+    assert krylov_relation(C, v, l) == f
+    assert min_poly(seq, l) == f
 
 
 def test_primitive_root_is_least_generator():

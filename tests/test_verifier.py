@@ -443,6 +443,24 @@ def test_cache_rejects_bad_format(tmp_path):
     assert load_table(2, 1, 1, "equal", "gl", tmp_path) is None
 
 
+def test_cache_rejects_table_with_galois_breaking_column_swap(tmp_path):
+    """A cache file whose table has two columns swapped, of same-size
+    self-inverse classes, passes both orthogonality relations but not
+    Galois compatibility, so the loader refuses it."""
+    from test_characters import galois_breaking_swap
+
+    tab = character_table(make_group(3, 1, 2, "mixed", "sl"))
+    path = save_table(tab, tmp_path)
+    assert load_table(3, 1, 2, "mixed", "sl", tmp_path) is not None
+    members = _read_members(path)
+    coeffs, (a, b) = galois_breaking_swap(tab)
+    # the file holds the same sorted rows, with the two columns swapped
+    members["coeffs"] = members["coeffs"][:, np.r_[: a, b, a + 1 : b, a, b + 1 : len(tab)]]
+    assert (members["coeffs"] == coeffs).all()
+    np.savez_compressed(path, **members)
+    assert load_table(3, 1, 2, "mixed", "sl", tmp_path) is None
+
+
 def test_cache_rejects_corrupted_table_and_recomputes(tmp_path):
     tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
     path = save_table(tab, tmp_path)
