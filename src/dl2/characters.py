@@ -106,14 +106,14 @@ class CharacterTable:
         self.group = group
         self.exponent = e
         self.conjugacy = cd
-        # rows by (degree, coefficients flattened in C order), stably: the
-        # order of Python's sort on (degree, nested tuples), as nested tuples
-        # of one shape compare as their flattenings.  A column equal in all
-        # rows decides no comparison, so only the varying ones are keys.
-        flat = coeffs.reshape(len(degs), -1)
-        flat = flat[:, (flat != flat[:1]).any(axis=0)]
-        order = np.lexsort(np.vstack([flat.T[::-1], degs[None]]))
-        self.coeffs = coeffs[order]
+        order = _canonical_order(coeffs, degs)
+        if parts is None:
+            # the lift's tensor is ours alone: reorder it in place rather
+            # than hold a sorted copy beside it
+            _permute_rows(coeffs, order)
+            self.coeffs = coeffs
+        else:
+            self.coeffs = coeffs[order]
         self.degrees = degs[order]
 
     @cached_property
@@ -173,6 +173,52 @@ class CharacterTable:
                 for d, values in zip(self.degrees, self.coeffs)
             ],
         }
+
+
+_KEY_BLOCK = 1 << 16  # most entries in one key block of `_canonical_order`
+
+
+def _canonical_order(coeffs: np.ndarray, degs: np.ndarray) -> np.ndarray:
+    """Rows by (degree, coefficients flattened in C order), stably: the
+    order of Python's sort on (degree, nested tuples), as nested tuples of
+    one shape compare as their flattenings.
+
+    The keys are read in column blocks of doubling width, up to _KEY_BLOCK
+    entries: each block refines the dense ranks of the prefix before it,
+    and the walk stops once every rank is distinct, so no second copy of
+    the tensor is made.  A column equal in all rows decides no comparison,
+    so only the varying ones are keys.  Rows equal in every column keep
+    their input order through the final stable sort."""
+    n = len(degs)
+    flat = coeffs.reshape(n, -1)
+    rank = np.unique(degs, return_inverse=True)[1].astype(np.int64)
+    lo, width = 0, 64
+    while lo < flat.shape[1] and rank.max(initial=0) < n - 1:
+        block = flat[:, lo : lo + width]
+        keys = np.column_stack([rank, block[:, (block != block[:1]).any(axis=0)]])
+        idx = np.lexsort(keys.T[::-1])
+        keys = keys[idx]
+        rank[idx] = np.concatenate([[0], np.cumsum((keys[1:] != keys[:-1]).any(axis=1))])
+        lo, width = lo + width, min(2 * width, max(64, _KEY_BLOCK // n))
+    return np.argsort(rank, kind="stable")
+
+
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:] = a[order] in place through one row buffer: each cycle of the
+    permutation is walked once, and every row is written once."""
+    done = np.zeros(len(order), dtype=bool)
+    buf = np.empty_like(a[0])
+    for start in range(len(order)):
+        if done[start] or order[start] == start:
+            continue
+        buf[...] = a[start]
+        i = start
+        while order[i] != start:
+            a[i] = a[order[i]]
+            done[i] = True
+            i = order[i]
+        a[i] = buf
+        done[i] = True
 
 
 TABLE_BOUND = 50_000

@@ -124,6 +124,110 @@ def matrix_space(ring: RingSpec) -> MatrixSpace:
     return MatrixSpace(ring)
 
 
+def member_mask(space: MatrixSpace, flavor: str) -> np.ndarray:
+    """The group over the whole code space: unit determinant for GL2,
+    determinant one for SL2.  `MatrixGroup` enumerates it and `group-order`
+    counts it, so the two orders agree by construction."""
+    ring = space.ring
+    return ring.is_unit[space.det] if flavor == "gl" else space.det == ring.one
+
+
+def group_generators(ring: RingSpec, flavor: str) -> list[int]:
+    """Elementary matrices over ring additive generators, plus diag(u, 1)
+    over unit-group basis generators for GL."""
+    R = ring
+    sp = matrix_space(R)
+    if R.mode == "equal":
+        addgens = [(R.p**i) * (R.q**j) for i in range(R.k) for j in range(R.r)]
+    else:
+        addgens = [(R.p**R.r) ** i for i in range(R.k)]
+    gens = []
+    for x in addgens:
+        gens.append(int(sp.enc(R.one, x, 0, R.one)))
+        gens.append(int(sp.enc(R.one, 0, x, R.one)))
+    if flavor == "gl":
+        for u, _n in R.unit_group.basis:
+            gens.append(int(sp.enc(u, 0, 0, R.one)))
+    return gens
+
+
+def generated_order(space: MatrixSpace, gens) -> int:
+    """|<X>| for invertible codes X, from two orbits on column vectors.
+
+    H = <X> acts on the columns O_r^2, a vector (x, y) coded as the matrix
+    [[x, 0], [y, 0]], so g v is `space.mul(g, v)`.  By orbit-stabilizer
+    twice, |H| = |H e1| * |H_e1 e2| * |H_(e1,e2)|, and H_(e1,e2) = 1: the
+    columns of g are g e1 and g e2, so a g fixing both is the identity.
+
+    - H e1 is the closure of e1 under X (H is finite, so each inverse is a
+      power of its generator).  The breadth-first search keeps, for each
+      point v it reaches, the product t_v of generators it reached v by, so
+      t_v e1 = v and t_e1 = 1.
+    - Schreier's lemma (Sims 1970; Seress, Permutation Group Algorithms,
+      2003, ch. 4): the stabiliser H_e1 is generated by the
+      t_(xv)^-1 x t_v over all x in X and v in H e1.  Each fixes e1, and
+      any h in H_e1, written as a word in X, telescopes into a product of
+      them.
+    - H_e1 e2 is then the closure of e2 under those Schreier generators,
+      found through a subset T of them.  H_e1 acts on H_e1 e2 with
+      trivial stabiliser H_(e1,e2), so a Schreier generator s with s e2
+      in the orbit <T> e2 equals the k in <T> with k e2 = s e2 (k^-1 s
+      fixes e1 and e2): s is in <T> already.  T takes the first s that
+      fails this, and the orbit of <T> is closed again, until none
+      fails; then <T> holds every Schreier generator, so <T> = H_e1 and
+      its orbit is H_e1 e2.  Each s taken is outside <T>, so it at least
+      doubles |<T>|, and T ends with at most log2 |H_e1| + 1 elements.
+
+    Both orbits lie in the |O_r|^2 vectors.  The orbit sizes of the <T>
+    at least double, so the closures sum to under 2 |T| |H_e1 e2|
+    products, and the cost is O(|X| |H e1| + log2(|H_e1|) |H_e1 e2|)
+    products, against O(|H| |X|) for a closure over H; for GL2(O_r),
+    |H e1| and |H_e1| are both about |G|^(1/2)."""
+    S, S2 = space.S, space.S**2
+    gens = unique(np.asarray(gens, dtype=np.int64))
+    if not space.ring.is_unit[space.det[gens]].all():
+        raise ValueError("generated_order needs invertible generators")
+    e1 = space.enc(space.ring.one, 0, 0, 0)
+    e2 = space.enc(0, 0, space.ring.one, 0)
+
+    def slot(v):  # the vector [[x, 0], [y, 0]] as x + y S < S^2
+        return v % S + v // S2 * S
+
+    # orbit of e1 with its transversal, breadth first
+    trans = np.full(S2, -1, dtype=np.int64)
+    trans[slot(e1)] = space.identity
+    frontier = np.array([space.identity], dtype=np.int64)
+    while len(frontier):
+        cand = space.mul(gens[:, None], frontier[None, :]).ravel()
+        where = slot(space.mul(cand, e1))
+        new = trans[where] < 0
+        fresh, first = np.unique(where[new], return_index=True)
+        frontier = cand[new][first]
+        trans[fresh] = frontier
+    reps = trans[trans >= 0]
+    # Schreier generators t_(xv)^-1 x t_v of the stabiliser of e1
+    moved = space.mul(gens[:, None], reps[None, :]).ravel()
+    schreier = unique(space.mul(space.inv(trans[slot(space.mul(moved, e1))]), moved))
+    schreier = schreier[schreier != space.identity]
+    # orbit of e2 under the stabiliser, closed under a subset T of the
+    # Schreier generators that grows until every s in them has s e2 in the
+    # orbit of <T>
+    ends = slot(space.mul(schreier, e2))
+    seen = np.zeros(S2, dtype=bool)
+    seen[slot(e2)] = True
+    T = schreier[:0]
+    while not seen[ends].all():
+        T = np.append(T, schreier[np.argmin(seen[ends])])
+        seen[:] = False
+        seen[slot(e2)] = True
+        frontier = np.array([e2], dtype=np.int64)
+        while len(frontier):
+            cand = space.mul(T[:, None], frontier[None, :]).ravel()
+            frontier = unique(cand[~seen[slot(cand)]])
+            seen[slot(frontier)] = True
+    return len(reps) * int(seen.sum())
+
+
 class ConjugacyData:
     """Conjugacy classes of an enumerated group.
 
@@ -150,8 +254,9 @@ class ConjugacyData:
     m of a class has parent[m] <= m inside its class, so parent[m] = m and m
     labels the whole class.  Hence the roots are the least indices, and
     sorting them orders the classes by least index.  That the generators
-    generate the group is checked by `group-order` through
-    `MatrixGroup.generated_closure`.
+    generate the group is checked by `group-order`, which compares
+    `generated_order` of `group_generators` with the count of
+    `member_mask`, without enumerating the group.
     """
 
     def __init__(self, group: "MatrixGroup"):
@@ -239,11 +344,7 @@ class MatrixGroup:
         self.flavor = flavor
         sp = matrix_space(ring)
         self.space = sp
-        if flavor == "gl":
-            mask = ring.is_unit[sp.det]
-        else:
-            mask = sp.det == ring.one
-        codes = np.nonzero(mask)[0].astype(np.int64)
+        codes = np.flatnonzero(member_mask(sp, flavor)).astype(np.int64)
         ident = sp.identity
         codes = np.concatenate([[ident], codes[codes != ident]])
         self.codes = codes
@@ -259,55 +360,15 @@ class MatrixGroup:
         return self.ring.unit_group
 
     def generators(self) -> list[int]:
-        """Elementary matrices over ring additive generators, plus diag(u, 1)
-        over unit-group basis generators for GL."""
-        R = self.ring
-        sp = self.space
-        gens = []
-        if R.mode == "equal":
-            addgens = [
-                (R.p**i) * (R.q**j) for i in range(R.k) for j in range(R.r)
-            ]
-        else:
-            addgens = [(R.p**R.r) ** i for i in range(R.k)]
-        for x in addgens:
-            gens.append(int(sp.enc(R.one, x, 0, R.one)))
-            gens.append(int(sp.enc(R.one, 0, x, R.one)))
-        if self.flavor == "gl":
-            for u, _n in self.unit_group().basis:
-                gens.append(int(sp.enc(u, 0, 0, R.one)))
-        return gens
+        return group_generators(self.ring, self.flavor)
 
     def generated_closure(self) -> int:
-        """Size of the subgroup generated by generators() (orbit closure).
-
-        Each breadth-first round marks its new elements in a bitmap over the
-        code space, so an element reached twice in one round counts once."""
-        sp = self.space
-        gens = np.asarray(self.generators(), dtype=np.int64)
-        seen = np.zeros(sp.N, dtype=bool)
-        seen[sp.identity] = True
-        frontier = np.array([sp.identity], dtype=np.int64)
-        while len(frontier):
-            fresh = np.zeros(sp.N, dtype=bool)
-            for g in gens:
-                y = sp.mul(frontier, g)
-                fresh[y[~seen[y]]] = True
-            seen |= fresh
-            frontier = np.flatnonzero(fresh)
-        return int(seen.sum())
+        """Order of the subgroup generated by generators()."""
+        return generated_order(self.space, self.generators())
 
     @cache
     def conjugacy(self) -> ConjugacyData:
         return ConjugacyData(self)
-
-    def center_codes(self) -> np.ndarray:
-        """Scalar matrices diag(z, z) in the group."""
-        R = self.ring
-        sp = self.space
-        out = [int(sp.enc(z, 0, 0, z)) for z in range(R.size)]
-        out = np.array(out, dtype=np.int64)
-        return out[self.pos_of[out] >= 0]
 
     def borel_codes(self) -> np.ndarray:
         """Upper-triangular elements of the group (c = 0)."""

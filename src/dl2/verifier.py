@@ -33,7 +33,16 @@ from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py 
     TABLE_BOUND,
 )
 from .cyclotomic import matmul, substitute
-from .groups import GROUP_BOUND, gl2_order, make_group, sl2_order
+from .groups import (
+    GROUP_BOUND,
+    generated_order,
+    gl2_order,
+    group_generators,
+    make_group,
+    matrix_space,
+    member_mask,
+    sl2_order,
+)
 from .predictor import (
     CLAUSE_SL_EVEN,
     CLAUSE_SL_ODD,
@@ -43,6 +52,7 @@ from .predictor import (
     predict_sl2,
     sign_from_dim,
 )
+from .rings import make_ring
 from .torus import (
     classify_all,
     conductor_brute_force,
@@ -215,13 +225,17 @@ def _too_many_thetas(cd: CaseData) -> bool:
 
 @check("group-order", "group order closed formula")
 def check_group_order(cd: CaseData):
+    """The order counts `member_mask`, the set `MatrixGroup` enumerates;
+    generation is certified by `generated_order`.  No group is built."""
     if cd.group_order_formula() > GROUP_BOUND:
         return None, cd.group_order_formula(), "inapplicable"
-    g = cd.group
-    ok = g.order == cd.group_order_formula()
-    okgen = g.generated_closure() == g.order
+    ring = make_ring(cd.p, cd.k, cd.r, cd.mode)
+    sp = matrix_space(ring)
+    order = int(np.count_nonzero(member_mask(sp, cd.flavor)))
+    ok = order == cd.group_order_formula()
+    okgen = generated_order(sp, group_generators(ring, cd.flavor)) == order
     return (
-        {"order": g.order, "generated": okgen},
+        {"order": order, "generated": okgen},
         {"order": cd.group_order_formula(), "generated": True},
         ok and okgen,
         "group order closed formula; generation by elementaries and units",

@@ -87,7 +87,8 @@ def _round_trip_groups():
     t = make_torus(2, 1, 3, "mixed")
     yield t.kernels[1], t.ext.mul
     G = make_group(3, 1, 1, "mixed", "gl")
-    center = G.center_codes()
+    units = G.ring.units()
+    center = G.space.enc(units, 0, 0, units)  # the scalars diag(u, u)
     yield FiniteAbelianGroup(center, G.space.mul, G.space.identity), G.space.mul
 
 

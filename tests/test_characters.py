@@ -94,6 +94,42 @@ def test_table_canonical_order():
         )
         again = CharacterTable(tab.group, parts=(coeffs, tab.exponent, degs))
         assert (again.coeffs == coeffs[want]).all() and (again.degrees == degs[want]).all()
+    # equal rows keep their input order, and rows that first differ in the
+    # last coefficient are told apart there
+    coeffs, degs = coeffs.copy(), degs.copy()
+    coeffs[1], degs[1] = coeffs[0], degs[0]
+    coeffs[3], degs[3] = coeffs[2], degs[2]
+    coeffs[3, -1, -1] += 1
+    want = sorted(range(len(degs)), key=lambda t: (int(degs[t]), tuple(coeffs[t].ravel().tolist())))
+    again = CharacterTable(tab.group, parts=(coeffs, tab.exponent, degs))
+    assert (again.coeffs == coeffs[want]).all() and (again.degrees == degs[want]).all()
+
+
+def test_table_init_sorts_the_lift_in_place(monkeypatch):
+    """Built from the lift, the table reorders the lift's tensor in place:
+    its rows come out in the order of Python's sort on (degree, nested
+    tuples) and no second tensor is allocated, even when rows first differ
+    in their last class and some are equal throughout."""
+    n, d = 200, 40
+    rng = np.random.default_rng(7)
+    coeffs = np.zeros((n, n, d), dtype=np.int64)
+    coeffs[:, -1] = rng.integers(0, 2, size=(n, d))
+    coeffs[1] = coeffs[0]
+    degs = rng.integers(1, 3, size=n)
+    degs[1] = degs[0]
+    want = sorted(range(n), key=lambda t: (int(degs[t]), tuple(coeffs[t].ravel().tolist())))
+    expect = coeffs[want]
+    G = make_group(2, 1, 1, "mixed", "gl")
+    monkeypatch.setattr(dl2.characters, "lift_table", lambda group: (coeffs, 1, degs, G.conjugacy()))
+    tracemalloc.start()
+    try:
+        tab = CharacterTable(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.coeffs is coeffs
+    assert (tab.coeffs == expect).all() and (tab.degrees == degs[want]).all()
+    assert peak < coeffs.nbytes // 4
 
 
 def test_orthonormality_of_irreducibles():

@@ -9,13 +9,16 @@ from dl2.groups import (
     GroupTooLargeError,
     MatrixGroup,
     MatrixSpace,
+    generated_order,
     gl2_order,
+    group_generators,
     make_group,
     matrix_space,
     sl2_order,
     sl_embedding,
 )
 from dl2.rings import make_ring
+from dl2.verifier import DEFAULT_MANIFEST
 from test_rings import CASES as RING_CASES
 
 # every (p, k, r) of the ring tests, in both modes
@@ -64,10 +67,12 @@ def test_conjugacy_class_counts():
 def test_conjugacy_invariants(p, k, r, mode, flavor):
     G = make_group(p, k, r, mode, flavor)
     cd = G.conjugacy()
+    sp = G.space
     assert int(cd.sizes.sum()) == G.order
     assert ((cd.sizes * cd.centralizer_orders) == G.order).all()
-    # central elements are singleton classes
-    for z in G.center_codes():
+    # central elements (the scalars in G) are singleton classes
+    scalars = sp.enc(np.arange(G.ring.size), 0, 0, np.arange(G.ring.size))
+    for z in scalars[G.pos_of[scalars] >= 0]:
         assert cd.sizes[cd.class_of[z]] == 1
     # representatives carry the least group index of their class
     pos = G.pos_of[cd.reps]
@@ -75,7 +80,6 @@ def test_conjugacy_invariants(p, k, r, mode, flavor):
         members = cd.class_lists[k_]
         assert pos[k_] == G.pos_of[members].min()
     # classes really are conjugation-closed: spot check
-    sp = G.space
     rng = random.Random(0)
     for _ in range(200):
         x = int(rng.choice(G.codes))
@@ -103,6 +107,66 @@ def test_generated_closure_counts_proper_subgroup(p, k, r, mode, monkeypatch):
     upper = [g for g in G.generators() if sp.dec(g)[2] == 0 and sp.dec(g)[1] != 0]
     monkeypatch.setattr(G, "generators", lambda: upper)
     assert G.generated_closure() == (p**k) ** r
+
+
+def _closure_order(space, gens):
+    """Reference: |<gens>| by breadth-first closure over the code space
+    from the identity, marking each round's new elements in a bitmap so
+    that an element reached twice in one round counts once."""
+    gens = np.asarray(gens, dtype=np.int64)
+    seen = np.zeros(space.N, dtype=bool)
+    seen[space.identity] = True
+    frontier = np.array([space.identity], dtype=np.int64)
+    while len(frontier):
+        fresh = np.zeros(space.N, dtype=bool)
+        for g in gens:
+            y = space.mul(frontier, g)
+            fresh[y[~seen[y]]] = True
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return int(seen.sum())
+
+
+@pytest.mark.parametrize(
+    "p,k,r,mode,flavor",
+    sorted({(p, k, r, mode, flavor) for (p, k, r, flavor, mode) in DEFAULT_MANIFEST})
+    + [(5, 1, 2, "mixed", "gl"), (5, 1, 2, "mixed", "sl"), (3, 1, 3, "mixed", "gl")],
+)
+def test_generated_order_matches_closure(p, k, r, mode, flavor):
+    R = make_ring(p, k, r, mode)
+    sp = matrix_space(R)
+    gens = group_generators(R, flavor)
+    q = p**k
+    order = gl2_order(q, r) if flavor == "gl" else sl2_order(q, r)
+    assert generated_order(sp, gens) == _closure_order(sp, gens) == order
+
+
+@pytest.mark.parametrize("p,k,r,mode", [(2, 1, 3, "mixed"), (3, 1, 2, "equal"), (2, 2, 2, "equal")])
+def test_generated_order_of_proper_subgroups_matches_closure(p, k, r, mode):
+    """Upper elementaries alone: (O_r, +), order q^r.  All elementaries
+    without the units: SL2(O_r).  The diagonal units diag(u, 1) alone:
+    O_r^x."""
+    R = make_ring(p, k, r, mode)
+    sp = matrix_space(R)
+    gens = group_generators(R, "gl")
+    _, b, c, _ = sp.dec(np.array(gens))
+    upper = [g for g, bi, ci in zip(gens, b, c) if ci == 0 and bi != 0]
+    elementary = [g for g, bi, ci in zip(gens, b, c) if bi != 0 or ci != 0]
+    units = [g for g, bi, ci in zip(gens, b, c) if bi == 0 and ci == 0]
+    q = p**k
+    for sub, order in [
+        (upper, q**r),
+        (elementary, sl2_order(q, r)),
+        (units, q ** (r - 1) * (q - 1)),
+    ]:
+        assert generated_order(sp, sub) == _closure_order(sp, sub) == order
+
+
+def test_generated_order_refuses_singular_generators():
+    R = make_ring(3, 1, 1, "mixed")
+    sp = matrix_space(R)
+    with pytest.raises(ValueError, match="invertible"):
+        generated_order(sp, [sp.identity, sp.enc(R.one, 0, 0, 0)])
 
 
 def test_reduction_homs():

@@ -15,6 +15,7 @@ from dl2.torus import classify_all
 from dl2.verifier import (
     CaseData,
     _first_failed_pair,
+    check_group_order,
     check_inflation_adjunction,
     check_classical_sweep,
     check_mode_independence,
@@ -82,6 +83,26 @@ def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     c = check_inflation_adjunction(CaseData(2, 1, 2, "mixed", "sl"))
     assert c.verdict == "fail"
     assert c.computed == {"failed_pair": [0, 1]}
+
+
+def test_group_order_fails_without_the_unit_generators(monkeypatch):
+    """Elementaries alone generate SL2, a proper subgroup of GL2."""
+    gens = dl2.verifier.group_generators
+    monkeypatch.setattr(dl2.verifier, "group_generators", lambda ring, flavor: gens(ring, "sl"))
+    c = check_group_order(CaseData(3, 1, 2, "mixed", "gl"))
+    assert c.verdict == "fail"
+    assert c.computed == {"order": 3888, "generated": False}
+
+
+def test_group_order_builds_no_group(monkeypatch):
+    def no_group(*args):
+        raise AssertionError("group-order enumerated the group")
+
+    monkeypatch.setattr(dl2.verifier, "make_group", no_group)
+    cd = CaseData(5, 1, 2, "mixed", "gl")
+    c = check_group_order(cd)
+    assert c.verdict == "pass" and c.computed == {"order": 300_000, "generated": True}
+    assert "group" not in cd.__dict__
 
 
 def test_first_failed_pair_guards_int64_overflow(monkeypatch):
