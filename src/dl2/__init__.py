@@ -8,6 +8,13 @@ dimension, sign, decomposition, and stability statement against the
 computed tables.
 """
 
+import os
+
+# One OpenBLAS thread unless the environment says otherwise: the products
+# are small, so a second thread spins without saving wall time.  This only
+# takes effect while numpy is not yet imported, which `.rings` does first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .rings import RingSpec, ExtSpec, make_ring, make_ext
 from .groups import MatrixGroup, make_group, gl2_order, sl2_order
 from .characters import character_table, CharacterTable, inner_product

@@ -176,7 +176,14 @@ def _root(e: int, l: int) -> int:
     return pow(primitive_root(l), (l - 1) // e, l)
 
 
-@lru_cache(maxsize=None)
+# (e, l) pairs whose evaluation matrices stay cached, each 2 phi(e)^2
+# float64.  A product's primes (`split_primes`, whose product need only
+# pass 2^64) and the Dixon prime fit, so a run of products over one e
+# derives them once; a longer ladder only recomputes matrices.
+_EVALUATION_CACHE = 8
+
+
+@lru_cache(maxsize=_EVALUATION_CACHE)
 def _evaluation_matrices(e: int, l: int):
     """(V, Vinv), residues mod l as float64, for l a prime = 1 (mod e).
 

@@ -7,17 +7,21 @@ by its residue (see `dixon_prime`).
 
 Stages:
   1. class matrices M_i with (M_i)[j, k] = #{x in C_i : x^-1 z_k in C_j},
-     each built once and added into a few seeded elements sum_i c_i M_i
-     of the class algebra (cost |C_i| per column);
+     built once per rational class (cost |C_i| per column) and permuted
+     through the power map for the other classes of its orbit, since
+     M_i'[j', k'] = M_i[j, k] (`_class_matrices`); each is added into a
+     few seeded elements sum_i c_i M_i of the class algebra;
   2. common eigenvector splitting over F_l by those elements: one product
      per element for the rows of all open blocks together; a block on
      which it acts as a scalar passes through, and each other block takes
-     the Krylov path: the eigenvalues are the roots of the minimal
-     polynomials of seeded sequences u . op^a w (Berlekamp-Massey), and
-     one product of the quotients f / (x - lam_j) with the powers op^a w
-     gives every eigenspace, complete once their dimensions sum to the
-     block's; rows still together are split by the class matrices one at a
-     time;
+     the Krylov path: the powers op^a w, a <= d, by doubling (op^h by
+     squaring), the eigenvalues as the roots of the minimal polynomials of
+     seeded sequences u . op^a w, a < 2d (Berlekamp-Massey; the terms past
+     d as projections of moved functionals), and one product of the
+     quotients f / (x - lam_j) with the powers gives every eigenspace,
+     complete once their dimensions sum to the block's; a rank-one
+     eigenspace is read off its first nonzero row, the rest by `rref`;
+     rows still together are split by the class matrices one at a time;
   3. normalisation of eigenvectors to central characters, then degrees by
      search: the one d <= isqrt(|G|) whose square has the right residue;
   4. lifting by the Galois action: chi(g^m) = sigma_m(chi(g)), so the
@@ -58,8 +62,9 @@ MODULUS_SEARCH_BOUND = 30_000_000
 _BLOCK_BYTES = 2**21
 
 # Seeded class-algebra elements built in the one pass over the class
-# matrices, start vectors in a first round, and rounds before "operator not
-# split" (see `character_table_mod_l`, `_eigenspaces`).
+# matrices, start vectors in a first round, and rounds (and functionals per
+# round) before "operator not split" (see `character_table_mod_l`,
+# `_eigenspaces`).
 _WEIGHTS = 2
 _START = 8
 _ROUNDS = 8
@@ -120,11 +125,47 @@ def class_matrix(group: MatrixGroup, cd: ConjugacyData, i: int) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=n * n).reshape(n, n)
 
 
+def _class_matrices(group: MatrixGroup, cd: ConjugacyData):
+    """Every class matrix, as pairs (i, M_i) in an order of rational
+    classes: `class_matrix` builds M_i for the first class i of each orbit
+    of the power maps pi_m = pm[:, m], m a unit mod e, and every other class
+    i' = pi_m(i) of that orbit gets M_i' from M_i by M_i'[pi_m(j), pi_m(k)]
+    = M_i[j, k].
+
+    Why.  M_i[j, k] = #{x in C_i : x^-1 z_k in C_j} = #{(x, y) in C_i x C_j
+    : x y = z_k} is the structure constant a_ijk of the class sums, and by
+    Burnside's formula
+      a_ijk = |C_i| |C_j| / |G| sum_chi chi(g_i) chi(g_j) conj(chi(g_k)) / chi(1),
+    the sum over Irr(G).  The Galois automorphism sigma_m : zeta_e ->
+    zeta_e^m sends chi(g), a sum of e-th roots of unity (the eigenvalues of
+    g), to chi(g^m), and commutes with complex conjugation; it permutes
+    Irr(G) and fixes the rational a_ijk.  So a_ijk = a_(i'j'k') with ' =
+    pi_m, as x -> x^m is a bijection of G (m is coprime to e, the exponent
+    of G) that maps each class C_i onto C_i', so |C_i'| = |C_i|."""
+    pm = cd.power_map()[:, _unit_exponents(cd.exponent)]
+    done = np.zeros(cd.n_classes, dtype=bool)
+    for i in range(len(done)):
+        if done[i]:
+            continue
+        M = class_matrix(group, cd, i)
+        # the orbit of i, each class with the first unit column reaching it
+        orbit, cols = np.unique(pm[i], return_index=True)
+        done[orbit] = True
+        for i2, col in zip(orbit.tolist(), cols):
+            if i2 == i:
+                yield i2, M
+            else:
+                # M_i'[a, b] = M_i[s(a), s(b)] for s the inverse of pi_m
+                s = np.argsort(pm[:, col])
+                yield i2, M.take(s, axis=0).take(s, axis=1)
+
+
 def _class_algebra_elements(group: MatrixGroup, cd: ConjugacyData, l: int, rng, count: int):
     """`count` seeded elements sum_i c_i M_i of the class algebra, each
     over all the class matrices with weights c_i drawn from F_l, as (n, n)
-    int64 residues mod l.  Every class matrix is built once, by
-    `class_matrix`, and added into all the sums.
+    int64 residues mod l.  Every class matrix comes once from
+    `_class_matrices`, one build per rational class, and is added into all
+    the sums.
 
     Exactness.  Column k of sum_i M_i counts every x in G once, at the
     class of x^-1 z_k, so sum_i M_i[j, k] = |C_j|.  The terms c_i M_i[j, k]
@@ -136,8 +177,7 @@ def _class_algebra_elements(group: MatrixGroup, cd: ConjugacyData, l: int, rng, 
     weights = _draw(rng, (count, n), l).astype(np.int64)
     acc = np.zeros((count, n, n), dtype=np.int64)
     term = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        M = class_matrix(group, cd, i)
+    for i, M in _class_matrices(group, cd):
         for A, c in zip(acc, weights[:, i]):
             A += np.multiply(M, c, out=term)
     return list(acc % l)
@@ -157,21 +197,26 @@ def _eigenspaces(op: np.ndarray, l: int, rng):
     when op is not diagonalisable over F_l.
 
     Each round adds a batch of seeded random start vectors w (min(d,
-    `_START`), then as many again as all before) and their powers op^a w,
-    a < 2d.  A product with op costs about the same for one start vector as
-    for eight, as reading op dominates.
-      * Roots.  A seeded functional u of all the batches gives the sequence
-        u . (op^a w)_w, and Berlekamp-Massey its minimal polynomial f_u from
-        its 2d terms, as its degree is at most d.  f_u divides the minimal
-        polynomial of op, so when op is diagonalisable over F_l, f_u is a
-        product of distinct linear factors; f_u with fewer distinct roots
-        in F_l than its degree proves op not split.  The roots of every
-        f_u are pooled into f = prod (x - lam), with a new functional until
-        f(op) w = 0 for every start vector (one product).
+    `_START`), then as many again as all before), their powers op^a w for
+    a <= d (`_krylov_powers`, which squares op again in each round: later
+    rounds are rare, and holding every square would cost log2(2d) d^2
+    floats), and `_ROUNDS` seeded functionals u of all the batches.  A
+    product with op costs about the same for one start vector as for
+    eight, as reading op dominates.
+      * Roots.  Each functional gives the sequence u . (op^a w)_w, a < 2d
+        (`_krylov_sequences`), and Berlekamp-Massey its minimal polynomial
+        f_u from its 2d terms, as its degree is at most d.  f_u divides the
+        minimal polynomial of op, so when op is diagonalisable over F_l,
+        f_u is a product of distinct linear factors; f_u with fewer
+        distinct roots in F_l than its degree proves op not split.  The
+        roots of every f_u are pooled into f = prod (x - lam), with the
+        next functional until f(op) w = 0 for every start vector (one
+        product).
       * Eigenvectors.  Then g_j(op) w for the quotient g_j = f / (x -
         lam_j) satisfies (op - lam_j) g_j(op) w = f(op) w = 0: it lies in
         the eigenspace E_j.  For all j and all start vectors this is one
-        product of the quotients' coefficients with the powers.
+        product of the quotients' coefficients with the powers; each
+        E_j's rows are read by `_row_spaces`.
       * Dimension count.  The found spaces F_j, spanned by those vectors,
         lie in the E_j, which are independent; so when their dimensions sum
         to d, so do those of the E_j, op is diagonalisable, and F_j = E_j.
@@ -179,25 +224,25 @@ def _eigenspaces(op: np.ndarray, l: int, rng):
     A split operator fails to close the count in a round only when an
     eigenspace holds more dimensions than there are start vectors, and
     its roots are missed only when each of `_ROUNDS` functionals misses
-    one (probability at most d l^-_ROUNDS); after `_ROUNDS` rounds, or
-    functionals, op is refused as not split.
+    one (probability at most d l^-_ROUNDS); after `_ROUNDS` rounds op is
+    refused as not split.
 
     Every product is a `matmul_mod` or a `min_poly` of residues, exact
     under their guards; the synthetic division multiplies two residues in
-    int64, as does `rref`."""
+    int64, as does `rref`, and `_row_spaces` two residues below 2^53."""
     d = len(op)
     opT = op.T.astype(np.float64)
     lams = set()
     for r in range(_ROUNDS):
-        W = np.empty((2 * d, min(d, _START) << max(0, r - 1), d))
+        W = np.empty((d + 1, min(d, _START) << max(0, r - 1), d))
         W[0] = _draw(rng, W.shape[1:], l)
-        for a in range(1, 2 * d):
-            W[a] = matmul_mod(W[a - 1], opT, l)
-        # P[a, w] = op^a w, one start vector w per row
+        shifts = _krylov_powers(W, opT, l)
+        # P[a, w] = op^a w, a <= d, one start vector w per row
         P = W if r == 0 else np.concatenate([P, W], axis=1)
-        flat = P.reshape(2 * d, -1)
-        for _ in range(_ROUNDS):
-            f_u = min_poly(matmul_mod(flat, _draw(rng, flat.shape[1:], l), l).astype(np.int64), l)
+        flat = P.reshape(d + 1, -1)
+        seqs = _krylov_sequences(P, _draw(rng, (_ROUNDS,) + P.shape[1:], l), shifts, l)
+        for s in seqs.T.astype(np.int64):
+            f_u = min_poly(s, l)
             roots = poly_roots(f_u, l)
             if len(roots) < len(f_u) - 1:
                 raise VerificationError("operator not split")
@@ -215,11 +260,85 @@ def _eigenspaces(op: np.ndarray, l: int, rng):
         G = np.ones((k, k), dtype=np.int64)
         for a in range(k - 1, 0, -1):
             G[a - 1] = (f[a] + lam * G[a]) % l
-        X = matmul_mod(G.T.astype(np.float64), flat[:k], l).astype(np.int64).reshape(k, -1, d)
-        spaces = [(R, piv) for R, piv in (rref(x, l) for x in X) if piv]
+        X = matmul_mod(G.T.astype(np.float64), flat[:k], l).reshape(k, -1, d)
+        spaces = [(R, piv) for R, piv in _row_spaces(X, l) if piv]
         if sum(len(piv) for _, piv in spaces) == d:
             return spaces
     raise VerificationError("operator not split")
+
+
+def _krylov_powers(W: np.ndarray, opT: np.ndarray, l: int) -> dict:
+    """Fill W, of d + 1 rows, with W[a] = W[0] opT^a, in place, by
+    doubling: W[h : 2h] = W[:h] opT^h for h = 1, 2, 4, ..., with opT^h by
+    squaring; about 2 log2(2d) products, each over d terms.  Returns {h:
+    opT^h} for the powers of two h in ((d + 1) / 2, 2d), the shifts
+    `_krylov_sequences` reads; no other square is held."""
+    d = W.shape[-1]
+    h, S, keep = 1, opT, {}
+    while h < 2 * d:
+        if h <= d:
+            hi = min(2 * h, d + 1)
+            W[h:hi] = matmul_mod(W[: hi - h], S, l)
+        if 2 * h > d + 1:
+            keep[h] = S
+        h *= 2
+        if h < 2 * d:
+            S = matmul_mod(S, S, l)
+    return keep
+
+
+def _krylov_sequences(P: np.ndarray, U: np.ndarray, shifts: dict, l: int) -> np.ndarray:
+    """The (2d, functionals) float64 residues s[a, u] = sum_w U[u, w] .
+    op^a w for a < 2d, from P[a, w] = op^a w, a <= d, and the shifts {h:
+    (op^T)^h} of `_krylov_powers`, for functionals U[u, w] of the start
+    vectors.
+
+    Beyond a = d only projections are needed.  With h the largest power of
+    two at most a, h lies in ((d + 1) / 2, 2d), op^a w = op^h op^(a-h) w and
+    a - h <= d (a - h < h <= d, or a - h < 2d - h < d), so s[a, u] = sum_w
+    (U[u, w] op^h) . op^(a-h) w: the functionals moved by one product with
+    (op^T)^h, then one product with the stored powers."""
+    d = P.shape[-1]
+    flat = P.reshape(d + 1, -1)
+    s = np.empty((2 * d, len(U)))
+    s[: d + 1] = matmul_mod(flat, U.reshape(len(U), -1).T, l)
+    for h, S in shifts.items():
+        lo, hi = max(h, d + 1), min(2 * h, 2 * d)
+        if lo < hi:
+            Uh = matmul_mod(U, S.T, l).reshape(len(U), -1)
+            s[lo:hi] = matmul_mod(flat[lo - h : hi - h], Uh.T, l)
+    return s
+
+
+def _row_spaces(X: np.ndarray, l: int) -> list:
+    """[rref(x, l) for x in X], int64, for a (k, rows, d) stack of residues
+    (int64, or float64 holding integers).
+
+    A slice of rank one is read in one pass over the stack, a row index at
+    a time: v, its first nonzero row scaled to 1 at its first nonzero
+    column c, is its rref exactly when every row x_i equals x_i[c] v mod l
+    (then every nonzero row is a multiple of v and is zero left of c, so c
+    is the one pivot and v the one row).  Products of two residues are
+    below l^2 < 2^53, exact in either dtype.  A zero slice gives no rows
+    and no pivots; `rref` reduces the others."""
+    k, rows, d = X.shape
+    at = np.arange(k)
+    nonzero = (X != 0).any(axis=2)
+    v = X[at, nonzero.argmax(axis=1)]
+    c = (v != 0).argmax(axis=1)
+    v = (v * np.array([inv_mod(int(x), l) for x in v[at, c]], dtype=v.dtype)[:, None] % l).astype(np.int64)
+    rank_one = nonzero.any(axis=1)
+    for i in range(rows):
+        rank_one &= ~((X[:, i] - X[at, i, c][:, None] * v) % l).any(axis=1)
+    out = []
+    for j in range(k):
+        if not nonzero[j].any():
+            out.append((v[:0], []))
+        elif rank_one[j]:
+            out.append((v[j : j + 1], [int(c[j])]))
+        else:
+            out.append(rref(X[j].astype(np.int64), l))
+    return out
 
 
 def _split_blocks(blocks, M, l, rng=None):

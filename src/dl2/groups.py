@@ -69,7 +69,7 @@ class MatrixSpace:
         # dot[(u0 + u1 S) S^2 + (v0 + v1 S)] = u0 v0 + u1 v1: the C-order
         # array over (u1, u0, v1, v0)
         M, A = ring.mul.astype(np.int32), ring.add.astype(np.int32)
-        self._dot = A.ravel()[M[None, :, None, :] * S + M[:, None, :, None]].ravel()
+        self._dot = A.ravel().take(M[None, :, None, :] * S + M[:, None, :, None]).ravel()
         # the code space in C order over (d, c, b, a): each array below is
         # its ring tables broadcast over four axes of length S
         x = np.arange(S, dtype=np.int32)
@@ -77,8 +77,10 @@ class MatrixSpace:
         # the columns (a, c) and (b, d) of every code as pair codes
         self._col1 = np.broadcast_to(x[None, :, None, None] * S + x, shape).ravel()
         self._col2 = np.broadcast_to(x[:, None, None, None] * S + x[:, None], shape).ravel()
-        # det = a d - b c, int32 as every code is
-        self.det = A[M.T[:, None, None, :], ring.neg[M.T][None, :, :, None]].ravel()
+        # det = a d - b c, int32 as every code is: add[a d, -(b c)] as one
+        # flat gather, like `_dot`
+        negbc = ring.neg[M.T].astype(np.int32)
+        self.det = A.ravel().take(M.T[:, None, None, :] * S + negbc[None, :, :, None]).ravel()
         self.identity = self.enc(ring.one, 0, 0, ring.one)
 
     def enc(self, a, b, c, d):

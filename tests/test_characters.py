@@ -422,6 +422,99 @@ def test_class_matrix_matches_column_loop(p, k, r, flavor):
         assert (M == _class_matrix_by_columns(G, cd, i)).all()
 
 
+@pytest.mark.parametrize(
+    "p, k, r, flavor, mode",
+    [(3, 1, 2, "gl", "mixed"), (2, 1, 3, "gl", "equal"), (2, 2, 2, "sl", "mixed"), (3, 1, 1, "gl", "equal")],
+)
+def test_rational_class_matrices_match_direct_build(monkeypatch, p, k, r, flavor, mode):
+    """`_class_matrices` yields every class once, with the class matrix the
+    direct build gives, and builds one per rational class."""
+    G = make_group(p, k, r, mode, flavor)
+    cd = G.conjugacy()
+    built = []
+    real = dixon.class_matrix
+    monkeypatch.setattr(dixon, "class_matrix", lambda g, c, i: built.append(i) or real(g, c, i))
+    got = dict(dixon._class_matrices(G, cd))
+    assert sorted(got) == list(range(cd.n_classes))
+    for i, M in got.items():
+        assert M.dtype == np.int64 and (M == real(G, cd, i)).all()
+    pm = cd.power_map()[:, dixon._unit_exponents(cd.exponent)]
+    assert len(built) == len({frozenset(row) for row in pm.tolist()})
+
+
+def test_rational_class_matrices_cut_the_builds_on_gl2_z9(monkeypatch):
+    G = make_group(3, 1, 2, "mixed", "gl")
+    calls = []
+    real = dixon.class_matrix
+    monkeypatch.setattr(dixon, "class_matrix", lambda g, c, i: calls.append(i) or real(g, c, i))
+    dixon.character_table_mod_l(G)
+    assert (len(calls), G.conjugacy().n_classes) == (41, 78)
+
+
+def _krylov_chain(W0, op, l, terms):
+    """The reference: op^a w for a < terms, one product per power."""
+    W = [W0]
+    for _ in range(1, terms):
+        W.append(matmul_mod(W[-1], op.T.astype(np.float64), l))
+    return np.array(W)
+
+
+@pytest.mark.parametrize("d, batch", [(1, 1), (2, 3), (5, 2), (8, 8), (13, 4), (16, 1), (17, 5)])
+def test_doubled_krylov_powers_and_sequences_match_the_chain(d, batch):
+    l = 1201
+    rng = np.random.default_rng(d * 100 + batch)
+    op = rng.integers(0, l, size=(d, d))
+    W = np.empty((d + 1, batch, d))
+    W[0] = rng.integers(0, l, size=(batch, d))
+    chain = _krylov_chain(W[0], op, l, 2 * d)
+    shifts = dixon._krylov_powers(W, op.T.astype(np.float64), l)
+    assert (W == chain[: d + 1]).all()
+    assert all((d + 1) / 2 < h < 2 * d for h in shifts) and len(shifts) <= 2
+    U = rng.integers(0, l, size=(3, batch, d)).astype(np.float64)
+    want = np.einsum("awc,uwc->au", chain.astype(object), U.astype(np.int64).astype(object)) % l
+    assert (dixon._krylov_sequences(W, U, shifts, l) == want.astype(np.float64)).all()
+
+
+def test_row_spaces_match_rref_on_stacks_of_every_rank():
+    l = 101
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        k, rows, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 7)
+        X = np.zeros((k, rows, d), dtype=np.int64)
+        for j in range(k):
+            rank = rng.integers(0, min(rows, d) + 1)
+            if rank:
+                X[j] = rng.integers(0, l, size=(rows, rank)) @ rng.integers(0, l, size=(rank, d)) % l
+        # a rank-one slice whose leading row is zero, and an all-zero one
+        X[0] = 0
+        if rows > 1:
+            X[-1] = 0
+            X[-1, 1:] = rng.integers(0, l, size=(rows - 1, 1)) * rng.integers(0, l, size=d) % l
+        got = dixon._row_spaces(X if trial % 2 else X.astype(np.float64), l)
+        assert len(got) == k
+        for (R, piv), x in zip(got, X):
+            R_ref, piv_ref = rref(x, l)
+            assert piv == piv_ref and R.dtype == np.int64 and R.shape == R_ref.shape
+            assert (R == R_ref).all()
+
+
+def test_eigenspaces_refuse_a_hidden_jordan_block():
+    """A 2 x 2 Jordan block among simple eigenvalues, conjugated: every
+    root is in F_l, but a minimal polynomial with the double root 3 or a
+    dimension count that never closes refuses it."""
+    l = 101
+    rng = np.random.default_rng(11)
+    J = np.diag([3, 3, 5, 7, 20, 40, 60]).astype(np.int64)
+    J[0, 1] = 1
+    while True:
+        P = rng.integers(0, l, size=(7, 7))
+        if len(rref(P, l)[1]) == 7:
+            break
+    Pinv = rref(np.hstack([P, np.eye(7, dtype=np.int64)]), l)[0][:, 7:]
+    with pytest.raises(VerificationError, match="operator not split"):
+        dixon._eigenspaces(P @ J % l @ Pinv % l, l, random.Random(0))
+
+
 def test_split_blocks_guards_int64_overflow():
     l = 2**31 - 1  # prime; 3 * (l - 1)^2 >= 2^63
     eye = np.eye(3, dtype=np.int64)

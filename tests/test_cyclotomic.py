@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dl2.cyclotomic import (
+    _EVALUATION_CACHE,
+    _evaluation_matrices,
     cyclotomic_poly,
     matmul,
     phi,
@@ -296,3 +298,15 @@ def test_matmul_guards_int64_overflow():
     assert matmul(X, X, 4).tolist() == [[[0, 2**59]]]  # (1 + i)^2 = 2i
     with pytest.raises(OverflowError):
         matmul(X, np.full((1, 1, 2), 2**33, dtype=np.int64), 4)
+
+
+def test_evaluation_matrices_cache_is_bounded():
+    """Each cached (e, l) holds 2 phi(e)^2 float64; after many primes the
+    cache holds no more than its bound."""
+    e = 12
+    primes = [l for l in range(e + 1, 20_000, e) if is_prime(l)][:3 * _EVALUATION_CACHE]
+    for l in primes:
+        V, Vinv = _evaluation_matrices(e, l)
+        assert (V @ Vinv % l == np.eye(phi(e))).all()
+    assert _evaluation_matrices.cache_info().maxsize == _EVALUATION_CACHE
+    assert _evaluation_matrices.cache_info().currsize <= _EVALUATION_CACHE

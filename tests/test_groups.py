@@ -412,3 +412,16 @@ def test_conjugacy_multiplies_whole_group_arrays(monkeypatch):
     cd = ConjugacyData(G)
     n_gens = len(np.unique(G.generators()))
     assert len(calls) <= 2 * n_gens + int(cd.rep_orders.max()) + 1
+
+
+@pytest.mark.parametrize(
+    "p, k, r, mode", [(2, 1, 1, "mixed"), (2, 1, 2, "mixed"), (3, 1, 2, "mixed"), (2, 2, 2, "mixed")]
+)
+def test_det_table_matches_broadcast_index(p, k, r, mode):
+    """`MatrixSpace.det`, one flat gather, equals the 2-D broadcast index
+    over (d, c, b, a) it replaced, on F_2, Z/4, Z/9 and GR(4, 2)."""
+    ring = make_ring(p, k, r, mode)
+    sp = MatrixSpace(ring)
+    M, A = ring.mul.astype(np.int32), ring.add.astype(np.int32)
+    want = A[M.T[:, None, None, :], ring.neg[M.T][None, :, :, None]].ravel()
+    assert sp.det.dtype == want.dtype and (sp.det == want).all()

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dl2
 from dl2.cyclotomic import split_primes
 from dl2.modlinalg import (
     exact_matmul,
@@ -216,3 +221,22 @@ def test_reduce_mod_matches_python_integers(case):
     out = np.array(ints, dtype=np.float64)
     assert reduce_mod(out, l, out=out) is out
     assert out.tolist() == want
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_dl2_defaults_openblas_to_one_thread(preset):
+    """`import dl2` sets OPENBLAS_NUM_THREADS=1 before numpy loads, unless
+    the environment already sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(dl2.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import dl2\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == (preset or "1")
