@@ -11,9 +11,14 @@ u = u0 + u1*S and v = v0 + v1*S, dot[u*S^2 + v] = u0*v0 + u1*v1 in the
 ring.  A code x holds its rows as the pair codes x mod S^2 = (a, b) and
 x div S^2 = (c, d); two column arrays over the code space hold each code's
 columns (a, c) and (b, d) as pair codes.  So each entry of a product is one
-gather, and a product is four.  The table, the column arrays and every index
-and partial sum are below S^4 = N, and the space is refused above
-N = 40 000 000 < 2^31, so all of it is exact in int32; products come back as
+gather, and a product is four.  The space is refused above N = S^4 =
+40 000 000, so S <= 79, and the tables take 7 bytes per code: ring
+elements (`det`) are below S <= 79 < 2^8 (uint8), pair codes (the column
+arrays) below S^2 <= 6241 < 2^16 (uint16), and a row of a product, like
+the entries of `dot`, below S^2 < 2^15 (int16); indices into `dot` are
+below S^4 < 2^31.  Each table is built one S^3 block at a time, and `mul`
+takes its codes in blocks of `_MUL_BLOCK_BYTES`, so no temporary grows
+with the code space or with the number of codes; products come back as
 int64 codes.
 
 Conjugacy classes are the connected components of the graph on group
@@ -38,6 +43,10 @@ from .rings import RingSpec, make_ring
 
 GROUP_BOUND = 500_000
 
+# Bytes of one int64 temporary of `MatrixSpace.mul`: it takes its codes
+# _MUL_BLOCK_BYTES / 8 at a time.
+_MUL_BLOCK_BYTES = 2**17
+
 
 class GroupTooLargeError(ValueError):
     pass
@@ -59,28 +68,37 @@ class MatrixSpace:
         S = ring.size
         self.S = S
         N = S**4
-        # int32 bound of the pair-dot arithmetic: every code, table index
-        # and partial sum in `mul` is below S^4 = N <= 40 000 000 < 2^31
+        # N <= 40 000 000 forces S <= 79, which bounds every narrow dtype:
+        # ring elements < S < 2^8 (uint8 `det`), pair codes < S^2 <= 6241
+        # < 2^15 (uint16 columns; int16 `_dot` and the row sums of `mul`),
+        # indices into `_dot` < S^4 < 2^31
         if N > 40_000_000:
             raise GroupTooLargeError(f"matrix code space {N} too large")
         self.N = N
         self._mulf = ring.mul.ravel()
         self._neg = ring.neg
-        # dot[(u0 + u1 S) S^2 + (v0 + v1 S)] = u0 v0 + u1 v1: the C-order
-        # array over (u1, u0, v1, v0)
-        M, A = ring.mul.astype(np.int32), ring.add.astype(np.int32)
-        self._dot = A.ravel().take(M[None, :, None, :] * S + M[:, None, :, None]).ravel()
-        # the code space in C order over (d, c, b, a): each array below is
-        # its ring tables broadcast over four axes of length S
-        x = np.arange(S, dtype=np.int32)
-        shape = (S, S, S, S)
+        M, A = ring.mul, ring.add.ravel().astype(np.uint8)
+        # every table is C-order over four axes of length S, filled one
+        # S^3 block (one value of the leading axis) at a time
+        # dot[(u0 + u1 S) S^2 + (v0 + v1 S)] = add[u0 v0, u1 v1], over
+        # (u1, u0, v1, v0)
+        dot, u0v0 = np.empty((S, S, S, S), dtype=np.int16), M[:, None, :] * S
+        for u1 in range(S):
+            dot[u1] = A[u0v0 + M[u1][None, :, None]]
+        self._dot = dot.ravel()
+        # det = a d - b c = add[a d, -(b c)] over the code space (d, c, b, a)
+        negbc = ring.neg[M.T]  # [c, b]
+        det = np.empty((S, S, S, S), dtype=np.uint8)
+        for d in range(S):
+            det[d] = A[M[:, d] * S + negbc[:, :, None]]
+        self.det = det.ravel()
         # the columns (a, c) and (b, d) of every code as pair codes
-        self._col1 = np.broadcast_to(x[None, :, None, None] * S + x, shape).ravel()
-        self._col2 = np.broadcast_to(x[:, None, None, None] * S + x[:, None], shape).ravel()
-        # det = a d - b c, int32 as every code is: add[a d, -(b c)] as one
-        # flat gather, like `_dot`
-        negbc = ring.neg[M.T].astype(np.int32)
-        self.det = A.ravel().take(M.T[:, None, None, :] * S + negbc[None, :, :, None]).ravel()
+        pair = np.arange(S, dtype=np.uint16)[:, None] * S + np.arange(S, dtype=np.uint16)
+        col1 = np.empty((S, S, S, S), dtype=np.uint16)
+        col1[:] = pair[None, :, None, :]  # a + c S
+        col2 = np.empty((S, S, S, S), dtype=np.uint16)
+        col2[:] = pair[:, None, :, None]  # b + d S
+        self._col1, self._col2 = col1.ravel(), col2.ravel()
         self.identity = self.enc(ring.one, 0, 0, ring.one)
 
     def enc(self, a, b, c, d):
@@ -92,13 +110,47 @@ class MatrixSpace:
         return code % S, code // S % S, code // (S * S) % S, code // (S * S * S)
 
     def mul(self, x, y):
-        """Matrix product on (arrays of) codes, x broadcast against y.  The
-        rows of x are the pair codes x mod S^2 and x div S^2, so each entry
-        of the product is one gather from the pair-dot table."""
+        """Matrix product on (arrays of) codes, x broadcast against y, as
+        int64 codes.  The rows of x are the pair codes x mod S^2 and
+        x div S^2, so each entry of the product is one gather from the
+        pair-dot table.  A product of more than `_MUL_BLOCK_BYTES` / 8 codes
+        is taken into its output a block of leading-axis slices at a time,
+        so each block still broadcasts x against y."""
+        x, y = np.asarray(x), np.asarray(y)
+        b = np.broadcast(x, y)
+        if b.size <= _MUL_BLOCK_BYTES // 8:
+            return self._mul(x, y)
+        out = np.empty(b.shape, dtype=np.int64)
+        self._mul_blocks(x.reshape((1,) * (b.ndim - x.ndim) + x.shape), y.reshape((1,) * (b.ndim - y.ndim) + y.shape), out)
+        return out
+
+    def _mul_blocks(self, x, y, out):
+        """`mul` into out, x and y of its number of axes: blocks of rows of
+        at most `_MUL_BLOCK_BYTES` / 8 codes, or each row in turn (by its
+        own rows) when one row is larger."""
+        rows = _MUL_BLOCK_BYTES // 8 // (out.size // len(out))
+        if rows == 0:
+            for i, o in enumerate(out):
+                self._mul_blocks(x[i if len(x) > 1 else 0], y[i if len(y) > 1 else 0], o)
+            return
+        for i in range(0, len(out), rows):
+            block = slice(i, i + rows)
+            self._mul(x[block] if len(x) > 1 else x, y[block] if len(y) > 1 else y, out[block])
+
+    def _mul(self, x, y, out=None):
         S, S2, dot = self.S, self.S * self.S, self._dot
         lo, hi = x % S2 * S2, x // S2 * S2
         c1, c2 = self._col1[y], self._col2[y]
-        return (dot[lo + c1] + dot[lo + c2] * S + (dot[hi + c1] + dot[hi + c2] * S) * S2).astype(np.int64)
+        # each row (two entries as a pair code) is below S^2 < 2^15: int16
+        row0 = dot[lo + c1] + dot[lo + c2] * S
+        row1 = dot[hi + c1] + dot[hi + c2] * S
+        if out is None:
+            out = row1.astype(np.int64)
+        else:
+            out[...] = row1
+        out *= S2
+        out += row0
+        return out
 
     def inv(self, x):
         """Inverse on codes with unit determinant (adjugate over det)."""
@@ -264,11 +316,8 @@ class ConjugacyData:
     def __init__(self, group: "MatrixGroup"):
         sp = group.space
         gens = unique(np.asarray(group.generators(), dtype=np.int64))
-        # int32 edge lists: positions are below GROUP_BOUND < 2^31.
-        nbrs = [
-            group.pos_of[sp.mul(g, sp.mul(group.codes, gi))].astype(np.int32)
-            for g, gi in zip(gens, sp.inv(gens))
-        ]
+        # int32 edge lists, like `pos_of`
+        nbrs = [group.pos_of[sp.mul(g, sp.mul(group.codes, gi))] for g, gi in zip(gens, sp.inv(gens))]
         parent = np.arange(group.order, dtype=np.int32)
         hooked = True
         while hooked:
@@ -353,7 +402,8 @@ class MatrixGroup:
         self.order = len(codes)
         if self.order != expected:
             raise InvariantError(f"{self.order} elements, not the order {expected}")
-        self.pos_of = np.full(sp.N, -1, dtype=np.int64)
+        # int32: positions are below the order <= N <= 4·10^7 < 2^31
+        self.pos_of = np.full(sp.N, -1, dtype=np.int32)
         self.pos_of[codes] = np.arange(self.order)
 
     # -- structure ------------------------------------------------------------

@@ -42,6 +42,11 @@ import numpy as np
 from .abelian import DualChar, FiniteAbelianGroup, InvariantError, unique
 from .rings import RingSpec, make_ext, make_ring
 
+# Bytes of one int64 temporary of `CoxeterTorus.taus` and
+# `conductor_brute_force`: they take the thetas (and the twists) in blocks
+# of this size, so neither holds an array over all thetas at once.
+_BLOCK_BYTES = 2**17
+
 
 class CoxeterTorus:
     """T_r^F realised as units of the unramified quadratic extension."""
@@ -150,19 +155,26 @@ class CoxeterTorus:
     def taus(self, A: np.ndarray, psi_scale: int = 1) -> np.ndarray:
         """For each exponent row of A, the unique tau in F_{q^2} (pair code)
         with theta(1 + pi^(r-1) x) = psi(Tr_{F_{q^2}/F_q}(x tau)) for all x
-        (levels r >= 2)."""
+        (levels r >= 2).  The rows are read a block at a time, each block's
+        (rows, q^2) values within `_BLOCK_BYTES`."""
         if self.r < 2:
             raise ValueError("tau is defined for levels r >= 2 only")
         p, L = self.ring.p, self.group.exponent
-        V = A @ self._top_rows.T % L
-        if (V * p % L).any():
-            raise InvariantError("top-layer values are not p-th roots")
         P, cols, lut = self._pairing_patterns(psi_scale)
-        V = V * p // L
-        tau = lut[V[:, cols] @ p ** np.arange(len(cols) - 1, -1, -1)]
-        # the whole pairing row must be the pattern of the tau it was read as
-        if (P[:, tau].T != V).any():
-            raise InvariantError("top-layer values are not a trace pairing")
+        A, top = np.asarray(A), self._top_rows.T
+        weights = p ** np.arange(len(cols) - 1, -1, -1)
+        tau = np.empty(len(A), dtype=np.int64)
+        step = max(1, _BLOCK_BYTES // (8 * top.shape[1]))
+        for lo in range(0, len(A), step):
+            V = A[lo : lo + step] @ top % L
+            if (V * p % L).any():
+                raise InvariantError("top-layer values are not p-th roots")
+            V = V * p // L
+            t = lut[V[:, cols] @ weights]
+            # the whole pairing row must be the pattern of the tau it was read as
+            if (P[:, t].T != V).any():
+                raise InvariantError("top-layer values are not a trace pairing")
+            tau[lo : lo + step] = t
         return tau
 
     # -- descent ---------------------------------------------------------------
@@ -320,14 +332,21 @@ def conductor_brute_force(torus: CoxeterTorus, A) -> np.ndarray:
     """For each exponent row of A, the min over alpha in Irr(O_r^x) of the
     level of theta * alpha(norm(-)): the least r2 at which some twist is
     trivial on the generators of K_{r2}.  One (thetas, twists, generators)
-    array per level."""
+    array per block of thetas and chunk of twists, within `_BLOCK_BYTES`."""
     L = torus.group.exponent
     A = np.asarray(A, dtype=np.int64)
     out = np.zeros(len(A), dtype=np.int64)
     for r2 in range(torus.r, 0, -1):
         W, V = torus.kernel_values(r2)
-        trivial = ((A @ W.T)[:, None, :] + V[None, :, :]) % L == 0
-        out[trivial.all(axis=2).any(axis=1)] = r2
+        cell = 8 * max(1, W.shape[0])  # bytes per (theta, twist)
+        rows = max(1, _BLOCK_BYTES // (cell * len(V)))
+        twists = max(1, _BLOCK_BYTES // (cell * rows))
+        for lo in range(0, len(A), rows):
+            AW = (A[lo : lo + rows] @ W.T)[:, None, :]
+            hit = np.zeros(len(AW), dtype=bool)
+            for j in range(0, len(V), twists):
+                hit |= ((AW + V[None, j : j + twists]) % L == 0).all(axis=2).any(axis=1)
+            out[lo : lo + rows][hit] = r2
     if not out.all():
         raise InvariantError("no twist is trivial on the trivial kernel")
     return out

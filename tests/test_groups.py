@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dl2 import groups
 from dl2.groups import (
     ConjugacyData,
     GroupTooLargeError,
@@ -418,10 +420,132 @@ def test_conjugacy_multiplies_whole_group_arrays(monkeypatch):
     "p, k, r, mode", [(2, 1, 1, "mixed"), (2, 1, 2, "mixed"), (3, 1, 2, "mixed"), (2, 2, 2, "mixed")]
 )
 def test_det_table_matches_broadcast_index(p, k, r, mode):
-    """`MatrixSpace.det`, one flat gather, equals the 2-D broadcast index
-    over (d, c, b, a) it replaced, on F_2, Z/4, Z/9 and GR(4, 2)."""
+    """`MatrixSpace.det`, uint8 and built one block at a time, equals the
+    int32 2-D broadcast index over (d, c, b, a), on F_2, Z/4, Z/9 and
+    GR(4, 2)."""
     ring = make_ring(p, k, r, mode)
     sp = MatrixSpace(ring)
     M, A = ring.mul.astype(np.int32), ring.add.astype(np.int32)
     want = A[M.T[:, None, None, :], ring.neg[M.T][None, :, :, None]].ravel()
-    assert sp.det.dtype == want.dtype and (sp.det == want).all()
+    assert sp.det.dtype == np.uint8 and (sp.det == want).all()
+
+
+# every ring of the default manifest, plus Z/25, Z/49, F_5[t]/t^2 and GR(4, 2)
+NARROW_RINGS = sorted(
+    {(p, k, r, mode) for (p, k, r, _flavor, mode) in DEFAULT_MANIFEST}
+    | {(5, 1, 2, "mixed"), (7, 1, 2, "mixed"), (5, 1, 2, "equal"), (2, 2, 2, "mixed")}
+)
+
+
+class _Int32Space:
+    """The former int32 tables of `MatrixSpace`, each one broadcast index
+    over the code space, with its `mul` and `inv`."""
+
+    def __init__(self, ring):
+        S = self.S = ring.size
+        self.ring = ring
+        M, A = ring.mul.astype(np.int32), ring.add.astype(np.int32)
+        # over (u1, u0, v1, v0) and over (d, c, b, a)
+        self.dot = A[M[None, :, None, :], M[:, None, :, None]].ravel()
+        self.det = A[M.T[:, None, None, :], ring.neg[M.T].astype(np.int32)[None, :, :, None]].ravel()
+        x = np.arange(S, dtype=np.int32)
+        # the columns a + c S and b + d S over (d, c, b, a), unbroadcast
+        self.col1 = x[None, :, None, None] * S + x
+        self.col2 = x[:, None, None, None] * S + x[:, None]
+
+    def cols(self, y):
+        S = self.S
+        idx = (y // S**3, y // S**2 % S, y // S % S, y % S)
+        shape = (S, S, S, S)
+        return np.broadcast_to(self.col1, shape)[idx], np.broadcast_to(self.col2, shape)[idx]
+
+    def mul(self, x, y):
+        S, S2, dot = self.S, self.S**2, self.dot
+        lo, hi = x % S2 * S2, x // S2 * S2
+        c1, c2 = self.cols(np.asarray(y))
+        return (dot[lo + c1] + dot[lo + c2] * S + (dot[hi + c1] + dot[hi + c2] * S) * S2).astype(np.int64)
+
+    def inv(self, x):
+        S, R = self.S, self.ring
+        idet = R.inv[self.det[x]]
+        a, b, c, d = x % S, x // S % S, x // S**2 % S, x // S**3
+        mf = R.mul.ravel()
+        return mf[d * S + idet] + R.neg[mf[b * S + idet]] * S + R.neg[mf[c * S + idet]] * S**2 + mf[a * S + idet] * S**3
+
+
+@pytest.mark.parametrize("p, k, r, mode", NARROW_RINGS)
+def test_narrow_tables_match_int32_reference(p, k, r, mode):
+    """int16 `_dot`, uint8 `det` and uint16 columns, built one S^3 block at a
+    time, equal the int32 broadcast-index tables; `mul` (blocked or not,
+    broadcast or scalar) and `inv` give the same int64 codes."""
+    ring = make_ring(p, k, r, mode)
+    sp, ref = matrix_space(ring), _Int32Space(ring)
+    S = ring.size
+    assert (sp._dot.dtype, sp.det.dtype, sp._col1.dtype, sp._col2.dtype) == (np.int16, np.uint8, np.uint16, np.uint16)
+    assert (sp._dot == ref.dot).all() and (sp.det == ref.det).all()
+    shape = (S, S, S, S)
+    assert (sp._col1.reshape(shape) == ref.col1).all() and (sp._col2.reshape(shape) == ref.col2).all()
+    rng = np.random.default_rng(S)
+    x = rng.integers(0, sp.N, 3 * groups._MUL_BLOCK_BYTES // 8 + 5)
+    y = rng.integers(0, sp.N, len(x))
+    for a, b in [
+        (x, y),  # blocked
+        (x[:50], y[:50]),
+        (x[None, :300], y[:200, None]),  # (1, n) x (m, 1), blocked
+        (x[None, :7], y[:5, None]),
+        (int(x[0]), int(y[0])),
+        (x[1], y[:9]),
+    ]:
+        got, want = sp.mul(a, b), ref.mul(np.asarray(a), b)
+        assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
+    units = x[ring.is_unit[ref.det[x]]]
+    assert (sp.inv(units) == ref.inv(units)).all()
+    assert (sp.mul(units, sp.inv(units)) == sp.identity).all()
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_mul_blocks_match_one_product(monkeypatch, block):
+    """`mul` taken `block` codes at a time equals the one-shot product, on
+    flat, broadcast and mixed-dtype arguments."""
+    sp = matrix_space(make_ring(3, 1, 2, "mixed"))
+    rng = np.random.default_rng(block)
+    x, y = rng.integers(0, sp.N, 40), rng.integers(0, sp.N, 40).astype(np.int32)
+    args = [(x, y), (x[:, None], y[None, :11]), (x[None, :4], y[:, None]), (x[3], y)]
+    want = [sp._mul(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) for a, b in args]
+    monkeypatch.setattr(groups, "_MUL_BLOCK_BYTES", 8 * block)
+    for (a, b), w in zip(args, want):
+        got = sp.mul(a, b)
+        assert got.dtype == np.int64 and got.shape == w.shape and (got == w).all()
+
+
+def test_matrix_space_build_memory():
+    """The Z/25 space holds 7 bytes per code (2.6 MiB) and builds in S^3
+    blocks; the int32 tables with their N-sized index arrays peaked at
+    10.4 MB."""
+    ring = make_ring(5, 1, 2, "mixed")
+    tracemalloc.start()
+    try:
+        sp = MatrixSpace(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.N == 25**4
+    assert peak < 3 * 2**20
+
+
+def test_conjugation_pass_memory_is_bounded():
+    """One whole-group conjugation pass of `ConjugacyData` on GL2(Z/27)
+    (order 314 928) holds its two int64 products, the int32 edge list and
+    `mul`'s blocks: under 2.5 int64 arrays of the group's length."""
+    G = make_group(3, 1, 3, "mixed", "gl")
+    sp = G.space
+    g = G.generators()[0]
+    gi = sp.inv(np.int64(g))
+    tracemalloc.start()
+    try:
+        nbr = G.pos_of[sp.mul(g, sp.mul(G.codes, gi))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nbr.dtype == np.int32 and (nbr >= 0).all()
+    assert peak < 2.5 * 8 * G.order

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dl2.abelian import DualChar
+from dl2 import torus as torus_mod
+from dl2.abelian import InvariantError
 from dl2.groups import make_group
 from dl2.torus import (
     CoxeterTorus,
@@ -278,3 +281,81 @@ def test_top_layer_memoised_per_torus():
     assert t.top_layer_elements() is t.top_layer_elements()
     xs, elts = t.top_layer_elements()
     assert elts.tolist() == [int(t.ext.add(t.ext.one, t.ext.mul_pi_top_lift(x))) for x in xs.tolist()]
+
+
+def _taus_one_shot(t, A, psi_scale=1):
+    """The former `CoxeterTorus.taus`: one (thetas, q^2) array."""
+    p, L = t.ring.p, t.group.exponent
+    V = A @ t._top_rows.T % L
+    if (V * p % L).any():
+        raise InvariantError("top-layer values are not p-th roots")
+    P, cols, lut = t._pairing_patterns(psi_scale)
+    V = V * p // L
+    tau = lut[V[:, cols] @ p ** np.arange(len(cols) - 1, -1, -1)]
+    if (P[:, tau].T != V).any():
+        raise InvariantError("top-layer values are not a trace pairing")
+    return tau
+
+
+def _brute_force_one_shot(t, A):
+    """The former `conductor_brute_force`: one (thetas, twists, generators)
+    array per level."""
+    L = t.group.exponent
+    out = np.zeros(len(A), dtype=np.int64)
+    for r2 in range(t.r, 0, -1):
+        W, V = t.kernel_values(r2)
+        trivial = ((A @ W.T)[:, None, :] + V[None, :, :]) % L == 0
+        out[trivial.all(axis=2).any(axis=1)] = r2
+    return out
+
+
+BLOCKED_TORI = [
+    (p, k, r, mode)
+    for (p, k, r) in [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
+    for mode in ("mixed", "equal")
+] + [(5, 1, 2, "mixed"), (7, 1, 2, "mixed")]
+
+
+@pytest.mark.parametrize("pkr_mode", BLOCKED_TORI, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_blocked_torus_passes_match_one_shot(monkeypatch, pkr_mode, block):
+    """`taus` in row blocks and `conductor_brute_force` in blocks of thetas
+    and chunks of twists equal their one-shot forms, with `_BLOCK_BYTES`
+    cut to blocks of 1 and 3 (rows of `taus`; twists, then thetas, at the
+    level with the most kernel generators) and at its default."""
+    t = make_torus(*pkr_mode)
+    A = t.group.dual_rows()
+    scales = [1, 2] if 2 < t.q else [1]
+    want_tau = {s: _taus_one_shot(t, A, s) for s in scales} if t.r >= 2 else {}
+    want_bf = _brute_force_one_shot(t, A)
+    cell = 8 * max(max(1, len(t.kernels[r2].gens)) for r2 in range(1, t.r + 1))
+    n_twists = len(t.pullback_rows)
+    if block is None:
+        budgets = ([torus_mod._BLOCK_BYTES],) * 2
+    else:
+        budgets = ([8 * block * t.q**2], [block * cell, block * cell * n_twists])
+    for budget in budgets[0]:
+        monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", budget)
+        for s, want in want_tau.items():
+            assert (t.taus(A, s) == want).all()
+    for budget in budgets[1]:
+        monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", budget)
+        assert (conductor_brute_force(t, A) == want_bf).all()
+
+
+@pytest.mark.parametrize("fn", ["taus", "conductor_brute_force"])
+def test_torus_pass_memory_is_bounded(fn):
+    """On (7,1,2) mixed (2352 thetas) each pass peaks under 1 MB once its
+    memos are filled; the one-shot forms peaked at 2.6 (`taus`) and
+    3.0 MB (`conductor_brute_force`)."""
+    t = make_torus(7, 1, 2, "mixed")
+    A = t.group.dual_rows()
+    run = (lambda: t.taus(A)) if fn == "taus" else (lambda: conductor_brute_force(t, A))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
