@@ -51,15 +51,15 @@ def _stem(p, k, r, mode, flavor) -> str:
     return f"p{p}k{k}r{r}-{mode}-{flavor}"
 
 
-def group_cache_path(cache_dir: Path, p, k, r, mode, flavor) -> Path:
-    return cache_dir / f"group-{_stem(p, k, r, mode, flavor)}.npz"
+def group_cache_path(cache_dir: Path | str, p, k, r, mode, flavor) -> Path:
+    return Path(cache_dir) / f"group-{_stem(p, k, r, mode, flavor)}.npz"
 
 
-def table_cache_path(cache_dir: Path, p, k, r, mode, flavor) -> Path:
-    return cache_dir / f"table-{_stem(p, k, r, mode, flavor)}.npz"
+def table_cache_path(cache_dir: Path | str, p, k, r, mode, flavor) -> Path:
+    return Path(cache_dir) / f"table-{_stem(p, k, r, mode, flavor)}.npz"
 
 
-def save_group(group: MatrixGroup, cache_dir: Path):
+def save_group(group: MatrixGroup, cache_dir: Path | str):
     cd = group.conjugacy()
     R = group.ring
     meta = {
@@ -83,7 +83,7 @@ def save_group(group: MatrixGroup, cache_dir: Path):
     return path
 
 
-def save_table(table: CharacterTable, cache_dir: Path):
+def save_table(table: CharacterTable, cache_dir: Path | str):
     g = table.group
     R = g.ring
     meta = {
@@ -108,7 +108,7 @@ def save_table(table: CharacterTable, cache_dir: Path):
     return path
 
 
-def load_table(p, k, r, mode, flavor, cache_dir: Path) -> CharacterTable | None:
+def load_table(p, k, r, mode, flavor, cache_dir: Path | str) -> CharacterTable | None:
     """The cached table, verified, or None when the file is missing, cannot
     be read, is not a table of this group's classes, exponent and shape, or
     holds a table that fails verification."""

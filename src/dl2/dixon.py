@@ -7,21 +7,21 @@ by its residue (see `dixon_prime`).
 
 Stages:
   1. class matrices M_i with (M_i)[j, k] = #{x in C_i : x^-1 z_k in C_j},
-     built once per rational class (cost |C_i| per column) and permuted
-     through the power map for the other classes of its orbit, since
-     M_i'[j', k'] = M_i[j, k] (`_class_matrices`); each is added into a
-     few seeded elements sum_i c_i M_i of the class algebra;
+     built for the first class of each rational class only (cost |C_i|
+     per column), as omega_t(K_(pi_m i)) = sigma_m(omega_t(K_i)), and
+     added into a few seeded elements sum_i c_i M_i of the class algebra;
   2. common eigenvector splitting over F_l by those elements: one product
      per element for the rows of all open blocks together; a block on
-     which it acts as a scalar passes through, and each other block takes
-     the Krylov path: the powers op^a w, a <= d, by doubling (op^h by
-     squaring), the eigenvalues as the roots of the minimal polynomials of
-     seeded sequences u . op^a w, a < 2d (Berlekamp-Massey; the terms past
-     d as projections of moved functionals), and one product of the
-     quotients f / (x - lam_j) with the powers gives every eigenspace,
-     complete once their dimensions sum to the block's; a rank-one
-     eigenspace is read off its first nonzero row, the rest by `rref`;
-     rows still together are split by the class matrices one at a time;
+     which it acts as a scalar passes through, and the others are split
+     by one eigen-solve on their block-diagonal operator, the Krylov path:
+     the powers op^a w, a <= d, by doubling (op^h by squaring), the
+     eigenvalues as the roots of the minimal polynomials of seeded
+     sequences u . op^a w, a < 2d (Berlekamp-Massey; the terms past d as
+     projections of moved functionals), and one product of the quotients
+     f / (x - lam_j) with the powers gives every eigenspace, complete once
+     their dimensions sum to d; a rank-one eigenspace is read off its first
+     nonzero row, the rest by `rref`; rows still together are split by the
+     class matrices one at a time;
   3. normalisation of eigenvectors to central characters, then degrees by
      search: the one d <= isqrt(|G|) whose square has the right residue;
   4. lifting by the Galois action: chi(g^m) = sigma_m(chi(g)), so the
@@ -125,61 +125,42 @@ def class_matrix(group: MatrixGroup, cd: ConjugacyData, i: int) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=n * n).reshape(n, n)
 
 
-def _class_matrices(group: MatrixGroup, cd: ConjugacyData):
-    """Every class matrix, as pairs (i, M_i) in an order of rational
-    classes: `class_matrix` builds M_i for the first class i of each orbit
-    of the power maps pi_m = pm[:, m], m a unit mod e, and every other class
-    i' = pi_m(i) of that orbit gets M_i' from M_i by M_i'[pi_m(j), pi_m(k)]
-    = M_i[j, k].
-
-    Why.  M_i[j, k] = #{x in C_i : x^-1 z_k in C_j} = #{(x, y) in C_i x C_j
-    : x y = z_k} is the structure constant a_ijk of the class sums, and by
-    Burnside's formula
-      a_ijk = |C_i| |C_j| / |G| sum_chi chi(g_i) chi(g_j) conj(chi(g_k)) / chi(1),
-    the sum over Irr(G).  The Galois automorphism sigma_m : zeta_e ->
-    zeta_e^m sends chi(g), a sum of e-th roots of unity (the eigenvalues of
-    g), to chi(g^m), and commutes with complex conjugation; it permutes
-    Irr(G) and fixes the rational a_ijk.  So a_ijk = a_(i'j'k') with ' =
-    pi_m, as x -> x^m is a bijection of G (m is coprime to e, the exponent
-    of G) that maps each class C_i onto C_i', so |C_i'| = |C_i|."""
-    pm = cd.power_map()[:, _unit_exponents(cd.exponent)]
-    done = np.zeros(cd.n_classes, dtype=bool)
-    for i in range(len(done)):
-        if done[i]:
-            continue
-        M = class_matrix(group, cd, i)
-        # the orbit of i, each class with the first unit column reaching it
-        orbit, cols = np.unique(pm[i], return_index=True)
-        done[orbit] = True
-        for i2, col in zip(orbit.tolist(), cols):
-            if i2 == i:
-                yield i2, M
-            else:
-                # M_i'[a, b] = M_i[s(a), s(b)] for s the inverse of pi_m
-                s = np.argsort(pm[:, col])
-                yield i2, M.take(s, axis=0).take(s, axis=1)
-
-
 def _class_algebra_elements(group: MatrixGroup, cd: ConjugacyData, l: int, rng, count: int):
-    """`count` seeded elements sum_i c_i M_i of the class algebra, each
-    over all the class matrices with weights c_i drawn from F_l, as (n, n)
-    int64 residues mod l.  Every class matrix comes once from
-    `_class_matrices`, one build per rational class, and is added into all
-    the sums.
+    """`count` seeded elements sum_i c_i M_i of the class algebra, over one
+    class i per rational class, with weights c_i drawn from F_l, as (n, n)
+    int64 residues mod l; `class_matrix` builds each M_i once.
+
+    Which classes.  The rational class of i is its orbit under the power
+    maps pi_m = pm[:, m], m a unit mod e.  The units form a group, so every
+    class of an orbit has that orbit, and i is the first class of its orbit
+    exactly when min_m pi_m(i) = i.
+
+    Why they separate.  The central character omega_t(K_i) = |C_i|
+    chi_t(g_i) / chi_t(1) lies in Q(zeta_e), sigma_m : zeta_e -> zeta_e^m
+    sends chi_t(g_i) to chi_t(g_i^m), and x -> x^m maps C_i onto C_(pi_m
+    i) bijectively (m is coprime to e), so omega_t(K_(pi_m i)) =
+    sigma_m(omega_t(K_i)).  Two characters whose central characters agree
+    on every representative agree on every class sum, and are equal; so
+    seeded sums over the representatives separate Irr(G) off finitely many
+    hyperplanes of weights.  A collision mod l only leaves a block to the
+    class matrices one at a time (`character_table_mod_l`); no proof rests
+    on the choice, as the elements lie in the commutative class algebra.
 
     Exactness.  Column k of sum_i M_i counts every x in G once, at the
     class of x^-1 z_k, so sum_i M_i[j, k] = |C_j|.  The terms c_i M_i[j, k]
-    are nonnegative, so every partial sum of an entry is at most (l - 1)
-    |C_j| <= (l - 1) |G|, below 2^63 by the guard."""
+    are nonnegative, so every partial sum of an entry, over any classes, is
+    at most (l - 1) |C_j| <= (l - 1) |G|, below 2^63 by the guard."""
     n = cd.n_classes
     if (l - 1) * group.order >= 2**63:
         raise OverflowError(f"int64 overflow risk: (l - 1) |G| = {(l - 1) * group.order} >= 2^63")
-    weights = _draw(rng, (count, n), l).astype(np.int64)
+    reps = np.flatnonzero(cd.power_map()[:, _unit_exponents(cd.exponent)].min(axis=1) == np.arange(n))
+    weights = _draw(rng, (count, len(reps)), l).astype(np.int64)
     acc = np.zeros((count, n, n), dtype=np.int64)
     term = np.empty((n, n), dtype=np.int64)
-    for i, M in _class_matrices(group, cd):
-        for A, c in zip(acc, weights[:, i]):
-            A += np.multiply(M, c, out=term)
+    for i, c in zip(reps.tolist(), weights.T):
+        M = class_matrix(group, cd, i)
+        for A, ci in zip(acc, c):
+            A += np.multiply(M, ci, out=term)
     return list(acc % l)
 
 
@@ -319,17 +300,18 @@ def _row_spaces(X: np.ndarray, l: int) -> list:
     column c, is its rref exactly when every row x_i equals x_i[c] v mod l
     (then every nonzero row is a multiple of v and is zero left of c, so c
     is the one pivot and v the one row).  Products of two residues are
-    below l^2 < 2^53, exact in either dtype.  A zero slice gives no rows
-    and no pivots; `rref` reduces the others."""
+    below l^2 < 2^53, exact in either dtype, and `reduce_mod` reduces them
+    exactly.  A zero slice gives no rows and no pivots; `rref` reduces the
+    others."""
     k, rows, d = X.shape
     at = np.arange(k)
     nonzero = (X != 0).any(axis=2)
     v = X[at, nonzero.argmax(axis=1)]
     c = (v != 0).argmax(axis=1)
-    v = (v * np.array([inv_mod(int(x), l) for x in v[at, c]], dtype=v.dtype)[:, None] % l).astype(np.int64)
+    v = reduce_mod(v * np.array([inv_mod(int(x), l) for x in v[at, c]], dtype=v.dtype)[:, None], l).astype(np.int64)
     rank_one = nonzero.any(axis=1)
     for i in range(rows):
-        rank_one &= ~((X[:, i] - X[at, i, c][:, None] * v) % l).any(axis=1)
+        rank_one &= (reduce_mod(X[at, i, c][:, None] * v, l) == X[:, i]).all(axis=1)
     out = []
     for j in range(k):
         if not nonzero[j].any():
@@ -350,11 +332,18 @@ def _split_blocks(blocks, M, l, rng=None):
     block whose rows all have Y_i = lam S_i (mod l), for one lam, passes
     unchanged: that is exactly "invariant, and M acts on it as the scalar
     lam", since R = Y[:, cols] = lam I gives R B = lam B = Y, and R B = Y
-    with R = lam I gives Y = lam B.  Any other block must satisfy R B = Y,
-    and is replaced by the eigenspaces of its operator (`_eigenspaces`):
-    each (N, piv) becomes the block (N B, [cols[p] for p in piv]), the
-    identity at its columns again.  `rng` draws the start vectors; by
-    default it is seeded with (n, l).
+    with R = lam I gives Y = lam B.  Every other block must satisfy R B =
+    Y; for all of them at once that is one product of D = diag(R_b) with
+    their rows.  Their operators are split together, by one `_eigenspaces`
+    call on D^T = diag(R_b^T): its eigenspace for lam is the direct sum of
+    the blocks' eigenspaces for lam, each in its block's coordinates.  The
+    rref of that sum is the union of the blocks' rrefs, since that union
+    in pivot order is reduced and echelon (rows of two blocks share no
+    nonzero column) and the rref is unique; so each row of an eigenspace
+    (N, piv) is zero off the block of its pivot, N S is N_b B_b row by row,
+    and the rows of one block give it the block (N_b B_b, [cols[p] for p in
+    piv_b]), the identity at its columns again.  `rng` draws the start
+    vectors; by default it is seeded with (n, l).
     """
     if rng is None:
         rng = random.Random(f"{len(M)} {l}")
@@ -362,32 +351,46 @@ def _split_blocks(blocks, M, l, rng=None):
     if not open_blocks:
         return list(blocks)
     S = np.vstack([B for B, _ in open_blocks])
-    Y_all = matmul_mod(S, M.T.astype(np.float64), l).astype(np.int64)
+    Y = matmul_mod(S, M.T.astype(np.float64), l).astype(np.int64)
     # lam_i at row i's own identity column.  lam_i S_i is exact in int64:
     # both are residues below l, and matmul_mod checked n (l-1)^2 < 2^53.
-    lam_all = Y_all[np.arange(len(S)), np.concatenate([c for _, c in open_blocks])]
-    scalar_row = (lam_all[:, None] * S % l == Y_all).all(axis=1)
-    out = []
-    at = 0
-    for B, cols in blocks:
+    lam = Y[np.arange(len(S)), np.concatenate([c for _, c in open_blocks])]
+    scalar = (lam[:, None] * S % l == Y).all(axis=1)
+    # (index in blocks, rows in S) of each block that is not scalar
+    moving, at = [], 0
+    for j, (B, _) in enumerate(blocks):
         d = B.shape[0]
-        if d == 1:
-            out.append((B, cols))
-            continue
-        Y, lams, scalar = Y_all[at : at + d], lam_all[at : at + d], scalar_row[at : at + d]
-        at += d
-        if scalar.all() and (lams == lams[0]).all():
-            out.append((B, cols))
-            continue
-        R = Y[:, cols]
-        if not (matmul_mod(R, B, l) == Y).all():
-            raise VerificationError("block not invariant")
-        spaces = _eigenspaces(R.T, l, rng)
-        NB = matmul_mod(np.vstack([N for N, _ in spaces]), B, l)
-        lo = 0
-        for N, piv in spaces:
-            out.append((NB[lo : lo + len(N)], [cols[p] for p in piv]))
-            lo += len(N)
+        if d > 1:
+            if not (scalar[at : at + d].all() and (lam[at : at + d] == lam[at]).all()):
+                moving.append((j, np.arange(at, at + d)))
+            at += d
+    if not moving:
+        return list(blocks)
+    rows = np.concatenate([r for _, r in moving])
+    S, Y = S[rows], Y[rows]
+    starts = np.cumsum([0] + [len(r) for _, r in moving])
+    D = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for lo, hi, (j, _) in zip(starts, starts[1:], moving):
+        D[lo:hi, lo:hi] = Y[lo:hi, blocks[j][1]]
+    if not (matmul_mod(D, S, l) == Y).all():
+        raise VerificationError("block not invariant")
+    spaces = _eigenspaces(D.T, l, rng)
+    NS = matmul_mod(np.vstack([N for N, _ in spaces]), S, l)
+    # each row's pivot, the moving block that holds it, and its column;
+    # a piece is a run of rows of one eigenspace and one block
+    piv = np.concatenate([p for _, p in spaces]).astype(np.int64)
+    owner = np.searchsorted(starts, piv, side="right") - 1
+    colmap = np.concatenate([blocks[j][1] for j, _ in moving])
+    new = np.zeros(len(piv) + 1, dtype=bool)
+    new[np.cumsum([0] + [len(p) for _, p in spaces])] = True
+    new[1:-1] |= owner[1:] != owner[:-1]
+    cut = np.flatnonzero(new).tolist()
+    pieces = {j: [] for j, _ in moving}
+    for lo, hi in zip(cut, cut[1:]):
+        pieces[moving[owner[lo]][0]].append((NS[lo:hi], colmap[piv[lo:hi]].tolist()))
+    out = []
+    for j, block in enumerate(blocks):
+        out.extend(pieces.get(j, [block]))
     return out
 
 
@@ -396,7 +399,7 @@ def character_table_mod_l(group: MatrixGroup):
     chi_t(z_k) mod l, and l = `dixon_prime(|G|, e)`.
 
     The blocks are split by `_WEIGHTS` seeded elements of the class algebra
-    (`_class_algebra_elements`, one pass over the class matrices), drawn
+    (`_class_algebra_elements`, one class matrix per rational class), drawn
     from one `random.Random` seeded with (n, l), so two calls give the same
     blocks.  Each block `_split_blocks` leaves is a whole common
     eigenspace of the elements used, so a one-dimensional block is

@@ -289,8 +289,8 @@ class ConjugacyData:
     sizes       : class sizes
     class_of    : full-code-space lookup, -1 off the group
     class_lists : list of element-code arrays per class
-    rep_orders  : orders of the representatives, found in one array pass
-                  over their powers
+    rep_orders  : orders of the representatives, read off their powers,
+                  which are found by doubling
 
     The classes are the connected components of the graph joining group
     index x to the index of g x g^-1, for g in `generators()`; each edge
@@ -354,26 +354,23 @@ class ConjugacyData:
         self.centralizer_orders = group.order // self.sizes
         inv_reps = sp.inv(self.reps)
         self.inverse_class = class_of[inv_reps].astype(np.int64)
-        self._group = group
-        self._power_map = None
-        self.rep_orders = np.zeros(self.n_classes, dtype=np.int64)
-        cur, a = self.reps, 1  # cur = reps ** a
-        while not self.rep_orders.all():
-            self.rep_orders[(cur == sp.identity) & (self.rep_orders == 0)] = a
-            cur = sp.mul(cur, self.reps)
-            a += 1
+        # P[k, a] = rep_k ** a, a <= h, doubled by rep ** (h + a) = rep ** a
+        # rep ** h (1 <= a <= h) until every rep meets the identity at a >= 1
+        P = np.column_stack([np.full(self.n_classes, sp.identity), self.reps])
+        while not (P[:, 1:] == sp.identity).any(axis=1).all():
+            P = np.hstack([P, sp.mul(P[:, 1:], P[:, -1:])])
+        self.rep_orders = (P[:, 1:] == sp.identity).argmax(axis=1) + 1
         self.exponent = lcm(*(int(o) for o in self.rep_orders))
+        self._powers = class_of[P[:, : int(self.rep_orders.max())]]
+        self._power_map = None
 
     def power_map(self) -> np.ndarray:
         """pm[k, a] = class index of rep_k ** a for a in [0, exponent), as a
-        read-only array built on the first call."""
+        read-only array built on the first call: one gather of the powers
+        below each rep's order at a mod rep_orders[k]."""
         if self._power_map is None:
-            sp = self._group.space
-            pm = np.empty((self.n_classes, self.exponent), dtype=np.int64)
-            cur = np.full(self.n_classes, sp.identity, dtype=np.int64)
-            for a in range(self.exponent):
-                pm[:, a] = self.class_of[cur]
-                cur = sp.mul(cur, self.reps)
+            a = np.arange(self.exponent) % self.rep_orders[:, None]
+            pm = np.take_along_axis(self._powers, a, axis=1).astype(np.int64)
             pm.flags.writeable = False
             self._power_map = pm
         return self._power_map

@@ -54,6 +54,7 @@ from dl2.modlinalg import (
     reduce_mod,
     rref,
 )
+from dl2.verifier import DEFAULT_MANIFEST
 from test_modlinalg import krylov_relation, nullspace
 
 
@@ -422,24 +423,45 @@ def test_class_matrix_matches_column_loop(p, k, r, flavor):
         assert (M == _class_matrix_by_columns(G, cd, i)).all()
 
 
+def _rational_class_reps(cd):
+    """The least class of each orbit of the power maps at the units mod e,
+    ascending, the orbits read as sets of rows."""
+    pm = cd.power_map()[:, dixon._unit_exponents(cd.exponent)]
+    return sorted(min(orbit) for orbit in {frozenset(row) for row in pm.tolist()})
+
+
 @pytest.mark.parametrize(
     "p, k, r, flavor, mode",
     [(3, 1, 2, "gl", "mixed"), (2, 1, 3, "gl", "equal"), (2, 2, 2, "sl", "mixed"), (3, 1, 1, "gl", "equal")],
 )
 def test_rational_class_matrices_match_direct_build(monkeypatch, p, k, r, flavor, mode):
-    """`_class_matrices` yields every class once, with the class matrix the
-    direct build gives, and builds one per rational class."""
+    """`_class_algebra_elements` builds the class matrix of the first class
+    of each rational class, once, and of no other class; each build is the
+    column-by-column one."""
     G = make_group(p, k, r, mode, flavor)
     cd = G.conjugacy()
     built = []
     real = dixon.class_matrix
-    monkeypatch.setattr(dixon, "class_matrix", lambda g, c, i: built.append(i) or real(g, c, i))
-    got = dict(dixon._class_matrices(G, cd))
-    assert sorted(got) == list(range(cd.n_classes))
-    for i, M in got.items():
-        assert M.dtype == np.int64 and (M == real(G, cd, i)).all()
+    monkeypatch.setattr(dixon, "class_matrix", lambda g, c, i: built.append((i, real(g, c, i))) or built[-1][1])
+    dixon._class_algebra_elements(G, cd, dixon.dixon_prime(G.order, cd.exponent), random.Random(0), 2)
+    assert [i for i, _ in built] == _rational_class_reps(cd)
+    for i, M in built:
+        assert M.dtype == np.int64 and (M == _class_matrix_by_columns(G, cd, i)).all()
+
+
+@pytest.mark.parametrize("p, k, r, flavor, mode", DEFAULT_MANIFEST)
+def test_class_matrices_are_permuted_by_the_power_maps(p, k, r, flavor, mode):
+    """M_(pi_m i)[pi_m a, pi_m b] = M_i[a, b] for every class i and unit m
+    mod e: the rationality of the structure constants that lets one class
+    per rational class stand for its orbit."""
+    G = make_group(p, k, r, mode, flavor)
+    cd = G.conjugacy()
+    Ms = [dixon.class_matrix(G, cd, i) for i in range(cd.n_classes)]
     pm = cd.power_map()[:, dixon._unit_exponents(cd.exponent)]
-    assert len(built) == len({frozenset(row) for row in pm.tolist()})
+    for pi in {tuple(col) for col in pm.T.tolist()}:
+        pi = np.array(pi)
+        for i, M in enumerate(Ms):
+            assert (Ms[pi[i]][np.ix_(pi, pi)] == M).all()
 
 
 def test_rational_class_matrices_cut_the_builds_on_gl2_z9(monkeypatch):
@@ -637,6 +659,46 @@ def test_split_blocks_splits_invariant_block_with_two_eigenvalues():
     _check_eigenblocks(out, M, l)
 
 
+def _two_moving_blocks():
+    """M on F_l^5, block-diagonal on the coordinates {0, 1}, {2, 3} and
+    {4}, with eigenvalues 3, 5 on the first and 9, 3 on the second (neither
+    a diagonal block), and those three blocks: the first two both move, and
+    share the eigenvalue 3."""
+    M = np.zeros((5, 5), dtype=np.int64)
+    M[:2, :2] = [[3, 1], [0, 5]]
+    M[2:4, 2:4] = [[9, 0], [7, 3]]
+    M[4, 4] = 4
+    eye = np.eye(5, dtype=np.int64)
+    return M, [(eye[[0, 1]], [0, 1]), (eye[[2, 3]], [2, 3]), (eye[[4]], [4])]
+
+
+def test_split_blocks_splits_two_blocks_that_share_an_eigenvalue(monkeypatch):
+    """One eigen-solve on diag(R_1, R_2) finds the eigenvalue 3 in both
+    blocks, a two-dimensional eigenspace whose rows go back to their own
+    blocks by pivot: the blocks the per-block loop gives, in block order."""
+    l = 541
+    M, blocks = _two_moving_blocks()
+    calls = []
+    real = dixon._eigenspaces
+    monkeypatch.setattr(dixon, "_eigenspaces", lambda op, *a: calls.append(len(op)) or real(op, *a))
+    out = _split_blocks(blocks, M, l)
+    assert calls == [4]
+    _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l), l)
+    # each block's pieces in its place, on its own coordinates
+    coords = [{0, 1}] * 2 + [{2, 3}] * 2 + [{4}]
+    assert len(out) == 5 and all(set(np.flatnonzero(B.any(axis=0))) <= c for (B, _), c in zip(out, coords))
+    _check_eigenblocks(out, M, l)
+
+
+def test_split_blocks_rejects_one_block_that_is_not_invariant():
+    # span(e_2, e_4) moves under M but is not invariant (M e_2 has an e_3
+    # part), beside the invariant moving block span(e_0, e_1)
+    M, blocks = _two_moving_blocks()
+    eye = np.eye(5, dtype=np.int64)
+    with pytest.raises(VerificationError, match="block not invariant"):
+        _split_blocks([blocks[0], (eye[[2, 4]], [2, 4]), (eye[[3]], [3])], M, 541)
+
+
 def test_split_blocks_rejects_operator_that_does_not_split():
     # a Jordan block: eigenvalue 1 alone, with a one-dimensional eigenspace
     M = np.array([[1, 1], [0, 1]], dtype=np.int64)
@@ -689,13 +751,16 @@ def test_class_matrices_one_at_a_time_split_what_the_elements_leave(monkeypatch)
 
 @pytest.mark.parametrize("p, r, mode, flavor", [(3, 2, "mixed", "gl"), (2, 1, "equal", "gl")])
 def test_class_algebra_elements_are_weighted_sums_of_class_matrices(p, r, mode, flavor):
+    """Each element is sum_i c_i M_i over the first class i of each rational
+    class, with the seeded weights in that order, exactly."""
     G = make_group(p, 1, r, mode, flavor)
     cd = G.conjugacy()
     l = dixon.dixon_prime(G.order, cd.exponent)
     got = dixon._class_algebra_elements(G, cd, l, random.Random(7), 3)
-    weights = dixon._draw(random.Random(7), (3, cd.n_classes), l).astype(np.int64)
+    reps = _rational_class_reps(cd)
+    weights = dixon._draw(random.Random(7), (3, len(reps)), l).astype(np.int64)
     for A, c in zip(got, weights):
-        want = sum(ci * dixon.class_matrix(G, cd, i) for i, ci in enumerate(c)) % l
+        want = sum(int(ci) * _class_matrix_by_columns(G, cd, i) for i, ci in zip(reps, c)) % l
         assert A.dtype == np.int64 and (A == want).all()
 
 

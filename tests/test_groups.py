@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import lcm
 
 import numpy as np
 import pytest
@@ -348,6 +349,33 @@ def test_power_map_matches_per_representative_loop(p, k, r, flavor):
     assert cd.power_map().tolist() == rows
 
 
+def _powers_one_product_at_a_time(G, cd):
+    """The reference: (orders, exponent, power map) of the representatives,
+    from rep ** a by one product of all of them per power a."""
+    sp = G.space
+    orders = np.zeros(cd.n_classes, dtype=np.int64)
+    cur, a = cd.reps, 1  # cur = reps ** a
+    while not orders.all():
+        orders[(cur == sp.identity) & (orders == 0)] = a
+        cur, a = sp.mul(cur, cd.reps), a + 1
+    e = lcm(*orders.tolist())
+    pm = np.empty((cd.n_classes, e), dtype=np.int64)
+    cur = np.full(cd.n_classes, sp.identity, dtype=np.int64)
+    for a in range(e):
+        pm[:, a] = cd.class_of[cur]
+        cur = sp.mul(cur, cd.reps)
+    return orders, e, pm
+
+
+@pytest.mark.parametrize("p,k,r,flavor,mode", DEFAULT_MANIFEST + [(5, 1, 2, "gl", "mixed")])
+def test_doubled_powers_match_one_product_per_power(p, k, r, flavor, mode):
+    G = make_group(p, k, r, mode, flavor)
+    cd = G.conjugacy()
+    orders, e, pm = _powers_one_product_at_a_time(G, cd)
+    assert cd.rep_orders.tolist() == orders.tolist() and cd.exponent == e
+    assert cd.power_map().dtype == np.int64 and (cd.power_map() == pm).all()
+
+
 def _classes_one_at_a_time(G):
     """Reference: close each class by breadth-first conjugation, one class
     at a time, in group-index order.  Returns (reps, sizes, class_of)."""
@@ -400,8 +428,9 @@ def test_conjugacy_matches_class_by_class_closure(p, k, r, mode, flavor):
 
 
 def test_conjugacy_multiplies_whole_group_arrays(monkeypatch):
-    """Two products per generator for the edge lists and one per power of
-    the representatives; a class-by-class closure made 2936 here."""
+    """Two products per generator for the edge lists and one per doubling
+    of the representatives' powers; a class-by-class closure made 2936
+    here."""
     G = make_group(3, 1, 2, "mixed", "gl")
     calls = []
     mul = MatrixSpace.mul
@@ -413,7 +442,7 @@ def test_conjugacy_multiplies_whole_group_arrays(monkeypatch):
     monkeypatch.setattr(MatrixSpace, "mul", counted)
     cd = ConjugacyData(G)
     n_gens = len(np.unique(G.generators()))
-    assert len(calls) <= 2 * n_gens + int(cd.rep_orders.max()) + 1
+    assert len(calls) <= 2 * n_gens + int(cd.rep_orders.max()).bit_length()
 
 
 @pytest.mark.parametrize(

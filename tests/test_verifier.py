@@ -396,6 +396,15 @@ def test_table_cache_roundtrip(tmp_path):
     )
 
 
+def test_table_cache_takes_a_str_directory(tmp_path):
+    """A directory given as str, as `cached_character_table` accepts it."""
+    assert load_table(2, 1, 2, "mixed", "gl", str(tmp_path)) is None
+    tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
+    assert save_table(tab, str(tmp_path)).exists()
+    loaded = load_table(2, 1, 2, "mixed", "gl", str(tmp_path))
+    assert loaded is not None and (loaded.coeffs == tab.coeffs).all()
+
+
 @pytest.mark.parametrize("stored", [None, np.int16, np.int32])
 def test_table_cache_roundtrip_is_int64(tmp_path, stored):
     """The file holds the narrowest dtype (int8: every coefficient is at
