@@ -1,13 +1,17 @@
 """Structure and duals of finite abelian groups given by explicit codes.
 
 A group is handed over as an array of integer element codes together with a
-multiplication ``mul(x, y)`` that acts elementwise on int64 code arrays of
-one shape (numpy broadcasting, so a single code is a 0-d array).  We compute
-a basis of cyclic factors (primary decomposition: each Sylow component is
-one array power of all codes, then one array basis search per component,
-taking in each round the least code of greatest order modulo the span so
-far), discrete logarithms of every element with respect to that basis, and
-from there the full character group with exact root-of-unity values.
+multiplication ``mul(x, y)`` that acts elementwise on broadcasting int64
+code arrays (so a single code is a 0-d array).  We compute a basis of cyclic
+factors (primary decomposition: the Sylow p-component is the kernel of
+x -> x^(p^a), p^a the exact power of p dividing the order, then one array
+basis search per component, taking in each round the least code of greatest
+order modulo the span so far), discrete logarithms of every element with
+respect to that basis (the span of the generators so far times the powers
+of the next generator, one broadcast product each), and from there the full
+character group with exact root-of-unity values.  A subgroup made by
+`FiniteAbelianGroup.subgroup` inherits its Sylow components by intersection
+and takes no power of its own codes.
 
 Character values are handled as exponents of a fixed primitive L-th root of
 unity, L the group exponent, so the whole module is integer arithmetic.
@@ -52,8 +56,9 @@ def unique(x) -> np.ndarray:
 class FiniteAbelianGroup:
     """Finite abelian group on integer codes with basis and discrete logs.
 
-    `mul(x, y)` must multiply elementwise on int64 code arrays of one shape.
+    `mul(x, y)` must multiply elementwise on broadcasting int64 code arrays.
 
+    sylow    : dict p -> ascending codes of the Sylow p-component, p | order
     basis    : list of (generator code, order), orders prime powers
     gens     : int64 array of the basis generators
     orders   : the basis orders
@@ -61,36 +66,53 @@ class FiniteAbelianGroup:
     exps     : int64 array, row i the exponents of codes[i] w.r.t. the basis
     """
 
-    def __init__(self, codes, mul: Callable, identity: int):
+    def __init__(self, codes, mul: Callable, identity: int, sylow: dict | None = None):
         self.codes = np.sort(np.asarray(codes, dtype=np.int64))
         self._mul = mul
         self.identity = int(identity)
         self.order = len(self.codes)
+        if sylow is None:
+            sylow = {
+                p: self.codes[self.pow(self.codes, p**a) == self.identity]
+                for p, a in factorise(self.order).items()
+            }
+        self.sylow = sylow
         basis: list[tuple[int, int]] = []
-        for p in sorted(factorise(self.order)):
-            m_prime = self.order
-            while m_prime % p == 0:
-                m_prime //= p
-            basis.extend(self._p_basis(unique(self.pow(self.codes, m_prime)), p))
+        for p in sorted(sylow):
+            basis.extend(self._p_basis(sylow[p], p))
         self.basis = basis
         self.gens = np.array([g for g, _ in basis], dtype=np.int64)
         self.orders = tuple(n for _, n in basis)
         self.exponent = lcm(*self.orders)
-        # all basis products, one array multiplication per generator power
+        # P[i, j] = g_i^j, by doubling: one product per doubling for all
+        # generators, the running power h = g_i^(columns so far) squared in
+        # the same call
+        P, h = np.full((len(basis), 1), self.identity, dtype=np.int64), self.gens[:, None]
+        while P.shape[1] < max(self.orders, default=1):
+            step = mul(np.hstack([P, h]), h)
+            P, h = np.hstack([P, step[:, :-1]]), step[:, -1:]
+        # acc[m] = prod_i g_i^(e_i), m in mixed radix with e_0 fastest: the
+        # span so far times the powers of the next generator, one product each
         acc = np.array([self.identity], dtype=np.int64)
-        exps = np.zeros((1, 0), dtype=np.int64)
-        for g, n in basis:
-            layers = [acc]
-            for _ in range(n - 1):
-                layers.append(mul(layers[-1], np.full_like(acc, g)))
-            exps = np.hstack([np.tile(exps, (n, 1)), np.repeat(np.arange(n), len(acc))[:, None]])
-            acc = np.concatenate(layers)
+        for i, n in enumerate(self.orders):
+            acc = P[i, :n] if i == 0 else mul(P[i, :n, None], acc).ravel()
         order = np.argsort(acc, kind="stable")
         if len(acc) != self.order or (acc[order] != self.codes).any():
             raise InvariantError("basis does not span the group")
-        self.exps = exps[order]
+        orders = np.array(self.orders, dtype=np.int64)
+        self.exps = order[:, None] // np.cumprod(np.concatenate([[1], orders]))[:-1] % orders
         # dual() is in mixed radix: the last exponent runs fastest
         self._radix = np.array([prod(self.orders[i + 1:]) for i in range(len(basis))], dtype=np.int64)
+
+    def subgroup(self, mask) -> "FiniteAbelianGroup":
+        """The subgroup on the codes self.codes[mask].  Its Sylow components
+        are this group's intersected with it, so no power of its codes is
+        taken; the span check of the basis still covers the result."""
+        mask = np.asarray(mask, dtype=bool)
+        sylow = {p: c[mask[np.searchsorted(self.codes, c)]] for p, c in self.sylow.items()}
+        return FiniteAbelianGroup(
+            self.codes[mask], self._mul, self.identity, {p: c for p, c in sylow.items() if len(c) > 1}
+        )
 
     def _p_basis(self, comp: np.ndarray, p: int) -> list[tuple[int, int]]:
         """Basis of the abelian p-group on the ascending codes `comp`.
@@ -142,12 +164,13 @@ class FiniteAbelianGroup:
         return basis
 
     def pow(self, x, n: int):
-        """x ** n elementwise on an int64 code array (or one code)."""
-        x = np.asarray(x, dtype=np.int64)
-        out, n = np.full_like(x, self.identity), n % self.order
+        """x ** n elementwise on an int64 code array (or one code), by
+        squaring from x at the lowest set bit of n."""
+        x, n = np.asarray(x, dtype=np.int64), n % self.order
+        out = None if n else np.full_like(x, self.identity)
         while n:
             if n & 1:
-                out = self._mul(out, x)
+                out = x if out is None else self._mul(out, x)
             n >>= 1
             if n:
                 x = self._mul(x, x)

@@ -3,13 +3,16 @@ and the full classification of its characters.
 
 The torus is realised as the unit group of the unramified quadratic
 extension, embedded in GL2(O_r) by the multiplication action on the basis
-(1, xi).  A character theta is an exponent row a over the torus basis, with
-theta(x) = zeta_L^(a . w(x)) for the value rows w of
+(1, xi).  Its congruence kernels and its norm-one subgroup are built as
+subgroups of it (`FiniteAbelianGroup.subgroup`), so their Sylow components
+are the torus's, intersected.  A character theta is an exponent row a over
+the torus basis, with theta(x) = zeta_L^(a . w(x)) for the value rows w of
 `FiniteAbelianGroup.value_rows`.  `classify_all` computes, as one array
 over the rows of the dual group each:
 
   * the top-layer datum tau in F_{q^2} pairing theta against the additive
-    character psi on the last congruence kernel (levels r >= 2),
+    character psi on the last congruence kernel (levels r >= 2), computed
+    once per torus and psi over the whole dual group (`dual_taus`),
   * the regular flag (tau outside the scalar subfield F_q),
   * the conductor data (r0, theta0, alpha): the least level reachable by
     twisting theta with characters of O_r^x composed with the norm, the
@@ -27,9 +30,10 @@ matrix (`FiniteAbelianGroup.chars_from_values`).
 Two independent conductor algorithms are provided, each for all thetas at
 once: the brute-force minimum over all twists, and the iterative peeling of
 scalar top-layer data, one array pass per level over the thetas whose datum
-is still scalar.  Peeling reads only `taus`, the twist extensions, the
-kernel values and the descent, never a `Classification` field.  They must
-agree; the verification layer checks this exhaustively.
+is still scalar.  Peeling reads only `dual_taus` (at the dual() positions
+of each level's rows), the twist extensions, the kernel values and the
+descent, never a `Classification` field.  They must agree; the
+verification layer checks this exhaustively.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ import numpy as np
 from .abelian import DualChar, FiniteAbelianGroup, InvariantError, unique
 from .rings import RingSpec, make_ext, make_ring
 
-# Bytes of one int64 temporary of `CoxeterTorus.taus` and
-# `conductor_brute_force`: they take the thetas (and the twists) in blocks
-# of this size, so neither holds an array over all thetas at once.
+# Bytes of one int64 temporary of `CoxeterTorus.taus`,
+# `conductor_brute_force` and the conductor pass of `classify_all`: they
+# take the thetas (and the twists) in blocks of this size, so none holds an
+# array over all thetas (or all stacked (theta, twist) rows) at once.
 _BLOCK_BYTES = 2**17
 
 
@@ -66,14 +71,14 @@ class CoxeterTorus:
         self.rq = make_ext(make_ring(ring.p, ring.k, 1, ring.mode))
         # unit group of the base ring and its dual (the twisting characters)
         self.base_units = ring.unit_group
-        # congruence kernels K_{r'} = units congruent 1 mod pi^{r'}
-        self.kernels: dict[int, FiniteAbelianGroup] = {}
-        for r2 in range(1, ring.r + 1):
-            _, m = ext.reduction(r2)
-            kcodes = self.codes[m[self.codes] == 1]
-            self.kernels[r2] = FiniteAbelianGroup(kcodes, ext.mul, ext.one)
+        # congruence kernels K_{r'} = units congruent 1 mod pi^{r'}, each
+        # restricted from the torus's Sylow components
+        self.kernels = {
+            r2: self.group.subgroup(ext.reduction(r2)[1][self.codes] == 1) for r2 in range(1, ring.r + 1)
+        }
         # norm-one subgroup (the SL2 torus)
-        self.norm_one = self.codes[ext.norm(self.codes) == ring.one]
+        self._norm_one_mask = ext.norm(self.codes) == ring.one
+        self.norm_one = self.codes[self._norm_one_mask]
 
     # -- embedding into GL2 ----------------------------------------------------
 
@@ -112,7 +117,7 @@ class CoxeterTorus:
 
     @functools.cached_property
     def norm_one_group(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(self.norm_one, self.ext.mul, self.ext.one)
+        return self.group.subgroup(self._norm_one_mask)
 
     @functools.cache
     def kernel_values(self, r2: int):
@@ -175,6 +180,17 @@ class CoxeterTorus:
             if (P[:, t].T != V).any():
                 raise InvariantError("top-layer values are not a trace pairing")
             tau[lo : lo + step] = t
+        return tau
+
+    def dual_taus(self, psi_scale: int = 1) -> np.ndarray:
+        """`taus` of every row of dual(), computed once per (torus,
+        psi_scale): entry i is the tau of dual()[i].  Read-only."""
+        return self._dual_taus(int(psi_scale))
+
+    @functools.cache
+    def _dual_taus(self, psi_scale: int) -> np.ndarray:
+        tau = self.taus(self.group.dual_rows(), psi_scale)
+        tau.flags.writeable = False
         return tau
 
     # -- descent ---------------------------------------------------------------
@@ -253,7 +269,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> Classification:
     n_t = len(A)
 
     # -- tau and regularity (r >= 2) ------------------------------------------
-    tau = torus.taus(A, psi_scale) if r >= 2 else None
+    tau = torus.dual_taus(psi_scale) if r >= 2 else None
     regular = tau >= torus.q if r >= 2 else np.zeros(n_t, dtype=bool)
 
     # -- conductor data: a regular theta is its own theta0 at level r ----------
@@ -275,17 +291,23 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> Classification:
         cnt = np.searchsorted(res_twist[order], res_theta, "right") - lo
         hit = cnt > 0
         rows, lo, cnt = todo[hit], lo[hit], cnt[hit]
-        # one stacked row per (theta, minimising twist), the twists in order
-        starts = np.cumsum(cnt) - cnt
-        i = np.repeat(rows, cnt)
-        j = order[np.repeat(lo - starts, cnt) + np.arange(cnt.sum())]
         t0 = torus.level_torus(r2).group
-        # canonical (theta0, alpha): least descended tuple, then least twist
+        # one stacked row per (theta, minimising twist), the twists in order,
+        # for a block of thetas at a time: each block's (stacked rows, b)
+        # array within `_BLOCK_BYTES`, or a single theta where one is larger.
+        # Canonical (theta0, alpha): least descended tuple, then least twist
         # tuple; dual() positions order the tuples lexicographically
-        key = t0.dual_index(torus.descend_rows(A[i] + torus.pullback_rows[j], r2)) * nU + j
-        if len(rows):
+        ends, cap, b0 = np.cumsum(cnt), max(1, _BLOCK_BYTES // (8 * A.shape[1])), 0
+        while b0 < len(rows):
+            b1 = max(b0 + 1, int(np.searchsorted(ends, ends[b0] - cnt[b0] + cap, "right")))
+            block, c = rows[b0:b1], cnt[b0:b1]
+            starts = np.cumsum(c) - c
+            i = np.repeat(block, c)
+            j = order[np.repeat(lo[b0:b1] - starts, c) + np.arange(len(i))]
+            key = t0.dual_index(torus.descend_rows(A[i] + torus.pullback_rows[j], r2)) * nU + j
             best = np.minimum.reduceat(key, starts)
-            r0[rows], theta0[rows], alpha[rows], n_min[rows] = r2, best // nU, best % nU, cnt
+            r0[block], theta0[block], alpha[block], n_min[block] = r2, best // nU, best % nU, c
+            b0 = b1
         todo = todo[~hit]
     if len(todo):
         raise InvariantError("no level makes a twist of theta trivial")
@@ -356,13 +378,15 @@ def conductor_by_peeling(torus: CoxeterTorus, A, psi_scale: int = 1) -> np.ndarr
     """For each exponent row of A, the level reached by iterative peeling:
     while the top-layer datum tau is scalar, twist by the inverse of an
     extension of psi(s * ((-) - 1)/pi^(rho-1)), s = tau, and descend one
-    level.  One array pass per level over the rows still open."""
-    A = np.asarray(A, dtype=np.int64)
+    level.  One array pass per level over the rows still open, reading
+    tau from `dual_taus` at the rows' dual() positions (the rows are
+    reduced first, so `dual_index` finds them)."""
+    A = np.asarray(A, dtype=np.int64) % np.array(torus.group.orders, dtype=np.int64)
     out = np.ones(len(A), dtype=np.int64)
     rows, t = np.arange(len(A)), torus
     while t.r >= 2 and len(rows):
         rho = t.r
-        tau = t.taus(A, psi_scale)
+        tau = t.dual_taus(psi_scale)[t.group.dual_index(A)]
         scalar = tau < t.q
         out[rows[~scalar]] = rho
         rows, A = rows[scalar], A[scalar]

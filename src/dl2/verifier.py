@@ -320,7 +320,7 @@ def check_classification_coherence(cd: CaseData):
     regular0 = np.ones(len(cl), dtype=bool)
     for r0 in range(2, torus.r + 1):
         t0 = torus.level_torus(r0)
-        regular0[cl.r0 == r0] = t0.taus(cl.theta0_rows(r0)) >= t0.q
+        regular0[cl.r0 == r0] = t0.dual_taus()[cl.theta0[cl.r0 == r0]] >= t0.q
     bad = np.flatnonzero((bf != cl.r0) | (pe != cl.r0) | ~regular0)
     if len(bad):
         i = bad[0]

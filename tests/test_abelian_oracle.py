@@ -1,15 +1,20 @@
-"""The scalar basis recursion, kept as the oracle of the array basis search
-in `dl2.abelian.FiniteAbelianGroup`.
+"""The scalar basis recursion and the former discrete logs, kept as the
+oracles of the array basis search and the broadcast discrete logs in
+`dl2.abelian.FiniteAbelianGroup`.
 
-`Carrier.p_group_basis` below is the former implementation: a recursion on
-quotient carriers, each a sorted list of least coset representatives with a
-multiplication that maps every product of two codes, one scalar call at a
-time, to the least code of its coset.  Only the projection onto the Sylow
-components (one array power of all codes) is shared with the code under
-test.  The tests check that both pick the same basis, generator by
-generator, on the unit group of every ring with q^r <= 1024, and on each
-Coxeter torus, its congruence kernels and its norm-one group for
-q^r <= 125 and at (7,1,3).
+`Carrier.p_group_basis` below is the former basis implementation: a
+recursion on quotient carriers, each a sorted list of least coset
+representatives with a multiplication that maps every product of two
+codes, one scalar call at a time, to the least code of its coset.  Its
+Sylow components are the images of x -> x^(|A|/p^a) (through
+`FiniteAbelianGroup.pow`); the code under test takes the kernels of
+x -> x^(p^a) (or, for a subgroup, the parent's kernels intersected with
+it), so the two projections are independent.
+`oracle_exps` is the former discrete-log table: every basis product, one
+array product per generator power.  The tests check that both pick the
+same basis, generator by generator, and the same exponent table, on the
+unit group of every ring with q^r <= 1024, and on each Coxeter torus, its
+congruence kernels and its norm-one group for q^r <= 125 and at (7,1,3).
 """
 
 from __future__ import annotations
@@ -105,6 +110,22 @@ def oracle_basis(A: FiniteAbelianGroup, mul) -> list[tuple[int, int]]:
     return basis
 
 
+def oracle_exps(A: FiniteAbelianGroup, mul) -> np.ndarray:
+    """Exponent rows of A.codes over A.basis: all basis products, one array
+    product per generator power, sorted by code."""
+    acc = np.array([A.identity], dtype=np.int64)
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for g, n in A.basis:
+        layers = [acc]
+        for _ in range(n - 1):
+            layers.append(mul(layers[-1], np.full_like(acc, g)))
+        exps = np.hstack([np.tile(exps, (n, 1)), np.repeat(np.arange(n), len(acc))[:, None]])
+        acc = np.concatenate(layers)
+    order = np.argsort(acc, kind="stable")
+    assert (acc[order] == A.codes).all()
+    return exps[order]
+
+
 def _rings(bound: int, q_max: int):
     """(p, k, r, mode) for p in {2, 3, 5, 7}, q <= q_max and q^r <= bound."""
     for p in (2, 3, 5, 7):
@@ -120,6 +141,7 @@ def test_unit_group_basis_matches_scalar_recursion(pkrm):
     mul = lambda a, b: R.mul[a, b]
     A = FiniteAbelianGroup(R.units(), mul, R.one)
     assert A.basis == oracle_basis(A, mul)
+    assert np.array_equal(A.exps, oracle_exps(A, mul))
     assert R.unit_group.basis == A.basis
 
 
@@ -129,3 +151,4 @@ def test_torus_bases_match_scalar_recursion(pkrm):
     mul = t.ext.mul
     for A in (t.group, *t.kernels.values(), t.norm_one_group):
         assert A.basis == oracle_basis(A, mul)
+        assert np.array_equal(A.exps, oracle_exps(A, mul))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dl2.abelian import DualChar
 from dl2 import torus as torus_mod
-from dl2.abelian import InvariantError
+from dl2.abelian import DualChar, FiniteAbelianGroup, InvariantError, factorise
 from dl2.groups import make_group
+from dl2.rings import make_ext, make_ring
 from dl2.torus import (
     CoxeterTorus,
     _extend_kernel_character,
@@ -229,6 +230,83 @@ def test_torus_memos_return_the_identical_object():
     assert _extend_kernel_character(t, 1) is _extend_kernel_character(t, 1)
 
 
+def test_torus_structure_takes_few_ring_products(monkeypatch):
+    """Building the (7,1,2) mixed torus (order 2352), its congruence kernels
+    and its norm-one group takes 54 extension products; the former
+    construction, with a Sylow image and discrete logs one product per
+    generator power for each group, took 126.  No kernel and not the
+    norm-one group takes a Sylow power (x^(p^a) or x^(|S|/p^a)) of its own
+    codes: their components are the torus's, intersected."""
+    ring = make_ring(7, 1, 2, "mixed")
+    ext, mul, pow_ = make_ext(ring), make_ext(ring).mul, FiniteAbelianGroup.pow
+    calls, pows = [], []
+    monkeypatch.setattr(ext, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    monkeypatch.setattr(FiniteAbelianGroup, "pow", lambda A, x, n: pows.append((np.size(x), n)) or pow_(A, x, n))
+    t = CoxeterTorus(ring)
+    subgroups = [*t.kernels.values(), t.norm_one_group]
+    assert len(calls) <= 54
+    for S in subgroups:
+        sylow = {n for p, a in factorise(S.order).items() for n in (p**a, S.order // p**a)}
+        assert not [(size, n) for size, n in pows if size == S.order and n in sylow]
+    # the torus's own Sylow powers are the ones recorded on all its codes
+    assert sorted(n for size, n in pows if size == t.order) == [3, 16, 49]
+
+
+_MEMO_TORI = [
+    (p, k, r, mode)
+    for p in (2, 3, 5, 7)
+    for k in (1, 2, 3)
+    for r in range(2, 8)
+    if (p**k) ** r <= 125
+    for mode in ("mixed", "equal")
+] + [(7, 1, 3, "mixed"), (7, 1, 3, "equal")]
+
+
+@pytest.mark.parametrize("pkr_mode", _MEMO_TORI, ids=lambda c: "-".join(map(str, c)))
+def test_dual_taus_is_taus_of_the_dual(pkr_mode):
+    """The memo is `taus` over dual(), per psi_scale, and read-only."""
+    t = make_torus(*pkr_mode)
+    A = t.group.dual_rows()
+    for s in ([1, 2] if 2 < t.q else [1]):
+        tau = t.dual_taus(s)
+        assert np.array_equal(tau, t.taus(A, s)) and not tau.flags.writeable
+
+
+def test_dual_taus_default_and_explicit_scale_share_one_entry():
+    t = CoxeterTorus(make_ring(3, 1, 2, "mixed"))
+    misses = CoxeterTorus._dual_taus.cache_info().misses
+    assert t.dual_taus() is t.dual_taus(1) is t.dual_taus(np.int64(1))
+    assert CoxeterTorus._dual_taus.cache_info().misses == misses + 1
+    assert t.dual_taus(2) is not t.dual_taus()
+
+
+@pytest.mark.parametrize("pkr_mode", [(2, 1, 3, "mixed"), (2, 1, 3, "equal"), (3, 1, 3, "mixed"), (5, 1, 3, "equal")])
+def test_peeling_matches_brute_force_on_random_rows(pkr_mode):
+    """Peeling reads tau through the dual() positions of each level's rows;
+    on a seeded random subset of rows at r = 3, in random order and with
+    unreduced exponents, it still agrees with the brute-force minimum."""
+    t = make_torus(*pkr_mode)
+    rng = np.random.default_rng(2026)
+    A = t.group.dual_rows(rng.choice(t.order, size=min(t.order, 300), replace=False))
+    A = A + np.array(t.group.orders) * rng.integers(0, 3, size=A.shape)
+    for s in ([1, 2] if 2 < t.q else [1]):
+        assert np.array_equal(conductor_by_peeling(t, A, s), conductor_brute_force(t, A))
+
+
+def test_trace_pairing_check_is_reachable(monkeypatch):
+    """A pairing pattern that no top-layer row matches is caught by `taus`,
+    by the memo `dual_taus` and so by `classify_all`: the memo keeps the
+    per-row check."""
+    t = CoxeterTorus(make_ring(3, 1, 2, "mixed"))
+    P, cols, lut = t._pairing_patterns(1)
+    bad = P.copy()
+    bad[0] = 1  # x = 0 pairs to 0 with every tau; never one of `cols`
+    monkeypatch.setattr(t, "_pairing_patterns", lambda s: (bad, cols, lut))
+    for run in (lambda: t.taus(t.group.dual_rows()[:1]), t.dual_taus, lambda: classify_all(t)):
+        with pytest.raises(InvariantError, match="top-layer values are not a trace pairing"):
+            run()
+
+
 def _literal_level(t, eta):
     """Least r2 with eta trivial on every element of K_{r2}."""
     return min(
@@ -319,21 +397,27 @@ BLOCKED_TORI = [
 @pytest.mark.parametrize("pkr_mode", BLOCKED_TORI, ids=lambda c: "-".join(map(str, c)))
 @pytest.mark.parametrize("block", [1, 3, None])
 def test_blocked_torus_passes_match_one_shot(monkeypatch, pkr_mode, block):
-    """`taus` in row blocks and `conductor_brute_force` in blocks of thetas
-    and chunks of twists equal their one-shot forms, with `_BLOCK_BYTES`
-    cut to blocks of 1 and 3 (rows of `taus`; twists, then thetas, at the
-    level with the most kernel generators) and at its default."""
+    """`taus` in row blocks, `conductor_brute_force` in blocks of thetas
+    and chunks of twists, and the conductor pass of `classify_all` in
+    blocks of thetas equal their one-shot forms, with `_BLOCK_BYTES` cut to
+    blocks of 1 and 3 (rows of `taus`; twists, then thetas, at the level
+    with the most kernel generators; stacked (theta, twist) rows, so every
+    theta with more minimising twists is a block of its own) and at its
+    default."""
     t = make_torus(*pkr_mode)
     A = t.group.dual_rows()
     scales = [1, 2] if 2 < t.q else [1]
     want_tau = {s: _taus_one_shot(t, A, s) for s in scales} if t.r >= 2 else {}
     want_bf = _brute_force_one_shot(t, A)
+    monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", 2**62)
+    want_cl = classify_all(t)
     cell = 8 * max(max(1, len(t.kernels[r2].gens)) for r2 in range(1, t.r + 1))
     n_twists = len(t.pullback_rows)
     if block is None:
-        budgets = ([torus_mod._BLOCK_BYTES],) * 2
+        budgets = ([torus_mod._BLOCK_BYTES],) * 3
     else:
-        budgets = ([8 * block * t.q**2], [block * cell, block * cell * n_twists])
+        budgets = ([8 * block * t.q**2], [block * cell, block * cell * n_twists], [8 * block * A.shape[1]])
+    monkeypatch.undo()
     for budget in budgets[0]:
         monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", budget)
         for s, want in want_tau.items():
@@ -341,6 +425,11 @@ def test_blocked_torus_passes_match_one_shot(monkeypatch, pkr_mode, block):
     for budget in budgets[1]:
         monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", budget)
         assert (conductor_brute_force(t, A) == want_bf).all()
+    for budget in budgets[2]:
+        monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", budget)
+        cl = classify_all(t)
+        for f in dataclasses.fields(cl):
+            assert np.array_equal(getattr(cl, f.name), getattr(want_cl, f.name)), f.name
 
 
 @pytest.mark.parametrize("fn", ["taus", "conductor_brute_force"])
