@@ -4,14 +4,11 @@ A group is handed over as an array of integer element codes together with a
 multiplication ``mul(x, y)`` that acts elementwise on broadcasting int64
 code arrays (so a single code is a 0-d array).  We compute a basis of cyclic
 factors (primary decomposition: the Sylow p-component is the kernel of
-x -> x^(p^a), p^a the exact power of p dividing the order, then one array
-basis search per component, taking in each round the least code of greatest
-order modulo the span so far), discrete logarithms of every element with
-respect to that basis (the span of the generators so far times the powers
-of the next generator, one broadcast product each), and from there the full
-character group with exact root-of-unity values.  A subgroup made by
-`FiniteAbelianGroup.subgroup` inherits its Sylow components by intersection
-and takes no power of its own codes.
+x -> x^(p^a), p^a || |A|, or for a `subgroup` the parent's intersected; then
+one array basis search per component, taking in each round the least code
+of greatest order modulo the span so far), discrete logarithms of every
+element (one broadcast product per generator), and from there the full
+character group with exact root-of-unity values.
 
 Character values are handled as exponents of a fixed primitive L-th root of
 unity, L the group exponent, so the whole module is integer arithmetic.
@@ -105,14 +102,11 @@ class FiniteAbelianGroup:
         self._radix = np.array([prod(self.orders[i + 1:]) for i in range(len(basis))], dtype=np.int64)
 
     def subgroup(self, mask) -> "FiniteAbelianGroup":
-        """The subgroup on the codes self.codes[mask].  Its Sylow components
-        are this group's intersected with it, so no power of its codes is
-        taken; the span check of the basis still covers the result."""
-        mask = np.asarray(mask, dtype=bool)
+        """The subgroup on self.codes[mask], its Sylow components this
+        group's intersected with it (no power of its codes is taken)."""
         sylow = {p: c[mask[np.searchsorted(self.codes, c)]] for p, c in self.sylow.items()}
-        return FiniteAbelianGroup(
-            self.codes[mask], self._mul, self.identity, {p: c for p, c in sylow.items() if len(c) > 1}
-        )
+        sylow = {p: c for p, c in sylow.items() if len(c) > 1}
+        return FiniteAbelianGroup(self.codes[mask], self._mul, self.identity, sylow)
 
     def _p_basis(self, comp: np.ndarray, p: int) -> list[tuple[int, int]]:
         """Basis of the abelian p-group on the ascending codes `comp`.

@@ -3,9 +3,8 @@ and the full classification of its characters.
 
 The torus is realised as the unit group of the unramified quadratic
 extension, embedded in GL2(O_r) by the multiplication action on the basis
-(1, xi).  Its congruence kernels and its norm-one subgroup are built as
-subgroups of it (`FiniteAbelianGroup.subgroup`), so their Sylow components
-are the torus's, intersected.  A character theta is an exponent row a over
+(1, xi); its congruence kernels and norm-one subgroup are its
+`FiniteAbelianGroup.subgroup`s.  A character theta is an exponent row a over
 the torus basis, with theta(x) = zeta_L^(a . w(x)) for the value rows w of
 `FiniteAbelianGroup.value_rows`.  `classify_all` computes, as one array
 over the rows of the dual group each:
@@ -30,10 +29,9 @@ matrix (`FiniteAbelianGroup.chars_from_values`).
 Two independent conductor algorithms are provided, each for all thetas at
 once: the brute-force minimum over all twists, and the iterative peeling of
 scalar top-layer data, one array pass per level over the thetas whose datum
-is still scalar.  Peeling reads only `dual_taus` (at the dual() positions
-of each level's rows), the twist extensions, the kernel values and the
-descent, never a `Classification` field.  They must agree; the
-verification layer checks this exhaustively.
+is still scalar.  Peeling reads only `dual_taus`, the twist extensions,
+the kernel values and the descent, never a `Classification` field.  They
+must agree; the verification layer checks this exhaustively.
 """
 
 from __future__ import annotations
@@ -183,8 +181,7 @@ class CoxeterTorus:
         return tau
 
     def dual_taus(self, psi_scale: int = 1) -> np.ndarray:
-        """`taus` of every row of dual(), computed once per (torus,
-        psi_scale): entry i is the tau of dual()[i].  Read-only."""
+        """Read-only `taus(group.dual_rows(), psi_scale)`, once per psi_scale."""
         return self._dual_taus(int(psi_scale))
 
     @functools.cache

@@ -404,20 +404,21 @@ def test_blocked_torus_passes_match_one_shot(monkeypatch, pkr_mode, block):
     with the most kernel generators; stacked (theta, twist) rows, so every
     theta with more minimising twists is a block of its own) and at its
     default."""
+    default = torus_mod._BLOCK_BYTES
     t = make_torus(*pkr_mode)
     A = t.group.dual_rows()
     scales = [1, 2] if 2 < t.q else [1]
     want_tau = {s: _taus_one_shot(t, A, s) for s in scales} if t.r >= 2 else {}
     want_bf = _brute_force_one_shot(t, A)
-    monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", 2**62)
-    want_cl = classify_all(t)
+    with monkeypatch.context() as m:
+        m.setattr(torus_mod, "_BLOCK_BYTES", 2**62)
+        want_cl = classify_all(t)
     cell = 8 * max(max(1, len(t.kernels[r2].gens)) for r2 in range(1, t.r + 1))
     n_twists = len(t.pullback_rows)
     if block is None:
-        budgets = ([torus_mod._BLOCK_BYTES],) * 3
+        budgets = ([default],) * 3
     else:
         budgets = ([8 * block * t.q**2], [block * cell, block * cell * n_twists], [8 * block * A.shape[1]])
-    monkeypatch.undo()
     for budget in budgets[0]:
         monkeypatch.setattr(torus_mod, "_BLOCK_BYTES", budget)
         for s, want in want_tau.items():
