@@ -63,7 +63,7 @@ class FiniteAbelianGroup:
     exps     : int64 array, row i the exponents of codes[i] w.r.t. the basis
     """
 
-    def __init__(self, codes, mul: Callable, identity: int, sylow: dict | None = None):
+    def __init__(self, codes, mul: Callable, identity: int, sylow: dict | None = None, bases: dict | None = None):
         self.codes = np.sort(np.asarray(codes, dtype=np.int64))
         self._mul = mul
         self.identity = int(identity)
@@ -76,7 +76,7 @@ class FiniteAbelianGroup:
         self.sylow = sylow
         basis: list[tuple[int, int]] = []
         for p in sorted(sylow):
-            basis.extend(self._p_basis(sylow[p], p))
+            basis.extend(bases[p] if bases and p in bases else self._p_basis(sylow[p], p))
         self.basis = basis
         self.gens = np.array([g for g, _ in basis], dtype=np.int64)
         self.orders = tuple(n for _, n in basis)
@@ -103,10 +103,13 @@ class FiniteAbelianGroup:
 
     def subgroup(self, mask) -> "FiniteAbelianGroup":
         """The subgroup on self.codes[mask], its Sylow components this
-        group's intersected with it (no power of its codes is taken)."""
+        group's intersected with it (no power of its codes is taken).  A
+        component it contains whole keeps this group's basis of it, which
+        `_p_basis` would find again: it reads only the component's codes."""
         sylow = {p: c[mask[np.searchsorted(self.codes, c)]] for p, c in self.sylow.items()}
         sylow = {p: c for p, c in sylow.items() if len(c) > 1}
-        return FiniteAbelianGroup(self.codes[mask], self._mul, self.identity, sylow)
+        bases = {p: [b for b in self.basis if b[1] % p == 0] for p in sylow if len(sylow[p]) == len(self.sylow[p])}
+        return FiniteAbelianGroup(self.codes[mask], self._mul, self.identity, sylow, bases)
 
     def _p_basis(self, comp: np.ndarray, p: int) -> list[tuple[int, int]]:
         """Basis of the abelian p-group on the ascending codes `comp`.

@@ -350,10 +350,14 @@ def _split_blocks(blocks, M, l, rng=None):
     open_blocks = [(B, cols) for B, cols in blocks if B.shape[0] > 1]
     if not open_blocks:
         return list(blocks)
+    # every product below (inner dimension <= n) is exact, and lam_i S_i fits int64
+    if len(M) * (l - 1) ** 2 >= 2**53:
+        raise OverflowError(f"float64 exactness: n (l-1)^2 >= 2^53 at n = {len(M)}, l = {l}")
+    # before any split the one block is S = I: Y = M^T, D S = Y and N S = N
+    eye = len(blocks) == 1 and list(blocks[0][1]) == list(range(len(M)))
     S = np.vstack([B for B, _ in open_blocks])
-    Y = matmul_mod(S, M.T.astype(np.float64), l).astype(np.int64)
-    # lam_i at row i's own identity column.  lam_i S_i is exact in int64:
-    # both are residues below l, and matmul_mod checked n (l-1)^2 < 2^53.
+    Y = M.T % l if eye else matmul_mod(S, M.T.astype(np.float64), l).astype(np.int64)
+    # lam_i at row i's own identity column
     lam = Y[np.arange(len(S)), np.concatenate([c for _, c in open_blocks])]
     scalar = (lam[:, None] * S % l == Y).all(axis=1)
     # (index in blocks, rows in S) of each block that is not scalar
@@ -372,10 +376,11 @@ def _split_blocks(blocks, M, l, rng=None):
     D = np.zeros((len(rows), len(rows)), dtype=np.int64)
     for lo, hi, (j, _) in zip(starts, starts[1:], moving):
         D[lo:hi, lo:hi] = Y[lo:hi, blocks[j][1]]
-    if not (matmul_mod(D, S, l) == Y).all():
+    if not eye and not (matmul_mod(D, S, l) == Y).all():
         raise VerificationError("block not invariant")
     spaces = _eigenspaces(D.T, l, rng)
-    NS = matmul_mod(np.vstack([N for N, _ in spaces]), S, l)
+    NS = np.vstack([N for N, _ in spaces])
+    NS = NS if eye else matmul_mod(NS, S, l)
     # each row's pivot, the moving block that holds it, and its column;
     # a piece is a run of rows of one eigenspace and one block
     piv = np.concatenate([p for _, p in spaces]).astype(np.int64)

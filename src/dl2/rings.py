@@ -381,7 +381,8 @@ class RingSpec:
     def unit_group(self) -> FiniteAbelianGroup:
         """O_r^x with its basis and dual; one per interned ring, shared by
         `MatrixGroup.unit_group()` and `CoxeterTorus.base_units`."""
-        return FiniteAbelianGroup(self.units(), lambda a, b: self.mul[a, b], self.one)
+        mul = self.mul  # the product closes over the table, so the ring is in no cycle
+        return FiniteAbelianGroup(self.units(), lambda a, b: mul[a, b], self.one)
 
     def invert(self, code: int) -> int:
         if not self.is_unit[code]:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
+from . import characters, groups, rings, torus as torus_module
 from .abelian import unique
 from .cache import cached_character_table
 from .characters import (  # noqa: F401 -- adjunction_check: perfbench/spans.py traces it here
@@ -617,31 +618,59 @@ def check_classical_sweep(n_max=5, qs=(2, 3, 4, 5, 7, 8, 9)):
     return {"n_cases": len(cases), "failures": bad[:5]}, {"failures": []}, not bad
 
 
+def release_chain_memos():
+    """Clear every memo keyed by a ring, extension, group or torus object, each
+    through its defining module (which tracing does not wrap), so that a
+    finished chain's objects die by reference count; integer-keyed memos stay."""
+    T = torus_module.CoxeterTorus
+    for memo in (
+        rings.make_ring, rings.make_ext, rings.RingSpec.reduction, rings.ExtSpec.reduction,
+        groups.matrix_space, groups.make_group, groups.MatrixGroup.conjugacy, groups.MatrixGroup.reduction,
+        characters.character_table, torus_module.make_torus, torus_module._extend_kernel_character,
+        T.kernel_values, T.top_layer_elements, T._pairing_patterns, T._dual_taus, T._descent_rows,
+    ):
+        memo.cache_clear()
+
+
 def run_suite(manifest=None, cache_dir=None) -> dict:
     """Run every case plus the suite-level checks; returns a JSON-ready dict.
 
-    Mode independence compares the suite's own cases of each (p, k, r,
-    flavor) in the two modes, building only a mode the manifest lacks; a
-    case is held only until its partner has run."""
+    Cases run one ring chain (p, k, mode) at a time, in order of first
+    appearance, and report in manifest order.  All reuse lies within a chain
+    (GL2 and SL2 share the code space; `stability` and `inflation-adjunction`
+    read lower levels), so `release_chain_memos` after each chain bounds the
+    suite's memory by its largest chain.  Mode independence compares the
+    suite's cases of each (p, k, r, flavor) in the two modes, building a mode
+    the manifest lacks in its partner's chain; a case awaiting its partner
+    keeps only its predictions and its classification without the torus."""
     manifest = manifest if manifest is not None else DEFAULT_MANIFEST
     modes: dict[tuple, set] = {}
-    for (p, k, r, flavor, mode) in manifest:
+    chains: dict[tuple, list] = {}
+    for i, (p, k, r, flavor, mode) in enumerate(manifest):
         modes.setdefault((p, k, r, flavor), set()).add(mode)
-    reports, pending, independence = [], {}, {}
-    for (p, k, r, flavor, mode) in manifest:
-        cd = CaseData(p, k, r, mode, flavor, cache_dir=cache_dir)
-        reports.append(_run_checks(cd))
-        key = (p, k, r, flavor)
-        if key in independence:
-            continue
-        pair = pending.setdefault(
-            key, {m: CaseData(p, k, r, m, flavor) for m in ("mixed", "equal") if m not in modes[key]}
-        )
-        pair.setdefault(mode, cd)
-        if "mixed" in pair and "equal" in pair:
-            del pending[key]
-            c = independence[key] = check_mode_independence(pair["mixed"], pair["equal"])
-            c.check_id = f"mode-independence-{p}-{k}-{r}-{flavor}"
+        chains.setdefault((p, k, mode), []).append(i)
+    reports, pending, independence = [None] * len(manifest), {}, {}
+    for chain in chains.values():
+        for i in chain:
+            p, k, r, flavor, mode = manifest[i]
+            cd = CaseData(p, k, r, mode, flavor, cache_dir=cache_dir)
+            reports[i] = _run_checks(cd)
+            key = (p, k, r, flavor)
+            if key in independence:
+                continue
+            pair = pending.setdefault(
+                key, {m: CaseData(p, k, r, m, flavor) for m in ("mixed", "equal") if m not in modes[key]}
+            )
+            if mode not in pair:
+                pair[mode] = part = CaseData(p, k, r, mode, flavor)
+                if "predictions" in cd.__dict__:  # else the check computes them
+                    part.classification = replace(cd.classification, torus=None)
+                    part.predictions = cd.predictions
+            if "mixed" in pair and "equal" in pair:
+                del pending[key]
+                c = independence[key] = check_mode_independence(pair["mixed"], pair["equal"])
+                c.check_id = f"mode-independence-{p}-{k}-{r}-{flavor}"
+        release_chain_memos()
     suite_checks = [check_classical_sweep()] + [independence[key] for key in modes]
     all_pass = all(r.all_pass() for r in reports) and all(
         c.verdict not in ("fail", "error") for c in suite_checks

@@ -638,6 +638,25 @@ def test_split_blocks_matches_per_block_loop(p, r, mode, flavor):
     assert len(blocks) == n
 
 
+def test_split_blocks_takes_no_product_with_the_identity_block(monkeypatch):
+    """Before the first split the only block is S = I: Y = M^T, the
+    invariance check and N S = N need no product with it, and the blocks
+    are still those of the per-block loop."""
+    G = make_group(3, 1, 2, "mixed", "gl")
+    cd = G.conjugacy()
+    l, n = dixon.dixon_prime(G.order, cd.exponent), cd.n_classes
+    M = dixon.class_matrix(G, cd, 1) % l
+    eye, with_eye, real = np.eye(n, dtype=np.int64), [], dixon.matmul_mod
+    monkeypatch.setattr(
+        dixon, "matmul_mod",
+        lambda A, B, l: with_eye.append(any(X.shape == eye.shape and (X == eye).all() for X in (A, B))) or real(A, B, l),
+    )
+    blocks = [(eye, list(range(n)))]
+    out = _split_blocks(blocks, M, l)
+    assert len(out) > 1 and with_eye and not any(with_eye)
+    _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l), l)
+
+
 def test_split_blocks_rejects_block_that_is_not_invariant():
     # span(e_0 + e_2, e_1) under diag(1, 2, 3): e_0 + e_2 -> e_0 + 3 e_2
     M = np.diag([1, 2, 3]).astype(np.int64)

@@ -232,11 +232,13 @@ def test_torus_memos_return_the_identical_object():
 
 def test_torus_structure_takes_few_ring_products(monkeypatch):
     """Building the (7,1,2) mixed torus (order 2352), its congruence kernels
-    and its norm-one group takes 54 extension products; the former
+    and its norm-one group takes 47 extension products; the former
     construction, with a Sylow image and discrete logs one product per
-    generator power for each group, took 126.  No kernel and not the
-    norm-one group takes a Sylow power (x^(p^a) or x^(|S|/p^a)) of its own
-    codes: their components are the torus's, intersected."""
+    generator power for each group, took 126, and a basis search again on
+    each Sylow component a subgroup contains whole 54.  No kernel and not
+    the norm-one group takes a Sylow power (x^(p^a) or x^(|S|/p^a)) of its
+    own codes: their components are the torus's, intersected.  K_1 is the
+    torus's whole 7-part and keeps its basis of it."""
     ring = make_ring(7, 1, 2, "mixed")
     ext, mul, pow_ = make_ext(ring), make_ext(ring).mul, FiniteAbelianGroup.pow
     calls, pows = [], []
@@ -244,7 +246,8 @@ def test_torus_structure_takes_few_ring_products(monkeypatch):
     monkeypatch.setattr(FiniteAbelianGroup, "pow", lambda A, x, n: pows.append((np.size(x), n)) or pow_(A, x, n))
     t = CoxeterTorus(ring)
     subgroups = [*t.kernels.values(), t.norm_one_group]
-    assert len(calls) <= 54
+    assert len(calls) <= 47
+    assert t.kernels[1].basis == [b for b in t.group.basis if b[1] % 7 == 0]
     for S in subgroups:
         sylow = {n for p, a in factorise(S.order).items() for n in (p**a, S.order // p**a)}
         assert not [(size, n) for size, n in pows if size == S.order and n in sylow]

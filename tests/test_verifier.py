@@ -13,6 +13,7 @@ from dl2.cli import main
 from dl2.groups import ReductionHom, make_group
 from dl2.torus import classify_all
 from dl2.verifier import (
+    DEFAULT_MANIFEST,
     CaseData,
     _first_failed_pair,
     check_group_order,
@@ -220,6 +221,162 @@ def test_run_suite_classifies_each_case_once(monkeypatch):
     ]
     # three cases, plus the mixed mode of the SL case
     assert sorted(calls) == [(2, 2, "equal")] * 2 + [(2, 2, "mixed")] * 2
+
+
+# memos keyed by integers alone, which `release_chain_memos` keeps
+_INTEGER_KEYED_MEMOS = {
+    "dl2.cyclotomic.cyclotomic_poly",
+    "dl2.cyclotomic.phi",
+    "dl2.cyclotomic.zeta_powers",
+    "dl2.cyclotomic.zeta_bound",
+    "dl2.cyclotomic._prime_ladder",
+    "dl2.cyclotomic._root",
+    "dl2.cyclotomic._evaluation_matrices",
+    "dl2.rings.get_field",
+}
+
+
+def _dl2_memos():
+    """name -> object of every `cache_clear` defined in a dl2 module, at
+    module level or in a class."""
+    import importlib
+    import pkgutil
+
+    import dl2
+
+    memos = {}
+    for info in pkgutil.iter_modules(dl2.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"dl2.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if hasattr(obj, "cache_clear"):
+                memos[f"{module.__name__}.{name}"] = obj
+            if isinstance(obj, type):
+                memos.update(
+                    (f"{module.__name__}.{name}.{attr}", v)
+                    for attr, v in vars(obj).items()
+                    if hasattr(v, "cache_clear")
+                )
+    return memos
+
+
+def test_release_chain_memos_clears_every_object_keyed_memo(monkeypatch):
+    """Every memo in dl2 is either released after a chain or keyed by
+    integers alone; a new memo must be put on one of the two lists."""
+    memos = _dl2_memos()
+    assert _INTEGER_KEYED_MEMOS <= set(memos)
+    cleared = []
+    for name, memo in memos.items():
+        monkeypatch.setattr(memo, "cache_clear", lambda name=name: cleared.append(name))
+    dl2.verifier.release_chain_memos()
+    assert len(cleared) == len(set(cleared))
+    assert set(cleared) == set(memos) - _INTEGER_KEYED_MEMOS
+
+
+def test_run_suite_frees_each_chain_before_the_next(monkeypatch):
+    """Chain 1's ring, code space, group, classes, table and torus die by
+    reference count before chain 2's first case starts (the collector is
+    off), although its cases wait for their mode partners in chain 2."""
+    import gc
+    import weakref
+
+    refs, alive = [], []
+    run = dl2.verifier._run_checks
+
+    def tracking(cd):
+        if cd.mode == "equal" and not alive:
+            alive.append([name for name, ref in refs if ref() is not None])
+        rep = run(cd)
+        if cd.mode == "mixed":
+            objs = {"ring": cd.group.ring, "space": cd.group.space, "group": cd.group,
+                    "classes": cd.group.conjugacy(), "table": cd.table, "torus": cd.torus}
+            refs.extend((f"{name} {cd.key()}", weakref.ref(obj)) for name, obj in objs.items())
+        return rep
+
+    monkeypatch.setattr(dl2.verifier, "_run_checks", tracking)
+    dl2.verifier.release_chain_memos()  # objects that earlier tests built and may hold
+    manifest = [(2, 1, 2, "gl", "mixed"), (2, 1, 2, "sl", "mixed"), (2, 1, 2, "gl", "equal"),
+                (2, 1, 2, "sl", "equal")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = run_suite(manifest)
+    finally:
+        if enabled:
+            gc.enable()
+    assert out["all_pass"]
+    assert len(refs) == 12 and alive == [[]]
+
+
+def test_run_suite_builds_each_object_once(monkeypatch):
+    """Within a chain nothing is rebuilt: each ring, code space, group,
+    class set, table and torus is constructed once per key, although a
+    chain's cases share them and the next chains release them."""
+    from dl2.characters import CharacterTable
+    from dl2.groups import ConjugacyData, MatrixGroup, MatrixSpace
+    from dl2.rings import RingSpec
+    from dl2.torus import CoxeterTorus
+
+    def ring_key(ring, *_):
+        return (ring.p, ring.k, ring.r, ring.mode)
+
+    def group_key(group):
+        return ring_key(group.ring) + (group.flavor,)
+
+    # the key of an object from its constructor's arguments
+    keys = {
+        RingSpec: lambda *args: args[:4],
+        MatrixSpace: ring_key,
+        MatrixGroup: lambda ring, flavor, *_: ring_key(ring) + (flavor,),
+        ConjugacyData: group_key,
+        CharacterTable: lambda group, *_: group_key(group),
+        CoxeterTorus: ring_key,
+    }
+    built = []
+    for cls, key in keys.items():
+        init = cls.__init__
+
+        def counting(self, *args, init=init, key=key, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((type(self).__name__,) + tuple(key(*args)))
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    dl2.verifier.release_chain_memos()  # so that the suite builds everything it uses
+    manifest = [c for c in DEFAULT_MANIFEST if c[:2] == (2, 1)]
+    out = run_suite(manifest)
+    assert out["all_pass"]
+    assert len(built) == len(set(built))
+    # every level of both chains, in both flavours
+    assert {k for k in built if k[0] == "CharacterTable"} == {
+        ("CharacterTable", 2, 1, r, mode, flavor)
+        for r in (1, 2, 3) for mode in ("mixed", "equal") for flavor in ("gl", "sl")
+    }
+
+
+def test_run_suite_records_do_not_depend_on_manifest_order():
+    """Chains run one at a time, yet every case and suite check reports
+    what it reports in manifest order, for a permuted manifest and for one
+    with a duplicate line."""
+    manifest = [(2, 1, 1, "gl", "mixed"), (2, 1, 2, "sl", "equal"), (3, 1, 1, "sl", "mixed"),
+                (2, 1, 2, "sl", "mixed"), (3, 1, 1, "gl", "equal"), (2, 1, 1, "gl", "equal")]
+    permuted = [manifest[i] for i in (4, 1, 5, 0, 3, 2)]
+    duplicated = manifest[:3] + [manifest[1]] + manifest[3:]
+    want = _strip_runtimes(run_suite(manifest))
+    by_case = {tuple(c["case"].values()): c for c in want["cases"]}
+    checks = {c["check_id"]: c for c in want["suite_checks"]}
+    got = {}
+    for name, m in (("permuted", permuted), ("duplicated", duplicated)):
+        got[name] = _strip_runtimes(run_suite(m))
+        assert got[name]["cases"] == [by_case[(p, k, r, mode, flavor)] for p, k, r, flavor, mode in m]
+        assert {c["check_id"]: c for c in got[name]["suite_checks"]} == checks
+    # suite checks in order of each (p, k, r, flavor)'s first line
+    assert [c["check_id"] for c in got["permuted"]["suite_checks"]] == [
+        "classical-sweep", "mode-independence-3-1-1-gl", "mode-independence-2-1-2-sl",
+        "mode-independence-2-1-1-gl", "mode-independence-3-1-1-sl",
+    ]
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -628,8 +785,9 @@ def test_perfbench_spans_wrap_live_attributes(tmp_path):
     """`perfbench/spans.py` wraps dl2 functions at the attributes their
     callers look them up by.  Installing it and running one small suite
     must record a span for each: a renamed attribute fails here, not only
-    in the traced benchmark.  The harness is imported as it is, not
-    edited."""
+    in the traced benchmark.  The suite has two ring chains, so the memos
+    are released between them with the wrappers installed.  The harness is
+    imported as it is, not edited."""
     import os
     import subprocess
     import sys
@@ -642,7 +800,7 @@ def test_perfbench_spans_wrap_live_attributes(tmp_path):
         "rec = spans.Recorder()\n"
         "spans.install(rec)\n"
         "from dl2.verifier import run_suite\n"
-        f"out = run_suite([(2, 1, 2, 'gl', 'mixed')], cache_dir={str(tmp_path)!r})\n"
+        f"out = run_suite([(2, 1, 2, 'gl', 'mixed'), (2, 1, 2, 'gl', 'equal')], cache_dir={str(tmp_path)!r})\n"
         "print(json.dumps({'all_pass': out['all_pass'], 'spans': sorted(rec.summary()),\n"
         "                  'check_ids': list(spans.CHECK_IDS)}))\n"
     )
