@@ -7,8 +7,8 @@ factors (primary decomposition: the Sylow p-component is the kernel of
 x -> x^(p^a), p^a || |A|, or for a `subgroup` the parent's intersected; then
 one array basis search per component, taking in each round the least code
 of greatest order modulo the span so far), discrete logarithms of every
-element (one broadcast product per generator), and from there the full
-character group with exact root-of-unity values.
+element (one broadcast product per generator), and from there every
+character as an exponent row with exact root-of-unity values.
 
 Character values are handled as exponents of a fixed primitive L-th root of
 unity, L the group exponent, so the whole module is integer arithmetic.
@@ -16,7 +16,7 @@ unity, L the group exponent, so the whole module is integer arithmetic.
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Callable
 
 import numpy as np
@@ -98,7 +98,6 @@ class FiniteAbelianGroup:
             raise InvariantError("basis does not span the group")
         orders = np.array(self.orders, dtype=np.int64)
         self.exps = order[:, None] // np.cumprod(np.concatenate([[1], orders]))[:-1] % orders
-        # dual() is in mixed radix: the last exponent runs fastest
         self._radix = np.array([prod(self.orders[i + 1:]) for i in range(len(basis))], dtype=np.int64)
 
     def subgroup(self, mask) -> "FiniteAbelianGroup":
@@ -173,23 +172,20 @@ class FiniteAbelianGroup:
                 x = self._mul(x, x)
         return out
 
-    def dual(self) -> list["DualChar"]:
-        """All |A| characters."""
-        return [DualChar(self, tuple(a)) for a in self.dual_rows().tolist()]
-
     def dual_rows(self, index=None) -> np.ndarray:
-        """Exponent rows of the characters dual()[j], j in `index` (all j
-        by default)."""
+        """Exponent rows of the characters j in `index` (all |A| by
+        default), numbered in mixed radix with the last exponent fastest;
+        row 0 is the trivial character."""
         j = np.arange(self.order) if index is None else np.asarray(index, dtype=np.int64)
         return j[:, None] // self._radix % np.array(self.orders, dtype=np.int64)
 
     def dual_index(self, rows) -> np.ndarray:
-        """Position in dual() of each exponent row."""
+        """Position in `dual_rows()` of each exponent row."""
         return np.asarray(rows, dtype=np.int64) @ self._radix
 
     def value_rows(self, codes) -> np.ndarray:
         """Rows w(x), one per code x, with chi(x) = zeta_L^(a . w(x)) for
-        every character chi = DualChar(a), L the group exponent."""
+        every character chi with exponent row a, L the group exponent."""
         codes = np.asarray(codes, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
         if (self.codes[pos] != codes).any():
@@ -207,52 +203,3 @@ class FiniteAbelianGroup:
 
     def __len__(self):
         return self.order
-
-
-class DualChar:
-    """A character of a FiniteAbelianGroup, stored by exponent tuple.
-
-    The value at x is zeta_L ** root_exp(x), L = group exponent.
-    """
-
-    __slots__ = ("group", "a")
-
-    def __init__(self, group: FiniteAbelianGroup, a: tuple):
-        self.group = group
-        self.a = a
-
-    def root_exp(self, x: int) -> int:
-        w = self.group.value_rows([x])[0]
-        return int(np.dot(self.a, w)) % self.group.exponent
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.a)
-
-    def order(self) -> int:
-        o = 1
-        for ai, ni in zip(self.a, self.group.orders):
-            o = lcm(o, ni // gcd(ai, ni))
-        return o
-
-    def __mul__(self, other: "DualChar") -> "DualChar":
-        if self.group is not other.group:
-            raise InvariantError("characters of different groups")
-        a = tuple((x + y) % n for x, y, n in zip(self.a, other.a, self.group.orders))
-        return DualChar(self.group, a)
-
-    def inverse(self) -> "DualChar":
-        a = tuple((-x) % n for x, n in zip(self.a, self.group.orders))
-        return DualChar(self.group, a)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualChar)
-            and self.group is other.group
-            and self.a == other.a
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.a))
-
-    def __repr__(self):
-        return f"DualChar{self.a}"

@@ -11,12 +11,11 @@ operation, an integer matrix product or an exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import lcm
 
 import numpy as np
 
-from .abelian import DualChar
 from .cyclotomic import matmul, phi, substitute
 from .dixon import VerificationError, lift_table, verify_orthogonality
 from .groups import MatrixGroup, ReductionHom
@@ -115,11 +114,6 @@ class CharacterTable:
         else:
             self.coeffs = coeffs[order]
         self.degrees = degs[order]
-
-    @cached_property
-    def chars(self) -> list[ClassFunction]:
-        """The irreducibles as class functions over the table's coefficients."""
-        return [ClassFunction(self.group, self.exponent, row) for row in self.coeffs]
 
     def __len__(self):
         return len(self.degrees)
@@ -374,16 +368,12 @@ def steinberg(group: MatrixGroup) -> ClassFunction:
     return st
 
 
-def tensor_linear(chi: ClassFunction, alpha: DualChar) -> ClassFunction:
-    """chi tensored with alpha(det(-)): each value times the root of unity
-    alpha(det g_k) = zeta_L^a_k, over the common exponent E = lcm(e, L)."""
-    L = alpha.group.exponent
-    E = lcm(chi.e, L)
+def tensor_linear(chi: ClassFunction, alpha) -> ClassFunction:
+    """chi tensored with alpha(det(-)), alpha an exponent row of the ring's
+    unit group U: each value times alpha(det g_k) = zeta_L^(alpha . w), w the
+    value row of det g_k and L the exponent of U, over E = lcm(e, L)."""
+    U = chi.group.ring.unit_group
+    L, E = U.exponent, lcm(chi.e, U.exponent)
     dets = chi.group.space.det[chi.group.conjugacy().reps]
-    shift = np.array([alpha.root_exp(int(d)) for d in dets], dtype=np.int64) * (E // L)
+    shift = np.asarray(alpha, dtype=np.int64) @ U.value_rows(dets).T % L * (E // L)
     return ClassFunction(chi.group, E, substitute(chi.coeffs, chi.e, E, E // chi.e, shift))
-
-
-def linear_character_from_det(group: MatrixGroup, alpha: DualChar) -> ClassFunction:
-    """The one-dimensional character g -> alpha(det g)."""
-    return tensor_linear(trivial_character(group), alpha)

@@ -38,7 +38,7 @@ from math import lcm
 
 import numpy as np
 
-from .abelian import FiniteAbelianGroup, InvariantError, unique
+from .abelian import InvariantError, unique
 from .rings import RingSpec, make_ring
 
 GROUP_BOUND = 500_000
@@ -405,15 +405,8 @@ class MatrixGroup:
 
     # -- structure ------------------------------------------------------------
 
-    def unit_group(self) -> FiniteAbelianGroup:
-        return self.ring.unit_group
-
     def generators(self) -> list[int]:
         return group_generators(self.ring, self.flavor)
-
-    def generated_closure(self) -> int:
-        """Order of the subgroup generated by generators()."""
-        return generated_order(self.space, self.generators())
 
     @cache
     def conjugacy(self) -> ConjugacyData:

@@ -379,8 +379,8 @@ class RingSpec:
 
     @cached_property
     def unit_group(self) -> FiniteAbelianGroup:
-        """O_r^x with its basis and dual; one per interned ring, shared by
-        `MatrixGroup.unit_group()` and `CoxeterTorus.base_units`."""
+        """O_r^x with its basis and dual; one per interned ring, so every
+        group over it and `CoxeterTorus.base_units` share it."""
         mul = self.mul  # the product closes over the table, so the ring is in no cycle
         return FiniteAbelianGroup(self.units(), lambda a, b: mul[a, b], self.one)
 
@@ -506,24 +506,9 @@ class ExtSpec:
         R = self.base.residue
         return (R[x % S] != 0) | (R[x // S] != 0)
 
-    def inv(self, x):
-        # sigma(x) / norm(x); norm of a unit is a base unit
-        n = self.norm(x)
-        ninv = self.base.inv[n]
-        s = self.frobenius(x)
-        S = self.base.size
-        M = self.base.mul
-        return M[s % S, ninv] + M[s // S, ninv] * S
-
     def units(self) -> np.ndarray:
         codes = np.arange(self.size, dtype=np.int64)
         return codes[self.is_unit(codes)]
-
-    def residue_pair(self, x):
-        """Reduction mod pi as an F_{q^2} pair code a0 + q*a1 in [0, q^2)."""
-        S = self.base.size
-        R = self.base.residue
-        return R[x % S] + self.q * R[x // S]
 
     def lift_residue_pair(self, pair):
         """Canonical lift F_{q^2} -> O'_r (coefficientwise)."""
@@ -541,12 +526,6 @@ class ExtSpec:
         codes = np.arange(self.size, dtype=np.int64)
         S = self.base.size
         return tgt, m[codes % S] + m[codes // S] * tgt_base.size
-
-    def div_pi_top(self, code: int):
-        """Section of multiplication by pi^(r-1), landing in F_{q^2} pairs."""
-        S = self.base.size
-        a, b = code % S, code // S
-        return self.base.div_pi_top(a) + self.q * self.base.div_pi_top(b)
 
     def mul_pi_top_lift(self, pair):
         """pi^(r-1) * lift(pair) for F_{q^2} pair codes (scalar or array)."""

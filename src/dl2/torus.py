@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import DualChar, FiniteAbelianGroup, InvariantError, unique
+from .abelian import FiniteAbelianGroup, InvariantError, unique
 from .rings import RingSpec, make_ext, make_ring
 
 # Bytes of one int64 temporary of `CoxeterTorus.taus`,
@@ -97,9 +97,6 @@ class CoxeterTorus:
 
     # -- characters -------------------------------------------------------------
 
-    def dual(self) -> list[DualChar]:
-        return self.group.dual()
-
     def flip(self, A) -> np.ndarray:
         """Exponent rows of theta o sigma, for the exponent rows A."""
         T = self.group
@@ -108,7 +105,7 @@ class CoxeterTorus:
 
     @functools.cached_property
     def pullback_rows(self) -> np.ndarray:
-        """Row j: the exponent row of alpha(norm(-)), alpha = base_units.dual()[j]."""
+        """Row j: the exponent row of alpha o norm, alpha = base_units.dual_rows()[j]."""
         U = self.base_units
         W = U.value_rows(self.ext.norm(self.group.gens))
         return self.group.chars_from_values(U.dual_rows() @ W.T % U.exponent, U.exponent)
@@ -120,7 +117,7 @@ class CoxeterTorus:
     @functools.cache
     def kernel_values(self, r2: int):
         """(W, V): the value rows of the generators of K_{r2}, and V[j] the
-        values on them of the norm pullback of base_units.dual()[j]."""
+        values on them of the norm pullback of base_units.dual_rows()[j]."""
         W = self.group.value_rows(self.kernels[r2].gens)
         return W, self.pullback_rows @ W.T % self.group.exponent
 
@@ -211,13 +208,6 @@ class CoxeterTorus:
         L = self.group.exponent
         return self.level_torus(r2).group.chars_from_values(np.asarray(A) @ self._descent_rows(r2).T % L, L)
 
-    def inflate_from(self, A0, r2: int) -> np.ndarray:
-        """Exponent rows of the inflations to level r of the level-r2 rows A0."""
-        T0 = self.level_torus(r2).group
-        _, m = self.ext.reduction(r2)
-        W = T0.value_rows(m[self.group.gens])
-        return self.group.chars_from_values(np.asarray(A0) @ W.T % T0.exponent, T0.exponent)
-
 
 def torus_order(q: int, r: int) -> int:
     return q ** (2 * (r - 1)) * (q * q - 1)
@@ -235,14 +225,14 @@ def make_torus(p: int, k: int, r: int, mode: str) -> CoxeterTorus:
 @dataclass(frozen=True, eq=False)
 class Classification:
     """Everything the prediction layer needs to know about every theta: row
-    i of each array is about torus.dual()[i]."""
+    i of each array is about theta = torus.group.dual_rows()[i]."""
 
     torus: CoxeterTorus
     theta: np.ndarray                # (N, b) exponent rows
     tau: np.ndarray | None           # pair codes in F_{q^2}, None at r = 1
     regular: np.ndarray              # tau outside F_q
     r0: np.ndarray                   # conductor level, r for regular theta
-    theta0: np.ndarray               # position in level_torus(r0).dual()
+    theta0: np.ndarray               # position in level_torus(r0).group.dual_rows()
     alpha: np.ndarray                # exponent rows of the canonical twist of O_r^x
     n_minimizing_twists: np.ndarray
     general_position: np.ndarray     # theta0 not flip-stable (meaningful at r0 = 1)
@@ -293,7 +283,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> Classification:
         # for a block of thetas at a time: each block's (stacked rows, b)
         # array within `_BLOCK_BYTES`, or a single theta where one is larger.
         # Canonical (theta0, alpha): least descended tuple, then least twist
-        # tuple; dual() positions order the tuples lexicographically
+        # tuple; dual_rows() positions order the tuples lexicographically
         ends, cap, b0 = np.cumsum(cnt), max(1, _BLOCK_BYTES // (8 * A.shape[1])), 0
         while b0 < len(rows):
             b1 = max(b0 + 1, int(np.searchsorted(ends, ends[b0] - cnt[b0] + cap, "right")))
@@ -376,7 +366,7 @@ def conductor_by_peeling(torus: CoxeterTorus, A, psi_scale: int = 1) -> np.ndarr
     while the top-layer datum tau is scalar, twist by the inverse of an
     extension of psi(s * ((-) - 1)/pi^(rho-1)), s = tau, and descend one
     level.  One array pass per level over the rows still open, reading
-    tau from `dual_taus` at the rows' dual() positions (the rows are
+    tau from `dual_taus` at the rows' `dual_index` positions (the rows are
     reduced first, so `dual_index` finds them)."""
     A = np.asarray(A, dtype=np.int64) % np.array(torus.group.orders, dtype=np.int64)
     out = np.ones(len(A), dtype=np.int64)
@@ -399,7 +389,7 @@ def conductor_by_peeling(torus: CoxeterTorus, A, psi_scale: int = 1) -> np.ndarr
 
 @functools.cache
 def _extend_kernel_character(torus: CoxeterTorus, psi_scale: int) -> np.ndarray:
-    """Entry s, for each s in F_q: the position in base_units.dual() of the
+    """Entry s, for each s in F_q: the index in base_units.dual_rows() of the
     first character of O_r^x restricting on the last ring kernel to
     u -> psi(s * (u - 1)/pi^(r-1)); one exists since the unit group is
     abelian.  Memoised per (torus, psi_scale)."""
@@ -410,7 +400,7 @@ def _extend_kernel_character(torus: CoxeterTorus, psi_scale: int) -> np.ndarray:
     kcodes = units[mred[units] == tgt.one]
     x = R.div_pi_top(R.add[kcodes, R.neg[R.one]])
     # want[s, u]: the psi-exponent in F_p required at u; E[j, u] the value
-    # exponent (mod LU) of dual()[j] at u
+    # exponent (mod LU) of character j at u
     s = np.arange(torus.q)
     want = F.trace_to_fp[F.mul[F.mul[s[:, None], x[None, :]], psi_scale]]
     E = U.dual_rows() @ U.value_rows(kcodes).T % LU

@@ -632,6 +632,18 @@ def release_chain_memos():
         memo.cache_clear()
 
 
+def _mode_part(cd: CaseData) -> CaseData:
+    """What `check_mode_independence` reads of cd, computed now, in cd's
+    chain: its predictions and its classification without the torus."""
+    part = CaseData(cd.p, cd.k, cd.r, cd.mode, cd.flavor)
+    try:
+        if not _too_many_thetas(cd):
+            part.predictions, part.classification = cd.predictions, replace(cd.classification, torus=None)
+    except Exception:  # the check computes them again and records the error
+        pass
+    return part
+
+
 def run_suite(manifest=None, cache_dir=None) -> dict:
     """Run every case plus the suite-level checks; returns a JSON-ready dict.
 
@@ -640,33 +652,30 @@ def run_suite(manifest=None, cache_dir=None) -> dict:
     (GL2 and SL2 share the code space; `stability` and `inflation-adjunction`
     read lower levels), so `release_chain_memos` after each chain bounds the
     suite's memory by its largest chain.  Mode independence compares the
-    suite's cases of each (p, k, r, flavor) in the two modes, building a mode
-    the manifest lacks in its partner's chain; a case awaiting its partner
-    keeps only its predictions and its classification without the torus."""
+    suite's cases of each (p, k, r, flavor) in the two modes, predicting a
+    mode the manifest lacks in its own chain; a case awaiting its partner
+    keeps only its `_mode_part`."""
     manifest = manifest if manifest is not None else DEFAULT_MANIFEST
     modes: dict[tuple, set] = {}
     chains: dict[tuple, list] = {}
     for i, (p, k, r, flavor, mode) in enumerate(manifest):
         modes.setdefault((p, k, r, flavor), set()).add(mode)
-        chains.setdefault((p, k, mode), []).append(i)
+        chains.setdefault((p, k, mode), []).append((i, (p, k, r, flavor, mode)))
+    for (p, k, r, flavor), have in modes.items():
+        for mode in {"mixed", "equal"} - have:  # none or one
+            chains.setdefault((p, k, mode), []).append((None, (p, k, r, flavor, mode)))
     reports, pending, independence = [None] * len(manifest), {}, {}
     for chain in chains.values():
-        for i in chain:
-            p, k, r, flavor, mode = manifest[i]
+        for i, (p, k, r, flavor, mode) in chain:
             cd = CaseData(p, k, r, mode, flavor, cache_dir=cache_dir)
-            reports[i] = _run_checks(cd)
+            if i is not None:
+                reports[i] = _run_checks(cd)
             key = (p, k, r, flavor)
-            if key in independence:
+            if key in independence or mode in pending.get(key, ()):
                 continue
-            pair = pending.setdefault(
-                key, {m: CaseData(p, k, r, m, flavor) for m in ("mixed", "equal") if m not in modes[key]}
-            )
-            if mode not in pair:
-                pair[mode] = part = CaseData(p, k, r, mode, flavor)
-                if "predictions" in cd.__dict__:  # else the check computes them
-                    part.classification = replace(cd.classification, torus=None)
-                    part.predictions = cd.predictions
-            if "mixed" in pair and "equal" in pair:
+            pair = pending.setdefault(key, {})
+            pair[mode] = _mode_part(cd)
+            if len(pair) == 2:
                 del pending[key]
                 c = independence[key] = check_mode_independence(pair["mixed"], pair["equal"])
                 c.check_id = f"mode-independence-{p}-{k}-{r}-{flavor}"

@@ -35,12 +35,6 @@ class RootSystemData:
     def weyl_group(self) -> list[tuple]:
         return [tuple(p) for p in permutations(range(self.n))]
 
-    def weyl_order(self) -> int:
-        out = 1
-        for i in range(2, self.n + 1):
-            out *= i
-        return out
-
 
 def compose(p: tuple, q: tuple) -> tuple:
     """(p o q)(i) = p(q(i))."""
@@ -59,17 +53,6 @@ def coxeter_element(n: int) -> tuple:
         s[i], s[i + 1] = s[i + 1], s[i]
         w = compose(w, tuple(s))
     return w
-
-
-def perm_order(p: tuple) -> int:
-    n = len(p)
-    out = identity_perm(n)
-    cur = p
-    o = 1
-    while cur != out:
-        cur = compose(cur, p)
-        o += 1
-    return o
 
 
 def cycle_type(p: tuple) -> tuple:

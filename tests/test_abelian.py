@@ -1,4 +1,3 @@
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,37 +34,40 @@ def test_unit_group_structures():
     assert sorted(B.orders) == [3, 3, 8]
 
 
+def _value_exponents(A: FiniteAbelianGroup) -> np.ndarray:
+    """M[j, i]: chi_j(x_i) = zeta_L^M[j, i] for character j, row j of
+    `dual_rows()`, at the element x_i = codes[i]."""
+    return A.dual_rows() @ A.value_rows(A.codes).T % A.exponent
+
+
 def test_dual_is_complete_and_faithful():
+    """|A| characters with distinct values, each a homomorphism: exhaustive
+    over all pairs of elements of GR(9, 2)^x."""
     X = make_ext(make_ring(3, 1, 2, "mixed"))
     B = FiniteAbelianGroup(X.units(), X.mul, X.one)
-    chars = B.dual()
-    assert len(chars) == B.order == 72
-    codes = [int(c) for c in B.codes]
-    seen = set()
-    for ch in chars:
-        v = tuple(ch.root_exp(x) for x in codes)
-        assert v not in seen
-        seen.add(v)
-    rng = random.Random(0)
-    for _ in range(80):
-        ch = rng.choice(chars)
-        x, y = rng.choice(codes), rng.choice(codes)
-        assert (ch.root_exp(x) + ch.root_exp(y)) % B.exponent == ch.root_exp(
-            X.mul(x, y)
-        )
+    M = _value_exponents(B)
+    assert M.shape == (B.order, B.order) == (72, 72)
+    assert len({row.tobytes() for row in M}) == 72
+    x, y = np.repeat(B.codes, B.order), np.tile(B.codes, B.order)
+    xy = np.searchsorted(B.codes, X.mul(x, y))
+    i, j = np.searchsorted(B.codes, x), np.searchsorted(B.codes, y)
+    assert ((M[:, i] + M[:, j] - M[:, xy]) % B.exponent == 0).all()
 
 
 def test_char_group_operations():
-    R = make_ring(3, 1, 2, "mixed")
-    U = unit_group(R)
-    chars = U.dual()
-    triv = chars[0]
-    assert triv.is_trivial()
-    for ch in chars:
-        assert (ch * ch.inverse()) == triv
-        assert ch.order() == 1 or not ch.is_trivial()
-    orders = sorted(ch.order() for ch in chars)
-    assert orders == [1, 2, 3, 3, 6, 6]  # dual of Z/6
+    """On exponent rows mod the orders: row 0 is the trivial character, the
+    sum of two rows their product, the negated row the inverse, and the
+    orders those of the dual of Z/6."""
+    U = unit_group(make_ring(3, 1, 2, "mixed"))
+    L, n = U.exponent, np.array(U.orders, dtype=np.int64)
+    A, M = U.dual_rows(), _value_exponents(U)
+    assert not A[0].any() and not M[0].any() and M[1:].any(axis=1).all()
+    prod = U.dual_index((A[:, None, :] + A[None, :, :]) % n)
+    assert (M[prod] == (M[:, None, :] + M[None, :, :]) % L).all()
+    inv = U.dual_index(-A % n)
+    assert not ((M + M[inv]) % L).any() and not U.dual_index((A + -A % n) % n).any()
+    orders = [min(o for o in range(1, L + 1) if not (o * m % L).any()) for m in M]
+    assert sorted(orders) == [1, 2, 3, 3, 6, 6]
 
 
 def test_element_orders():
@@ -108,8 +110,8 @@ def test_dlog_round_trip():
 
 def test_one_unit_group_per_ring():
     for args in [(3, 1, 2, "mixed"), (2, 2, 2, "equal")]:
-        U = make_group(*args, "gl").unit_group()
-        assert U is make_torus(*args).base_units is make_ring(*args).unit_group
+        assert make_group(*args, "gl").ring is make_ring(*args)
+        assert make_torus(*args).base_units is make_ring(*args).unit_group
 
 
 def test_array_pow_matches_repeated_product():
@@ -161,7 +163,7 @@ def _exact_orthogonality(A: FiniteAbelianGroup):
     hits = np.bincount((np.arange(len(rows))[:, None] * L + M).ravel(), minlength=len(rows) * L)
     expected = np.where(np.arange(L)[None, :] % (L // order)[:, None] == 0, (A.order // order)[:, None], 0)
     assert (hits.reshape(len(rows), L) == expected).all()
-    assert order[0] == 1 and (order[1:] > 1).all()  # dual()[0] alone is trivial
+    assert order[0] == 1 and (order[1:] > 1).all()  # row 0 alone is trivial
 
 
 @given(

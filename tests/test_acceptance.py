@@ -44,6 +44,7 @@ from dl2.weyl import (
     fq_ranks,
     sweep_classical_signs,
 )
+from oracles import table_chars
 
 MANIFEST_PKR = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
 MODES = ("mixed", "equal")
@@ -234,8 +235,8 @@ def test_criterion_9_adjunction():
             hom = G.reduction(1)
             low = character_table(hom.target)
             high = character_table(G)
-            for chi in low.chars:
-                for psi in high.chars:
+            for chi in table_chars(low):
+                for psi in table_chars(high):
                     assert adjunction_check(chi, psi, hom)
                     n_pairs += 1
     print(f"\nACCEPTANCE 9 (inflation adjunction): PASS  [{n_pairs} pairs exhaustive]")

@@ -27,7 +27,6 @@ from dl2.characters import (
     inflate,
     inner_product,
     kernel_average,
-    linear_character_from_det,
     restrict,
     steinberg,
     tensor_linear,
@@ -55,6 +54,7 @@ from dl2.modlinalg import (
     rref,
 )
 from dl2.verifier import DEFAULT_MANIFEST
+from oracles import DualChar, dual, table_chars
 from test_modlinalg import krylov_relation, nullspace
 
 
@@ -83,7 +83,7 @@ def test_table_canonical_order():
     tab = character_table(make_group(3, 1, 1, "mixed", "gl"))
     degs = [int(d) for d in tab.degrees]
     assert degs == sorted(degs)
-    assert all(ch.degree() == d for ch, d in zip(tab.chars, degs))
+    assert all(ch.degree() == d for ch, d in zip(table_chars(tab), degs))
     # from any row order, the order of Python's sort on (degree, nested tuples)
     rng = np.random.default_rng(5)
     for c in [(3, 1, 2, "mixed", "gl"), (2, 2, 2, "mixed", "sl")]:
@@ -135,8 +135,9 @@ def test_table_init_sorts_the_lift_in_place(monkeypatch):
 
 def test_orthonormality_of_irreducibles():
     tab = character_table(make_group(2, 1, 2, "mixed", "gl"))
-    for i, chi in enumerate(tab.chars[:6]):
-        for j, psi in enumerate(tab.chars[:6]):
+    chars = table_chars(tab)[:6]
+    for i, chi in enumerate(chars):
+        for j, psi in enumerate(chars):
             assert inner_product(chi, psi) == (1 if i == j else 0)
 
 
@@ -177,11 +178,11 @@ def test_frobenius_reciprocity_exhaustive():
     tab = character_table(G)
     B = G.borel_codes()
     AB = FiniteAbelianGroup(B, G.space.mul, G.space.identity)
-    for phi_ab in AB.dual():
+    for phi_ab in dual(AB):
         L = AB.exponent
         vals = zeta_powers(L)[[phi_ab.root_exp(int(c)) for c in B]]
         ind = induce(G, B, vals, L)
-        for chi in tab.chars:
+        for chi in table_chars(tab):
             E = lcm(L, chi.e)
             res = substitute(restrict(chi, B), chi.e, E, E // chi.e)
             f = substitute(vals, L, E, E // L)
@@ -208,13 +209,13 @@ def _linear_characters_of_borel(G):
     chars = []
     if G.ring.q == 2:  # B has order 2 and is abelian
         AB = FiniteAbelianGroup(B, sp.mul, sp.identity)
-        chars = [(AB.exponent, np.array([t.root_exp(int(b)) for b in B])) for t in AB.dual()]
+        chars = [(AB.exponent, np.array([t.root_exp(int(b)) for b in B])) for t in dual(AB)]
     else:  # B/[B, B] is the diagonal torus: t = alpha(a) beta(d)
         R = G.ring
         U = FiniteAbelianGroup(R.units(), lambda a, b: R.mul[a, b], R.one)
         a, _b, _c, d = sp.dec(B)
-        betas = U.dual() if G.flavor == "gl" else [U.dual()[0]]
-        for alpha in U.dual():
+        betas = dual(U) if G.flavor == "gl" else [dual(U)[0]]
+        for alpha in dual(U):
             for beta in betas:
                 exps = [alpha.root_exp(int(u)) + beta.root_exp(int(v)) for u, v in zip(a, d)]
                 chars.append((U.exponent, np.array(exps)))
@@ -269,11 +270,12 @@ def test_inflation():
     tab1 = character_table(h.target)
     # trivial inflates to trivial, degrees preserved
     assert inflate(trivial_character(h.target), h) == trivial_character(G)
-    for chi in tab1.chars:
+    chars1 = table_chars(tab1)
+    for chi in chars1:
         assert inflate(chi, h).degree() == chi.degree()
     # isometry on all pairs
-    for chi in tab1.chars:
-        for psi in tab1.chars:
+    for chi in chars1:
+        for psi in chars1:
             assert inner_product(inflate(chi, h), inflate(psi, h)) == inner_product(chi, psi)
 
 
@@ -283,7 +285,7 @@ def test_inflation_composes():
     h32 = G.reduction(2)
     h21 = h32.target.reduction(1)
     tab1 = character_table(h31.target)
-    for chi in tab1.chars:
+    for chi in table_chars(tab1):
         assert inflate(chi, h31) == inflate(inflate(chi, h21), h32)
 
 
@@ -293,24 +295,25 @@ def test_adjunction():
     tab1 = character_table(h.target)
     tabr = character_table(G)
     # psi an inflation: both sides reduce to a plain inner product
-    for chi in tab1.chars:
-        psi = inflate(tab1.chars[-1], h)
+    chars1, charsr = table_chars(tab1), table_chars(tabr)
+    for chi in chars1:
+        psi = inflate(chars1[-1], h)
         assert adjunction_check(chi, psi, h)
         assert inner_product(chi, kernel_average(psi, h)) == inner_product(
-            chi, tab1.chars[-1]
+            chi, chars1[-1]
         )
     # random virtual characters
     rng = random.Random(0)
     for _ in range(10):
-        coeffs = [rng.randint(-2, 2) for _ in tabr.chars]
+        coeffs = [rng.randint(-2, 2) for _ in charsr]
         psi = trivial_character(G) - trivial_character(G)  # zero
-        for c, ch in zip(coeffs, tabr.chars):
+        for c, ch in zip(coeffs, charsr):
             if c:
                 scaled = ch
                 for _ in range(abs(c) - 1):
                     scaled = scaled + ch
                 psi = psi + scaled if c > 0 else psi - scaled
-        for chi in tab1.chars:
+        for chi in chars1:
             assert adjunction_check(chi, psi, h)
 
 
@@ -326,8 +329,8 @@ def test_adjunction_defect_matches_pairwise_check(p, k, r, flavor):
             D = adjunction_defect(hom)
             assert D.shape == (len(low), len(high))
             assert not D.any()
-            for chi in low.chars:
-                for psi in high.chars:
+            for chi in table_chars(low):
+                for psi in table_chars(high):
                     assert adjunction_check(chi, psi, hom)
 
 
@@ -1081,33 +1084,44 @@ def test_verify_agrees_with_the_check_at_all_roots(monkeypatch, p, k, r, mode, f
     dixon.verify_orthogonality(tab.coeffs, tab.conjugacy, tab.group.order)
 
 
+def _twist_by_det(chi: ClassFunction, alpha) -> ClassFunction:
+    """chi times alpha(det), one class at a time: the root exponent of the
+    `DualChar` alpha at det g_k, then one `substitute` per class."""
+    U = chi.group.ring.unit_group
+    L, E = U.exponent, lcm(chi.e, U.exponent)
+    a = DualChar(U, tuple(alpha))
+    dets = chi.group.space.det[chi.group.conjugacy().reps].tolist()
+    rows = [substitute(row, chi.e, E, E // chi.e, a.root_exp(d) * (E // L)) for row, d in zip(chi.coeffs, dets)]
+    return ClassFunction(chi.group, E, rows)
+
+
 def test_tensor_linear_permutes_table():
-    G = make_group(2, 1, 2, "mixed", "gl")
-    tab = character_table(G)
-    R = G.ring
-    U = FiniteAbelianGroup(R.units(), lambda a, b: R.mul[a, b], R.one)
-    for alpha in U.dual():
-        seen = set()
-        for chi in tab.chars:
-            tw = tensor_linear(chi, alpha)
-            assert tw.degree() == chi.degree()
-            idx = tab.find(tw)
-            assert idx is not None
-            seen.add(idx)
-        assert len(seen) == len(tab.chars)
-    # trivial alpha leaves characters unchanged
-    triv = U.dual()[0]  # the trivial character
-    for chi in tab.chars[:4]:
-        assert tensor_linear(chi, triv) == chi
+    """For every exponent row alpha of the unit group, on GL2(Z/4), GL2(F_3)
+    and GL2(F_5) (units of order 4, so alpha and its inverse differ): the
+    one-product twist equals the per-class oracle, keeps degrees and
+    permutes the table; the trivial row changes nothing."""
+    for p, r in ((2, 2), (3, 1), (5, 1)):
+        G = make_group(p, 1, r, "mixed", "gl")
+        tab = character_table(G)
+        chars = table_chars(tab)
+        A = G.ring.unit_group.dual_rows()
+        for alpha in A:
+            twisted = [tensor_linear(chi, alpha) for chi in chars]
+            for tw, chi in zip(twisted, chars):
+                want = _twist_by_det(chi, alpha)
+                assert tw.e == want.e and (tw.coeffs == want.coeffs).all()
+                assert tw.degree() == chi.degree()
+            assert sorted(tab.find(tw) for tw in twisted) == list(range(len(tab)))
+        assert not A[0].any()
+        assert all(tensor_linear(chi, A[0]) == chi for chi in chars)
 
 
 def test_linear_character_from_det():
+    """alpha o det is an irreducible of degree 1 for every alpha."""
     G = make_group(3, 1, 1, "mixed", "gl")
-    R = G.ring
-    U = FiniteAbelianGroup(R.units(), lambda a, b: R.mul[a, b], R.one)
     tab = character_table(G)
-    for alpha in U.dual():
-        lin = linear_character_from_det(G, alpha)
+    for alpha in G.ring.unit_group.dual_rows():
+        lin = tensor_linear(trivial_character(G), alpha)
         assert lin.degree() == 1
         assert tab.find(lin) is not None
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dl2.abelian import DualChar, InvariantError
+from dl2.abelian import InvariantError
 from dl2.predictor import (
     CLAUSE_DESCENT,
     CLAUSE_GP,
@@ -35,6 +35,7 @@ from dl2.predictor import predict_sl2 as array_predict_sl2
 from dl2.torus import CoxeterTorus, make_torus
 from dl2.torus import classify_all as array_classify_all
 from dl2.torus import conductor_by_peeling as array_conductor_by_peeling
+from oracles import DualChar, dual
 
 MANIFEST_PKR = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
 
@@ -179,7 +180,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
     T = torus.group
     U = torus.base_units
     L = T.exponent
-    thetas = torus.dual()
+    thetas = dual(torus.group)
     n_t = len(thetas)
     A = np.array([th.a for th in thetas], dtype=np.int64)
 
@@ -188,7 +189,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
     regular = [tau is not None and not is_scalar(torus, tau) for tau in taus_]
 
     # -- twisted levels ---------------------------------------------------------
-    pulls = [norm_pullback(torus, al) for al in U.dual()]
+    pulls = [norm_pullback(torus, al) for al in dual(U)]
     P = np.array([pl.a for pl in pulls], dtype=np.int64)
     # values of each theta, and lookup of the twists cancelling them, on the
     # generators of each kernel
@@ -203,7 +204,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
             d.setdefault(row.tobytes(), []).append(j)
         alpha_lookup[r2] = d
 
-    alphas = U.dual()
+    alphas = dual(U)
     out = []
 
     # sigma action, batch: exponent tuples of theta o sigma
@@ -287,7 +288,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
 
 @functools.lru_cache(maxsize=None)
 def extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> DualChar:
-    """The first character of O_r^x, in dual() order, restricting on the
+    """The first character of O_r^x, in dual_rows() order, restricting on the
     last ring kernel to u -> psi(s * (u - 1)/pi^(r-1))."""
     R = torus.ring
     F, U, p = R.field, torus.base_units, R.p
@@ -298,7 +299,7 @@ def extend_kernel_character(torus: CoxeterTorus, s: int, psi_scale: int) -> Dual
         if mred[u] == 1:
             x = R.div_pi_top(int(R.add[u, R.neg[R.one]]))
             want[u] = int(F.trace_to_fp[F.mul[F.mul[s, x], psi_scale]])
-    for alpha in U.dual():
+    for alpha in dual(U):
         ok = True
         for u, w in want.items():
             e = root_exp(alpha, u)
@@ -423,4 +424,4 @@ def test_array_peeling_matches_per_theta_peeling(p, k, r, mode):
     for psi_scale in [s for s in (1, 2) if s < torus.q]:
         peeled = array_conductor_by_peeling(torus, torus.group.dual_rows(), psi_scale)
         assert peeled.dtype == np.int64
-        assert peeled.tolist() == [conductor_by_peeling(torus, th, psi_scale) for th in torus.dual()]
+        assert peeled.tolist() == [conductor_by_peeling(torus, th, psi_scale) for th in dual(torus.group)]

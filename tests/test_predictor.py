@@ -14,6 +14,7 @@ from dl2.predictor import (
     sign_from_dim,
 )
 from dl2.torus import classify_all, make_torus
+from oracles import dual, inflate_rows
 
 
 def _predictions(predict, cl):
@@ -58,7 +59,7 @@ def test_descent_clause_dims():
 def test_trivial_theta_prediction():
     for r, mode in [(1, "mixed"), (2, "mixed"), (3, "equal")]:
         cl = classify_all(make_torus(2, 1, r, mode))
-        assert not cl.theta[0].any()  # dual()[0] is the trivial character
+        assert not cl.theta[0].any()  # dual_rows() row 0 is the trivial character
         pred = _predictions(predict_gl2, cl)[0]
         assert pred.clause == CLAUSE_SPLIT
         assert pred.total_dim == -1  # 1 - q
@@ -128,7 +129,7 @@ def test_stability_consistency_across_levels():
     high = _predictions(predict_gl2, classify_all(t3))
     for r2 in (1, 2):
         cl_low = classify_all(t3.level_torus(r2))
-        lifted = t3.group.dual_index(t3.inflate_from(cl_low.theta, r2))
+        lifted = t3.group.dual_index(inflate_rows(t3, cl_low.theta, r2))
         low = _predictions(predict_gl2, cl_low)
         assert [_signature(high[i]) for i in lifted.tolist()] == [_signature(p) for p in low]
 
@@ -139,7 +140,7 @@ def test_sigma1_twist_identifies_norm_pullbacks():
     t = make_torus(3, 1, 2, "mixed")
     cl = classify_all(t)
     preds = _predictions(predict_gl2, cl)
-    for alpha in t.base_units.dual():
+    for alpha in dual(t.base_units):
         i = t.group.dual_index(t.pullback_rows[t.base_units.dual_index(alpha.a)])
         assert preds[i].clause == CLAUSE_SPLIT
         assert tuple(cl.alpha[i].tolist()) == alpha.inverse().a

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dl2 import torus as torus_mod
-from dl2.abelian import DualChar, FiniteAbelianGroup, InvariantError, factorise
+from dl2.abelian import FiniteAbelianGroup, InvariantError, factorise
 from dl2.groups import make_group
 from dl2.rings import make_ext, make_ring
 from dl2.torus import (
@@ -19,6 +19,7 @@ from dl2.torus import (
     conductor_by_peeling,
     make_torus,
 )
+from oracles import DualChar, dual, inflate_rows
 
 
 def test_torus_sizes():
@@ -61,7 +62,7 @@ def test_flip_is_conjugation_in_gl2():
 
 def test_dual_enumeration():
     t = make_torus(3, 1, 2, "equal")
-    chars = t.dual()
+    chars = dual(t.group)
     assert len(chars) == t.order
     assert any(th.is_trivial() for th in chars)
     codes = [int(c) for c in t.codes]
@@ -74,7 +75,7 @@ def test_dual_enumeration():
 
 def test_tau():
     t = make_torus(3, 1, 2, "mixed")
-    chars = t.dual()
+    chars = dual(t.group)
     triv = [th for th in chars if th.is_trivial()][0]
     assert t.taus(np.array([triv.a])).tolist() == [0]
     cnt = Counter(t.taus(np.array([th.a for th in chars])).tolist())
@@ -100,17 +101,17 @@ def test_regular_counts_and_stabilizers():
     cl = classify_all(t)
     assert cl.regular.sum() == 48
     assert (cl.stab_size[cl.regular] == 1).all()  # regular characters are never flip-stable
-    assert not cl.theta[0].any() and cl.stab_size[0] == 2  # dual()[0] is trivial
+    assert not cl.theta[0].any() and cl.stab_size[0] == 2  # dual_rows() row 0 is trivial
     assert (cl.stab_size == np.where((t.flip(cl.theta) == cl.theta).all(axis=1), 2, 1)).all()
 
 
 def test_conductor_conventions():
     t = make_torus(3, 1, 2, "mixed")
     cl = classify_all(t)
-    assert t.dual()[0].is_trivial()
+    assert dual(t.group)[0].is_trivial()
     assert cl.r0[0] == 1 and cl.theta0[0] == 0 and not cl.alpha[0].any()
     # theta = alpha o norm: the canonical twist is exactly the inverse
-    for alpha in t.base_units.dual():
+    for alpha in dual(t.base_units):
         if alpha.is_trivial():
             continue
         i = t.group.dual_index(t.pullback_rows[t.base_units.dual_index(alpha.a)])
@@ -147,7 +148,7 @@ def test_inflation_levels():
     t2 = t3.level_torus(2)
     cl3, cl2 = classify_all(t3), classify_all(t2)
     regular = cl2.theta[cl2.regular]
-    lifted = t3.inflate_from(regular, 2)
+    lifted = inflate_rows(t3, regular, 2)
     i = t3.group.dual_index(lifted)
     assert not cl3.regular[i].any()
     assert (cl3.r0[i] == 2).all()
@@ -168,7 +169,7 @@ def test_general_position_examples():
     assert (cl.general_position == (B % 4 != 0).any(axis=1)).all()
     assert not cl.general_position[0]  # the trivial character
     # characters of order q+1 = 4 have no twist fixed by the flip
-    assert cl.general_position[[th.order() == 4 for th in t1.dual()]].all()
+    assert cl.general_position[[th.order() == 4 for th in dual(t1.group)]].all()
 
 
 def test_sl_restriction_data():
@@ -182,7 +183,7 @@ def test_sl_restriction_data():
     cl22 = classify_all(make_torus(2, 1, 2, "equal"))
     assert (cl22.regular & cl22.sl_sigma_fixed).any()
     # trivial character restricts trivially
-    triv = t.dual()[0]
+    triv = dual(t.group)[0]
     assert triv.is_trivial()
     vals = [triv.root_exp(int(c)) for c in t.norm_one]
     assert all(v == 0 for v in vals) and not cl.sl_quadratic[0]
@@ -267,7 +268,7 @@ _MEMO_TORI = [
 
 @pytest.mark.parametrize("pkr_mode", _MEMO_TORI, ids=lambda c: "-".join(map(str, c)))
 def test_dual_taus_is_taus_of_the_dual(pkr_mode):
-    """The memo is `taus` over dual(), per psi_scale, and read-only."""
+    """The memo is `taus` over dual_rows(), per psi_scale, and read-only."""
     t = make_torus(*pkr_mode)
     A = t.group.dual_rows()
     for s in ([1, 2] if 2 < t.q else [1]):
@@ -285,7 +286,7 @@ def test_dual_taus_default_and_explicit_scale_share_one_entry():
 
 @pytest.mark.parametrize("pkr_mode", [(2, 1, 3, "mixed"), (2, 1, 3, "equal"), (3, 1, 3, "mixed"), (5, 1, 3, "equal")])
 def test_peeling_matches_brute_force_on_random_rows(pkr_mode):
-    """Peeling reads tau through the dual() positions of each level's rows;
+    """Peeling reads tau through the dual_rows() positions of each level's rows;
     on a seeded random subset of rows at r = 3, in random order and with
     unreduced exponents, it still agrees with the brute-force minimum."""
     t = make_torus(*pkr_mode)
@@ -345,7 +346,7 @@ def test_fast_paths_match_literal_definitions(pkr, mode, picks, psi_pick):
     the kernel values give the level, and taus is the tau of the defining
     pairing identity."""
     t = make_torus(*pkr, mode)
-    thetas = t.dual()
+    thetas = dual(t.group)
     pulls = [DualChar(t.group, tuple(row)) for row in t.pullback_rows.tolist()]
     psi_scale = 1 + psi_pick % (t.q - 1)
     for i in picks:

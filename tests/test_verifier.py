@@ -23,6 +23,7 @@ from dl2.verifier import (
     run_case,
     run_suite,
 )
+from oracles import table_chars
 
 
 def _strip_runtimes(d):
@@ -76,9 +77,9 @@ def test_adjunction_fails_cleanly_on_broken_reduction(monkeypatch):
     hom.kernel_codes = hom.kernel_codes.copy()
     hom.kernel_codes[0] = G.codes[2]
     low, high = character_table(hom.target), character_table(G)
-    assert adjunction_check(low.chars[0], high.chars[0], hom)
+    assert adjunction_check(table_chars(low)[0], table_chars(high)[0], hom)
     with pytest.raises(ValueError, match="not integral"):
-        adjunction_check(low.chars[0], high.chars[1], hom)
+        adjunction_check(table_chars(low)[0], table_chars(high)[1], hom)
 
     monkeypatch.setattr(type(G), "reduction", lambda self, r2: hom)
     c = check_inflation_adjunction(CaseData(2, 1, 2, "mixed", "sl"))
@@ -356,6 +357,45 @@ def test_run_suite_builds_each_object_once(monkeypatch):
     }
 
 
+def test_run_suite_builds_each_partner_torus_once(monkeypatch):
+    """A (p, k, r, flavor) in one mode only gets its other mode predicted in
+    the chain of that mode: when the manifest has that chain too, its tori
+    are not built a second time after the chain was released."""
+    from dl2.torus import CoxeterTorus
+
+    built = []
+    init = CoxeterTorus.__init__
+
+    def counting(self, ring):
+        init(self, ring)
+        built.append((ring.p, ring.k, ring.r, ring.mode))
+
+    monkeypatch.setattr(CoxeterTorus, "__init__", counting)
+    dl2.verifier.release_chain_memos()  # so that the suite builds every torus it uses
+    manifest = [(2, 1, 2, "gl", "mixed"), (2, 1, 2, "sl", "equal"), (2, 1, 2, "gl", "equal")]
+    out = run_suite(manifest)
+    assert out["all_pass"]
+    assert sorted(built) == [(2, 1, r, mode) for r in (1, 2) for mode in ("equal", "mixed")]
+
+
+def test_run_suite_records_a_failing_partner_as_an_error(monkeypatch):
+    """Predicting the mode the manifest lacks may raise: the suite goes on,
+    and mode independence reports the exception as its error."""
+    predict = dl2.verifier.predict_sl2
+
+    def failing(cl):
+        if cl.torus.ring.mode == "mixed":
+            raise ArithmeticError("partner failed")
+        return predict(cl)
+
+    monkeypatch.setattr(dl2.verifier, "predict_sl2", failing)
+    out = run_suite([(2, 1, 1, "sl", "equal")])
+    assert [c["verdict"] for c in out["cases"][0]["checks"]].count("error") == 0
+    (check,) = [c for c in out["suite_checks"] if c["check_id"] == "mode-independence-2-1-1-sl"]
+    assert check["verdict"] == "error" and "partner failed" in check["computed"]["error"]
+    assert not out["all_pass"]
+
+
 def test_run_suite_records_do_not_depend_on_manifest_order():
     """Chains run one at a time, yet every case and suite check reports
     what it reports in manifest order, for a permuted manifest and for one
@@ -549,7 +589,7 @@ def test_table_cache_roundtrip(tmp_path):
     assert (loaded.coeffs == tab.coeffs).all()
     assert loaded.exponent == tab.exponent
     assert all(
-        a.e == b.e and (a.coeffs == b.coeffs).all() for a, b in zip(loaded.chars, tab.chars, strict=True)
+        a.e == b.e and (a.coeffs == b.coeffs).all() for a, b in zip(table_chars(loaded), table_chars(tab), strict=True)
     )
 
 
@@ -603,7 +643,8 @@ def test_cached_character_table(tmp_path):
 
 def test_table_paths_build_no_class_functions(tmp_path, monkeypatch):
     """Caching, reloading, verifying and dumping a table use its coefficient
-    tensor alone; its class functions are built only on first use."""
+    tensor alone and build no class function; the last call shows that
+    the patch is live."""
 
     def no_class_function(self, group, e, coeffs):
         raise AssertionError("ClassFunction built")
@@ -618,7 +659,7 @@ def test_table_paths_build_no_class_functions(tmp_path, monkeypatch):
         assert tab.to_tsv() == built.to_tsv()
         assert tab.degree_count(1) >= 1  # the trivial character
     with pytest.raises(AssertionError, match="ClassFunction built"):
-        loaded.chars
+        table_chars(loaded)
 
 
 def test_cache_rejects_bad_format(tmp_path):
