@@ -14,6 +14,7 @@ applies fails), 1 when a law fails, 2 on bad input, with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -31,7 +32,8 @@ from .weyl import sweep_classical_signs
 
 
 def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
+    """The `--out` file, closed on leaving its `with`, or stdout, left open."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _classification_records(cl) -> list[dict]:
@@ -59,24 +61,20 @@ def _classification_records(cl) -> list[dict]:
 
 def cmd_classify_torus(args) -> int:
     torus = make_torus(args.p, args.k, args.r, args.mode)
-    out = _out_stream(args.out)
-    for rec in _classification_records(classify_all(torus, psi_scale=args.psi_scale)):
-        out.write(json.dumps(rec, sort_keys=True) + "\n")
-    if args.out:
-        out.close()
+    with _out_stream(args.out) as out:
+        for rec in _classification_records(classify_all(torus, psi_scale=args.psi_scale)):
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_predict(args) -> int:
     cl = classify_all(make_torus(args.p, args.k, args.r, args.mode))
     values, which = (predict_gl2 if args.flavor == "gl" else predict_sl2)(cl)
-    out = _out_stream(args.out)
-    for theta, k in zip(cl.theta.tolist(), which.tolist()):
-        rec = {"theta": theta, "flavor": args.flavor}
-        rec.update(values[k].to_dict())
-        out.write(json.dumps(rec, sort_keys=True) + "\n")
-    if args.out:
-        out.close()
+    with _out_stream(args.out) as out:
+        for theta, k in zip(cl.theta.tolist(), which.tolist()):
+            rec = {"theta": theta, "flavor": args.flavor}
+            rec.update(values[k].to_dict())
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
     return 0
 
 
@@ -147,21 +145,19 @@ def _prime_powers(text: str) -> list[int]:
 
 def cmd_sweep_conjecture(args) -> int:
     cases = sweep_classical_signs(args.n_max, _prime_powers(args.q))
-    out = _out_stream(args.out)
-    if args.format == "json":
-        out.write(json.dumps([c.to_dict() for c in cases], indent=2) + "\n")
-    else:
-        cols = [
-            "flavor", "n", "cycle_type", "q", "p", "dim",
-            "dim_p_part", "rk_T", "rk_G", "sign", "classical_sign", "verdict",
-        ]
-        out.write("\t".join(cols) + "\n")
-        for c in cases:
-            d = c.to_dict()
-            d["cycle_type"] = "+".join(map(str, c.cycle_type))
-            out.write("\t".join(str(d[col]) for col in cols) + "\n")
-    if args.out:
-        out.close()
+    with _out_stream(args.out) as out:
+        if args.format == "json":
+            out.write(json.dumps([c.to_dict() for c in cases], indent=2) + "\n")
+        else:
+            cols = [
+                "flavor", "n", "cycle_type", "q", "p", "dim",
+                "dim_p_part", "rk_T", "rk_G", "sign", "classical_sign", "verdict",
+            ]
+            out.write("\t".join(cols) + "\n")
+            for c in cases:
+                d = c.to_dict()
+                d["cycle_type"] = "+".join(map(str, c.cycle_type))
+                out.write("\t".join(str(d[col]) for col in cols) + "\n")
     bad = [c for c in cases if c.sign != c.classical_sign]
     return 1 if bad else 0
 
@@ -170,13 +166,11 @@ def cmd_dump_table(args) -> int:
     tab = cached_character_table(
         args.p, args.k, args.r, args.mode, args.flavor, args.cache_dir
     )
-    out = _out_stream(args.out)
-    if args.format == "json":
-        out.write(json.dumps(tab.to_json_dict(), sort_keys=True) + "\n")
-    else:
-        out.write(tab.to_tsv())
-    if args.out:
-        out.close()
+    with _out_stream(args.out) as out:
+        if args.format == "json":
+            out.write(json.dumps(tab.to_json_dict(), sort_keys=True) + "\n")
+        else:
+            out.write(tab.to_tsv())
     return 0
 
 

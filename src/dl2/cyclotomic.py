@@ -11,6 +11,8 @@ Arrays of elements are int64 tensors whose last axis holds the phi(e)
 coefficients.  `matmul` is their one product and `substitute` their one
 change of root (promotion to a multiple order, conjugation, Galois action,
 multiplication by a root of unity); both check their int64 bound.
+`_values`, their one evaluation at the roots mod a prime, also serves
+`dixon`'s table check, whose check at one root is its one-column case.
 
 Exactness of `matmul`.  It multiplies X (n, m, d) by Y (m, p, d), d =
 phi(e), whose output coefficients are at most B = (2d - 1) z d m x y in
@@ -55,7 +57,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .abelian import factorise
-from .modlinalg import inv_mod, matmul_mod, primitive_root
+from .modlinalg import inv_mod, matmul_mod, primitive_root, reduce_mod
 from .rings import is_prime
 
 
@@ -212,13 +214,15 @@ def _evaluation_matrices(e: int, l: int):
     return V, Vinv
 
 
-def _values_at_roots(A: np.ndarray, V: np.ndarray, l: int) -> np.ndarray:
-    """The (d, rows, cols) float64 stack of the values mod l of a (rows,
-    cols, d) coefficient tensor at the roots of V (`_evaluation_matrices`);
-    the residues are taken in int64 and stored straight into float64."""
-    rows, cols, d = A.shape
-    residues = np.remainder(A, l, out=np.empty(A.shape))
-    return matmul_mod(V.T, residues.reshape(rows * cols, d).T, l).reshape(d, rows, cols)
+def _values(coeffs: np.ndarray, V: np.ndarray, l: int) -> np.ndarray:
+    """The values mod l of a (rows, n, d) block of coefficient rows at the
+    roots of the columns of V (`_evaluation_matrices`, or some columns), as
+    a (rows, n, columns) float64 view of a C-contiguous (columns, rows, n)
+    array: one contiguous matrix per root.  Coefficients below 2^53 reduce
+    exactly (`reduce_mod`), and each value sums d products of residues:
+    exact when d (l - 1)^2 < 2^53."""
+    rows, n, d = coeffs.shape
+    return matmul_mod(V.T, reduce_mod(coeffs.reshape(rows * n, d), l).T, l).T.reshape(rows, n, -1)
 
 
 def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
@@ -248,9 +252,9 @@ def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     digits = []
     for i, l in enumerate(primes):
         V, Vinv = _evaluation_matrices(e, l)
-        # pointwise products of the values at the roots, interpolated to the
-        # (d, n p) coefficients mod l
-        v = matmul_mod(_values_at_roots(X, V, l), _values_at_roots(Y, V, l), l)
+        # pointwise products of the values at the roots (of X and Y mod l, as
+        # int64 may pass 2^53), interpolated to the (d, n p) coefficients mod l
+        v = matmul_mod(*(np.moveaxis(_values(A % l, V, l), 2, 0) for A in (X, Y)), l)
         v = matmul_mod(Vinv.T, v.reshape(d, n * p), l).astype(np.int64)
         # Garner digit i, symmetric in [-(l - 1)/2, (l - 1)/2], computed in
         # place to hold few full-size arrays

@@ -33,7 +33,8 @@ Stages:
      compatibility sigma_m(chi(g)) = chi(g^m) with the group's power map,
      once, at one split prime; then both orthogonality relations at one
      primitive e-th root per split prime, which compatibility makes enough,
-     with no CRT rebuild.
+     with no CRT rebuild, as the one-root case of the check at every root
+     (`_relation_residues`, on values from `cyclotomic._values`).
 
 No tolerance anywhere; every verification is an integer identity.  The
 products mod l are float64 BLAS products of residues (`modlinalg.matmul_mod`),
@@ -49,7 +50,7 @@ import random
 
 import numpy as np
 
-from .cyclotomic import _evaluation_matrices, _root, phi, split_primes, zeta_bound
+from .cyclotomic import _evaluation_matrices, _values, phi, split_primes, zeta_bound
 from .groups import ConjugacyData, MatrixGroup
 from .modlinalg import inv_mod, matmul_mod, min_poly, poly_roots, reduce_mod, rref
 from .rings import is_prime
@@ -492,15 +493,6 @@ def _unit_exponents(e: int) -> list[int]:
     return [a for a in range(e) if math.gcd(a, e) == 1]
 
 
-def _values(coeffs: np.ndarray, V: np.ndarray, l: int) -> np.ndarray:
-    """The values mod l of a (rows, n, d) int64 block of coefficient rows at
-    the roots of the columns of V, as a (rows, n, columns) float64 array.
-    Coefficients below 2^53 reduce exactly (`reduce_mod`), and each value
-    sums d products of residues: exact when d (l - 1)^2 < 2^53."""
-    rows, n, d = coeffs.shape
-    return matmul_mod(reduce_mod(coeffs.reshape(rows * n, d), l), V, l).reshape(rows, n, -1)
-
-
 def _galois_refusal(coeffs, cd, pm, l: int, x: int):
     """Why the table C = coeffs cannot be shown to satisfy sigma_m(C) = C o
     pi_m, pi_m = pm[:, m], for every unit m, or None when it can.
@@ -543,43 +535,24 @@ def _galois_refusal(coeffs, cd, pm, l: int, x: int):
     return None
 
 
-def _relations_at_r0(coeffs, cd, order: int, l: int) -> bool:
-    """Whether P1 - T1 and P2 - T2 of `verify_orthogonality` vanish mod l at
-    the root r_0 = w of `_evaluation_matrices` (its first root, as m_0 = 1
-    or e = 1): two n x n products of the values at r_0, which are taken
-    from row blocks of the table; each sums n products of residues."""
-    n, _, d = coeffs.shape
-    w = _root(cd.exponent, l)
-    powers = np.empty((d, 1))
-    powers[0] = 1
-    for a in range(1, d):
-        powers[a] = powers[a - 1] * w % l
-    step = max(1, _BLOCK_BYTES // (8 * n * d))
-    vals = np.concatenate([_values(coeffs[lo : lo + step], powers, l)[:, :, 0] for lo in range(0, n, step)])
-    conj = vals[:, cd.inverse_class]  # chi_t(g_k^-1)
-    P1 = matmul_mod(reduce_mod(vals * (cd.sizes % l), l), conj.T, l)  # products below l^2 < 2^53
-    P2 = matmul_mod(vals.T, conj, l)
-    eye = np.eye(n, dtype=bool)
-    return (P1 == np.where(eye, order % l, 0)).all() and (P2 == np.diag(cd.centralizer_orders % l)).all()
-
-
-def _relation_residues(coeffs, sizes, inverse_class, targets, V, l):
-    """Per block of the roots of V (`cyclotomic._evaluation_matrices`):
-    (lo, (P1 - T1, P2 - T2)), the values mod l of both relations of
-    `verify_orthogonality` minus their targets, at roots lo, lo + 1, ...,
-    as (roots, n, n) float64 stacks of integers in (-l, l).
+def _relation_residues(coeffs, cd, order: int, V, l: int):
+    """Per block of the roots of V (`cyclotomic._evaluation_matrices`, or
+    its first column r_0): (lo, (P1 - T1, P2 - T2)), the values mod l of
+    both relations of `verify_orthogonality` minus their targets, at roots
+    lo, lo + 1, ..., as (roots, n, n) float64 stacks of integers in (-l, l).
 
     The values at the roots of a block come from row blocks of the table
     (`_values`, d terms each); the relation products sum n.  Both are exact
     below 2^53, for the primes of `split_primes(e, max(n, d), ...)`."""
     n, _, d = coeffs.shape
+    sizes, targets = cd.sizes % l, (order % l, cd.centralizer_orders % l)
     step = max(1, _BLOCK_BYTES // (8 * n * n))
     rows = max(1, _BLOCK_BYTES // (8 * n * d))
-    for lo in range(0, d, step):
+    for lo in range(0, V.shape[1], step):
         vals = np.concatenate(
             [_values(coeffs[t : t + rows], V[:, lo : lo + step], l) for t in range(0, n, rows)]
         ).transpose(2, 0, 1)
-        conj = vals[:, :, inverse_class]  # chi_t(g_k^-1) at each root
+        conj = vals[:, :, cd.inverse_class]  # chi_t(g_k^-1) at each root
         vals_w = vals * sizes  # each below (l - 1)^2
         P1 = matmul_mod(reduce_mod(vals_w, l, out=vals_w), conj.transpose(0, 2, 1), l)
         del vals_w
@@ -599,8 +572,8 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
     sum_k |C_k| chi_i(g_k) chi_j(g_k^-1) = |G| [i = j], and P2 = C^T C[:,
     inv] = diag(|C_G(g_k)|) = T2, products over Z[zeta_e] whose targets are
     rational.  They are checked on the values at the root r_0 = w of
-    `_evaluation_matrices` modulo split primes: no interpolation and no CRT
-    rebuild.
+    `_evaluation_matrices` modulo split primes, by `_relation_residues` on
+    the first column of V: no interpolation and no CRT rebuild.
 
     Exactness.  By `cyclotomic.matmul`'s bound, with x = max|C| and y = x
     max|C_k|, every canonical coefficient of P1 (factors at most y and x)
@@ -628,13 +601,13 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
     and exact as `split_primes` keeps n (l - 1)^2 < 2^53.
 
     On any failure the relations are checked at every primitive root
-    (`_relation_residues`), where agreement at every r_j gives P = T in
-    Z[zeta_e]/l directly, so the verdict and its message are those of the
-    CRT-rebuilt products: coefficient 0 of the residual P - T mod l is
-    sum_j (P - T)(r_j) Vinv[j, 0], by interpolation, and the failure is
-    reported as in the constant term when that is nonzero, else in the
-    irrational part.  A table that satisfies both relations but not Galois
-    compatibility is refused with the reason.
+    (`_relation_residues` on all of V, one pass per prime), where agreement
+    at every r_j gives P = T in Z[zeta_e]/l directly, so the verdict and its
+    message are those of the CRT-rebuilt products: coefficient 0 of the
+    residual P - T mod l is sum_j (P - T)(r_j) Vinv[j, 0], by interpolation,
+    and the failure is reported as in the constant term when that is
+    nonzero, else in the irrational part.  A table that satisfies both
+    relations but not Galois compatibility is refused with the reason.
     """
     n, _, d = coeffs.shape
     e = cd.exponent
@@ -648,21 +621,20 @@ def verify_orthogonality(coeffs: np.ndarray, cd: ConjugacyData, order: int):
         raise VerificationError(str(exc)) from exc
     # |C| <= x < 2^32, as x^2 <= B < 2^63
     refusal = _galois_refusal(coeffs, cd, cd.power_map()[:, _unit_exponents(e)], primes[0], x)
-    if refusal is None and all(_relations_at_r0(coeffs, cd, order, l) for l in primes):
+    at_r0 = (_relation_residues(coeffs, cd, order, _evaluation_matrices(e, l)[0][:, :1], l) for l in primes)
+    if refusal is None and not any(P.any() for blocks in at_r0 for _, pair in blocks for P in pair):
         return
     for l in primes:
         V, Vinv = _evaluation_matrices(e, l)
-        args = (coeffs, cd.sizes % l, cd.inverse_class, (order % l, cd.centralizer_orders % l), V, l)
-        for _, (res1, res2) in _relation_residues(*args):
-            if res1.any() or res2.any():
-                which = 0 if res1.any() else 1
-                # each block sums its roots' terms, d (l - 1)^2 < 2^53 in all
-                c0 = sum(
-                    np.tensordot(Vinv[lo : lo + len(res[which]), 0], res[which] % l, axes=1)
-                    for lo, res in _relation_residues(*args)
-                )
-                part = "constant term" if (c0 % l).any() else "irrational part"
-                raise VerificationError(f"orthogonality failed ({part})")
+        which, c0 = None, (0, 0)
+        for lo, pair in _relation_residues(coeffs, cd, order, V, l):
+            if which is None:
+                which = next((i for i, P in enumerate(pair) if P.any()), None)
+            # each block sums its roots' terms, d (l - 1)^2 < 2^53 in all
+            c0 = tuple(c + np.tensordot(Vinv[lo : lo + len(P), 0], P % l, axes=1) for c, P in zip(c0, pair))
+        if which is not None:
+            part = "constant term" if (c0[which] % l).any() else "irrational part"
+            raise VerificationError(f"orthogonality failed ({part})")
     # both relations hold at every root of every prime, so the check at r_0
     # passed and the refusal is set
     raise VerificationError(refusal)

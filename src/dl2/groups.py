@@ -379,14 +379,14 @@ class ConjugacyData:
 class MatrixGroup:
     """Enumerated GL2(O_r) or SL2(O_r); index 0 is the identity."""
 
-    def __init__(self, ring: RingSpec, flavor: str, bound: int = GROUP_BOUND):
+    def __init__(self, ring: RingSpec, flavor: str):
         if flavor not in ("gl", "sl"):
             raise ValueError(f"flavor must be 'gl' or 'sl', got {flavor!r}")
         q, r = ring.q, ring.r
         expected = gl2_order(q, r) if flavor == "gl" else sl2_order(q, r)
-        if expected > bound:
+        if expected > GROUP_BOUND:
             raise GroupTooLargeError(
-                f"|{flavor.upper()}2(O_{r})| = {expected} exceeds bound {bound}"
+                f"|{flavor.upper()}2(O_{r})| = {expected} exceeds bound {GROUP_BOUND}"
             )
         self.ring = ring
         self.flavor = flavor

@@ -530,11 +530,11 @@ def _first_failed_pair(D: np.ndarray, low: CharacterTable, high: CharacterTable)
     "inflation vs invariants adjunction",
     lambda cd: cd.r < 2 or _no_table(cd),
 )
-def check_inflation_adjunction(cd: CaseData, r2: int = 1):
+def check_inflation_adjunction(cd: CaseData):
     """Exhaustive adjunction identity between inflation and kernel
     averaging, over all pairs of irreducibles at the two levels: it holds
     for every pair iff the integer matrix `adjunction_defect` vanishes."""
-    hom = cd.group.reduction(r2)
+    hom = cd.group.reduction(1)
     low = character_table(hom.target)
     high = cd.table
     n_pairs = len(low) * len(high)

@@ -1077,11 +1077,38 @@ def test_verify_agrees_with_the_check_at_all_roots(monkeypatch, p, k, r, mode, f
         want = _verdict(_verify_orthogonality_at_all_roots, coeffs, cd, tab.group.order)
         assert _verdict(dixon.verify_orthogonality, coeffs, cd, tab.group.order) == want, what
 
-    def unreachable(*args):
-        raise AssertionError("checked at every root")
+    real, roots = dixon._relation_residues, []
 
-    monkeypatch.setattr(dixon, "_relation_residues", unreachable)
+    def at_r0_only(*args):
+        *_, V, l = args
+        assert V.shape[1] == 1, "checked at every root"
+        roots.append(l)
+        return real(*args)
+
+    monkeypatch.setattr(dixon, "_relation_residues", at_r0_only)
     dixon.verify_orthogonality(tab.coeffs, tab.conjugacy, tab.group.order)
+    assert roots
+
+
+def test_failing_table_takes_one_pass_per_prime(monkeypatch):
+    """On a table that fails at r_0, the check at every root evaluates the
+    relations once per prime: the constant term that names the failure is
+    summed in the same pass."""
+    tab = character_table(make_group(3, 1, 1, "mixed", "gl"))
+    bad = tab.coeffs.copy()
+    bad[0, 0, 0] += 1
+    real, passes = dixon._relation_residues, []
+
+    def counting(*args):
+        *_, V, l = args
+        if V.shape[1] > 1:
+            passes.append(l)
+        return real(*args)
+
+    monkeypatch.setattr(dixon, "_relation_residues", counting)
+    with pytest.raises(VerificationError, match="constant term"):
+        dixon.verify_orthogonality(bad, tab.conjugacy, tab.group.order)
+    assert passes and len(passes) == len(set(passes))
 
 
 def _twist_by_det(chi: ClassFunction, alpha) -> ClassFunction:

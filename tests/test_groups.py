@@ -53,7 +53,7 @@ def test_known_small_orders():
 
 def test_size_bound():
     with pytest.raises(GroupTooLargeError):
-        MatrixGroup(make_ring(7, 1, 2, "mixed"), "gl", bound=500_000)
+        MatrixGroup(make_ring(7, 1, 2, "mixed"), "gl")
 
 
 def test_conjugacy_class_counts():

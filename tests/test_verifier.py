@@ -1,11 +1,13 @@
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dl2.cli
 import dl2.verifier
 from dl2.cache import cached_character_table, load_table, save_table, resolve_cache_dir
 from dl2.characters import CharacterTable, ClassFunction, adjunction_check, character_table
@@ -563,6 +565,33 @@ def test_cli_dump_table(tmp_path):
     d = json.loads(out.read_text())
     assert d["format"] == "dl2-table/1"
     assert sorted(c["degree"] for c in d["characters"]) == [1, 1, 2]
+
+
+def test_cli_out_file_closed_when_writer_raises(tmp_path, monkeypatch, capsys):
+    """A writer that raises part way closes the --out file with what it
+    wrote; without --out it leaves stdout open."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def failing_records(cl):
+        yield {"theta": [0]}
+        raise RuntimeError("writer failed")
+
+    monkeypatch.setattr(dl2.cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(dl2.cli, "_classification_records", failing_records)
+    argv = ["classify-torus", "--p", "2", "--k", "1", "--r", "1", "--mode", "mixed"]
+    out = tmp_path / "thetas.jsonl"
+    with pytest.raises(RuntimeError):
+        main(argv + ["--out", str(out)])
+    assert len(opened) == 1 and opened[0].closed
+    assert out.read_text() == '{"theta": [0]}\n'
+    with pytest.raises(RuntimeError):
+        main(argv)
+    assert not sys.stdout.closed
+    assert capsys.readouterr().out == '{"theta": [0]}\n'
 
 
 # -- caches --------------------------------------------------------------------
