@@ -252,9 +252,11 @@ def matmul(X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
     digits = []
     for i, l in enumerate(primes):
         V, Vinv = _evaluation_matrices(e, l)
-        # pointwise products of the values at the roots (of X and Y mod l, as
-        # int64 may pass 2^53), interpolated to the (d, n p) coefficients mod l
-        v = matmul_mod(*(np.moveaxis(_values(A % l, V, l), 2, 0) for A in (X, Y)), l)
+        # pointwise products of the values at the roots, interpolated to the
+        # (d, n p) coefficients mod l; `_values` reduces entries below
+        # 2^53 - l exactly, and an operand with larger entries goes mod l first
+        ops = ((A if a < 2**53 - l else A % l) for A, a in ((X, x), (Y, y)))
+        v = matmul_mod(*(np.moveaxis(_values(A, V, l), 2, 0) for A in ops), l)
         v = matmul_mod(Vinv.T, v.reshape(d, n * p), l).astype(np.int64)
         # Garner digit i, symmetric in [-(l - 1)/2, (l - 1)/2], computed in
         # place to hold few full-size arrays

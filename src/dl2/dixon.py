@@ -324,7 +324,7 @@ def _row_spaces(X: np.ndarray, l: int) -> list:
     return out
 
 
-def _split_blocks(blocks, M, l, rng=None):
+def _split_blocks(blocks, M, l, rng):
     """Refine invariant blocks under M.
 
     A block is (B, cols), a row basis B with B[:, cols] the identity, so the
@@ -344,10 +344,8 @@ def _split_blocks(blocks, M, l, rng=None):
     (N, piv) is zero off the block of its pivot, N S is N_b B_b row by row,
     and the rows of one block give it the block (N_b B_b, [cols[p] for p in
     piv_b]), the identity at its columns again.  `rng` draws the start
-    vectors; by default it is seeded with (n, l).
+    vectors.
     """
-    if rng is None:
-        rng = random.Random(f"{len(M)} {l}")
     open_blocks = [(B, cols) for B, cols in blocks if B.shape[0] > 1]
     if not open_blocks:
         return list(blocks)

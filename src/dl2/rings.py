@@ -24,9 +24,10 @@ by xbar is one array map on digit vectors, the least code g generating F_q^x
 gives the power table exp and its inverse log, products are exp[log a +
 log b], sums are digitwise, and the Frobenius is exp[p log c].
 
-Defining polynomials are pinned to the lexicographically least monic
-irreducible of the required degree (most significant coefficient first),
-lifted coefficientwise, so codes are reproducible across runs.
+Defining polynomials are pinned, and lifted coefficientwise, so codes are
+reproducible across runs: f is the least monic irreducible of degree k in
+its coefficients (c_0, c_1, ..., c_{k-1}), constant term most significant,
+and the quadratic y^2 + B y + C of the extension the least in (B, C).
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _poly_is_irreducible_mod_p(f, p):
 def least_irreducible(p: int, k: int):
     """Lexicographically least monic irreducible of degree k over F_p.
 
-    Candidates are ordered by the coefficient tuple (c_{k-1}, ..., c_0).
+    Candidates are ordered by the coefficient tuple (c_0, c_1, ..., c_{k-1}),
+    constant term most significant.
     Returns ascending coefficient list of length k+1 (monic).
     """
     if k == 1:
@@ -122,7 +124,7 @@ def least_irreducible(p: int, k: int):
     for idx in range(p**k):
         coeffs = [0] * k
         m = idx
-        for i in range(k - 1, -1, -1):  # most significant digit first
+        for i in range(k - 1, -1, -1):  # c_0 takes the most significant digit
             coeffs[i] = m % p
             m //= p
         f = coeffs + [1]
@@ -142,9 +144,8 @@ class PrimePowerField:
     prime subfield is coded 0..p-1 and, for k >= 2, xbar is coded p.
 
     digits : (q, k) int64, digits[c, i] = d_i of code c
-    exp    : exp[n] = g^n for n in [0, q - 1), g = exp[1] the least code
-             generating F_q^x
-    log    : the inverse of exp on the units; log[0] = 0 is a placeholder
+    log    : log[g^n] = n for n in [0, q - 1), g the least code generating
+             F_q^x; log[0] = 0 is a placeholder
     add, mul : (q, q) int64 tables; neg, frob, trace_to_fp : int64 arrays
     """
 
@@ -181,7 +182,6 @@ class PrimePowerField:
             exp = exp[: q - 1]
             if (exp[1:] != 1).all():
                 break
-        self.exp = exp
         self.log = np.zeros(q, dtype=np.int64)
         self.log[exp] = np.arange(q - 1)
         # g^a g^b = g^(a + b), read from the power table laid out twice;
@@ -355,7 +355,7 @@ class RingSpec:
         self.residue = quot.reduce(codes, level_one)
         self.lift = quot.code(level_one.digits(np.arange(q, dtype=np.int64)))
         self.pi = (q if mode == "equal" else p) if r > 1 else 0
-        self.zero, self.one = 0, 1
+        self.one = 1
         self.is_unit = self.residue != 0
         inv = np.zeros(S, dtype=np.int64)
         rows, cols = np.nonzero(self.mul == self.one)
@@ -465,10 +465,6 @@ class ExtSpec:
 
     def enc(self, a, b):
         return a + b * self.base.size
-
-    @property
-    def zero(self):
-        return 0
 
     @property
     def one(self):

@@ -76,7 +76,6 @@ class CoxeterTorus:
         }
         # norm-one subgroup (the SL2 torus)
         self._norm_one_mask = ext.norm(self.codes) == ring.one
-        self.norm_one = self.codes[self._norm_one_mask]
 
     # -- embedding into GL2 ----------------------------------------------------
 
@@ -123,7 +122,6 @@ class CoxeterTorus:
 
     # -- the additive-character pairing on the top congruence layer -------------
 
-    @functools.cache
     def top_layer_elements(self):
         """(pair codes x, ext codes of 1 + pi^(r-1) lift(x)) over F_{q^2}."""
         xs = np.arange(self.q**2, dtype=np.int64)

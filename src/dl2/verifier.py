@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -85,14 +84,7 @@ class Check:
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "paper_clause": self.paper_clause,
-            "computed": self.computed,
-            "predicted": self.predicted,
-            "verdict": self.verdict,
-            "runtime_s": round(self.runtime_s, 4),
-        }
+        return {**asdict(self), "runtime_s": round(self.runtime_s, 4)}
 
 
 @dataclass
@@ -154,12 +146,6 @@ def check(check_id: str, clause: str, inapplicable=None):
     return decorate
 
 
-def _json_safe(v):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else int(v)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # per-case data assembly
 
@@ -204,6 +190,20 @@ class CaseData:
         """(values, which): theta i of the classification is predicted
         values[which[i]]."""
         return (predict_gl2 if self.flavor == "gl" else predict_sl2)(self.classification)
+
+    @functools.cached_property
+    def sl_restriction_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Classes of thetas with one restriction to the norm-one torus, up
+        to the Frobenius flip: (the class of each theta, the first theta of
+        each class).  Predictions within a class must agree."""
+        torus = self.torus
+        T, N1 = torus.group, torus.norm_one_group
+        res = [
+            N1.dual_index(N1.chars_from_values(self.classification.theta @ T.value_rows(g).T, T.exponent))
+            for g in (N1.gens, torus.sigma(N1.gens))
+        ]
+        _, first, label = np.unique(np.minimum(*res), return_index=True, return_inverse=True)
+        return label, first
 
     def torus_size(self) -> int:
         return torus_order(self.q, self.r)
@@ -283,7 +283,7 @@ def check_stability(cd: CaseData):
     tab = cd.table
     degs = sorted(int(tab.degrees[i]) for i in (tab.find(triv), tab.find(st)) if i is not None)
     computed = {
-        "inner_product": _json_safe(ip),
+        "inner_product": str(ip) if ip.denominator != 1 else int(ip),
         "constituent_degrees": degs,
         "weyl_fixed_count": weyl_count,
     }
@@ -383,20 +383,6 @@ def check_dimension_law(cd: CaseData):
     )
 
 
-def _sl_restriction_classes(cd: CaseData):
-    """Classes of thetas with one restriction to the norm-one torus, up to
-    the Frobenius flip: (the class of each theta, the first theta of each
-    class).  Predictions within a class must agree."""
-    torus = cd.torus
-    T, N1 = torus.group, torus.norm_one_group
-    res = [
-        N1.dual_index(N1.chars_from_values(cd.classification.theta @ T.value_rows(g).T, T.exponent))
-        for g in (N1.gens, torus.sigma(N1.gens))
-    ]
-    _, first, label = np.unique(np.minimum(*res), return_index=True, return_inverse=True)
-    return label, first
-
-
 def _census_units(cd: CaseData):
     """The first theta of each unit the degree census counts once: a
     Frobenius orbit for GL2, a restriction class for SL2."""
@@ -405,7 +391,7 @@ def _census_units(cd: CaseData):
         flipped = cd.torus.group.dual_index(cd.torus.flip(theta))
         return np.unique(np.minimum(np.arange(len(theta)), flipped), return_index=True)[1]
     values, which = cd.predictions
-    label, first = _sl_restriction_classes(cd)
+    label, first = cd.sl_restriction_classes
     signatures: dict = {}
     sig = np.array([signatures.setdefault((v.total_dim, v.constituents), len(signatures)) for v in values])
     if (sig[which] != sig[which[first]][label]).any():
@@ -455,7 +441,7 @@ def check_sl_exceptions(cd: CaseData):
     flip-stable (even q) or order-two (odd q) restriction class."""
     tab = cd.table
     values, which = cd.predictions
-    _, first = _sl_restriction_classes(cd)
+    _, first = cd.sl_restriction_classes
     split_clause = CLAUSE_SL_ODD if cd.q % 2 else CLAUSE_SL_EVEN
     reps = which[first]
     split = np.array([v.clause == split_clause for v in values])[reps]
@@ -612,8 +598,8 @@ def check_mode_independence(mixed: CaseData, equal: CaseData):
 
 
 @check("classical-sweep", "level-one sign formula across type A torus classes")
-def check_classical_sweep(n_max=5, qs=(2, 3, 4, 5, 7, 8, 9)):
-    cases = sweep_classical_signs(n_max, list(qs))
+def check_classical_sweep():
+    cases = sweep_classical_signs(5, [2, 3, 4, 5, 7, 8, 9])
     bad = [c.to_dict() for c in cases if c.sign != c.classical_sign or c.sign is None]
     return {"n_cases": len(cases), "failures": bad[:5]}, {"failures": []}, not bad
 
@@ -627,7 +613,7 @@ def release_chain_memos():
         rings.make_ring, rings.make_ext, rings.RingSpec.reduction, rings.ExtSpec.reduction,
         groups.matrix_space, groups.make_group, groups.MatrixGroup.conjugacy, groups.MatrixGroup.reduction,
         characters.character_table, torus_module.make_torus, torus_module._extend_kernel_character,
-        T.kernel_values, T.top_layer_elements, T._pairing_patterns, T._dual_taus, T._descent_rows,
+        T.kernel_values, T._pairing_patterns, T._dual_taus, T._descent_rows,
     ):
         memo.cache_clear()
 

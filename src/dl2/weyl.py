@@ -11,7 +11,7 @@ non-integer exponent is returned as "inapplicable", never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,10 +23,6 @@ class RootSystemData:
     """Type A_{n-1} data: W = S_n on n letters."""
 
     n: int
-
-    @property
-    def rank(self) -> int:
-        return self.n - 1
 
     @property
     def num_positive_roots(self) -> int:
@@ -111,12 +107,7 @@ def conjecture_sign(
     """
     if dim == 0:
         raise ValueError("dimension must be nonzero")
-    k = 0
-    qq = q
-    while qq % p == 0 and qq > 1:
-        qq //= p
-        k += 1
-    if qq != 1 or p**k != q:
+    if q < 2 or p ** (k := p_adic_valuation(q, p)) != q:
         raise ValueError(f"q = {q} is not a power of p = {p}")
     v = p_adic_valuation(dim, p)
     exponent = (rk_T + rk_G) * (1 + Fraction(v, k * n_positive_roots))
@@ -185,22 +176,13 @@ class SweepCase:
 
     def to_dict(self) -> dict:
         return {
-            "flavor": self.flavor,
-            "n": self.n,
+            **asdict(self),
             "cycle_type": list(self.cycle_type),
-            "q": self.q,
-            "p": self.p,
-            "dim": self.dim,
-            "dim_p_part": self.dim_p_part,
-            "rk_T": self.rk_T,
-            "rk_G": self.rk_G,
-            "sign": self.sign,
-            "classical_sign": self.classical_sign,
             "verdict": "pass" if self.sign == self.classical_sign else "fail",
         }
 
 
-def sweep_classical_signs(n_max: int, qs, flavors=("gl", "sl")) -> list[SweepCase]:
+def sweep_classical_signs(n_max: int, qs) -> list[SweepCase]:
     """Level-one sweep over type A torus classes: the formula sign must be
     (-1)^(rk_G - rk_T) in every case, with no inapplicable exponents."""
     out = []
@@ -210,7 +192,7 @@ def sweep_classical_signs(n_max: int, qs, flavors=("gl", "sl")) -> list[SweepCas
             w = perm_with_cycle_type(lam)
             for q in qs:
                 p = min(factorise(q))
-                for flavor in flavors:
+                for flavor in ("gl", "sl"):
                     dim = classical_r1_dim(flavor, n, w, q)
                     rk_T, rk_G = fq_ranks(flavor, n, w)
                     sign = conjecture_sign(

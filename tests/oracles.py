@@ -61,6 +61,11 @@ def dual(group: FiniteAbelianGroup) -> list[DualChar]:
     return [DualChar(group, tuple(a)) for a in group.dual_rows().tolist()]
 
 
+def norm_one(torus) -> np.ndarray:
+    """The codes of the norm-one torus elements, N(t) = 1."""
+    return torus.codes[torus.ext.norm(torus.codes) == torus.ring.one]
+
+
 def table_chars(tab) -> list[ClassFunction]:
     """The irreducibles of a character table as class functions."""
     return [ClassFunction(tab.group, tab.exponent, row) for row in tab.coeffs]

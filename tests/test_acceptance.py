@@ -35,7 +35,6 @@ from dl2.verifier import (
     CaseData,
     check_degree_census,
     check_sl_exceptions,
-    _sl_restriction_classes,
 )
 from dl2.weyl import (
     RootSystemData,
@@ -184,7 +183,7 @@ def test_criterion_7_sl_exceptions():
     # SL2(F_2[t]/t^2): two degree-(q^r - q^(r-1))/2 = 1 irreducibles per
     # flagged restriction class
     cd = CaseData(2, 1, 2, "equal", "sl")
-    _, first = _sl_restriction_classes(cd)
+    _, first = cd.sl_restriction_classes
     values, which = cd.predictions
     n_flagged = sum(values[k].clause == CLAUSE_SL_EVEN for k in which[first].tolist())
     assert n_flagged >= 1

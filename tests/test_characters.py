@@ -540,12 +540,18 @@ def test_eigenspaces_refuse_a_hidden_jordan_block():
         dixon._eigenspaces(P @ J % l @ Pinv % l, l, random.Random(0))
 
 
+def _split(blocks, M, l):
+    """`_split_blocks` with start vectors seeded by (n, l), as
+    `character_table_mod_l` seeds them."""
+    return _split_blocks(blocks, M, l, random.Random(f"{len(M)} {l}"))
+
+
 def test_split_blocks_guards_int64_overflow():
     l = 2**31 - 1  # prime; 3 * (l - 1)^2 >= 2^63
     eye = np.eye(3, dtype=np.int64)
     with pytest.raises(OverflowError):
-        _split_blocks([(eye, [0, 1, 2])], eye, l)
-    assert len(_split_blocks([(eye, [0, 1, 2])], eye, 541)) == 1
+        _split([(eye, [0, 1, 2])], eye, l)
+    assert len(_split([(eye, [0, 1, 2])], eye, 541)) == 1
 
 
 def _check_eigenblocks(blocks, M, l):
@@ -562,7 +568,7 @@ def test_split_blocks_gathers_roots_over_start_vectors():
     # alone, so the other eigenvalues come from e_1 and e_2
     l = 541
     M = np.diag([1, 2, 3]).astype(np.int64)
-    out = _split_blocks([(np.eye(3, dtype=np.int64), [0, 1, 2])], M, l)
+    out = _split([(np.eye(3, dtype=np.int64), [0, 1, 2])], M, l)
     assert sorted(cols for _B, cols in out) == [[0], [1], [2]]
     _check_eigenblocks(out, M, l)
 
@@ -576,7 +582,7 @@ def test_split_blocks_yields_eigenblocks_of_class_matrices(p, r, flavor):
     blocks = [(np.eye(n, dtype=np.int64), list(range(n)))]
     for i in range(1, n):
         M = dixon.class_matrix(G, cd, i) % l
-        blocks = _split_blocks(blocks, M, l)
+        blocks = _split(blocks, M, l)
         _check_eigenblocks(blocks, M, l)
     assert len(blocks) == n and all(B.shape[0] == 1 for B, _ in blocks)
 
@@ -635,7 +641,7 @@ def test_split_blocks_matches_per_block_loop(p, r, mode, flavor):
         if all(B.shape[0] == 1 for B, _ in blocks):
             break
         M = dixon.class_matrix(G, cd, i) % l
-        new = _split_blocks(blocks, M, l)
+        new = _split(blocks, M, l)
         _assert_same_blocks(new, _split_blocks_per_block(blocks, M, l), l)
         blocks = new
     assert len(blocks) == n
@@ -655,7 +661,7 @@ def test_split_blocks_takes_no_product_with_the_identity_block(monkeypatch):
         lambda A, B, l: with_eye.append(any(X.shape == eye.shape and (X == eye).all() for X in (A, B))) or real(A, B, l),
     )
     blocks = [(eye, list(range(n)))]
-    out = _split_blocks(blocks, M, l)
+    out = _split(blocks, M, l)
     assert len(out) > 1 and with_eye and not any(with_eye)
     _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l), l)
 
@@ -665,7 +671,7 @@ def test_split_blocks_rejects_block_that_is_not_invariant():
     M = np.diag([1, 2, 3]).astype(np.int64)
     B = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int64)
     with pytest.raises(VerificationError, match="block not invariant"):
-        _split_blocks([(B, [0, 1])], M, 541)
+        _split([(B, [0, 1])], M, 541)
 
 
 def test_split_blocks_splits_invariant_block_with_two_eigenvalues():
@@ -675,7 +681,7 @@ def test_split_blocks_splits_invariant_block_with_two_eigenvalues():
     M = np.array([[3, 0, 0], [8, 1, 0], [0, 0, 2]], dtype=np.int64)
     B = np.array([[1, 4, 0], [0, 0, 1]], dtype=np.int64)  # B M^T = diag(3, 2) B
     blocks = [(np.eye(3, dtype=np.int64)[[1]], [1]), (B, [0, 2])]
-    out = _split_blocks(blocks, M, l)
+    out = _split(blocks, M, l)
     _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l), l)
     assert sorted(cols for _, cols in out) == [[0], [1], [2]]
     _check_eigenblocks(out, M, l)
@@ -703,7 +709,7 @@ def test_split_blocks_splits_two_blocks_that_share_an_eigenvalue(monkeypatch):
     calls = []
     real = dixon._eigenspaces
     monkeypatch.setattr(dixon, "_eigenspaces", lambda op, *a: calls.append(len(op)) or real(op, *a))
-    out = _split_blocks(blocks, M, l)
+    out = _split(blocks, M, l)
     assert calls == [4]
     _assert_same_blocks(out, _split_blocks_per_block(blocks, M, l), l)
     # each block's pieces in its place, on its own coordinates
@@ -718,14 +724,14 @@ def test_split_blocks_rejects_one_block_that_is_not_invariant():
     M, blocks = _two_moving_blocks()
     eye = np.eye(5, dtype=np.int64)
     with pytest.raises(VerificationError, match="block not invariant"):
-        _split_blocks([blocks[0], (eye[[2, 4]], [2, 4]), (eye[[3]], [3])], M, 541)
+        _split([blocks[0], (eye[[2, 4]], [2, 4]), (eye[[3]], [3])], M, 541)
 
 
 def test_split_blocks_rejects_operator_that_does_not_split():
     # a Jordan block: eigenvalue 1 alone, with a one-dimensional eigenspace
     M = np.array([[1, 1], [0, 1]], dtype=np.int64)
     with pytest.raises(VerificationError, match="operator not split"):
-        _split_blocks([(np.eye(2, dtype=np.int64), [0, 1])], M, 541)
+        _split([(np.eye(2, dtype=np.int64), [0, 1])], M, 541)
 
 
 def test_mod_l_table_rejects_class_matrices_that_are_scalars(monkeypatch):
@@ -756,7 +762,7 @@ def test_mod_l_table_is_deterministic():
     cd = G.conjugacy()
     M = dixon.class_matrix(G, cd, 5) % first[2]
     blocks = [(np.eye(cd.n_classes, dtype=np.int64), list(range(cd.n_classes)))]
-    one, two = (_split_blocks(blocks, M, first[2]) for _ in range(2))
+    one, two = (_split(blocks, M, first[2]) for _ in range(2))
     assert [c for _, c in one] == [c for _, c in two]
     assert all(B.tobytes() == B2.tobytes() for (B, _), (B2, _) in zip(one, two))
 

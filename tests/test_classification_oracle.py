@@ -35,7 +35,7 @@ from dl2.predictor import predict_sl2 as array_predict_sl2
 from dl2.torus import CoxeterTorus, make_torus
 from dl2.torus import classify_all as array_classify_all
 from dl2.torus import conductor_by_peeling as array_conductor_by_peeling
-from oracles import DualChar, dual
+from oracles import DualChar, dual, norm_one
 
 MANIFEST_PKR = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
 
@@ -215,7 +215,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
     stab2 = (Esig * orders_arr // L % orders_arr == A).all(axis=1)
 
     # norm-one flip stability, batch
-    n1 = torus.norm_one
+    n1 = norm_one(torus)
     Wn1 = (T.value_rows(torus.sigma(n1)) - T.value_rows(n1)) % L
     sl_fixed = ((A @ Wn1.T % L) == 0).all(axis=1)
 
@@ -255,7 +255,7 @@ def classify_all(torus: CoxeterTorus, psi_scale: int = 1) -> list[TorusCharClass
         if torus.q % 2 == 1 and r0 == 1:
             t1 = torus.level_torus(1)
             L1 = t1.group.exponent
-            exps = [root_exp(theta0, int(c)) for c in t1.norm_one]
+            exps = [root_exp(theta0, int(c)) for c in norm_one(t1)]
             nontrivial = any(e % L1 for e in exps)
             order_div_2 = all((2 * e) % L1 == 0 for e in exps)
             sl_quadratic = nontrivial and order_div_2

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dl2 import cyclotomic
+from dl2.characters import character_table
 from dl2.cyclotomic import (
     _EVALUATION_CACHE,
     _evaluation_matrices,
@@ -18,6 +20,7 @@ from dl2.cyclotomic import (
     zeta_bound,
     zeta_powers,
 )
+from dl2.groups import make_group
 from dl2.rings import is_prime
 
 
@@ -298,6 +301,22 @@ def test_matmul_guards_int64_overflow():
     assert matmul(X, X, 4).tolist() == [[[0, 2**59]]]  # (1 + i)^2 = 2i
     with pytest.raises(OverflowError):
         matmul(X, np.full((1, 1, 2), 2**33, dtype=np.int64), 4)
+
+
+def test_matmul_evaluates_operands_below_2_53_unreduced(monkeypatch):
+    """`_values` reduces entries below 2^53 - l exactly, so a table's
+    coefficients reach it as they are, with no int64 `%` copy first; an
+    operand with larger entries reaches it mod l, and the product is exact."""
+    got, real = [], cyclotomic._values
+    monkeypatch.setattr(cyclotomic, "_values", lambda A, V, l: got.append(A) or real(A, V, l))
+    tab = character_table(make_group(3, 1, 2, "mixed", "gl"))  # GL2(Z/9)
+    X, Y = tab.coeffs, tab.coeffs.transpose(1, 0, 2)
+    matmul(X, Y, tab.exponent)
+    assert got and all(A is X or A is Y for A in got)
+    got.clear()
+    big, one = np.full((1, 1, 1), 2**60, dtype=np.int64), np.ones((1, 1, 1), dtype=np.int64)
+    assert matmul(big, one, 1).tolist() == [[[2**60]]]
+    assert got and [A is one for A in got] == [False, True] * (len(got) // 2)
 
 
 def test_evaluation_matrices_cache_is_bounded():

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dl2.abelian import factorise
-from dl2.rings import PrimePowerField, RingSpec, _poly_rem_mod_p, get_field, is_prime, make_ext, make_ring
+from dl2.rings import (
+    PrimePowerField,
+    RingSpec,
+    _poly_rem_mod_p,
+    get_field,
+    is_prime,
+    least_irreducible,
+    make_ext,
+    make_ring,
+)
 
 CASES = [
     (2, 1, 1, "equal"),
@@ -18,6 +27,23 @@ CASES = [
     (3, 1, 2, "equal"),
     (5, 1, 2, "mixed"),
 ]
+
+
+@pytest.mark.parametrize(
+    "p, k, f",
+    [
+        (2, 2, [1, 1, 1]),
+        (2, 3, [1, 0, 1, 1]),
+        (2, 4, [1, 0, 0, 1, 1]),  # 1 + x^3 + x^4, where (c_3, ..., c_0) order gives 1 + x + x^4
+        (2, 5, [1, 0, 0, 1, 0, 1]),
+        (3, 3, [1, 0, 2, 1]),
+        (5, 2, [1, 1, 1]),  # x^2 + x + 1, where (c_1, c_0) order gives x^2 + 2
+    ],
+)
+def test_least_irreducible_orders_candidates_constant_term_first(p, k, f):
+    """The least monic irreducible in (c_0, c_1, ..., c_{k-1}): every field
+    code and table digest rests on this choice."""
+    assert least_irreducible(p, k) == f
 
 
 def test_make_ring_examples():
@@ -74,7 +100,7 @@ def test_ring_axioms(p, k, r, mode):
         assert R.add[R.add[a, b], c] == R.add[a, R.add[b, c]]
         assert R.mul[a, R.add[b, c]] == R.add[R.mul[a, b], R.mul[a, c]]
     assert (R.mul[R.one] == np.arange(S)).all()
-    assert (R.add[R.zero] == np.arange(S)).all()
+    assert (R.add[0] == np.arange(S)).all()
 
 
 @pytest.mark.parametrize("p,k,r,mode", CASES)
@@ -279,15 +305,15 @@ def test_ring_axioms_drawn(case, xs, ys, zs):
     assert (M[M[a, b], c] == M[a, M[b, c]]).all()
     assert (A[A[a, b], c] == A[a, A[b, c]]).all()
     assert (M[a, A[b, c]] == A[M[a, b], M[a, c]]).all()
-    assert (M[R.one, a] == a).all() and (A[R.zero, a] == a).all()
-    assert (A[a, R.neg[a]] == R.zero).all()
+    assert (M[R.one, a] == a).all() and (A[0, a] == a).all()
+    assert (A[a, R.neg[a]] == 0).all()
     X = make_ext(R)
     a, b, c = _drawn(X.size, xs, ys, zs)
     assert (X.mul(X.mul(a, b), c) == X.mul(a, X.mul(b, c))).all()
     assert (X.add(X.add(a, b), c) == X.add(a, X.add(b, c))).all()
     assert (X.mul(a, X.add(b, c)) == X.add(X.mul(a, b), X.mul(a, c))).all()
-    assert (X.mul(X.one, a) == a).all() and (X.add(X.zero, a) == a).all()
-    assert (X.add(a, X.neg(a)) == X.zero).all()
+    assert (X.mul(X.one, a) == a).all() and (X.add(0, a) == a).all()
+    assert (X.add(a, X.neg(a)) == 0).all()
 
 
 @given(
@@ -440,11 +466,10 @@ def test_largest_fields(p, k):
     rng = np.random.default_rng(q)
     a, b = rng.integers(q, size=(2, 300))
     assert [int(F.mul[x, y]) for x, y in zip(a, b)] == [_poly_product(x, y, F) for x, y in zip(a, b)]
-    # exp and log are inverse bijections between [0, q - 1) and the units
-    assert (F.log[F.exp] == np.arange(q - 1)).all()
-    assert (F.exp[F.log[1:]] == np.arange(1, q)).all()
-    # g = exp[1] has order q - 1, by polynomial square-and-multiply
-    g = int(F.exp[1])
+    # log is a bijection from the units onto [0, q - 1), and 1 = g^0
+    assert (np.sort(F.log[1:]) == np.arange(q - 1)).all() and F.log[1] == 0
+    # g, the unit of log 1, has order q - 1, by polynomial square-and-multiply
+    g = int(np.flatnonzero(F.log == 1)[0])
 
     def poly_pow(c, n):
         out = 1

@@ -19,7 +19,7 @@ from dl2.torus import (
     conductor_by_peeling,
     make_torus,
 )
-from oracles import DualChar, dual, inflate_rows
+from oracles import DualChar, dual, inflate_rows, norm_one
 
 
 def test_torus_sizes():
@@ -175,7 +175,7 @@ def test_general_position_examples():
 def test_sl_restriction_data():
     # norm-one subgroup of F_9 has order 4 with exactly one order-2 character
     t = make_torus(3, 1, 1, "mixed")
-    assert len(t.norm_one) == 4
+    assert len(norm_one(t)) == 4
     cl = classify_all(t)
     # 2 characters of T restrict to the order-2 character (fibers of size 8/4)
     assert cl.sl_quadratic.sum() == 2
@@ -185,7 +185,7 @@ def test_sl_restriction_data():
     # trivial character restricts trivially
     triv = dual(t.group)[0]
     assert triv.is_trivial()
-    vals = [triv.root_exp(int(c)) for c in t.norm_one]
+    vals = [triv.root_exp(int(c)) for c in norm_one(t)]
     assert all(v == 0 for v in vals) and not cl.sl_quadratic[0]
 
 
@@ -200,7 +200,7 @@ def test_norm_one_subgroup_size():
     for (p, k, r, mode) in [(2, 1, 2, "mixed"), (3, 1, 2, "equal"), (2, 2, 2, "mixed")]:
         t = make_torus(p, k, r, mode)
         q = t.q
-        assert len(t.norm_one) == q ** (r - 1) * (q + 1)
+        assert len(norm_one(t)) == q ** (r - 1) * (q + 1)
 
 
 def test_pairing_patterns_memoised_per_torus():
@@ -360,9 +360,10 @@ def test_fast_paths_match_literal_definitions(pkr, mode, picks, psi_pick):
 
 def test_top_layer_memoised_per_torus():
     t = make_torus(3, 1, 2, "equal")
-    assert t.top_layer_elements() is t.top_layer_elements()
+    assert t._top_rows is t._top_rows
     xs, elts = t.top_layer_elements()
     assert elts.tolist() == [int(t.ext.add(t.ext.one, t.ext.mul_pi_top_lift(x))) for x in xs.tolist()]
+    assert (t._top_rows == t.group.value_rows(elts)).all()
 
 
 def _taus_one_shot(t, A, psi_scale=1):

@@ -190,7 +190,7 @@ def test_run_suite_peels_once_per_case(monkeypatch):
 
 
 def test_classical_sweep_check():
-    c = check_classical_sweep(n_max=4, qs=(2, 3, 5))
+    c = check_classical_sweep()
     assert c.verdict == "pass"
     assert c.computed["failures"] == []
 
